@@ -241,36 +241,11 @@ runSuiteSweepBenchmark(benchmark::State &state, ReplayEngine engine,
 void
 BM_SuiteSweepParallel(benchmark::State &state)
 {
-    // Per-leg engine: one trace pass per (size, model) leg. Baseline
-    // for BM_SweepBatched.
+    // Per-leg engine: one trace pass per (size, model) leg through the
+    // object models. Baseline for BM_SweepKernel.
     runSuiteSweepBenchmark(state, ReplayEngine::PerLeg);
 }
 BENCHMARK(BM_SuiteSweepParallel)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void
-BM_SweepBatched(benchmark::State &state)
-{
-    // Batched engine: every model of the sweep consumes each packed
-    // trace chunk while it is cache-resident — one trace pass per
-    // benchmark instead of one per leg.
-    runSuiteSweepBenchmark(state, ReplayEngine::Batched);
-}
-BENCHMARK(BM_SweepBatched)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void
-BM_SweepBatchedMetricsOn(benchmark::State &state)
-{
-    // BM_SweepBatched with a metrics collector installed: bounds the
-    // cost a --metrics-out run adds (per-chunk clock reads and slot
-    // fills). The compiled-in-but-*disabled* cost — what every normal
-    // sweep pays — is a few null checks per chunk; compare this
-    // against BM_SweepBatched to see the *enabled* cost.
-    runSuiteSweepBenchmark(state, ReplayEngine::Batched,
-                           /*with_metrics=*/true);
-}
-BENCHMARK(BM_SweepBatchedMetricsOn)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void
@@ -282,6 +257,21 @@ BM_SweepKernel(benchmark::State &state)
     runSuiteSweepBenchmark(state, ReplayEngine::Kernel);
 }
 BENCHMARK(BM_SweepKernel)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_SweepKernelMetricsOn(benchmark::State &state)
+{
+    // BM_SweepKernel with a metrics collector installed: bounds the
+    // cost a --metrics-out run adds (the split per-model chunk loops,
+    // per-chunk clock reads and slot fills). The compiled-in-but-
+    // *disabled* cost — what every normal sweep pays — is a few null
+    // checks per chunk; compare this against BM_SweepKernel to see the
+    // *enabled* cost.
+    runSuiteSweepBenchmark(state, ReplayEngine::Kernel,
+                           /*with_metrics=*/true);
+}
+BENCHMARK(BM_SweepKernelMetricsOn)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /** One encoded image of the shared trace in @p format. */

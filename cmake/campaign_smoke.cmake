@@ -6,8 +6,10 @@
 # custom size axis:
 #   - `dynex campaign check` validates the spec;
 #   - `dynex campaign run` locally at 1, 2, and 8 worker threads under
-#     the batched and kernel engines — all six JSON+CSV report pairs
-#     must be byte-identical (the engine name is normalized away);
+#     `engine batched` (an alias of the kernel) and `engine kernel` —
+#     all six JSON+CSV report pairs must be byte-identical to the
+#     single-threaded per-leg (object-model) golden (the engine name is
+#     normalized away);
 #   - `dynex campaign run --port P` against a live dynex_serve daemon
 #     (serving nothing: every trace arrives by PUT) must reproduce the
 #     local reports byte for byte, cold and warm.
@@ -64,20 +66,20 @@ function(write_spec engine out spec_file)
     file(WRITE ${spec_file} "${text}")
 endfunction()
 
-write_spec(batched ${WORK_DIR}/golden ${WORK_DIR}/golden.dxc)
+write_spec(per-leg ${WORK_DIR}/golden ${WORK_DIR}/golden.dxc)
 run_cli(campaign check ${WORK_DIR}/golden.dxc)
 
-# Local golden at 1 worker, batched.
+# Local golden at 1 worker, per-leg.
 run_cli(campaign run ${WORK_DIR}/golden.dxc --threads 1)
 file(READ ${WORK_DIR}/golden.json golden_json)
 file(READ ${WORK_DIR}/golden.csv golden_csv)
 
 # The engine name is part of the JSON report; normalize it so kernel
-# runs compare against the batched golden.
+# runs compare against the per-leg golden.
 function(check_reports tag out)
     file(READ ${out}.json json)
     file(READ ${out}.csv csv)
-    string(REPLACE "\"engine\":\"kernel\"" "\"engine\":\"batched\""
+    string(REPLACE "\"engine\":\"kernel\"" "\"engine\":\"per-leg\""
            json "${json}")
     if(NOT json STREQUAL golden_json)
         message(FATAL_ERROR "JSON report differs (${tag})")

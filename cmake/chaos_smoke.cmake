@@ -1,7 +1,9 @@
 # Chaos smoke test: client resilience under seeded fault injection.
 #
-# Golden: `dynex remote-sweep` against a clean dynex_serve. Then the
-# same sweep runs against a server injecting forced BUSY sheds,
+# Golden: `dynex remote-sweep --replay per-leg` (the object models)
+# against a clean dynex_serve. Then the same sweep, under
+# `--replay batched` (the kernel's alias), runs against a server
+# injecting forced BUSY sheds,
 # trace-load failures, and response truncation (--chaos-spec with a
 # fixed --chaos-seed), with the client armed with retries. The
 # retried result must be byte-identical to the golden — chaos may
@@ -78,7 +80,7 @@ endfunction()
 start_server(clean clean_port "")
 execute_process(
     COMMAND ${DYNEX_CLI} remote-sweep ${bench} --port ${clean_port}
-            --line ${line} --replay batched
+            --line ${line} --replay per-leg
     OUTPUT_VARIABLE clean_out
     RESULT_VARIABLE clean_rc)
 stop_server(${WORK_DIR}/pid_clean)

@@ -29,7 +29,7 @@ function(scrub_timings text out_var)
 endfunction()
 
 set(golden_stdout "")
-foreach(engine per-leg batched)
+foreach(engine per-leg kernel)
     foreach(threads 1 2 8)
         set(tag ${engine}_t${threads})
         set(metrics ${WORK_DIR}/metrics_${tag}.json)

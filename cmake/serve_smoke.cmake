@@ -2,9 +2,9 @@
 #
 # Starts the server on an ephemeral port (discovered via --port-file),
 # runs `dynex remote-sweep` against it at 1, 2, and 8 server workers
-# under all three replay engines, and requires the rendered sweep table
-# to
-# be byte-identical to a local `dynex sweep` of the same benchmark —
+# under every --replay name (per-leg, kernel, and batched, the kernel's
+# alias), and requires the rendered sweep table to be byte-identical
+# to a local per-leg (object-model) `dynex sweep` of the benchmark —
 # only the header line (which names the serving address / worker
 # count) may differ. A second remote sweep against the warm server
 # must also match, exercising the TraceStore hit path. The server is
@@ -34,19 +34,16 @@ function(strip_header text out_var)
     set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
-# The local goldens, one per engine.
-foreach(engine per-leg batched kernel)
-    execute_process(
-        COMMAND ${DYNEX_CLI} sweep ${bench} --line ${line}
-                --refs ${refs} --replay ${engine}
-        OUTPUT_VARIABLE local_out
-        RESULT_VARIABLE local_rc)
-    if(NOT local_rc EQUAL 0)
-        message(FATAL_ERROR "local sweep failed (${engine})")
-    endif()
-    strip_header("${local_out}" golden)
-    set(golden_${engine} "${golden}")
-endforeach()
+# The local golden: the object models' sweep.
+execute_process(
+    COMMAND ${DYNEX_CLI} sweep ${bench} --line ${line}
+            --refs ${refs} --replay per-leg
+    OUTPUT_VARIABLE local_out
+    RESULT_VARIABLE local_rc)
+if(NOT local_rc EQUAL 0)
+    message(FATAL_ERROR "local per-leg sweep failed")
+endif()
+strip_header("${local_out}" golden)
 
 function(stop_server pid_file)
     if(EXISTS ${pid_file})
@@ -104,11 +101,11 @@ foreach(workers 1 2 8)
                 message(FATAL_ERROR "remote sweep failed (${tag})")
             endif()
             strip_header("${remote_out}" remote_body)
-            if(NOT remote_body STREQUAL golden_${engine})
+            if(NOT remote_body STREQUAL golden)
                 stop_server(${pid_file})
                 message(FATAL_ERROR
                     "remote sweep differs from local golden (${tag})\n"
-                    "--- local ---\n${golden_${engine}}\n"
+                    "--- local ---\n${golden}\n"
                     "--- remote ---\n${remote_body}")
             endif()
             message(STATUS "${tag}: identical to the local sweep")

@@ -1,6 +1,6 @@
-# Determinism check: every replay engine (per-leg, batched, kernel)
-# must produce CLI sweep output byte-identical to the others at every
-# worker count.
+# Determinism check: the kernel, under --replay kernel and its alias
+# --replay batched, must produce CLI sweep output byte-identical to
+# the per-leg object models at every worker count.
 #
 # Usage: cmake -DDYNEX_CLI=<path-to-dynex> -P sweep_determinism.cmake
 

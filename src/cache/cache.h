@@ -78,12 +78,7 @@ class CacheModel
     /** Model-specific access behavior; stats are handled by access(). */
     virtual AccessOutcome doAccess(const MemRef &ref, Tick tick) = 0;
 
-    /**
-     * Fold one access outcome into the counters. Shared by access()
-     * and the leaf models' block-based batch entry points
-     * (accessBlock), which bypass the MemRef path but must keep
-     * identical statistics.
-     */
+    /** Fold one access outcome into the counters. */
     void
     recordOutcome(const AccessOutcome &outcome)
     {

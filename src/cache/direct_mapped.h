@@ -27,21 +27,6 @@ class DirectMappedCache final : public CacheModel
     void reset() override;
     std::string name() const override { return "direct-mapped"; }
 
-    /**
-     * Batch entry point: present the reference whose block number at
-     * this cache's line granularity is already known. Equivalent to
-     * access() on any address within the block — the batched replay
-     * engine streams precomputed block arrays through this, skipping
-     * the MemRef load and the address arithmetic.
-     */
-    AccessOutcome
-    accessBlock(Addr block, Tick)
-    {
-        const AccessOutcome outcome = stepBlock(block);
-        recordOutcome(outcome);
-        return outcome;
-    }
-
     /** @return true iff @p addr's block is currently resident. */
     bool contains(Addr addr) const;
 

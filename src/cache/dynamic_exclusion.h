@@ -101,20 +101,6 @@ class DynamicExclusionCache final : public CacheModel
     void reset() override;
     std::string name() const override { return "dynamic-exclusion"; }
 
-    /**
-     * Batch entry point: present the reference whose block number at
-     * this cache's line granularity is already known; equivalent to
-     * access() on any address within the block. See
-     * DirectMappedCache::accessBlock.
-     */
-    AccessOutcome
-    accessBlock(Addr block, Tick)
-    {
-        const AccessOutcome outcome = stepBlock(block);
-        recordOutcome(outcome);
-        return outcome;
-    }
-
     /** Per-transition counts since the last reset. */
     const FsmEventCounts &eventCounts() const { return events; }
 

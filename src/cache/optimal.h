@@ -55,20 +55,6 @@ class OptimalDirectMappedCache final : public CacheModel
     void reset() override;
     std::string name() const override { return "optimal-direct-mapped"; }
 
-    /**
-     * Batch entry point: present the reference whose block number at
-     * this cache's line granularity is already known; @p tick must
-     * still be the reference's true trace position (the oracle is
-     * consulted with it). See DirectMappedCache::accessBlock.
-     */
-    AccessOutcome
-    accessBlock(Addr block, Tick tick)
-    {
-        const AccessOutcome outcome = stepBlock(block, tick);
-        recordOutcome(outcome);
-        return outcome;
-    }
-
   protected:
     AccessOutcome doAccess(const MemRef &ref, Tick tick) override;
 

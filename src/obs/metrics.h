@@ -17,7 +17,7 @@
  * Cost model: the engines consult one global pointer per *leg* (or per
  * 4096-reference chunk), never per reference, so the metrics layer is
  * free when no collector is installed — the acceptance gate is <= 1%
- * on BM_SweepBatched with metrics compiled in but disabled.
+ * on BM_SweepKernel with metrics compiled in but disabled.
  */
 
 #ifndef DYNEX_OBS_METRICS_H
@@ -55,7 +55,7 @@ enum class Counter : std::uint8_t
     TraceLoadRefs, ///< references loaded or generated
     IndexBuildNs,  ///< wall time spent building next-use indexes
     IndexBuilds,   ///< next-use indexes built
-    ReplayChunks,  ///< batched replay chunks processed
+    ReplayChunks,  ///< kernel replay chunks processed
     SrvRequests,   ///< server requests answered (any outcome)
     SrvErrors,     ///< server requests answered with an ERROR frame
     SrvBusy,       ///< connections rejected with a BUSY frame
@@ -98,9 +98,9 @@ struct LegMetrics
 
     /** Wall time of the leg's triad replay: contiguous under the
      * per-leg engine, the sum of this leg's per-chunk slices under the
-     * batched engine. */
+     * kernel. */
     std::uint64_t replayNs = 0;
-    std::uint64_t dmReplayNs = 0;  ///< batched engines: per-model split
+    std::uint64_t dmReplayNs = 0;  ///< kernel: per-model split
     std::uint64_t deReplayNs = 0;
     std::uint64_t optReplayNs = 0;
 

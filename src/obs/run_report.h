@@ -43,7 +43,7 @@ struct RunInfo
     std::string trace;          ///< trace or suite name
     Count refs = 0;             ///< references per replay
     std::uint32_t lineBytes = 0;
-    std::string engine;         ///< "batched" or "per-leg"
+    std::string engine;         ///< "kernel" or "per-leg"
     unsigned workers = 0;       ///< pool size (Full detail only)
 };
 

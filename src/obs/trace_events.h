@@ -1,7 +1,7 @@
 /**
  * @file
  * A Chrome trace-event tracer for the sweep engine: spans for thread
- * pool jobs, sweep legs, batched replay passes and chunks, and trace
+ * pool jobs, sweep legs, kernel replay passes and chunks, and trace
  * loads, written as the JSON array format `chrome://tracing` and
  * Perfetto load directly.
  *

@@ -22,12 +22,17 @@ constexpr double kEwmaAlpha = 0.2;
 constexpr double kSeedNsPerRefLeg[kWorkKindCount] = {
     0.0, // Trivial: never costed
     2.0, // Replay
-    1.0, // SweepBatched
     2.0, // SweepPerLeg
     0.5, // SweepKernel
 };
 
 } // namespace
+
+WorkKind
+sweepWorkKind(std::uint8_t engine)
+{
+    return engine == 1 ? WorkKind::SweepPerLeg : WorkKind::SweepKernel;
+}
 
 AdmissionController::AdmissionController(AdmissionConfig admission_config)
     : config(admission_config)

@@ -45,12 +45,17 @@ enum class WorkKind : std::uint8_t
 {
     Trivial = 0,  ///< ping / list / stats / hello: never shed
     Replay,       ///< one model over one trace
-    SweepBatched, ///< full triad sweep, batched engine
     SweepPerLeg,  ///< full triad sweep, per-leg engine
     SweepKernel,  ///< full triad sweep, SoA kernel engine
 };
 
-inline constexpr std::size_t kWorkKindCount = 5;
+inline constexpr std::size_t kWorkKindCount = 4;
+
+/** The kind of a DXP1 sweep whose request carries engine byte
+ * @p engine: 1 runs the per-leg object models, while 0 (the retired
+ * batched engine's byte) and 2 both run the kernel and so share one
+ * cost estimate. */
+WorkKind sweepWorkKind(std::uint8_t engine);
 
 struct AdmissionConfig
 {

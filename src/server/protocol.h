@@ -243,7 +243,7 @@ struct SweepRequest
 {
     std::string trace;
     std::uint32_t lineBytes = 4;
-    std::uint8_t engine = 0;      ///< 0 = batched, 1 = per-leg, 2 = kernel
+    std::uint8_t engine = 0;      ///< 1 = per-leg; 0 and 2 = kernel
     std::uint8_t stickyMax = 1;
     std::uint32_t deadlineMs = 0; ///< 0 = no deadline
     /**

@@ -853,9 +853,7 @@ std::string Server::handleSweep(const SweepRequest &request,
         return errorFrame(deadline);
 
     // A sweep replays three models at every axis size.
-    const WorkKind kind = request.engine == 0 ? WorkKind::SweepBatched
-                          : request.engine == 1 ? WorkKind::SweepPerLeg
-                                                : WorkKind::SweepKernel;
+    const WorkKind kind = sweepWorkKind(request.engine);
     const std::uint64_t legs = 3 * axis.size();
     const std::uint64_t admitStartNs = obs::monotonicNs();
     const AdmissionDecision ticket =
@@ -890,17 +888,16 @@ std::string Server::handleSweep(const SweepRequest &request,
     DynamicExclusionConfig sweepConfig;
     sweepConfig.stickyMax = request.stickyMax;
     sweepConfig.useLastLine = request.lineBytes > 4;
-    const ReplayEngine engine = request.engine == 0
-                                    ? ReplayEngine::Batched
-                                : request.engine == 1
+    // Engine byte 0, the retired batched engine, runs the kernel.
+    const ReplayEngine engine = request.engine == 1
                                     ? ReplayEngine::PerLeg
                                     : ReplayEngine::Kernel;
     const SizeSweepOutcome outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
         SizeSweepOutcome swept = sweepSizesChecked(
-            *warm.value().trace, *warm.value().index, axis,
-            request.lineBytes, sweepConfig, engine);
+            *warm.value().trace, *warm.value().index, *warm.value().view,
+            axis, request.lineBytes, sweepConfig, engine);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;

@@ -16,6 +16,7 @@
 #include "obs/progress.h"
 #include "obs/trace_events.h"
 #include "util/logging.h"
+#include "util/string_utils.h"
 
 // The chunk loops run hot enough that inlining them into the (large)
 // pass driver costs real speed: the merged frame spills their loop
@@ -547,7 +548,7 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
 }
 
 /** Per-(size, model) wall time of one kernel pass; empty when no
- * metrics collector is installed (mirrors the batched engine). */
+ * metrics collector is installed. */
 struct KernelPassTiming
 {
     std::vector<std::uint64_t> dmNs;
@@ -573,11 +574,13 @@ maxBlockOf(const PackedTraceView &view)
 }
 
 /**
- * Stream @p view through every non-null leg once, in chunks, with the
- * same observability contract as the batched engine's runBatchPass:
- * per-chunk-per-model timing under a metrics collector, chunk and
- * pass spans under a tracer, trace-unit progress, and one
- * ReplayChunks count per chunk.
+ * Stream @p view through every non-null leg once, in chunks.
+ *
+ * Observability: per-chunk-per-model timing under a metrics collector
+ * (never per reference), chunk and pass spans under a tracer,
+ * trace-unit progress (the chunk serves every leg), and one
+ * ReplayChunks count per chunk. With none installed the cost is three
+ * null checks per chunk.
  */
 KernelPassTiming
 runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
@@ -668,8 +671,8 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     return timing;
 }
 
-/** Record every completed leg into its registered metrics slot (same
- * contract as the batched engine's fillLegMetrics). */
+/** Record every completed leg into its registered metrics slot (legs
+ * that were never registered, or whose setup failed, are skipped). */
 void
 fillLegMetrics(const std::string &label,
                const std::vector<std::uint64_t> &sizes,
@@ -709,6 +712,8 @@ checkKernelInputs(const PackedTraceView &view,
 {
     DYNEX_ASSERT(index.blockSize() == line_bytes,
                  "index granularity mismatch");
+    DYNEX_ASSERT(view.blockBytes() == line_bytes,
+                 "packed view granularity mismatch");
     DYNEX_ASSERT(view.size() <= index.size(),
                  "next-use index shorter than the trace");
     DYNEX_ASSERT(config.stickyMax >= 1,
@@ -716,6 +721,22 @@ checkKernelInputs(const PackedTraceView &view,
 }
 
 } // namespace
+
+const char *
+replayEngineName(ReplayEngine engine)
+{
+    return engine == ReplayEngine::PerLeg ? "per-leg" : "kernel";
+}
+
+std::optional<ReplayEngine>
+parseReplayEngine(const std::string &name)
+{
+    if (iequals(name, "kernel") || iequals(name, "batched"))
+        return ReplayEngine::Kernel;
+    if (iequals(name, "per-leg"))
+        return ReplayEngine::PerLeg;
+    return std::nullopt;
+}
 
 const char *
 kernelIsaName(KernelIsa isa)
@@ -744,43 +765,14 @@ kernelForceScalar()
     return gForceScalar.load(std::memory_order_relaxed);
 }
 
-std::vector<TriadResult>
-replayTriadKernel(const Trace &trace, const NextUseIndex &index,
+TriadBatchOutcome
+replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
                   const std::vector<std::uint64_t> &sizes,
                   std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &de_config)
+                  const DynamicExclusionConfig &de_config,
+                  const std::string &label)
 {
-    const PackedTraceView view(trace, line_bytes);
     checkKernelInputs(view, index, line_bytes, de_config);
-    const Addr max_block = maxBlockOf(view);
-
-    std::vector<std::unique_ptr<KernelLeg>> legs;
-    legs.reserve(sizes.size());
-    for (const std::uint64_t size : sizes)
-        legs.push_back(std::make_unique<KernelLeg>(
-            size, line_bytes, max_block, de_config));
-
-    const KernelPassTiming timing =
-        runKernelPass(view, index, trace.name(), legs, de_config);
-
-    std::vector<TriadResult> results(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        results[s] = legResult(*legs[s], view.size());
-    fillLegMetrics(trace.name(), sizes, view.size(), timing, legs,
-                   results);
-    return results;
-}
-
-TriadBatchOutcome
-replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
-                         const std::vector<std::uint64_t> &sizes,
-                         std::uint32_t line_bytes,
-                         const DynamicExclusionConfig &de_config,
-                         const std::string &bench)
-{
-    const PackedTraceView view(trace, line_bytes);
-    checkKernelInputs(view, index, line_bytes, de_config);
-    const std::string &label = bench.empty() ? trace.name() : bench;
     const Addr max_block = maxBlockOf(view);
 
     TriadBatchOutcome outcome;
@@ -814,6 +806,14 @@ replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
     fillLegMetrics(label, sizes, view.size(), timing, legs,
                    outcome.triads);
     return outcome;
+}
+
+std::vector<TriadResult>
+kernelTriadsOrThrow(TriadBatchOutcome outcome)
+{
+    if (!outcome.allOk())
+        throw StatusError(std::move(outcome.failures.front().status));
+    return std::move(outcome.triads);
 }
 
 } // namespace dynex

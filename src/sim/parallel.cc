@@ -85,15 +85,13 @@ sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
                                  NextUseMode::RunStart, &scratch);
         index_timer.finish(bench);
         auto &row = grid[b];
-        if (engine != ReplayEngine::PerLeg) {
+        if (engine == ReplayEngine::Kernel) {
             // One pass over the trace feeds every (size, model) leg of
             // this benchmark; parallelism comes from the benchmark
             // fan-out above.
-            row = engine == ReplayEngine::Kernel
-                      ? replayTriadKernel(*trace, index, sizes,
-                                          line_bytes, config)
-                      : replayTriadBatch(*trace, index, sizes,
-                                         line_bytes, config);
+            row = kernelTriadsOrThrow(replayTriadKernel(
+                PackedTraceView(*trace, line_bytes), index, sizes,
+                line_bytes, config, trace->name()));
             return;
         }
         row.resize(sizes.size());
@@ -149,18 +147,13 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                      statusFromException(std::current_exception())});
                 return;
             }
-            if (engine != ReplayEngine::PerLeg) {
-                auto batch =
-                    engine == ReplayEngine::Kernel
-                        ? replayTriadKernelChecked(*trace, *index,
-                                                   sizes, line_bytes,
-                                                   config, bench)
-                        : replayTriadBatchChecked(*trace, *index,
-                                                  sizes, line_bytes,
-                                                  config, bench);
-                outcome.grid[b] = std::move(batch.triads);
-                outcome.ok[b] = std::move(batch.ok);
-                for (auto &failure : batch.failures)
+            if (engine == ReplayEngine::Kernel) {
+                auto pass = replayTriadKernel(
+                    PackedTraceView(*trace, line_bytes), *index, sizes,
+                    line_bytes, config, bench);
+                outcome.grid[b] = std::move(pass.triads);
+                outcome.ok[b] = std::move(pass.ok);
+                for (auto &failure : pass.failures)
                     per_bench[b].push_back(
                         {bench, sizes[failure.sizeIndex], "triad",
                          std::move(failure.status)});
@@ -219,7 +212,7 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             loadStream(bench, refs, StreamKind::Instructions);
         auto &row = grid[b];
         row.resize(lines.size());
-        if (engine != ReplayEngine::PerLeg) {
+        if (engine == ReplayEngine::Kernel) {
             // Serial over line sizes so every index build of this
             // benchmark reuses one scratch table; each line point's
             // three models replay in a single trace pass.
@@ -231,13 +224,9 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
                                          NextUseMode::RunStart,
                                          &scratch);
                 index_timer.finish(bench);
-                row[l] = engine == ReplayEngine::Kernel
-                             ? replayTriadKernel(*trace, index,
-                                                 one_size, lines[l],
-                                                 config)[0]
-                             : replayTriadBatch(*trace, index,
-                                                one_size, lines[l],
-                                                config)[0];
+                row[l] = kernelTriadsOrThrow(replayTriadKernel(
+                    PackedTraceView(*trace, lines[l]), index, one_size,
+                    lines[l], config, trace->name()))[0];
             }
             return;
         }

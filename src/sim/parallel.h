@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "cache/dynamic_exclusion.h"
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "sim/runner.h"
 #include "trace/trace.h"
 #include "util/status.h"
@@ -84,7 +84,7 @@ void simParallelFor(std::size_t n,
  * benchmark_names[b] at sizes[s]. One trace and one RunStart next-use
  * index are built per benchmark (at @p line_bytes) and shared across
  * that benchmark's sizes. Benchmarks fan out across the pool; within
- * a benchmark the Batched engine replays all sizes x models in one
+ * a benchmark the Kernel engine replays all sizes x models in one
  * trace pass, while PerLeg fans the sizes out beneath it. At most one
  * trace + index per in-flight benchmark is resident, so peak memory
  * scales with the worker count rather than the suite size. Both
@@ -94,7 +94,7 @@ std::vector<std::vector<TriadResult>> sweepSuiteTriads(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * The fault-tolerant form of sweepSuiteTriads: every failure — a
@@ -110,13 +110,13 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
  * RunStart index is built per (benchmark, line size), since next-use
- * equivalence depends on block granularity; the Batched engine walks
+ * equivalence depends on block granularity; the Kernel engine walks
  * a benchmark's line sizes serially so the index builds can share one
  * scratch table, and replays each line point's three models in one
  * trace pass.
@@ -125,7 +125,7 @@ std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,
     const DynamicExclusionConfig &config,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 } // namespace dynex
 

@@ -92,79 +92,27 @@ const
     return percentReduction(dmMissPct, optMissPct);
 }
 
-namespace
-{
-
-/** The shared sweep body; the caller owns the sweep span. */
-std::vector<SizeSweepPoint>
-sweepSizesImpl(const Trace &trace, const NextUseIndex &index,
-               const std::vector<std::uint64_t> &sizes,
-               std::uint32_t line_bytes,
-               const DynamicExclusionConfig &config, ReplayEngine engine)
-{
-    DYNEX_ASSERT(index.blockSize() == line_bytes &&
-                     index.mode() == NextUseMode::RunStart,
-                 "sweepSizes needs a RunStart index at line granularity");
-    std::vector<SizeSweepPoint> points(sizes.size());
-    if (engine != ReplayEngine::PerLeg) {
-        const auto triads =
-            engine == ReplayEngine::Kernel
-                ? replayTriadKernel(trace, index, sizes, line_bytes,
-                                    config)
-                : replayTriadBatch(trace, index, sizes, line_bytes,
-                                   config);
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            points[s] = {sizes[s], triads[s].dmMissPct(),
-                         triads[s].deMissPct(), triads[s].optMissPct()};
-        return points;
-    }
-    simParallelFor(sizes.size(), [&](std::size_t s) {
-        const TriadResult triad = simobs::runTriadLeg(
-            trace, index, trace.name(), sizes[s], line_bytes, config);
-        points[s] = {sizes[s], triad.dmMissPct(), triad.deMissPct(),
-                     triad.optMissPct()};
-    });
-    return points;
-}
-
-} // namespace
-
 std::vector<SizeSweepPoint>
 sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            std::uint32_t line_bytes, const DynamicExclusionConfig &config,
            ReplayEngine engine)
 {
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-
-    simobs::IndexBuildTimer index_timer;
-    const NextUseIndex index(trace, line_bytes, NextUseMode::RunStart);
-    index_timer.finish(trace.name());
-    return sweepSizesImpl(trace, index, sizes, line_bytes, config,
-                          engine);
-}
-
-std::vector<SizeSweepPoint>
-sweepSizes(const Trace &trace, const NextUseIndex &index,
-           const std::vector<std::uint64_t> &sizes,
-           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
-           ReplayEngine engine)
-{
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesImpl(trace, index, sizes, line_bytes, config,
-                          engine);
+    SizeSweepOutcome outcome =
+        sweepSizesChecked(trace, sizes, line_bytes, config, engine);
+    if (!outcome.allOk())
+        throw StatusError(std::move(outcome.failures.front().status));
+    return std::move(outcome.points);
 }
 
 namespace
 {
 
 /** The shared checked-sweep body; the caller owns the sweep span and
- * has already built (or fetched) the index. */
+ * has already built (or fetched) the index. A null @p view is packed
+ * here when the kernel needs it. */
 SizeSweepOutcome
 sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
+                      const PackedTraceView *view,
                       const std::vector<std::uint64_t> &sizes,
                       std::uint32_t line_bytes,
                       const DynamicExclusionConfig &config,
@@ -186,17 +134,16 @@ sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
         outcome.ok[s] = 1;
     };
 
-    if (engine != ReplayEngine::PerLeg) {
-        auto batch =
-            engine == ReplayEngine::Kernel
-                ? replayTriadKernelChecked(trace, index, sizes,
-                                           line_bytes, config)
-                : replayTriadBatchChecked(trace, index, sizes,
-                                          line_bytes, config);
+    if (engine == ReplayEngine::Kernel) {
+        std::optional<PackedTraceView> packed;
+        if (!view)
+            view = &packed.emplace(trace, line_bytes);
+        auto pass = replayTriadKernel(*view, index, sizes, line_bytes,
+                                      config, trace.name());
         for (std::size_t s = 0; s < sizes.size(); ++s)
-            if (batch.ok[s])
-                fillPoint(s, batch.triads[s]);
-        for (auto &failure : batch.failures)
+            if (pass.ok[s])
+                fillPoint(s, pass.triads[s]);
+        for (auto &failure : pass.failures)
             outcome.failures.push_back({trace.name(),
                                         sizes[failure.sizeIndex],
                                         "triad",
@@ -258,12 +205,13 @@ sweepSizesChecked(const Trace &trace,
         }
         return outcome;
     }
-    return sweepSizesCheckedImpl(trace, *index, sizes, line_bytes,
-                                 config, engine);
+    return sweepSizesCheckedImpl(trace, *index, nullptr, sizes,
+                                 line_bytes, config, engine);
 }
 
 SizeSweepOutcome
 sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
+                  const PackedTraceView &view,
                   const std::vector<std::uint64_t> &sizes,
                   std::uint32_t line_bytes,
                   const DynamicExclusionConfig &config,
@@ -272,7 +220,7 @@ sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
     std::optional<obs::ScopedSpan> sweep_span;
     if (obs::Tracer::active())
         sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesCheckedImpl(trace, index, sizes, line_bytes,
+    return sweepSizesCheckedImpl(trace, index, &view, sizes, line_bytes,
                                  config, engine);
 }
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "cache/dynamic_exclusion.h"
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "sim/parallel.h"
 #include "sim/runner.h"
 #include "trace/trace.h"
@@ -54,27 +54,14 @@ struct SizeSweepPoint
 /**
  * Run the three-way comparison over @p sizes on one trace.
  * A single RunStart next-use index at @p line_bytes is built once.
- * With the default Batched engine the trace is streamed once for all
- * sizes and models; PerLeg replays per (size, model) leg. Both produce
- * bit-identical results at any thread count.
+ * With the default Kernel engine the trace is streamed once for all
+ * sizes and models; PerLeg replays the object models per (size, model)
+ * leg. Both produce bit-identical results at any thread count.
  */
 std::vector<SizeSweepPoint> sweepSizes(
     const Trace &trace, const std::vector<std::uint64_t> &sizes,
     std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
-
-/**
- * sweepSizes with a caller-supplied next-use oracle: @p index must be
- * a RunStart index over @p trace at @p line_bytes granularity. The
- * serving subsystem passes the TraceStore's cached index here so a
- * warm request skips the build entirely; results are bit-identical to
- * the index-building overload.
- */
-std::vector<SizeSweepPoint> sweepSizes(
-    const Trace &trace, const NextUseIndex &index,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * A fault-tolerant size sweep's result: every requested size has a
@@ -100,15 +87,22 @@ struct SizeSweepOutcome
 SizeSweepOutcome sweepSizesChecked(
     const Trace &trace, const std::vector<std::uint64_t> &sizes,
     std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
-/** sweepSizesChecked with a caller-supplied RunStart index at
- * @p line_bytes granularity (see the sweepSizes overload). */
+/**
+ * sweepSizesChecked over artifacts the caller already holds: @p index
+ * must be a RunStart index over @p trace and @p view its packing, both
+ * at @p line_bytes granularity. The serving subsystem passes the
+ * TraceStore's cached pair so a warm request neither rebuilds the
+ * index nor repacks the trace; results are bit-identical to the
+ * overload that builds both.
+ */
 SizeSweepOutcome sweepSizesChecked(
     const Trace &trace, const NextUseIndex &index,
+    const PackedTraceView &view,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
@@ -119,14 +113,14 @@ SizeSweepOutcome sweepSizesChecked(
  * @param refs per-benchmark reference budget.
  * @param data_refs use the data stream instead of instruction fetches.
  * @param mixed_refs use the mixed I+D stream.
- * @param engine batched (one trace pass per benchmark) or per-leg.
+ * @param engine kernel (one trace pass per benchmark) or per-leg.
  */
 std::vector<SizeSweepPoint> sweepSuiteAverage(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {}, bool data_refs = false,
     bool mixed_refs = false,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * A fault-tolerant suite average: points[s] averages the benchmarks
@@ -151,7 +145,7 @@ SuiteAverageOutcome sweepSuiteAverageChecked(
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {}, bool data_refs = false,
     bool mixed_refs = false,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /** One (line size, triad) point at fixed capacity. */
 struct LineSweepPoint
@@ -170,7 +164,7 @@ std::vector<LineSweepPoint> sweepSuiteLineSizes(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,
     const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 } // namespace dynex
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Packed structure-of-arrays trace view: the precomputed block-number
- * array the batched replay engine streams instead of the 16-byte AoS
+ * array the replay kernel streams instead of the 16-byte AoS
  * MemRef records.
  *
  * The three sweep models (conventional, dynamic exclusion, optimal)

@@ -450,20 +450,17 @@ Parser::parseStatement(CampaignSpec &spec)
     }
     if (word == "engine") {
         Result<std::string> engine =
-            expectIdent("a replay engine (batched, per-leg, kernel)");
+            expectIdent("a replay engine (kernel, per-leg)");
         if (!engine.ok())
             return engine.status();
-        if (engine.value() == "batched")
-            spec.engine = ReplayEngine::Batched;
-        else if (engine.value() == "per-leg")
-            spec.engine = ReplayEngine::PerLeg;
-        else if (engine.value() == "kernel")
-            spec.engine = ReplayEngine::Kernel;
-        else
+        const std::optional<ReplayEngine> parsed =
+            parseReplayEngine(engine.value());
+        if (!parsed)
             return lineError(tokens[at - 1].line,
                              "unknown replay engine '" +
                                  engine.value() +
-                                 "' (want batched, per-leg, kernel)");
+                                 "' (want kernel, per-leg)");
+        spec.engine = *parsed;
         return expectPunct(';');
     }
     return lineError(line, "unknown statement '" + word + "'");

@@ -13,7 +13,7 @@
  *     sizes 1KB, 2KB, 4KB, 8KB;
  *     lines 4, 16;
  *     refs 100000;
- *     engine batched;
+ *     engine kernel;
  *     sticky 1;
  *     output json "campaign.json";
  *     output csv "campaign.csv";
@@ -21,7 +21,9 @@
  *
  * '#' starts a comment. Statements end with ';'. Defaults: models =
  * dm, dynex, opt; sizes = the paper's 1KB..128KB axis; lines = 16;
- * engine = batched; sticky = 1; refs = 0 (the suite default budget).
+ * engine = kernel; sticky = 1; refs = 0 (the suite default budget).
+ * `engine batched` names the retired batched engine and runs the
+ * kernel.
  *
  * The hand-rolled recursive-descent parser produces a validated
  * CampaignSpec or a structured CorruptInput/ResourceLimit status
@@ -38,7 +40,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -82,7 +84,7 @@ struct CampaignSpec
     std::vector<std::uint64_t> sizes;  ///< strictly increasing
     std::vector<std::uint32_t> lines;
     Count refs = 0;          ///< bench generation budget (0 = default)
-    ReplayEngine engine = ReplayEngine::Batched;
+    ReplayEngine engine = ReplayEngine::Kernel;
     std::uint8_t stickyMax = 1;
     std::string jsonOut; ///< empty = stdout summary only
     std::string csvOut;

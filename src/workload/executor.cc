@@ -172,20 +172,6 @@ runRemote(const CampaignSpec &spec, const CampaignOptions &options,
 
 } // namespace
 
-const char *
-replayEngineName(ReplayEngine engine)
-{
-    switch (engine) {
-      case ReplayEngine::Batched:
-        return "batched";
-      case ReplayEngine::PerLeg:
-        return "per-leg";
-      case ReplayEngine::Kernel:
-        return "kernel";
-    }
-    return "batched";
-}
-
 Result<Trace>
 resolveSource(const TraceSource &source, Count refs)
 {

@@ -42,10 +42,6 @@ struct CampaignOptions
     std::string clientId = "campaign";
 };
 
-/** The wire/engine name of a replay engine ("batched", "per-leg",
- * "kernel"). */
-const char *replayEngineName(ReplayEngine engine);
-
 /**
  * Resolve one trace source into a Trace named after its label. Bench
  * sources generate @p refs references of the suite's instruction

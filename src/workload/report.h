@@ -50,7 +50,7 @@ struct CampaignFailure
 struct CampaignReport
 {
     std::string name;
-    std::string engine; ///< "batched" | "per-leg" | "kernel"
+    std::string engine; ///< "kernel" | "per-leg"
     /** Models whose miss columns the report carries. */
     std::vector<std::string> models;
     std::vector<CampaignLeg> legs; ///< (trace, line, size) order

@@ -70,8 +70,7 @@ sweepWithMetrics(const Trace &trace, unsigned threads,
     info.trace = trace.name();
     info.refs = trace.size();
     info.lineBytes = 4;
-    info.engine =
-        engine == ReplayEngine::Batched ? "batched" : "per-leg";
+    info.engine = replayEngineName(engine);
     info.workers = ThreadPool::global().workers();
     std::vector<obs::ReportFailure> failures;
     for (const auto &failure : result.outcome.failures)
@@ -88,7 +87,7 @@ TEST(MetricsReport, DeterministicJsonIsGoldenAcrossWorkerCounts)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     for (const ReplayEngine engine :
-         {ReplayEngine::Batched, ReplayEngine::PerLeg}) {
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         const std::string golden =
             sweepWithMetrics(trace, 1, engine)
                 .report.toJson(obs::ReportDetail::Deterministic);
@@ -99,10 +98,8 @@ TEST(MetricsReport, DeterministicJsonIsGoldenAcrossWorkerCounts)
             // Byte-for-byte: leg order, counter totals, and every
             // rendered double must be scheduling-independent.
             EXPECT_EQ(json, golden)
-                << "engine "
-                << (engine == ReplayEngine::Batched ? "batched"
-                                                    : "per-leg")
-                << ", " << threads << " workers";
+                << "engine " << replayEngineName(engine) << ", "
+                << threads << " workers";
         }
     }
 }
@@ -111,21 +108,21 @@ TEST(MetricsReport, LegSectionIdenticalAcrossEngines)
 {
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
-    // The full counters differ by design (only the batched engine
-    // counts replay chunks), but the legs — results, FSM events, miss
-    // rates — must match exactly.
+    // The full counters differ by design (only the kernel counts
+    // replay chunks), but the legs — results, FSM events, miss rates —
+    // must match exactly.
     const auto legsSection = [](const std::string &json) {
         const auto start = json.find("\"legs\"");
         const auto end = json.find("\"failures\"");
         return json.substr(start, end - start);
     };
-    const std::string batched = legsSection(
-        sweepWithMetrics(trace, 4, ReplayEngine::Batched)
+    const std::string kernel = legsSection(
+        sweepWithMetrics(trace, 4, ReplayEngine::Kernel)
             .report.toJson(obs::ReportDetail::Deterministic));
     const std::string per_leg = legsSection(
         sweepWithMetrics(trace, 4, ReplayEngine::PerLeg)
             .report.toJson(obs::ReportDetail::Deterministic));
-    EXPECT_EQ(batched, per_leg);
+    EXPECT_EQ(kernel, per_leg);
 }
 
 TEST(MetricsReport, LegSlotsMatchTheSweepOutcome)
@@ -133,7 +130,7 @@ TEST(MetricsReport, LegSlotsMatchTheSweepOutcome)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     const SweptReport swept =
-        sweepWithMetrics(trace, 2, ReplayEngine::Batched);
+        sweepWithMetrics(trace, 2, ReplayEngine::Kernel);
     ASSERT_EQ(swept.report.legs.size(), kSizes.size());
     for (std::size_t s = 0; s < kSizes.size(); ++s) {
         const obs::LegMetrics &leg = swept.report.legs[s];
@@ -161,7 +158,7 @@ TEST(MetricsReport, CountersTrackTheRunShape)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     const SweptReport swept =
-        sweepWithMetrics(trace, 4, ReplayEngine::Batched);
+        sweepWithMetrics(trace, 4, ReplayEngine::Kernel);
     const auto counter = [&](obs::Counter c) {
         return swept.report.counters[static_cast<std::size_t>(c)];
     };
@@ -179,7 +176,7 @@ TEST(MetricsReport, InstrumentationDoesNotPerturbResults)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     for (const ReplayEngine engine :
-         {ReplayEngine::Batched, ReplayEngine::PerLeg}) {
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         ThreadPool::setConfiguredWorkers(2);
         const auto bare = sweepSizesChecked(trace, kSizes, 4, {}, engine);
         const auto observed = sweepWithMetrics(trace, 2, engine);
@@ -200,7 +197,7 @@ TEST(MetricsReport, JsonParsesAndCarriesTheSchema)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     const std::string json =
-        sweepWithMetrics(trace, 2, ReplayEngine::Batched)
+        sweepWithMetrics(trace, 2, ReplayEngine::Kernel)
             .report.toJson(obs::ReportDetail::Full);
     const auto doc = testjson::JsonParser::parse(json);
     ASSERT_TRUE(doc.has_value()) << json;
@@ -217,7 +214,7 @@ TEST(MetricsReport, JsonParsesAndCarriesTheSchema)
 
     // Deterministic detail drops the run-varying fields entirely.
     const std::string stable =
-        sweepWithMetrics(trace, 2, ReplayEngine::Batched)
+        sweepWithMetrics(trace, 2, ReplayEngine::Kernel)
             .report.toJson(obs::ReportDetail::Deterministic);
     const auto stable_doc = testjson::JsonParser::parse(stable);
     ASSERT_TRUE(stable_doc.has_value());
@@ -231,7 +228,7 @@ TEST(MetricsReport, CsvHasOneRowPerLeg)
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
     const std::string csv =
-        sweepWithMetrics(trace, 2, ReplayEngine::Batched)
+        sweepWithMetrics(trace, 2, ReplayEngine::Kernel)
             .report.toCsv(obs::ReportDetail::Deterministic);
     std::size_t lines = 0;
     for (const char c : csv)
@@ -252,7 +249,7 @@ TEST(MetricsReport, FailedLegsAreMarkedAndListed)
                 throw StatusError(Status::internal("injected"));
         });
     const SweptReport swept =
-        sweepWithMetrics(trace, 2, ReplayEngine::Batched);
+        sweepWithMetrics(trace, 2, ReplayEngine::Kernel);
     setSweepFaultHook({});
 
     ASSERT_EQ(swept.report.failures.size(), 1u);

@@ -3,7 +3,7 @@
  * Tests of the Chrome trace-event tracer: output must parse as JSON
  * with the trace-event shape, and the recorded spans must nest — every
  * leg span inside its sweep span (per-leg engine), every chunk span
- * inside the batch-replay pass (batched engine).
+ * inside the kernel-replay pass (kernel engine).
  */
 
 #include <gtest/gtest.h>
@@ -100,7 +100,7 @@ TEST(Tracer, OutputIsValidTraceEventJson)
     ThreadCountGuard guard;
     std::string json;
     const auto spans =
-        runTracedSweep(ReplayEngine::Batched, 2, &json);
+        runTracedSweep(ReplayEngine::Kernel, 2, &json);
     ASSERT_FALSE(spans.empty());
     EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""),
               std::string::npos);
@@ -114,7 +114,7 @@ TEST(Tracer, OutputIsValidTraceEventJson)
     EXPECT_EQ(count("sweep"), 1u);
     EXPECT_EQ(count("index"), 1u);
     EXPECT_EQ(count("replay"), 1u);
-    EXPECT_GT(count("batch"), 0u);
+    EXPECT_GT(count("kernel"), 0u);
 }
 
 TEST(Tracer, LegSpansNestInsideTheSweepSpan)
@@ -142,7 +142,7 @@ TEST(Tracer, LegSpansNestInsideTheSweepSpan)
 TEST(Tracer, ChunkSpansNestInsideTheBatchPass)
 {
     ThreadCountGuard guard;
-    const auto spans = runTracedSweep(ReplayEngine::Batched, 2);
+    const auto spans = runTracedSweep(ReplayEngine::Kernel, 2);
     const Span *sweep = nullptr;
     const Span *pass = nullptr;
     std::vector<const Span *> chunks;
@@ -151,7 +151,7 @@ TEST(Tracer, ChunkSpansNestInsideTheBatchPass)
             sweep = &span;
         else if (span.cat == "replay")
             pass = &span;
-        else if (span.cat == "batch")
+        else if (span.cat == "kernel")
             chunks.push_back(&span);
     }
     ASSERT_NE(sweep, nullptr);

@@ -65,10 +65,7 @@ constexpr std::size_t kFaultIndex = 2;
 void
 expectSizeSweepSurvivesLegFault(ReplayEngine engine, unsigned threads)
 {
-    SCOPED_TRACE("engine=" +
-                 std::string(engine == ReplayEngine::Batched
-                                 ? "batched"
-                                 : "per-leg") +
+    SCOPED_TRACE(std::string("engine=") + replayEngineName(engine) +
                  " threads=" + std::to_string(threads));
     ThreadPool::setConfiguredWorkers(threads);
     const Trace trace = conflictTrace();
@@ -107,7 +104,7 @@ TEST(SweepFaults, SizeSweepSurvivesOneFailingLeg)
     ThreadCountGuard threads;
     FaultHookGuard hook;
     for (const ReplayEngine engine :
-         {ReplayEngine::Batched, ReplayEngine::PerLeg})
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg})
         for (const unsigned workers : {1u, 2u, 8u})
             expectSizeSweepSurvivesLegFault(engine, workers);
 }
@@ -119,7 +116,7 @@ TEST(SweepFaults, CheckedSweepWithoutFaultsMatchesUnchecked)
     setSweepFaultHook({});
     const Trace trace = conflictTrace();
     for (const ReplayEngine engine :
-         {ReplayEngine::Batched, ReplayEngine::PerLeg}) {
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         const auto clean = sweepSizes(trace, kSizes, 4, {}, engine);
         const auto checked =
             sweepSizesChecked(trace, kSizes, 4, {}, engine);
@@ -148,7 +145,7 @@ TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
                                         StreamKind::Instructions);
 
     for (const ReplayEngine engine :
-         {ReplayEngine::Batched, ReplayEngine::PerLeg}) {
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         for (const unsigned workers : {1u, 2u, 8u}) {
             SCOPED_TRACE("workers=" + std::to_string(workers));
             ThreadPool::setConfiguredWorkers(workers);

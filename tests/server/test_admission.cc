@@ -39,7 +39,7 @@ TEST(Admission, DisabledControllerAdmitsEverythingAtZeroCost)
     config.enabled = false;
     AdmissionController admission(config);
     const AdmissionDecision decision = admission.admit(
-        "anyone", WorkKind::SweepBatched, 1'000'000'000, 36, 0);
+        "anyone", WorkKind::SweepKernel, 1'000'000'000, 36, 0);
     EXPECT_TRUE(decision.admitted);
     EXPECT_EQ(decision.costNs, 0u);
     EXPECT_EQ(admission.outstandingNs(), 0u);
@@ -57,15 +57,15 @@ TEST(Admission, TrivialWorkIsNeverCosted)
 TEST(Admission, EwmaConvergesOntoObservedServiceRate)
 {
     AdmissionController admission(openConfig());
-    // Seed for SweepBatched is 1.0 ns/ref-leg; feed a consistent
+    // Seed for SweepKernel is 0.5 ns/ref-leg; feed a consistent
     // 10 ns/ref-leg and the estimate must close most of the gap.
     const std::uint64_t refs = 1000, legs = 36;
     const std::uint64_t elapsed = 10 * refs * legs;
     for (int i = 0; i < 20; ++i)
-        admission.recordServiced(WorkKind::SweepBatched, refs, legs,
+        admission.recordServiced(WorkKind::SweepKernel, refs, legs,
                                  elapsed);
     const std::uint64_t estimate =
-        admission.estimateCostNs(WorkKind::SweepBatched, refs, legs);
+        admission.estimateCostNs(WorkKind::SweepKernel, refs, legs);
     EXPECT_GT(estimate, 9 * refs * legs);
     EXPECT_LE(estimate, 10 * refs * legs);
 }
@@ -75,10 +75,32 @@ TEST(Admission, EwmaStreamsArePerWorkKind)
     AdmissionController admission(openConfig());
     admission.recordServiced(WorkKind::Replay, 1000, 1, 1'000'000);
     // Feeding Replay must not move the sweep estimates off their seeds.
-    EXPECT_EQ(admission.estimateCostNs(WorkKind::SweepBatched, 100, 36),
-              100u * 36u); // seed 1.0
+    EXPECT_EQ(admission.estimateCostNs(WorkKind::SweepKernel, 100, 36),
+              100u * 36u / 2); // seed 0.5
     EXPECT_EQ(admission.estimateCostNs(WorkKind::SweepPerLeg, 100, 36),
               2u * 100u * 36u); // seed 2.0
+}
+
+TEST(Admission, EngineBytesZeroAndTwoShareTheKernelCostModel)
+{
+    // DXP1 engine byte 0 names the retired batched engine, which the
+    // kernel now serves: it must be priced by the kernel's EWMA, not a
+    // stale estimate of its own.
+    EXPECT_EQ(sweepWorkKind(0), WorkKind::SweepKernel);
+    EXPECT_EQ(sweepWorkKind(2), WorkKind::SweepKernel);
+    EXPECT_EQ(sweepWorkKind(1), WorkKind::SweepPerLeg);
+
+    AdmissionController admission(openConfig());
+    const std::uint64_t refs = 1000, legs = 24;
+    for (int i = 0; i < 20; ++i)
+        admission.recordServiced(sweepWorkKind(0), refs, legs,
+                                 10 * refs * legs);
+    EXPECT_GT(admission.estimateCostNs(sweepWorkKind(2), refs, legs),
+              9 * refs * legs)
+        << "engine-0 service times must train the engine-2 estimate";
+    EXPECT_EQ(admission.estimateCostNs(sweepWorkKind(1), refs, legs),
+              2 * refs * legs)
+        << "the per-leg estimate stays on its seed";
 }
 
 TEST(Admission, BudgetShedsCarryAClampedHintAndAReason)
@@ -87,16 +109,16 @@ TEST(Admission, BudgetShedsCarryAClampedHintAndAReason)
     config.costBudgetNs = 10 * kMs;
     AdmissionController admission(config);
 
-    // First request (5ms at the 1.0 seed) fits.
+    // First request (5ms at the 0.5 seed) fits.
     const AdmissionDecision first = admission.admit(
-        "a", WorkKind::SweepBatched, 5'000'000, 1, 0);
+        "a", WorkKind::SweepKernel, 10'000'000, 1, 0);
     ASSERT_TRUE(first.admitted);
     EXPECT_EQ(admission.outstandingNs(), first.costNs);
 
     // Second would push 5+8 > 10: shed with reason and a hint no
     // smaller than the configured floor.
     const AdmissionDecision shed = admission.admit(
-        "a", WorkKind::SweepBatched, 8'000'000, 1, 0);
+        "a", WorkKind::SweepKernel, 16'000'000, 1, 0);
     ASSERT_FALSE(shed.admitted);
     EXPECT_STREQ(shed.reason, "budget");
     EXPECT_GE(shed.retryAfterMs, config.minRetryAfterMs);
@@ -117,13 +139,14 @@ TEST(Admission, HintGrowsWithTheBacklog)
     config.maxRetryAfterMs = 1u << 30;
     AdmissionController admission(config);
 
+    // 9ms, then 8ms and 80ms more, at the 0.5 seed.
     ASSERT_TRUE(
-        admission.admit("a", WorkKind::SweepBatched, 9'000'000, 1, 0)
+        admission.admit("a", WorkKind::SweepKernel, 18'000'000, 1, 0)
             .admitted);
     const AdmissionDecision small = admission.admit(
-        "a", WorkKind::SweepBatched, 8'000'000, 1, 0);
+        "a", WorkKind::SweepKernel, 16'000'000, 1, 0);
     const AdmissionDecision large = admission.admit(
-        "a", WorkKind::SweepBatched, 80'000'000, 1, 0);
+        "a", WorkKind::SweepKernel, 160'000'000, 1, 0);
     ASSERT_FALSE(small.admitted);
     ASSERT_FALSE(large.admitted);
     // The farther past the budget, the longer the suggested wait.
@@ -193,18 +216,18 @@ TEST(Admission, OversizedRequestChargesAtMostOneBurst)
     config.clientRefillNsPerSec = 1000 * kMs;
     AdmissionController admission(config);
 
-    // Estimated cost (2s at seed 1.0) dwarfs the 10ms burst; charging
+    // Estimated cost (2s at seed 0.5) dwarfs the 10ms burst; charging
     // the true cost would starve the client forever. It must admit
     // (full bucket), then refill back to affordable within one burst.
     const AdmissionDecision huge = admission.admit(
-        "h", WorkKind::SweepBatched, 2'000'000'000, 1, 0);
+        "h", WorkKind::SweepKernel, 4'000'000'000, 1, 0);
     ASSERT_TRUE(huge.admitted);
     admission.release(huge.costNs);
 
     // Bucket is empty now; the same request at +10ms is affordable
     // again rather than waiting ~2s.
     const AdmissionDecision again = admission.admit(
-        "h", WorkKind::SweepBatched, 2'000'000'000, 1, 10 * kMs);
+        "h", WorkKind::SweepKernel, 4'000'000'000, 1, 10 * kMs);
     EXPECT_TRUE(again.admitted);
 }
 
@@ -243,8 +266,9 @@ TEST(Admission, QueueHintScalesWithOutstandingWork)
     AdmissionController admission(config);
     EXPECT_EQ(admission.queueRetryAfterMs(), config.minRetryAfterMs);
 
+    // 100ms at the 0.5 seed.
     const AdmissionDecision big = admission.admit(
-        "a", WorkKind::SweepBatched, 100 * kMs, 1, 0);
+        "a", WorkKind::SweepKernel, 200 * kMs, 1, 0);
     ASSERT_TRUE(big.admitted);
     EXPECT_GE(admission.queueRetryAfterMs(), 100u);
     EXPECT_LE(admission.queueRetryAfterMs(), config.maxRetryAfterMs);

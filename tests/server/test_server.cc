@@ -159,22 +159,16 @@ TEST(ServerEndToEnd, SweepsAreBitIdenticalToLocalAtAnyWorkerCount)
     // granularity, and sweep configuration the server uses.
     ThreadPool::setConfiguredWorkers(1);
     const Trace local(*Workloads::instructions("espresso", kRefs));
-    const NextUseIndex index(local, kLine, NextUseMode::RunStart);
     DynamicExclusionConfig config;
     config.useLastLine = kLine > 4;
 
+    // Every engine byte — 0 (batched, now the kernel), 1 (per-leg)
+    // and 2 (kernel) — must reproduce the object models' sweep.
+    const SizeSweepOutcome expected = sweepSizesChecked(
+        local, paperCacheSizes(), kLine, config, ReplayEngine::PerLeg);
+    ASSERT_TRUE(expected.allOk());
     for (const std::uint8_t wireEngine : {0, 1, 2})
     {
-        const ReplayEngine engine = wireEngine == 0
-                                        ? ReplayEngine::Batched
-                                    : wireEngine == 1
-                                        ? ReplayEngine::PerLeg
-                                        : ReplayEngine::Kernel;
-        ThreadPool::setConfiguredWorkers(1);
-        const SizeSweepOutcome expected = sweepSizesChecked(
-            local, index, paperCacheSizes(), kLine, config, engine);
-        ASSERT_TRUE(expected.allOk());
-
         for (const unsigned workers : {1u, 2u, 8u})
         {
             ThreadPool::setConfiguredWorkers(workers);

@@ -3,12 +3,14 @@
  * TraceStore tests: single-flight loading under thread contention
  * (exactly one loader call for eight concurrent requesters), artifact
  * caching, failed-load retry, byte-budgeted LRU eviction in strict
- * recency order, and counter stability across the whole lifecycle.
+ * recency order, counter stability across the whole lifecycle, and
+ * sweeps over the cached packed view matching self-packed ones.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "server/trace_store.h"
+#include "sim/sweep.h"
 #include "trace/trace.h"
 #include "util/status.h"
 
@@ -321,6 +324,53 @@ TEST(TraceStore, EncodedChargingHoldsMoreTracesPerBudgetByte)
     EXPECT_TRUE(store.resident("a"));
     EXPECT_TRUE(store.resident("b"));
     EXPECT_EQ(store.counters().evictions, 0u);
+}
+
+TEST(TraceStore, CachedViewSweepMatchesASelfPackedSweepByteForByte)
+{
+    // A loop nest whose bodies alias across the paper's size axis.
+    TraceStore store(
+        [](const std::string &name) -> Result<Trace> {
+            Trace trace(name);
+            for (int rep = 0; rep < 400; ++rep) {
+                for (Addr a = 0; a < 48; ++a)
+                    trace.append(ifetch(0x1000 + 4 * a));
+                for (Addr a = 0; a < 16; ++a)
+                    trace.append(ifetch(0x1000 + 8192 + 4 * a));
+                trace.append(load(0x90000 + 8 * (rep % 97)));
+            }
+            return trace;
+        },
+        1ull << 30);
+    for (const std::uint32_t line : {4u, 16u}) {
+        const auto warm = store.indexed("loops", line);
+        ASSERT_TRUE(warm.ok()) << warm.status().toString();
+        DynamicExclusionConfig config;
+        config.useLastLine = line > 4;
+        const SizeSweepOutcome cached = sweepSizesChecked(
+            *warm.value().trace, *warm.value().index, *warm.value().view,
+            paperCacheSizes(), line, config);
+        const SizeSweepOutcome packed = sweepSizesChecked(
+            *warm.value().trace, paperCacheSizes(), line, config);
+        ASSERT_TRUE(cached.allOk());
+        ASSERT_TRUE(packed.allOk());
+        ASSERT_EQ(cached.points.size(), packed.points.size());
+        EXPECT_EQ(cached.ok, packed.ok);
+        for (std::size_t s = 0; s < packed.points.size(); ++s) {
+            const SizeSweepPoint &got = cached.points[s];
+            const SizeSweepPoint &want = packed.points[s];
+            EXPECT_EQ(got.sizeBytes, want.sizeBytes);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
+                      std::bit_cast<std::uint64_t>(want.dmMissPct))
+                << line << "B line, " << want.sizeBytes << "B";
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.deMissPct),
+                      std::bit_cast<std::uint64_t>(want.deMissPct))
+                << line << "B line, " << want.sizeBytes << "B";
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.optMissPct),
+                      std::bit_cast<std::uint64_t>(want.optMissPct))
+                << line << "B line, " << want.sizeBytes << "B";
+        }
+    }
 }
 
 } // namespace

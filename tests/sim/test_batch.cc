@@ -1,16 +1,17 @@
 /**
  * @file
- * Equivalence tests of the batched replay engine: one trace pass
- * through every model of a sweep must produce statistics EXPECT_EQ-
- * exact against the sequential per-leg replay, for every model
- * combination and at every thread count.
+ * Tests of the `batched` engine name. The batched engine itself is
+ * retired; its name (`--replay batched`, campaign `engine batched`,
+ * DXP1 engine byte 0) is kept as an alias of the SoA kernel so
+ * existing command lines, specs and clients still run. Every sweep the
+ * alias selects, and every triad batch of the kernel pass it runs,
+ * must be EXPECT_EQ-exact against the per-leg object models at every
+ * thread count.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/direct_mapped.h"
-#include "cache/optimal.h"
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "sim/sweep.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -39,6 +40,15 @@ expectStatsEq(const CacheStats &batched, const CacheStats &per_leg,
     EXPECT_EQ(batched.evictions, per_leg.evictions) << label;
 }
 
+/** The engine every caller selects with the name "batched". */
+ReplayEngine
+batchedAlias()
+{
+    const auto engine = parseReplayEngine("batched");
+    EXPECT_TRUE(engine.has_value());
+    return engine.value_or(ReplayEngine::PerLeg);
+}
+
 /** A conflict-heavy loopy trace with a pseudo-random data sprinkle. */
 Trace
 batchTrace(std::size_t refs)
@@ -57,75 +67,32 @@ batchTrace(std::size_t refs)
     return trace;
 }
 
-TEST(BatchReplay, VariadicBatchMatchesPerLegReplayAllModels)
-{
-    const Trace trace = batchTrace(20000);
-    const std::uint32_t line = 16;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
-    const auto geometry = CacheGeometry::directMapped(4096, line);
-    DynamicExclusionConfig de_config;
-    de_config.useLastLine = true;
-
-    DirectMappedCache dm_batch(geometry);
-    DynamicExclusionCache de_batch(geometry, de_config);
-    OptimalDirectMappedCache opt_batch(geometry, index, true);
-    const PackedTraceView view(trace, line);
-    replayBatch(view, dm_batch, de_batch, opt_batch);
-
-    DirectMappedCache dm(geometry);
-    DynamicExclusionCache de(geometry, de_config);
-    OptimalDirectMappedCache opt(geometry, index, true);
-    expectStatsEq(dm_batch.stats(), replayTrace(dm, trace), "dm");
-    expectStatsEq(de_batch.stats(), replayTrace(de, trace), "de");
-    expectStatsEq(opt_batch.stats(), replayTrace(opt, trace), "opt");
-}
-
-TEST(BatchReplay, AccessBlockLeavesModelInSameStateAsAccess)
-{
-    // Not just the counters: the models' visible post-replay state
-    // (residency) must match, since batch and per-leg paths share it.
-    const Trace trace = batchTrace(5000);
-    const auto geometry = CacheGeometry::directMapped(1024, 4);
-    DirectMappedCache via_access(geometry);
-    DirectMappedCache via_block(geometry);
-    DynamicExclusionCache de_access(geometry);
-    DynamicExclusionCache de_block(geometry);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        via_access.access(trace[i], i);
-        via_block.accessBlock(geometry.blockOf(trace[i].addr), i);
-        de_access.access(trace[i], i);
-        de_block.accessBlock(geometry.blockOf(trace[i].addr), i);
-    }
-    for (std::uint64_t set = 0; set < geometry.numLines(); ++set)
-        EXPECT_EQ(via_block.residentBlock(set),
-                  via_access.residentBlock(set));
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(de_block.contains(trace[i].addr),
-                  de_access.contains(trace[i].addr));
-    expectStatsEq(de_block.stats(), de_access.stats(), "de state");
-}
-
 TEST(BatchReplay, TriadBatchMatchesRunTriadAtEverySize)
 {
+    // 30000 refs is several kernel chunks plus a partial one.
     const Trace trace = batchTrace(30000);
+    ASSERT_NE(trace.size() % detail::kBatchChunkRefs, 0u);
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096,
                                               16 * 1024};
     for (const std::uint32_t line : {4u, 16u}) {
         const NextUseIndex index(trace, line, NextUseMode::RunStart);
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
-        const auto batched =
-            replayTriadBatch(trace, index, sizes, line, config);
-        ASSERT_EQ(batched.size(), sizes.size());
+        const TriadBatchOutcome batch = replayTriadKernel(
+            PackedTraceView(trace, line), index, sizes, line, config,
+            trace.name());
+        ASSERT_TRUE(batch.allOk());
+        ASSERT_EQ(batch.triads.size(), sizes.size());
         for (std::size_t s = 0; s < sizes.size(); ++s) {
+            EXPECT_TRUE(batch.ok[s]);
             const TriadResult leg =
                 runTriad(trace, index, sizes[s], line, config);
             const std::string label = "line " + std::to_string(line) +
                                       " size " +
                                       std::to_string(sizes[s]);
-            expectStatsEq(batched[s].dm, leg.dm, "dm " + label);
-            expectStatsEq(batched[s].de, leg.de, "de " + label);
-            expectStatsEq(batched[s].opt, leg.opt, "opt " + label);
+            expectStatsEq(batch.triads[s].dm, leg.dm, "dm " + label);
+            expectStatsEq(batch.triads[s].de, leg.de, "de " + label);
+            expectStatsEq(batch.triads[s].opt, leg.opt, "opt " + label);
         }
     }
 }
@@ -141,7 +108,7 @@ TEST(BatchReplay, SweepSizesEnginesIdenticalAcrossWorkerCounts)
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
         for (const ReplayEngine engine :
-             {ReplayEngine::Batched, ReplayEngine::PerLeg}) {
+             {batchedAlias(), ReplayEngine::PerLeg}) {
             const auto points = sweepSizes(trace, sizes, 4, {}, engine);
             ASSERT_EQ(points.size(), reference.size());
             for (std::size_t s = 0; s < points.size(); ++s) {
@@ -169,7 +136,7 @@ TEST(BatchReplay, SuiteAverageEnginesIdenticalAcrossWorkerCounts)
         ThreadPool::setConfiguredWorkers(threads);
         const auto batched =
             sweepSuiteAverage(names, 30000, sizes, 4, {}, false, false,
-                              ReplayEngine::Batched);
+                              batchedAlias());
         ASSERT_EQ(batched.size(), reference.size());
         for (std::size_t s = 0; s < batched.size(); ++s) {
             EXPECT_EQ(batched[s].dmMissPct, reference[s].dmMissPct);
@@ -191,7 +158,7 @@ TEST(BatchReplay, SuiteLineSweepEnginesIdenticalAcrossWorkerCounts)
         ThreadPool::setConfiguredWorkers(threads);
         const auto batched =
             sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64},
-                                {}, ReplayEngine::Batched);
+                                {}, batchedAlias());
         ASSERT_EQ(batched.size(), reference.size());
         for (std::size_t l = 0; l < batched.size(); ++l) {
             EXPECT_EQ(batched[l].lineBytes, reference[l].lineBytes);
@@ -206,12 +173,23 @@ TEST(BatchReplay, EmptyTraceYieldsZeroedStats)
 {
     Trace trace("empty");
     const NextUseIndex index(trace, 4, NextUseMode::RunStart);
-    const auto triads = replayTriadBatch(trace, index, {256, 1024}, 4);
-    ASSERT_EQ(triads.size(), 2u);
-    for (const auto &triad : triads) {
+    const TriadBatchOutcome batch = replayTriadKernel(
+        PackedTraceView(trace, 4), index, {256, 1024}, 4, {},
+        trace.name());
+    ASSERT_TRUE(batch.allOk());
+    ASSERT_EQ(batch.triads.size(), 2u);
+    for (const auto &triad : batch.triads) {
         EXPECT_EQ(triad.dm.accesses, 0u);
         EXPECT_EQ(triad.de.accesses, 0u);
         EXPECT_EQ(triad.opt.accesses, 0u);
+    }
+    const auto checked =
+        sweepSizesChecked(trace, {256, 1024}, 4, {}, batchedAlias());
+    ASSERT_TRUE(checked.allOk());
+    for (const auto &point : checked.points) {
+        EXPECT_EQ(point.dmMissPct, 0.0);
+        EXPECT_EQ(point.deMissPct, 0.0);
+        EXPECT_EQ(point.optMissPct, 0.0);
     }
 }
 

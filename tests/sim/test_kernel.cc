@@ -1,23 +1,29 @@
 /**
  * @file
  * Equivalence tests of the SoA replay kernel: every statistic and FSM
- * event count must be EXPECT_EQ-exact against the batched engine (and
- * therefore the per-leg engine) across line sizes, DE configurations,
- * worker counts, checked/unchecked paths, and both dispatch ISAs.
+ * event count must be EXPECT_EQ-exact against the per-leg object
+ * models: a seeded randomized differential against runTriad over
+ * geometries, DE knobs and adversarial traces, plus worker counts,
+ * checked/unchecked paths, sparse block ranges, both dispatch ISAs,
+ * and the `batched` name, which now selects the kernel.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/batch.h"
+#include <algorithm>
+
 #include "sim/kernel.h"
 #include "sim/sweep.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "../test_helpers.h"
 
 namespace dynex
 {
 namespace
 {
+
+using test::repeat;
 
 /** Restores the automatic thread configuration when a test exits. */
 struct ThreadCountGuard
@@ -32,33 +38,45 @@ struct ScalarGuard
 };
 
 void
-expectStatsEq(const CacheStats &kernel, const CacheStats &batched,
+expectStatsEq(const CacheStats &kernel, const CacheStats &reference,
               const std::string &label)
 {
-    EXPECT_EQ(kernel.accesses, batched.accesses) << label;
-    EXPECT_EQ(kernel.hits, batched.hits) << label;
-    EXPECT_EQ(kernel.misses, batched.misses) << label;
-    EXPECT_EQ(kernel.coldMisses, batched.coldMisses) << label;
-    EXPECT_EQ(kernel.fills, batched.fills) << label;
-    EXPECT_EQ(kernel.bypasses, batched.bypasses) << label;
-    EXPECT_EQ(kernel.evictions, batched.evictions) << label;
+    EXPECT_EQ(kernel.accesses, reference.accesses) << label;
+    EXPECT_EQ(kernel.hits, reference.hits) << label;
+    EXPECT_EQ(kernel.misses, reference.misses) << label;
+    EXPECT_EQ(kernel.coldMisses, reference.coldMisses) << label;
+    EXPECT_EQ(kernel.fills, reference.fills) << label;
+    EXPECT_EQ(kernel.bypasses, reference.bypasses) << label;
+    EXPECT_EQ(kernel.evictions, reference.evictions) << label;
 }
 
 void
-expectTriadEq(const TriadResult &kernel, const TriadResult &batched,
+expectTriadEq(const TriadResult &kernel, const TriadResult &reference,
               const std::string &label)
 {
-    expectStatsEq(kernel.dm, batched.dm, "dm " + label);
-    expectStatsEq(kernel.de, batched.de, "de " + label);
-    expectStatsEq(kernel.opt, batched.opt, "opt " + label);
+    expectStatsEq(kernel.dm, reference.dm, "dm " + label);
+    expectStatsEq(kernel.de, reference.de, "de " + label);
+    expectStatsEq(kernel.opt, reference.opt, "opt " + label);
     for (std::size_t e = 0; e < 5; ++e)
         EXPECT_EQ(kernel.deEvents.byEvent[e],
-                  batched.deEvents.byEvent[e])
+                  reference.deEvents.byEvent[e])
             << label << " event " << e;
 }
 
-/** A conflict-heavy loopy trace with a pseudo-random data sprinkle
- * (same generator shape as the batch-engine tests). */
+/** The kernel's triads for @p trace, packed here; throws on a failed
+ * leg. */
+std::vector<TriadResult>
+kernelTriads(const Trace &trace, const NextUseIndex &index,
+             const std::vector<std::uint64_t> &sizes,
+             std::uint32_t line,
+             const DynamicExclusionConfig &config = {})
+{
+    return kernelTriadsOrThrow(replayTriadKernel(
+        PackedTraceView(trace, line), index, sizes, line, config,
+        trace.name()));
+}
+
+/** A conflict-heavy loopy trace with a pseudo-random data sprinkle. */
 Trace
 kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
 {
@@ -76,44 +94,181 @@ kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
     return trace;
 }
 
+// The differential's traces are the adversarial ones for a
+// direct-mapped cache: the paper's Section 3 conflict patterns laid out
+// one cache size apart, arrays whose strides alias at exactly the cache
+// size, and loop nests with a data sprinkle.
+constexpr std::uint64_t kDiffSeed = 0x1992;
+constexpr int kDiffCases = 400;
+
+/** The paper's Section 3 patterns: conflict between loops, between a
+ * loop and a called routine, and within one loop. */
+const std::vector<std::string> &
+paperPatterns()
+{
+    static const std::vector<std::string> patterns = {
+        repeat(repeat("a", 10) + repeat("b", 10), 10),
+        repeat(repeat("a", 10) + "b", 10),
+        repeat("ab", 10),
+    };
+    return patterns;
+}
+
+/** Section 3 patterns plus random three-letter ones, every letter one
+ * @p alias_bytes apart so all letters share one set. */
+void
+appendPatterns(Trace &trace, Rng &rng, Addr alias_bytes)
+{
+    const Addr base = 0x10000 + 4 * rng.nextBelow(256);
+    for (const std::string &pattern : paperPatterns())
+        trace.append(Trace::fromPattern(pattern, base, alias_bytes));
+    std::string random;
+    for (int i = 0; i < 200; ++i)
+        random += repeat(std::string(1, static_cast<char>(
+                             'a' + rng.nextBelow(3))),
+                         1 + static_cast<int>(rng.nextBelow(6)));
+    trace.append(Trace::fromPattern(random, base, alias_bytes));
+}
+
+/** Up to four arrays exactly @p alias_bytes apart walked in lockstep,
+ * so element j of every array maps to the same set. */
+void
+appendAliasingStrides(Trace &trace, Rng &rng, Addr alias_bytes,
+                      std::uint32_t line)
+{
+    const Addr base = 0x200000;
+    const Addr arrays = 2 + rng.nextBelow(3);
+    const Addr elements = 8 + rng.nextBelow(56);
+    const Addr step = line / (1 + rng.nextBelow(2));
+    for (int rep = 0; rep < 20; ++rep)
+        for (Addr j = 0; j < elements; ++j)
+            for (Addr k = 0; k < arrays; ++k)
+                trace.append(load(base + k * alias_bytes + j * step));
+}
+
+/** Loop bodies at random code addresses with a data reference after
+ * each iteration. */
+void
+appendLoopNest(Trace &trace, Rng &rng, std::size_t refs)
+{
+    const std::size_t end = trace.size() + refs;
+    while (trace.size() < end) {
+        const Addr body_base = 0x1000 + 4 * rng.nextBelow(32768);
+        const Addr body = 2 + rng.nextBelow(40);
+        const Addr iterations = 1 + rng.nextBelow(8);
+        for (Addr it = 0; it < iterations; ++it)
+            for (Addr j = 0; j < body; ++j)
+                trace.append(ifetch(body_base + 4 * j));
+        trace.append(load(0x90000 + 8 * rng.nextBelow(4096)));
+    }
+}
+
+TEST(KernelDifferential, MatchesTheObjectModelsOnAdversarialTraces)
+{
+    // Random geometries (1KB..128KB, 4-32 B lines) and DE knobs
+    // (stickyMax 1-3, useLastLine, initialHitLast), every leg against
+    // runTriad.
+    Rng rng(kDiffSeed);
+    const std::vector<std::uint32_t> lines = {4, 8, 16, 32};
+    for (int c = 0; c < kDiffCases; ++c) {
+        const std::uint32_t line = lines[rng.nextBelow(lines.size())];
+        DynamicExclusionConfig config;
+        config.stickyMax = static_cast<std::uint8_t>(1 + rng.nextBelow(3));
+        config.useLastLine = rng.nextBelow(2) != 0;
+        config.initialHitLast = rng.nextBelow(2) != 0;
+
+        // One to three distinct sizes from the paper's 1KB..128KB axis.
+        std::vector<std::uint64_t> sizes;
+        const std::size_t want = 1 + rng.nextBelow(3);
+        while (sizes.size() < want) {
+            const std::uint64_t size = std::uint64_t{1024}
+                                       << rng.nextBelow(8);
+            if (std::find(sizes.begin(), sizes.end(), size) ==
+                sizes.end())
+                sizes.push_back(size);
+        }
+        std::sort(sizes.begin(), sizes.end());
+        const Addr alias = sizes[rng.nextBelow(sizes.size())];
+
+        Trace trace("diff" + std::to_string(c));
+        appendPatterns(trace, rng, alias);
+        appendAliasingStrides(trace, rng, alias, line);
+        appendLoopNest(trace, rng, 4000 + rng.nextBelow(12000));
+        appendPatterns(trace, rng, alias);
+
+        const NextUseIndex index(trace, line, NextUseMode::RunStart);
+        const TriadBatchOutcome kernel = replayTriadKernel(
+            PackedTraceView(trace, line), index, sizes, line, config,
+            trace.name());
+        ASSERT_TRUE(kernel.allOk());
+        for (std::size_t s = 0; s < sizes.size(); ++s) {
+            const std::string label =
+                "case " + std::to_string(c) + ": " +
+                std::to_string(sizes[s]) + "B/" + std::to_string(line) +
+                "B sticky " + std::to_string(config.stickyMax) +
+                " lastline " + std::to_string(config.useLastLine) +
+                " hitlast0 " + std::to_string(config.initialHitLast) +
+                " alias " + std::to_string(alias);
+            expectTriadEq(kernel.triads[s],
+                          runTriad(trace, index, sizes[s], line, config),
+                          label);
+        }
+    }
+}
+
+/** The kernel's triad batch for @p trace against runTriad, leg by
+ * leg, and the sweep the `batched` name selects against the per-leg
+ * sweep. */
+void
+expectBatchMatchesPerLeg(const Trace &trace,
+                         const std::vector<std::uint64_t> &sizes,
+                         std::uint32_t line,
+                         const DynamicExclusionConfig &config,
+                         const std::string &label)
+{
+    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto kernel = kernelTriads(trace, index, sizes, line, config);
+    ASSERT_EQ(kernel.size(), sizes.size());
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        expectTriadEq(kernel[s],
+                      runTriad(trace, index, sizes[s], line, config),
+                      label + " size " + std::to_string(sizes[s]));
+
+    const auto batched = parseReplayEngine("batched");
+    ASSERT_TRUE(batched.has_value());
+    const auto points = sweepSizes(trace, sizes, line, config, *batched);
+    const auto reference =
+        sweepSizes(trace, sizes, line, config, ReplayEngine::PerLeg);
+    ASSERT_EQ(points.size(), reference.size());
+    for (std::size_t s = 0; s < points.size(); ++s) {
+        EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct) << label;
+        EXPECT_EQ(points[s].deMissPct, reference[s].deMissPct) << label;
+        EXPECT_EQ(points[s].optMissPct, reference[s].optMissPct)
+            << label;
+    }
+}
+
 TEST(KernelReplay, MatchesBatchAtEverySizeAndLine)
 {
     const Trace trace = kernelTrace(30000);
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096,
                                               16 * 1024};
     for (const std::uint32_t line : {4u, 16u}) {
-        const NextUseIndex index(trace, line, NextUseMode::RunStart);
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
-        const auto kernel =
-            replayTriadKernel(trace, index, sizes, line, config);
-        const auto batched =
-            replayTriadBatch(trace, index, sizes, line, config);
-        ASSERT_EQ(kernel.size(), sizes.size());
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            expectTriadEq(kernel[s], batched[s],
-                          "line " + std::to_string(line) + " size " +
-                              std::to_string(sizes[s]));
+        expectBatchMatchesPerLeg(trace, sizes, line, config,
+                                 "line " + std::to_string(line));
     }
 }
 
 TEST(KernelReplay, MatchesBatchWithNonDefaultDeConfig)
 {
     const Trace trace = kernelTrace(20000, 0x51c);
-    const std::vector<std::uint64_t> sizes = {512, 2048};
-    const std::uint32_t line = 8;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
     DynamicExclusionConfig config;
     config.stickyMax = 3;
     config.useLastLine = true;
     config.initialHitLast = true;
-    const auto kernel =
-        replayTriadKernel(trace, index, sizes, line, config);
-    const auto batched =
-        replayTriadBatch(trace, index, sizes, line, config);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        expectTriadEq(kernel[s], batched[s],
-                      "sticky3 size " + std::to_string(sizes[s]));
+    expectBatchMatchesPerLeg(trace, {512, 2048}, 8, config, "sticky3");
 }
 
 TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
@@ -129,10 +284,9 @@ TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
     const std::uint32_t line = 4;
     const NextUseIndex index(trace, line, NextUseMode::RunStart);
     const std::vector<std::uint64_t> sizes = {256, 4096};
-    const auto kernel = replayTriadKernel(trace, index, sizes, line);
-    const auto batched = replayTriadBatch(trace, index, sizes, line);
+    const auto kernel = kernelTriads(trace, index, sizes, line);
     for (std::size_t s = 0; s < sizes.size(); ++s)
-        expectTriadEq(kernel[s], batched[s],
+        expectTriadEq(kernel[s], runTriad(trace, index, sizes[s], line),
                       "sparse size " + std::to_string(sizes[s]));
 }
 
@@ -148,14 +302,12 @@ TEST(KernelReplay, ScalarDispatchIsBitIdenticalToTheNaturalIsa)
 
     setKernelForceScalar(false);
     const KernelIsa natural = kernelDispatchIsa();
-    const auto fast =
-        replayTriadKernel(trace, index, sizes, line, config);
+    const auto fast = kernelTriads(trace, index, sizes, line, config);
 
     setKernelForceScalar(true);
     EXPECT_TRUE(kernelForceScalar());
     EXPECT_EQ(kernelDispatchIsa(), KernelIsa::Scalar);
-    const auto scalar =
-        replayTriadKernel(trace, index, sizes, line, config);
+    const auto scalar = kernelTriads(trace, index, sizes, line, config);
 
     // On AVX2 hardware this compares the two code paths; elsewhere it
     // still proves the forced-scalar path is the dispatched one, so a
@@ -173,19 +325,25 @@ TEST(KernelReplay, SweepSizesKernelIdenticalAcrossWorkerCounts)
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
     ThreadPool::setConfiguredWorkers(1);
     const auto reference =
-        sweepSizes(trace, sizes, 4, {}, ReplayEngine::Batched);
+        sweepSizes(trace, sizes, 4, {}, ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
-        const auto points =
-            sweepSizes(trace, sizes, 4, {}, ReplayEngine::Kernel);
-        ASSERT_EQ(points.size(), reference.size());
-        for (std::size_t s = 0; s < points.size(); ++s) {
-            EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
-                << threads << " workers, point " << s;
-            EXPECT_EQ(points[s].deMissPct, reference[s].deMissPct)
-                << threads << " workers, point " << s;
-            EXPECT_EQ(points[s].optMissPct, reference[s].optMissPct)
-                << threads << " workers, point " << s;
+        for (const ReplayEngine engine :
+             {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+            const auto points = sweepSizes(trace, sizes, 4, {}, engine);
+            ASSERT_EQ(points.size(), reference.size());
+            for (std::size_t s = 0; s < points.size(); ++s) {
+                EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+                EXPECT_EQ(points[s].deMissPct, reference[s].deMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+                EXPECT_EQ(points[s].optMissPct,
+                          reference[s].optMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+            }
         }
     }
 }
@@ -198,8 +356,7 @@ TEST(KernelReplay, SuiteSweepsIdenticalCheckedAndUncheckedAllWorkers)
                                               32 * 1024};
     ThreadPool::setConfiguredWorkers(1);
     const auto reference = sweepSuiteAverage(
-        names, 30000, sizes, 4, {}, false, false,
-        ReplayEngine::Batched);
+        names, 30000, sizes, 4, {}, false, false, ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
         const auto kernel =
@@ -232,20 +389,33 @@ TEST(KernelReplay, SuiteSweepsIdenticalCheckedAndUncheckedAllWorkers)
 
 TEST(KernelReplay, LineSweepKernelMatchesBatch)
 {
+    // The kernel, and the retired batched engine's name that now
+    // selects it, both match the per-leg line sweep.
     ThreadCountGuard guard;
     const std::vector<std::string> names = {"tomcatv"};
-    ThreadPool::setConfiguredWorkers(2);
-    const auto batched =
+    const auto batched = parseReplayEngine("batched");
+    ASSERT_TRUE(batched.has_value());
+    ThreadPool::setConfiguredWorkers(1);
+    const auto reference =
         sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64}, {},
-                            ReplayEngine::Batched);
-    const auto kernel =
-        sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64}, {},
-                            ReplayEngine::Kernel);
-    ASSERT_EQ(kernel.size(), batched.size());
-    for (std::size_t l = 0; l < kernel.size(); ++l) {
-        EXPECT_EQ(kernel[l].dmMissPct, batched[l].dmMissPct);
-        EXPECT_EQ(kernel[l].deMissPct, batched[l].deMissPct);
-        EXPECT_EQ(kernel[l].optMissPct, batched[l].optMissPct);
+                            ReplayEngine::PerLeg);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        ThreadPool::setConfiguredWorkers(threads);
+        for (const ReplayEngine engine : {ReplayEngine::Kernel, *batched}) {
+            const auto kernel =
+                sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64},
+                                    {}, engine);
+            ASSERT_EQ(kernel.size(), reference.size());
+            for (std::size_t l = 0; l < kernel.size(); ++l) {
+                EXPECT_EQ(kernel[l].lineBytes, reference[l].lineBytes);
+                EXPECT_EQ(kernel[l].dmMissPct, reference[l].dmMissPct)
+                    << threads << " workers";
+                EXPECT_EQ(kernel[l].deMissPct, reference[l].deMissPct)
+                    << threads << " workers";
+                EXPECT_EQ(kernel[l].optMissPct, reference[l].optMissPct)
+                    << threads << " workers";
+            }
+        }
     }
 }
 
@@ -260,14 +430,17 @@ TEST(KernelReplay, CheckedKernelIsolatesInjectedFaults)
         if (size == 1024)
             throw StatusError(Status::internal("injected"));
     });
-    const auto checked =
-        replayTriadKernelChecked(trace, index, sizes, line);
+    const auto checked = replayTriadKernel(
+        PackedTraceView(trace, line), index, sizes, line, {},
+        trace.name());
+    EXPECT_THROW(kernelTriads(trace, index, sizes, line), StatusError)
+        << "the unchecked form throws the failed leg's status";
     setSweepFaultHook({});
 
     ASSERT_EQ(checked.failures.size(), 1u);
     EXPECT_EQ(checked.failures[0].sizeIndex, 1u);
     EXPECT_FALSE(checked.ok[1]);
-    const auto clean = replayTriadKernel(trace, index, sizes, line);
+    const auto clean = kernelTriads(trace, index, sizes, line);
     expectTriadEq(checked.triads[0], clean[0], "surviving leg 0");
     expectTriadEq(checked.triads[2], clean[2], "surviving leg 2");
 }
@@ -276,7 +449,7 @@ TEST(KernelReplay, EmptyTraceYieldsZeroedStats)
 {
     Trace trace("empty");
     const NextUseIndex index(trace, 4, NextUseMode::RunStart);
-    const auto triads = replayTriadKernel(trace, index, {256, 1024}, 4);
+    const auto triads = kernelTriads(trace, index, {256, 1024}, 4);
     ASSERT_EQ(triads.size(), 2u);
     for (const auto &triad : triads) {
         EXPECT_EQ(triad.dm.accesses, 0u);

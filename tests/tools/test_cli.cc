@@ -12,6 +12,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #ifndef DYNEX_CLI_PATH
 #error "DYNEX_CLI_PATH must be defined by the build system"
@@ -301,6 +302,35 @@ TEST(CliTool, MetricsReportStableAcrossThreadCounts)
               scrubTimings(readFile(four_path)));
     std::remove(one_path.c_str());
     std::remove(four_path.c_str());
+}
+
+TEST(CliTool, SweepDefaultsToTheKernelEngine)
+{
+    // The metrics report names the engine that ran: the kernel unless
+    // --replay says otherwise; `batched` is an alias of the kernel and
+    // `per-leg` stays the object-model reference. All three tables
+    // are byte-identical.
+    const std::string path = ::testing::TempDir() + "/cli_engine.json";
+    const std::string sweep =
+        "sweep mat300 --line 4 --refs 30000 --metrics-out " + path;
+    const std::pair<const char *, const char *> cases[] = {
+        {"", "kernel"},
+        {" --replay batched", "kernel"},
+        {" --replay kernel", "kernel"},
+        {" --replay per-leg", "per-leg"},
+    };
+    const auto reference = runCli(sweep + " --replay per-leg");
+    ASSERT_EQ(reference.exitCode, 0) << reference.output;
+    for (const auto &[flag, engine] : cases) {
+        const auto result = runCli(sweep + flag);
+        ASSERT_EQ(result.exitCode, 0) << flag << result.output;
+        EXPECT_EQ(result.output, reference.output) << flag;
+        EXPECT_NE(readFile(path).find(std::string("\"engine\":\"") +
+                                      engine + "\""),
+                  std::string::npos)
+            << "--replay" << flag << " should run " << engine;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(CliTool, MetricsReportRecordsInjectedFailures)

@@ -92,10 +92,24 @@ TEST(CampaignParse, MinimalSpecGetsTheDefaults)
               (std::vector<std::string>{"dm", "dynex", "opt"}));
     EXPECT_EQ(c.sizes, paperCacheSizes());
     EXPECT_EQ(c.lines, (std::vector<std::uint32_t>{16}));
-    EXPECT_EQ(c.engine, ReplayEngine::Batched);
+    EXPECT_EQ(c.engine, ReplayEngine::Kernel);
     EXPECT_EQ(c.stickyMax, 1);
     EXPECT_EQ(c.refs, 0u);
     EXPECT_TRUE(c.jsonOut.empty());
+}
+
+TEST(CampaignParse, BatchedEngineIsAnAliasOfTheKernel)
+{
+    // Specs written for the retired batched engine still parse and
+    // run the kernel; per-leg stays the object-model path.
+    const auto batched = parse(
+        "campaign \"b\" { trace bench espresso; engine batched; }");
+    ASSERT_TRUE(batched.ok()) << batched.status().toString();
+    EXPECT_EQ(batched.value().engine, ReplayEngine::Kernel);
+    const auto per_leg = parse(
+        "campaign \"p\" { trace bench espresso; engine per-leg; }");
+    ASSERT_TRUE(per_leg.ok()) << per_leg.status().toString();
+    EXPECT_EQ(per_leg.value().engine, ReplayEngine::PerLeg);
 }
 
 TEST(CampaignParse, ErrorsNameTheOffendingLine)

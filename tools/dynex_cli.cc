@@ -16,7 +16,7 @@
  *             [--refs N] [--stream KIND]
  *   dynex triad <trace-file|benchmark> [--size S] [--line L] [--refs N]
  *   dynex sweep <trace-file|benchmark> [--line L] [--refs N]
- *             [--threads N] [--replay batched|per-leg|kernel]
+ *             [--threads N] [--replay kernel|per-leg]
  *             [--metrics-out F] [--csv-out F] [--trace-out F]
  *             [--progress]
  *   dynex analyze <trace-file|benchmark> [--size S] [--line L]
@@ -85,7 +85,7 @@ struct Options
     Count refs = 0; // 0 = default
     std::string stream = "ifetch";
     unsigned threads = 0; // 0 = DYNEX_THREADS / hardware default
-    ReplayEngine replay = ReplayEngine::Batched;
+    ReplayEngine replay = ReplayEngine::Kernel;
     std::uint64_t injectFaultSize = 0; // 0 = no injection
     std::string host = "127.0.0.1"; // --host: remote server address
     std::uint16_t port = 0;         // --port: remote server port
@@ -206,11 +206,12 @@ printUsage(std::FILE *out)
         "                      else all hardware threads); any count\n"
         "                      produces identical results\n"
         "         --replay E   sweep replay engine; valid engines:\n"
-        "                      batched (default) streams the trace\n"
-        "                      once for all sizes and models; per-leg\n"
-        "                      replays per leg; kernel uses the SoA\n"
-        "                      branchless kernel (fastest); all three\n"
-        "                      produce identical output\n"
+        "                      kernel (default) streams the trace\n"
+        "                      once through the SoA kernel for all\n"
+        "                      sizes and models; per-leg replays the\n"
+        "                      object models once per leg; both\n"
+        "                      produce identical output (batched is\n"
+        "                      an alias of kernel)\n"
         "         --inject-fault S  (testing) fail the sweep leg at\n"
         "                      cache size S; other legs still complete\n"
         "                      and the failure is reported\n"
@@ -428,19 +429,16 @@ parseOptions(int argc, char **argv, int first, Options &options)
             const char *v = value();
             if (!v)
                 return false;
-            if (iequals(v, "batched")) {
-                options.replay = ReplayEngine::Batched;
-            } else if (iequals(v, "per-leg")) {
-                options.replay = ReplayEngine::PerLeg;
-            } else if (iequals(v, "kernel")) {
-                options.replay = ReplayEngine::Kernel;
-            } else {
+            const std::optional<ReplayEngine> engine =
+                parseReplayEngine(v);
+            if (!engine) {
                 std::fprintf(stderr,
                              "dynex: bad --replay '%s' (valid engines: "
-                             "batched, per-leg, kernel)\n",
+                             "kernel, per-leg)\n",
                              v);
                 return false;
             }
+            options.replay = *engine;
         } else if (flag == "--stream") {
             const char *v = value();
             if (!v)
@@ -724,7 +722,7 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     if (verb == "check") {
         std::printf("campaign: %s\n", spec.name.c_str());
         std::printf("engine:   %s (sticky %u)\n",
-                    workload::replayEngineName(spec.engine),
+                    replayEngineName(spec.engine),
                     static_cast<unsigned>(spec.stickyMax));
         Table traces;
         traces.setHeader({"trace", "kind", "source"});
@@ -901,9 +899,9 @@ class SweepObservation
             obs::setPoolJobSpans(true);
         }
         if (opts.progress) {
-            // Work units are references replayed: the one-pass engines
-            // (batched, kernel) stream the trace once for all legs,
-            // the per-leg engine once per leg.
+            // Work units are references replayed: the kernel streams
+            // the trace once for all legs, the per-leg engine once per
+            // leg.
             const auto total =
                 static_cast<std::uint64_t>(trace.size()) *
                 (opts.replay == ReplayEngine::PerLeg
@@ -950,10 +948,7 @@ class SweepObservation
         info.trace = traceName;
         info.refs = refs;
         info.lineBytes = opts.lineBytes;
-        info.engine = opts.replay == ReplayEngine::Batched ? "batched"
-                      : opts.replay == ReplayEngine::Kernel
-                          ? "kernel"
-                          : "per-leg";
+        info.engine = replayEngineName(opts.replay);
         info.workers = ThreadPool::global().workers();
         std::vector<obs::ReportFailure> failures;
         for (const auto &failure : outcome.failures)
@@ -1180,9 +1175,7 @@ cmdRemoteSweep(const std::string &target, const Options &options)
     server::SweepRequest request;
     request.trace = target;
     request.lineBytes = options.lineBytes;
-    request.engine = options.replay == ReplayEngine::Batched ? 0
-                     : options.replay == ReplayEngine::PerLeg ? 1
-                                                              : 2;
+    request.engine = static_cast<std::uint8_t>(options.replay);
     request.stickyMax = options.stickyMax;
     request.deadlineMs = options.deadlineMs;
     const Result<server::SweepResult> swept = client->sweep(request);

@@ -44,6 +44,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "server/client.h"
+#include "sim/kernel.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -74,7 +75,8 @@ struct Options
     MixWeights mix;
     std::string trace = "espresso";
     std::uint32_t lineBytes = 4;
-    std::uint8_t engine = 0; // 0 batched, 1 per-leg, 2 kernel
+    // DXP1 sweep engine byte (a ReplayEngine value).
+    std::uint8_t engine = static_cast<std::uint8_t>(ReplayEngine::Kernel);
     std::uint64_t seed = 1992;
     unsigned retries = 0;
     std::uint32_t backoffMs = 50;
@@ -103,7 +105,8 @@ usage()
         "                     (default espresso)\n"
         "  --line L           line bytes for sweep requests\n"
         "                     (default 4)\n"
-        "  --replay E         sweep engine: batched|per-leg|kernel\n"
+        "  --replay E         sweep engine: kernel|per-leg\n"
+        "                     (batched is an alias of kernel)\n"
         "  --seed S           arrival/jitter seed (default 1992)\n"
         "  --retries N        per-request retry attempts\n"
         "  --backoff-ms N     base retry backoff (default 50)\n"
@@ -409,18 +412,15 @@ main(int argc, char **argv)
                 std::strtoul(v, nullptr, 10));
         else if (flag == "--replay")
         {
-            if (iequals(v, "batched"))
-                options.engine = 0;
-            else if (iequals(v, "per-leg"))
-                options.engine = 1;
-            else if (iequals(v, "kernel"))
-                options.engine = 2;
-            else
+            const std::optional<ReplayEngine> engine =
+                parseReplayEngine(v);
+            if (!engine)
             {
                 std::fprintf(stderr,
                              "dynex_loadgen: bad --replay '%s'\n", v);
                 return 2;
             }
+            options.engine = static_cast<std::uint8_t>(*engine);
         }
         else if (flag == "--seed")
             options.seed = std::strtoull(v, nullptr, 10);
