@@ -23,6 +23,7 @@
 #include "trace/next_use.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -223,7 +224,7 @@ runSuiteSweepBenchmark(benchmark::State &state, ReplayEngine engine,
         collector = std::make_unique<obs::MetricsCollector>();
         for (const std::string &name : names)
             for (const std::uint64_t size : paperCacheSizes())
-                collector->addLeg(name + ".ifetch", size);
+                collector->addLeg(name, size);
         install.emplace(collector.get());
     }
     for (auto _ : state) {
@@ -278,16 +279,16 @@ BENCHMARK(BM_SweepKernelMetricsOn)->Arg(1)->Arg(2)->Arg(4)
 const std::string &
 encodedSharedTrace(TraceFormat format)
 {
-    static const std::string dxt2 = [] {
+    const auto encode = [](TraceFormat f) {
         std::ostringstream out;
-        writeTrace(sharedTrace(), out, TraceFormat::Dxt2);
+        const Status status = writeTrace(sharedTrace(), out, f);
+        if (!status.ok())
+            DYNEX_FATAL("shared-trace encode failed in bench: ",
+                        status.toString());
         return out.str();
-    }();
-    static const std::string dxt3 = [] {
-        std::ostringstream out;
-        writeTrace(sharedTrace(), out, TraceFormat::Dxt3);
-        return out.str();
-    }();
+    };
+    static const std::string dxt2 = encode(TraceFormat::Dxt2);
+    static const std::string dxt3 = encode(TraceFormat::Dxt3);
     return format == TraceFormat::Dxt3 ? dxt3 : dxt2;
 }
 

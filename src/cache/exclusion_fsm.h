@@ -76,6 +76,28 @@ struct FsmStep
 };
 
 /**
+ * The Figure-1 arc an access takes: the table above's first matching
+ * row. This is the one definition of the arc choice; exclusionStep and
+ * the sweep kernel both select through it. A chain of selects on
+ * plain bools with no side effects, so the kernel's loop compiles it
+ * to conditional moves rather than branches.
+ *
+ * @param valid the line holds a block.
+ * @param match the resident block is x.
+ * @param unsticky the line's sticky counter is 0.
+ * @param hit_last_x the stored h[x].
+ */
+constexpr FsmEvent
+fig1Arc(bool valid, bool match, bool unsticky, bool hit_last_x)
+{
+    return !valid       ? FsmEvent::ColdFill
+           : match      ? FsmEvent::Hit
+           : unsticky   ? FsmEvent::ReplaceUnsticky
+           : hit_last_x ? FsmEvent::ReplaceHitLast
+                        : FsmEvent::Bypass;
+}
+
+/**
  * Apply one access to @p line.
  *
  * Defined inline: this is the innermost step of every dynamic-exclusion
@@ -97,62 +119,40 @@ exclusionStep(ExclusionLine &line, Addr tag, bool hit_last_x,
     DYNEX_ASSERT(sticky_max >= 1, "sticky_max must be at least 1");
 
     FsmStep step;
-
-    if (!line.valid) {
-        step.event = FsmEvent::ColdFill;
-        step.allocated = true;
-        step.newHitLast = true;
-        line.tag = tag;
-        line.valid = true;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
+    step.event = fig1Arc(line.valid, line.tag == tag, line.sticky == 0,
+                         hit_last_x);
+    switch (step.event) {
+      case FsmEvent::Bypass:
+        // The resident survives the conflict but loses inertia; x
+        // passes through and h[x] is left alone.
+        line.sticky = static_cast<std::uint8_t>(line.sticky - 1);
         return step;
-    }
-
-    if (line.tag == tag) {
-        step.event = FsmEvent::Hit;
+      case FsmEvent::Hit:
         step.hit = true;
-        step.newHitLast = true;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
-        return step;
-    }
-
-    if (line.sticky == 0) {
-        // The resident survived a previous conflict without being
-        // re-executed; it loses this one. The incoming block "should
-        // have hit the last time it was executed", so h[x] is set even
-        // though it did not actually hit (the A,!s -> B,s transition).
-        step.event = FsmEvent::ReplaceUnsticky;
-        step.allocated = true;
-        step.newHitLast = true;
+        break;
+      case FsmEvent::ReplaceUnsticky:
+      case FsmEvent::ReplaceHitLast:
         step.evicted = true;
         step.victimTag = line.tag;
         step.victimHitLast = line.hitLastCopy;
-        line.tag = tag;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
-        return step;
-    }
-
-    if (hit_last_x) {
-        // The hit-last bit overrides stickiness, but is consumed: the
-        // incoming block must prove itself by actually hitting before
-        // it can override again.
-        step.event = FsmEvent::ReplaceHitLast;
+        [[fallthrough]];
+      case FsmEvent::ColdFill:
         step.allocated = true;
-        step.newHitLast = false;
-        step.evicted = true;
-        step.victimTag = line.tag;
-        step.victimHitLast = line.hitLastCopy;
-        line.tag = tag;
-        line.sticky = sticky_max;
-        line.hitLastCopy = false;
-        return step;
+        break;
     }
 
-    step.event = FsmEvent::Bypass;
-    line.sticky = static_cast<std::uint8_t>(line.sticky - 1);
+    // Every other arc leaves x resident at full stickiness with
+    // h[x] := 1 -- including the unsticky replace, whose incoming block
+    // "should have hit the last time it was executed" (the A,!s -> B,s
+    // transition). The hit-last override is the exception: it consumes
+    // h[x], so the incoming block must prove itself by actually hitting
+    // before it can override again.
+    const bool hit_last = step.event != FsmEvent::ReplaceHitLast;
+    step.newHitLast = hit_last;
+    line.tag = tag;
+    line.valid = true;
+    line.sticky = sticky_max;
+    line.hitLastCopy = hit_last;
     return step;
 }
 

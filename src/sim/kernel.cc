@@ -1,7 +1,6 @@
 #include "sim/kernel.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -18,9 +17,9 @@
 #include "util/logging.h"
 #include "util/string_utils.h"
 
-// The chunk loops run hot enough that inlining them into the (large)
-// pass driver costs real speed: the merged frame spills their loop
-// registers. Pinning them out of line gives each loop a clean
+// The chunk loop runs hot enough that inlining it into the (large)
+// pass driver costs real speed: the merged frame spills its loop
+// registers. Pinning each instantiation out of line gives it a clean
 // register file for the price of one call per 4096 references.
 #if defined(__GNUC__)
 #define DYNEX_KERNEL_NOINLINE __attribute__((noinline))
@@ -35,16 +34,6 @@ namespace
 {
 
 std::atomic<bool> gForceScalar{false};
-
-bool
-envForceScalar()
-{
-    static const bool forced = [] {
-        const char *env = std::getenv("DYNEX_KERNEL_FORCE_SCALAR");
-        return env && *env && !(env[0] == '0' && env[1] == '\0');
-    }();
-    return forced;
-}
 
 bool
 cpuHasAvx2()
@@ -225,6 +214,10 @@ struct KernelLeg
     std::uint64_t optHits = 0, optCold = 0, optEvict = 0,
                   optBypass = 0, optLlHits = 0;
 
+    // Per-model replay wall time; accumulated only under a metrics
+    // collector.
+    std::uint64_t dmNs = 0, deNs = 0, optNs = 0;
+
     KernelLeg(std::uint64_t size_bytes, std::uint32_t line_bytes,
               Addr max_block, const DynamicExclusionConfig &config)
         : sizeBytes(size_bytes)
@@ -244,171 +237,49 @@ struct KernelLeg
     }
 };
 
-/** One chunk of the conventional direct-mapped model: always fill, so
- * the tag store is unconditional and the loop carries no branches. */
-DYNEX_KERNEL_NOINLINE void
-dmChunk(KernelLeg &leg, const Addr *__restrict blocks, std::size_t n)
+/** Which models a chunk instantiation replays (bit set). */
+enum : unsigned
 {
-    // __restrict throughout the chunk loops: the lane stores can never
-    // alias the packed input arrays, and telling the compiler so stops
-    // it reloading blocks[i]/next_use[i]/same[i] after every store —
-    // these loops retire at full issue width, so every spared
+    kDm = 1,
+    kDe = 2,
+    kOpt = 4,
+    kAll = kDm | kDe | kOpt,
+};
+
+/**
+ * One chunk of @p Models on one leg: the kernel's only replay loop.
+ * With every model on, one pass updates all three per reference,
+ * sharing the block/set computation and letting the independent lane
+ * probes overlap in the memory pipeline; under a metrics collector the
+ * pass runs each model as its own instantiation so each can be timed.
+ * Tallies are exact integers, so both shapes are bit-identical.
+ *
+ * Every lane update is branch-free: DE's Figure-1 arc comes from
+ * fig1Arc as a select chain, and the bypass/retain decisions become
+ * mask arithmetic, because they are data-dependent and a compiler-
+ * chosen branch mispredicts through bypass-heavy legs. Only the
+ * within-run skips (and the sparse StoreHitLast fallback) remain
+ * branches. Per-model tallies stay in registers (one named counter
+ * per arc; an indexed ++cnt[arc] would move them to memory) and fold
+ * into the leg once per chunk.
+ *
+ * @tparam LastLine DE's last-line mode; the optimal model always uses
+ *         the last-line register, the conventional model never does.
+ * @tparam HitLast FlatHitLast or StoreHitLast, the leg's h[x] storage.
+ */
+template <unsigned Models, bool LastLine, class HitLast>
+DYNEX_KERNEL_NOINLINE void
+chunk(KernelLeg &leg, [[maybe_unused]] HitLast hit_last,
+      const Addr *__restrict blocks,
+      [[maybe_unused]] const Tick *__restrict next_use,
+      [[maybe_unused]] const std::uint8_t *__restrict same,
+      std::size_t n, [[maybe_unused]] std::uint8_t sticky_max)
+{
+    // __restrict throughout: the lane stores can never alias the
+    // packed input arrays, and telling the compiler so stops it
+    // reloading blocks[i]/next_use[i]/same[i] after every store --
+    // this loop retires at full issue width, so every spared
     // instruction is wall-clock.
-    Addr *const __restrict tags = leg.dmTags.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t hits = 0, cold = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr blk = blocks[i];
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        const Addr t = tags[set];
-        hits += t == blk;
-        cold += t == kAddrInvalid;
-        tags[set] = blk;
-    }
-    leg.dmHits += hits;
-    leg.dmCold += cold;
-}
-
-/**
- * One chunk of the dynamic-exclusion model. The Figure-1 arc is
- * computed as a branchless select chain (index 0-4 in FsmEvent
- * order) and every lane update is a conditional move off it; only the
- * within-run skip and the hit-last write remain branches.
- */
-template <bool LastLine, typename HitLast>
-DYNEX_KERNEL_NOINLINE void
-deChunk(KernelLeg &leg, HitLast hit_last,
-        const Addr *__restrict blocks,
-        const std::uint8_t *__restrict same, std::size_t n,
-        std::uint8_t sticky_max)
-{
-    Addr *const __restrict tags = leg.deTags.data();
-    std::uint8_t *const __restrict sticky = leg.deSticky.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t cold = 0, hit = 0, unsticky = 0, override_ = 0,
-                  bypassed = 0, ll = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr blk = blocks[i];
-        if constexpr (LastLine) {
-            if (same[i]) {
-                // Within-run reference: the last-line buffer serves it
-                // and the FSM deliberately does not observe it.
-                ++ll;
-                continue;
-            }
-        }
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        const Addr t = tags[set];
-        const std::uint8_t s = sticky[set];
-        const bool h = hit_last.get(blk);
-        const unsigned arc = t == kAddrInvalid ? 0u
-                             : t == blk        ? 1u
-                             : s == 0          ? 2u
-                             : h               ? 3u
-                                               : 4u;
-        const bool bypass = arc == 4;
-        cold += arc == 0;
-        hit += arc == 1;
-        unsticky += arc == 2;
-        override_ += arc == 3;
-        bypassed += bypass;
-        // Bypass keeps the line and decays sticky; everything else
-        // installs the block at full stickiness. Mask arithmetic, not
-        // selects: the bypass decision is data-dependent and a branch
-        // here mispredicts constantly (see optChunk).
-        const Addr bmask = 0 - static_cast<Addr>(bypass);
-        tags[set] = (t & bmask) | (blk & ~bmask);
-        sticky[set] = bypass ? static_cast<std::uint8_t>(s - 1)
-                             : sticky_max;
-        // h[x] := 1 on fill/hit, consumed (:= 0) on a hit-last
-        // override, untouched on bypass — exactly exclusionStep.
-        hit_last.update(blk, bypass, arc != 3);
-    }
-    leg.deCnt[0] += cold;
-    leg.deCnt[1] += hit;
-    leg.deCnt[2] += unsticky;
-    leg.deCnt[3] += override_;
-    leg.deCnt[4] += bypassed;
-    leg.deLlHits += ll;
-}
-
-template <typename HitLast>
-void
-deChunkDispatch(KernelLeg &leg, HitLast hit_last, const Addr *blocks,
-                const std::uint8_t *same, std::size_t n,
-                bool last_line, std::uint8_t sticky_max)
-{
-    if (last_line)
-        deChunk<true>(leg, hit_last, blocks, same, n, sticky_max);
-    else
-        deChunk<false>(leg, hit_last, blocks, same, n, sticky_max);
-}
-
-/**
- * One chunk of the optimal model (always last-line, RunStart oracle):
- * retain whichever of {resident, incoming} is referenced sooner; all
- * lane updates are conditional moves off the retain decision.
- */
-DYNEX_KERNEL_NOINLINE void
-optChunk(KernelLeg &leg, const Addr *__restrict blocks,
-         const Tick *__restrict next_use,
-         const std::uint8_t *__restrict same, std::size_t n)
-{
-    OptLane *const __restrict lanes = leg.optLanes.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t hits = 0, cold = 0, writes = 0, ll = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (same[i]) {
-            ++ll;
-            continue;
-        }
-        const Addr blk = blocks[i];
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        OptLane &lane = lanes[set];
-        const Tick next = next_use[i];
-        const bool hit = lane.tag == blk;
-        const bool cold_miss = lane.tag == kAddrInvalid;
-        const bool wins = next < lane.next;
-        // Hits refresh the resident next-use; cold misses and won
-        // conflicts install the incoming block; lost conflicts
-        // bypass. The select is spelled as mask arithmetic because
-        // `write` is data-dependent (bypass-heavy legs flip it
-        // irregularly); a compiler-chosen branch here mispredicts
-        // constantly.
-        const bool write = hit | cold_miss | wins;
-        const Addr wmask = 0 - static_cast<Addr>(write);
-        lane.tag = (blk & wmask) | (lane.tag & ~wmask);
-        lane.next = (next & wmask) | (lane.next & ~wmask);
-        hits += hit;
-        cold += cold_miss;
-        writes += write;
-    }
-    // Each visible reference is exactly one of hit / cold / evict /
-    // bypass; a write that is neither hit nor cold evicted, and a
-    // non-write bypassed, so both fall out of three cheap tallies.
-    leg.optHits += hits;
-    leg.optCold += cold;
-    leg.optEvict += writes - hits - cold;
-    leg.optBypass += (n - ll) - writes;
-    leg.optLlHits += ll;
-}
-
-/**
- * The metrics-off fast path: one pass over the chunk updates all
- * three models per reference, sharing the block/set computation and
- * letting the three independent lane probes overlap in the memory
- * pipeline. Tallies are exact integers, so this is bit-identical to
- * the split per-model loops (kept for per-model replay timing when a
- * metrics collector is installed).
- */
-template <bool LastLine, typename HitLast>
-DYNEX_KERNEL_NOINLINE void
-fusedChunk(KernelLeg &leg, HitLast hit_last,
-           const Addr *__restrict blocks,
-           const Tick *__restrict next_use,
-           const std::uint8_t *__restrict same, std::size_t n,
-           std::uint8_t sticky_max)
-{
     Addr *const __restrict dm_tags = leg.dmTags.data();
     Addr *const __restrict de_tags = leg.deTags.data();
     std::uint8_t *const __restrict de_sticky = leg.deSticky.data();
@@ -422,88 +293,115 @@ fusedChunk(KernelLeg &leg, HitLast hit_last,
     for (std::size_t i = 0; i < n; ++i) {
         const Addr blk = blocks[i];
         const std::size_t set = static_cast<std::size_t>(blk & mask);
-        const bool rerun = same[i] != 0;
 
-        const Addr dm_t = dm_tags[set];
-        dm_hits += dm_t == blk;
-        dm_cold += dm_t == kAddrInvalid;
-        dm_tags[set] = blk;
-
-        if (!LastLine || !rerun) {
-            const Addr t = de_tags[set];
-            const std::uint8_t s = de_sticky[set];
-            const bool h = hit_last.get(blk);
-            const unsigned arc = t == kAddrInvalid ? 0u
-                                 : t == blk        ? 1u
-                                 : s == 0          ? 2u
-                                 : h               ? 3u
-                                                   : 4u;
-            const bool de_bypass = arc == 4;
-            de_cold += arc == 0;
-            de_hit += arc == 1;
-            de_unsticky += arc == 2;
-            de_override += arc == 3;
-            de_bypassed += de_bypass;
-            // Mask arithmetic, not selects: see deChunk.
-            const Addr bmask = 0 - static_cast<Addr>(de_bypass);
-            de_tags[set] = (t & bmask) | (blk & ~bmask);
-            de_sticky[set] =
-                de_bypass ? static_cast<std::uint8_t>(s - 1)
-                          : sticky_max;
-            hit_last.update(blk, de_bypass, arc != 3);
-        } else {
-            ++de_ll;
+        if constexpr ((Models & kDm) != 0) {
+            // Always fill, so the tag store is unconditional.
+            const Addr t = dm_tags[set];
+            dm_hits += t == blk;
+            dm_cold += t == kAddrInvalid;
+            dm_tags[set] = blk;
         }
 
-        if (!rerun) {
-            OptLane &lane = opt[set];
-            const Tick next = next_use[i];
-            const bool hit = lane.tag == blk;
-            const bool cold_miss = lane.tag == kAddrInvalid;
-            const bool wins = next < lane.next;
-            // Mask arithmetic, not a select: see optChunk.
-            const bool write = hit | cold_miss | wins;
-            const Addr wmask = 0 - static_cast<Addr>(write);
-            lane.tag = (blk & wmask) | (lane.tag & ~wmask);
-            lane.next = (next & wmask) | (lane.next & ~wmask);
-            opt_hits += hit;
-            opt_cold += cold_miss;
-            opt_writes += write;
-        } else {
-            ++opt_ll;
+        if constexpr ((Models & kDe) != 0) {
+            if (LastLine && same[i]) {
+                // Within-run reference: the last-line buffer serves it
+                // and the FSM deliberately does not observe it.
+                ++de_ll;
+            } else {
+                const Addr t = de_tags[set];
+                const std::uint8_t s = de_sticky[set];
+                const FsmEvent arc =
+                    fig1Arc(t != kAddrInvalid, t == blk, s == 0,
+                            hit_last.get(blk));
+                const bool bypass = arc == FsmEvent::Bypass;
+                de_cold += arc == FsmEvent::ColdFill;
+                de_hit += arc == FsmEvent::Hit;
+                de_unsticky += arc == FsmEvent::ReplaceUnsticky;
+                de_override += arc == FsmEvent::ReplaceHitLast;
+                de_bypassed += bypass;
+                // Bypass keeps the line and decays sticky; every other
+                // arc installs the block at full stickiness.
+                const Addr bmask = 0 - static_cast<Addr>(bypass);
+                de_tags[set] = (t & bmask) | (blk & ~bmask);
+                de_sticky[set] = bypass ? static_cast<std::uint8_t>(s - 1)
+                                        : sticky_max;
+                // h[x] := 1 on fill/hit/unsticky replace, consumed
+                // (:= 0) on a hit-last override, untouched on bypass --
+                // exactly exclusionStep.
+                hit_last.update(blk, bypass,
+                                arc != FsmEvent::ReplaceHitLast);
+            }
+        }
+
+        if constexpr ((Models & kOpt) != 0) {
+            if (same[i]) {
+                ++opt_ll;
+            } else {
+                // RunStart oracle: retain whichever of {resident,
+                // incoming} is referenced sooner. Hits refresh the
+                // resident next-use; cold misses and won conflicts
+                // install the incoming block; lost conflicts bypass.
+                OptLane &lane = opt[set];
+                const Tick next = next_use[i];
+                const bool hit = lane.tag == blk;
+                const bool cold_miss = lane.tag == kAddrInvalid;
+                const bool wins = next < lane.next;
+                const bool write = hit | cold_miss | wins;
+                const Addr wmask = 0 - static_cast<Addr>(write);
+                lane.tag = (blk & wmask) | (lane.tag & ~wmask);
+                lane.next = (next & wmask) | (lane.next & ~wmask);
+                opt_hits += hit;
+                opt_cold += cold_miss;
+                opt_writes += write;
+            }
         }
     }
-    leg.dmHits += dm_hits;
-    leg.dmCold += dm_cold;
-    leg.deCnt[0] += de_cold;
-    leg.deCnt[1] += de_hit;
-    leg.deCnt[2] += de_unsticky;
-    leg.deCnt[3] += de_override;
-    leg.deCnt[4] += de_bypassed;
-    leg.deLlHits += de_ll;
-    leg.optHits += opt_hits;
-    leg.optCold += opt_cold;
-    // Every opt-visible reference resolves to exactly one of hit /
-    // cold / evict / bypass: evictions are the writes that were
-    // neither hits nor cold fills, bypasses are the non-writes.
-    leg.optEvict += opt_writes - opt_hits - opt_cold;
-    leg.optBypass += (n - opt_ll) - opt_writes;
-    leg.optLlHits += opt_ll;
+    if constexpr ((Models & kDm) != 0) {
+        leg.dmHits += dm_hits;
+        leg.dmCold += dm_cold;
+    }
+    if constexpr ((Models & kDe) != 0) {
+        leg.deCnt[0] += de_cold;
+        leg.deCnt[1] += de_hit;
+        leg.deCnt[2] += de_unsticky;
+        leg.deCnt[3] += de_override;
+        leg.deCnt[4] += de_bypassed;
+        leg.deLlHits += de_ll;
+    }
+    if constexpr ((Models & kOpt) != 0) {
+        // Every opt-visible reference resolves to exactly one of hit /
+        // cold / evict / bypass: evictions are the writes that were
+        // neither hits nor cold fills, bypasses are the non-writes.
+        leg.optHits += opt_hits;
+        leg.optCold += opt_cold;
+        leg.optEvict += opt_writes - opt_hits - opt_cold;
+        leg.optBypass += (n - opt_ll) - opt_writes;
+        leg.optLlHits += opt_ll;
+    }
 }
 
-template <typename HitLast>
+/** Run chunk<Models> on @p leg at the instantiation matching its
+ * hit-last storage and @p config's last-line mode. */
+template <unsigned Models>
 void
-fusedChunkDispatch(KernelLeg &leg, HitLast hit_last,
-                   const Addr *blocks, const Tick *next_use,
-                   const std::uint8_t *same, std::size_t n,
-                   bool last_line, std::uint8_t sticky_max)
+runChunk(KernelLeg &leg, const Addr *blocks, const Tick *next_use,
+         const std::uint8_t *same, std::size_t n,
+         const DynamicExclusionConfig &config)
 {
-    if (last_line)
-        fusedChunk<true>(leg, hit_last, blocks, next_use, same, n,
-                         sticky_max);
+    const auto run = [&](auto hit_last) {
+        using HitLast = decltype(hit_last);
+        if (config.useLastLine)
+            chunk<Models, true, HitLast>(leg, hit_last, blocks, next_use,
+                                         same, n, config.stickyMax);
+        else
+            chunk<Models, false, HitLast>(leg, hit_last, blocks,
+                                          next_use, same, n,
+                                          config.stickyMax);
+    };
+    if (leg.deHitLast.isFlat())
+        run(FlatHitLast{leg.deHitLast.flatWords()});
     else
-        fusedChunk<false>(leg, hit_last, blocks, next_use, same, n,
-                          sticky_max);
+        run(StoreHitLast{leg.deHitLast.fallback()});
 }
 
 /** Derive the leg's TriadResult from the pass tallies; every counter
@@ -547,17 +445,6 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     return r;
 }
 
-/** Per-(size, model) wall time of one kernel pass; empty when no
- * metrics collector is installed. */
-struct KernelPassTiming
-{
-    std::vector<std::uint64_t> dmNs;
-    std::vector<std::uint64_t> deNs;
-    std::vector<std::uint64_t> optNs;
-
-    bool enabled() const { return !dmNs.empty(); }
-};
-
 /** The largest block number of the view (kAddrInvalid when empty),
  * used to size the flat hit-last bitmaps. */
 Addr
@@ -582,7 +469,7 @@ maxBlockOf(const PackedTraceView &view)
  * ReplayChunks count per chunk. With none installed the cost is three
  * null checks per chunk.
  */
-KernelPassTiming
+void
 runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
               const std::string &label,
               std::vector<std::unique_ptr<KernelLeg>> &legs,
@@ -592,16 +479,7 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     obs::Tracer *const tracer = obs::Tracer::active();
     obs::ProgressBar *const progress = obs::ProgressBar::active();
 
-    KernelPassTiming timing;
-    if (metrics) {
-        timing.dmNs.assign(legs.size(), 0);
-        timing.deNs.assign(legs.size(), 0);
-        timing.optNs.assign(legs.size(), 0);
-    }
-
     const KernelIsa isa = kernelDispatchIsa();
-    const bool last_line = config.useLastLine;
-    const std::uint8_t sticky_max = config.stickyMax;
     std::vector<std::uint8_t> same(detail::kBatchChunkRefs);
 
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
@@ -618,43 +496,28 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
         prev_block = blocks[end - 1];
 
         const std::uint64_t chunk_start = tracer ? tracer->nowNs() : 0;
-        for (std::size_t s = 0; s < legs.size(); ++s) {
-            KernelLeg *const leg = legs[s].get();
+        for (const auto &leg : legs) {
             if (!leg)
                 continue;
             if (!metrics) {
-                // No per-model timing wanted: one fused pass per leg.
-                if (leg->deHitLast.isFlat())
-                    fusedChunkDispatch(
-                        *leg, FlatHitLast{leg->deHitLast.flatWords()},
-                        blocks + base, next_use + base, same.data(),
-                        len, last_line, sticky_max);
-                else
-                    fusedChunkDispatch(
-                        *leg, StoreHitLast{leg->deHitLast.fallback()},
-                        blocks + base, next_use + base, same.data(),
-                        len, last_line, sticky_max);
+                runChunk<kAll>(*leg, blocks + base, next_use + base,
+                               same.data(), len, config);
                 continue;
             }
+            // Per-model timing: each model runs as its own chunk
+            // instantiation, so its time is measured, not apportioned.
             const std::uint64_t t0 = obs::monotonicNs();
-            dmChunk(*leg, blocks + base, len);
+            runChunk<kDm>(*leg, blocks + base, next_use + base,
+                          same.data(), len, config);
             const std::uint64_t t1 = obs::monotonicNs();
-            if (leg->deHitLast.isFlat())
-                deChunkDispatch(*leg,
-                                FlatHitLast{leg->deHitLast.flatWords()},
-                                blocks + base, same.data(), len,
-                                last_line, sticky_max);
-            else
-                deChunkDispatch(*leg,
-                                StoreHitLast{leg->deHitLast.fallback()},
-                                blocks + base, same.data(), len,
-                                last_line, sticky_max);
+            runChunk<kDe>(*leg, blocks + base, next_use + base,
+                          same.data(), len, config);
             const std::uint64_t t2 = obs::monotonicNs();
-            optChunk(*leg, blocks + base, next_use + base, same.data(),
-                     len);
-            timing.dmNs[s] += t1 - t0;
-            timing.deNs[s] += t2 - t1;
-            timing.optNs[s] += obs::monotonicNs() - t2;
+            runChunk<kOpt>(*leg, blocks + base, next_use + base,
+                           same.data(), len, config);
+            leg->dmNs += t1 - t0;
+            leg->deNs += t2 - t1;
+            leg->optNs += obs::monotonicNs() - t2;
         }
         if (metrics)
             metrics->add(obs::Counter::ReplayChunks, 1);
@@ -668,7 +531,6 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     if (tracer)
         tracer->complete("kernel-replay " + label, "replay",
                          pass_start, tracer->nowNs() - pass_start);
-    return timing;
 }
 
 /** Record every completed leg into its registered metrics slot (legs
@@ -676,7 +538,7 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
 void
 fillLegMetrics(const std::string &label,
                const std::vector<std::uint64_t> &sizes,
-               std::size_t refs, const KernelPassTiming &timing,
+               std::size_t refs,
                const std::vector<std::unique_ptr<KernelLeg>> &legs,
                const std::vector<TriadResult> &triads)
 {
@@ -694,13 +556,10 @@ fillLegMetrics(const std::string &label,
         leg->de = triads[s].de;
         leg->opt = triads[s].opt;
         leg->deEvents = triads[s].deEvents;
-        if (timing.enabled()) {
-            leg->dmReplayNs = timing.dmNs[s];
-            leg->deReplayNs = timing.deNs[s];
-            leg->optReplayNs = timing.optNs[s];
-            leg->replayNs = timing.dmNs[s] + timing.deNs[s] +
-                            timing.optNs[s];
-        }
+        leg->dmReplayNs = legs[s]->dmNs;
+        leg->deReplayNs = legs[s]->deNs;
+        leg->optReplayNs = legs[s]->optNs;
+        leg->replayNs = legs[s]->dmNs + legs[s]->deNs + legs[s]->optNs;
         leg->done = true;
     }
 }
@@ -747,8 +606,7 @@ kernelIsaName(KernelIsa isa)
 KernelIsa
 kernelDispatchIsa()
 {
-    if (gForceScalar.load(std::memory_order_relaxed) ||
-        envForceScalar() || !cpuHasAvx2())
+    if (gForceScalar.load(std::memory_order_relaxed) || !cpuHasAvx2())
         return KernelIsa::Scalar;
     return KernelIsa::Avx2;
 }
@@ -797,19 +655,17 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
         }
     }
 
-    const KernelPassTiming timing =
-        runKernelPass(view, index, label, legs, de_config);
+    runKernelPass(view, index, label, legs, de_config);
 
     for (std::size_t s = 0; s < sizes.size(); ++s)
         if (outcome.ok[s])
             outcome.triads[s] = legResult(*legs[s], view.size());
-    fillLegMetrics(label, sizes, view.size(), timing, legs,
-                   outcome.triads);
+    fillLegMetrics(label, sizes, view.size(), legs, outcome.triads);
     return outcome;
 }
 
 std::vector<TriadResult>
-kernelTriadsOrThrow(TriadBatchOutcome outcome)
+triadsOrThrow(TriadBatchOutcome outcome)
 {
     if (!outcome.allOk())
         throw StatusError(std::move(outcome.failures.front().status));

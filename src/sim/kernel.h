@@ -11,9 +11,9 @@
  *  - model state lives in struct-of-arrays lanes (flat tag, next-use,
  *    and sticky arrays indexed by set; a flat bitmap for hit-last
  *    bits) with sentinel tags instead of validity sidecars;
- *  - McFarling's Figure 1 FSM is applied as a branchless transition
- *    index (the 5 arcs of exclusion_fsm.h precomputed into select
- *    chains) with per-arc event tallies;
+ *  - McFarling's Figure 1 arc comes from fig1Arc (exclusion_fsm.h),
+ *    the same function exclusionStep uses, as a branchless select
+ *    with per-arc event tallies;
  *  - statistics are derived from the event tallies once per pass
  *    instead of six counter adds per reference per model;
  *  - the run-boundary lane shared by the last-line models is
@@ -87,9 +87,8 @@ const char *kernelIsaName(KernelIsa isa);
 
 /**
  * The ISA the kernel will use for the next pass: Avx2 when the CPU
- * supports it and no override is active, Scalar otherwise. Overrides:
- * setKernelForceScalar(true), or the DYNEX_KERNEL_FORCE_SCALAR
- * environment variable (any non-empty value other than "0").
+ * supports it and setKernelForceScalar(true) is not in effect, Scalar
+ * otherwise.
  */
 KernelIsa kernelDispatchIsa();
 
@@ -107,8 +106,9 @@ struct TriadLegFailure
     Status status;
 };
 
-/** The result of a kernel pass: per-size triads plus a validity mask
- * and the statuses of any legs that failed. */
+/** The result of replaying every size leg of one trace, by either
+ * engine: per-size triads plus a validity mask and the statuses of any
+ * legs that failed. */
 struct TriadBatchOutcome
 {
     /** triads[s] is meaningful iff ok[s]. */
@@ -144,9 +144,9 @@ TriadBatchOutcome replayTriadKernel(
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &de_config, const std::string &label);
 
-/** The triads of a kernel pass that must not fail: the first failed
- * leg's status is thrown as a StatusError. */
-std::vector<TriadResult> kernelTriadsOrThrow(TriadBatchOutcome outcome);
+/** The triads of a replay that must not fail: the first failed leg's
+ * status is thrown as a StatusError. */
+std::vector<TriadResult> triadsOrThrow(TriadBatchOutcome outcome);
 
 } // namespace dynex
 

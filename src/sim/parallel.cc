@@ -63,6 +63,44 @@ simParallelFor(std::size_t n,
     ThreadPool::global().parallelFor(n, body);
 }
 
+TriadBatchOutcome
+replayTriads(ReplayEngine engine, const Trace &trace,
+             const NextUseIndex &index, const PackedTraceView *view,
+             const std::vector<std::uint64_t> &sizes,
+             std::uint32_t line_bytes,
+             const DynamicExclusionConfig &config,
+             const std::string &label)
+{
+    if (engine == ReplayEngine::Kernel) {
+        std::optional<PackedTraceView> packed;
+        if (!view)
+            view = &packed.emplace(trace, line_bytes);
+        return replayTriadKernel(*view, index, sizes, line_bytes, config,
+                                 label);
+    }
+
+    TriadBatchOutcome outcome;
+    outcome.triads.resize(sizes.size());
+    outcome.ok.assign(sizes.size(), 0);
+    std::vector<Status> leg_status(sizes.size());
+    simParallelFor(sizes.size(), [&](std::size_t s) {
+        try {
+            if (const auto &hook = sweepFaultHook())
+                hook(label, sizes[s]);
+            outcome.triads[s] = simobs::runTriadLeg(
+                trace, index, label, sizes[s], line_bytes, config);
+            outcome.ok[s] = 1;
+        } catch (...) {
+            leg_status[s] =
+                statusFromException(std::current_exception());
+        }
+    });
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        if (!outcome.ok[s])
+            outcome.failures.push_back({s, std::move(leg_status[s])});
+    return outcome;
+}
+
 std::vector<std::vector<TriadResult>>
 sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
                  Count refs, const std::vector<std::uint64_t> &sizes,
@@ -70,37 +108,11 @@ sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
                  const DynamicExclusionConfig &config, StreamKind stream,
                  ReplayEngine engine)
 {
-    std::vector<std::vector<TriadResult>> grid(benchmark_names.size());
-    simParallelFor(benchmark_names.size(), [&](std::size_t b) {
-        const std::string &bench = benchmark_names[b];
-        std::optional<obs::ScopedSpan> bench_span;
-        if (obs::Tracer::active())
-            bench_span.emplace("bench", "bench " + bench);
-        const auto trace = loadStream(bench, refs, stream);
-        // Per-worker scratch: consecutive benchmarks on one pool
-        // thread reuse the backward-pass table allocation.
-        thread_local NextUseScratch scratch;
-        simobs::IndexBuildTimer index_timer;
-        const NextUseIndex index(*trace, line_bytes,
-                                 NextUseMode::RunStart, &scratch);
-        index_timer.finish(bench);
-        auto &row = grid[b];
-        if (engine == ReplayEngine::Kernel) {
-            // One pass over the trace feeds every (size, model) leg of
-            // this benchmark; parallelism comes from the benchmark
-            // fan-out above.
-            row = kernelTriadsOrThrow(replayTriadKernel(
-                PackedTraceView(*trace, line_bytes), index, sizes,
-                line_bytes, config, trace->name()));
-            return;
-        }
-        row.resize(sizes.size());
-        simParallelFor(sizes.size(), [&](std::size_t s) {
-            row[s] = simobs::runTriadLeg(*trace, index, bench,
-                                         sizes[s], line_bytes, config);
-        });
-    });
-    return grid;
+    SuiteSweepOutcome outcome = sweepSuiteTriadsChecked(
+        benchmark_names, refs, sizes, line_bytes, config, stream, engine);
+    if (!outcome.allOk())
+        throw StatusError(std::move(outcome.failures.front().status));
+    return std::move(outcome.grid);
 }
 
 SuiteSweepOutcome
@@ -135,6 +147,8 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                 if (const auto &hook = sweepFaultHook())
                     hook(bench, 0);
                 trace = loadStream(bench, refs, stream);
+                // Per-worker scratch: consecutive benchmarks on one
+                // pool thread reuse the backward-pass table allocation.
                 thread_local NextUseScratch scratch;
                 simobs::IndexBuildTimer index_timer;
                 index = std::make_unique<NextUseIndex>(
@@ -147,36 +161,15 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                      statusFromException(std::current_exception())});
                 return;
             }
-            if (engine == ReplayEngine::Kernel) {
-                auto pass = replayTriadKernel(
-                    PackedTraceView(*trace, line_bytes), *index, sizes,
-                    line_bytes, config, bench);
-                outcome.grid[b] = std::move(pass.triads);
-                outcome.ok[b] = std::move(pass.ok);
-                for (auto &failure : pass.failures)
-                    per_bench[b].push_back(
-                        {bench, sizes[failure.sizeIndex], "triad",
-                         std::move(failure.status)});
-                return;
-            }
-            std::vector<Status> leg_status(sizes.size());
-            simParallelFor(sizes.size(), [&](std::size_t s) {
-                try {
-                    if (const auto &hook = sweepFaultHook())
-                        hook(bench, sizes[s]);
-                    outcome.grid[b][s] = simobs::runTriadLeg(
-                        *trace, *index, bench, sizes[s], line_bytes,
-                        config);
-                    outcome.ok[b][s] = 1;
-                } catch (...) {
-                    leg_status[s] = statusFromException(
-                        std::current_exception());
-                }
-            });
-            for (std::size_t s = 0; s < sizes.size(); ++s)
-                if (!outcome.ok[b][s])
-                    per_bench[b].push_back({bench, sizes[s], "triad",
-                                            leg_status[s]});
+            TriadBatchOutcome pass =
+                replayTriads(engine, *trace, *index, nullptr, sizes,
+                             line_bytes, config, bench);
+            outcome.grid[b] = std::move(pass.triads);
+            outcome.ok[b] = std::move(pass.ok);
+            for (auto &failure : pass.failures)
+                per_bench[b].push_back({bench, sizes[failure.sizeIndex],
+                                        "triad",
+                                        std::move(failure.status)});
         });
 
     // A failure that escaped the per-leg capture (e.g. an allocation
@@ -210,34 +203,20 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             bench_span.emplace("bench", "bench " + bench);
         const auto trace =
             loadStream(bench, refs, StreamKind::Instructions);
+        NextUseScratch scratch;
+        const std::vector<std::uint64_t> one_size = {size_bytes};
         auto &row = grid[b];
         row.resize(lines.size());
-        if (engine == ReplayEngine::Kernel) {
-            // Serial over line sizes so every index build of this
-            // benchmark reuses one scratch table; each line point's
-            // three models replay in a single trace pass.
-            NextUseScratch scratch;
-            const std::vector<std::uint64_t> one_size = {size_bytes};
-            for (std::size_t l = 0; l < lines.size(); ++l) {
-                simobs::IndexBuildTimer index_timer;
-                const NextUseIndex index(*trace, lines[l],
-                                         NextUseMode::RunStart,
-                                         &scratch);
-                index_timer.finish(bench);
-                row[l] = kernelTriadsOrThrow(replayTriadKernel(
-                    PackedTraceView(*trace, lines[l]), index, one_size,
-                    lines[l], config, trace->name()))[0];
-            }
-            return;
-        }
-        simParallelFor(lines.size(), [&](std::size_t l) {
+        for (std::size_t l = 0; l < lines.size(); ++l) {
             simobs::IndexBuildTimer index_timer;
             const NextUseIndex index(*trace, lines[l],
-                                     NextUseMode::RunStart);
+                                     NextUseMode::RunStart, &scratch);
             index_timer.finish(bench);
-            row[l] = runTriad(*trace, index, size_bytes, lines[l],
-                              config);
-        });
+            row[l] = triadsOrThrow(replayTriads(engine, *trace, index,
+                                                nullptr, one_size,
+                                                lines[l], config,
+                                                bench))[0];
+        }
     });
     return grid;
 }

@@ -80,15 +80,29 @@ void simParallelFor(std::size_t n,
                     const std::function<void(std::size_t)> &body);
 
 /**
+ * Replay every size leg of @p trace with @p engine: the one place a
+ * sweep's engine choice is made. The kernel streams @p view (packed
+ * here when null) once for all legs; PerLeg runs one observed runTriad
+ * per size across the pool. Either engine calls the sweep fault hook
+ * as hook(label, size) per leg and records a leg that throws as a
+ * TriadLegFailure without perturbing the others.
+ *
+ * @param index a RunStart next-use index over @p trace at @p line_bytes.
+ * @param label names the legs' metrics slots, spans and fault-hook
+ *        calls.
+ */
+TriadBatchOutcome replayTriads(ReplayEngine engine, const Trace &trace,
+                               const NextUseIndex &index,
+                               const PackedTraceView *view,
+                               const std::vector<std::uint64_t> &sizes,
+                               std::uint32_t line_bytes,
+                               const DynamicExclusionConfig &config,
+                               const std::string &label);
+
+/**
  * The full triad grid of a suite sweep: result[b][s] is the triad of
- * benchmark_names[b] at sizes[s]. One trace and one RunStart next-use
- * index are built per benchmark (at @p line_bytes) and shared across
- * that benchmark's sizes. Benchmarks fan out across the pool; within
- * a benchmark the Kernel engine replays all sizes x models in one
- * trace pass, while PerLeg fans the sizes out beneath it. At most one
- * trace + index per in-flight benchmark is resident, so peak memory
- * scales with the worker count rather than the suite size. Both
- * engines produce bit-identical grids at any worker count.
+ * benchmark_names[b] at sizes[s]; the first failure is thrown as a
+ * StatusError. A thin wrapper over sweepSuiteTriadsChecked.
  */
 std::vector<std::vector<TriadResult>> sweepSuiteTriads(
     const std::vector<std::string> &benchmark_names, Count refs,
@@ -97,14 +111,14 @@ std::vector<std::vector<TriadResult>> sweepSuiteTriads(
     ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
- * The fault-tolerant form of sweepSuiteTriads: every failure — a
- * throwing trace load, a failing leg, an injected fault — is captured
- * as a FailedLeg instead of propagating, and every unaffected leg
- * completes with results bit-identical to an unfaulted run at any
- * worker count. Benchmarks are independent simulations, so one
- * benchmark's failure cannot perturb another's replay; within a
- * benchmark, legs are independent models, so a failed leg cannot
- * perturb its siblings.
+ * The full triad grid of a suite sweep, fault-tolerant. One trace and
+ * one RunStart next-use index are built per benchmark and shared by
+ * replayTriads across its sizes; benchmarks fan out across the pool,
+ * so peak memory scales with the worker count, not the suite size.
+ * Every failure -- a throwing trace load, a failing leg, an injected
+ * fault (the hook also sees (bench, 0) before the load) -- is captured
+ * as a FailedLeg, and every unaffected leg completes bit-identical to
+ * an unfaulted run at any worker count.
  */
 SuiteSweepOutcome sweepSuiteTriadsChecked(
     const std::vector<std::string> &benchmark_names, Count refs,
@@ -116,10 +130,10 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
  * RunStart index is built per (benchmark, line size), since next-use
- * equivalence depends on block granularity; the Kernel engine walks
- * a benchmark's line sizes serially so the index builds can share one
- * scratch table, and replays each line point's three models in one
- * trace pass.
+ * equivalence depends on block granularity; a benchmark's line sizes
+ * run serially so those index builds share one scratch table, and
+ * benchmarks fan out across the pool. The first failure is thrown as
+ * a StatusError.
  */
 std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(
     const std::vector<std::string> &benchmark_names, Count refs,

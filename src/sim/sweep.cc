@@ -108,8 +108,7 @@ namespace
 {
 
 /** The shared checked-sweep body; the caller owns the sweep span and
- * has already built (or fetched) the index. A null @p view is packed
- * here when the kernel needs it. */
+ * has already built (or fetched) the index. */
 SizeSweepOutcome
 sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
                       const PackedTraceView *view,
@@ -122,52 +121,24 @@ sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
                      index.mode() == NextUseMode::RunStart,
                  "sweepSizesChecked needs a RunStart index at line "
                  "granularity");
+    TriadBatchOutcome pass = replayTriads(engine, trace, index, view,
+                                          sizes, line_bytes, config,
+                                          trace.name());
     SizeSweepOutcome outcome;
     outcome.points.resize(sizes.size());
-    outcome.ok.assign(sizes.size(), 0);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        outcome.points[s].sizeBytes = sizes[s];
-
-    auto fillPoint = [&](std::size_t s, const TriadResult &triad) {
-        outcome.points[s] = {sizes[s], triad.dmMissPct(),
-                             triad.deMissPct(), triad.optMissPct()};
-        outcome.ok[s] = 1;
-    };
-
-    if (engine == ReplayEngine::Kernel) {
-        std::optional<PackedTraceView> packed;
-        if (!view)
-            view = &packed.emplace(trace, line_bytes);
-        auto pass = replayTriadKernel(*view, index, sizes, line_bytes,
-                                      config, trace.name());
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            if (pass.ok[s])
-                fillPoint(s, pass.triads[s]);
-        for (auto &failure : pass.failures)
-            outcome.failures.push_back({trace.name(),
-                                        sizes[failure.sizeIndex],
-                                        "triad",
-                                        std::move(failure.status)});
-        return outcome;
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const TriadResult &triad = pass.triads[s];
+        outcome.points[s] =
+            pass.ok[s] ? SizeSweepPoint{sizes[s], triad.dmMissPct(),
+                                        triad.deMissPct(),
+                                        triad.optMissPct()}
+                       : SizeSweepPoint{sizes[s]};
     }
-
-    std::vector<Status> leg_status(sizes.size());
-    simParallelFor(sizes.size(), [&](std::size_t s) {
-        try {
-            if (const auto &hook = sweepFaultHook())
-                hook(trace.name(), sizes[s]);
-            fillPoint(s, simobs::runTriadLeg(trace, index,
-                                             trace.name(), sizes[s],
-                                             line_bytes, config));
-        } catch (...) {
-            leg_status[s] =
-                statusFromException(std::current_exception());
-        }
-    });
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        if (!outcome.ok[s])
-            outcome.failures.push_back(
-                {trace.name(), sizes[s], "triad", leg_status[s]});
+    outcome.ok = std::move(pass.ok);
+    for (auto &failure : pass.failures)
+        outcome.failures.push_back({trace.name(),
+                                    sizes[failure.sizeIndex], "triad",
+                                    std::move(failure.status)});
     return outcome;
 }
 
@@ -231,35 +202,12 @@ sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
                   const DynamicExclusionConfig &config, bool data_refs,
                   bool mixed_refs, ReplayEngine engine)
 {
-    DYNEX_ASSERT(!(data_refs && mixed_refs),
-                 "choose one stream kind");
-    std::vector<SizeSweepPoint> average(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        average[s].sizeBytes = sizes[s];
-
-    const StreamKind stream = mixed_refs ? StreamKind::Mixed
-                              : data_refs ? StreamKind::Data
-                                          : StreamKind::Instructions;
-    const auto grid = sweepSuiteTriads(benchmark_names, refs, sizes,
-                                       line_bytes, config, stream,
-                                       engine);
-    // Serial reduction in benchmark order: identical floating-point
-    // accumulation order to the historical serial loop, so results are
-    // bit-identical at any thread count.
-    for (const auto &row : grid) {
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            average[s].dmMissPct += row[s].dmMissPct();
-            average[s].deMissPct += row[s].deMissPct();
-            average[s].optMissPct += row[s].optMissPct();
-        }
-    }
-    const auto n = static_cast<double>(benchmark_names.size());
-    for (auto &point : average) {
-        point.dmMissPct /= n;
-        point.deMissPct /= n;
-        point.optMissPct /= n;
-    }
-    return average;
+    SuiteAverageOutcome outcome = sweepSuiteAverageChecked(
+        benchmark_names, refs, sizes, line_bytes, config, data_refs,
+        mixed_refs, engine);
+    if (!outcome.allOk())
+        throw StatusError(std::move(outcome.failures.front().status));
+    return std::move(outcome.points);
 }
 
 SuiteAverageOutcome
@@ -288,8 +236,10 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
                                          engine);
     outcome.failures = std::move(suite.failures);
 
-    // Same serial benchmark-order accumulation as the unchecked
-    // reduction; a failed leg simply contributes nothing to its size.
+    // Serial reduction in benchmark order: the same floating-point
+    // accumulation order at any thread count, so results are
+    // bit-identical. A failed leg simply contributes nothing to its
+    // size.
     for (std::size_t b = 0; b < suite.grid.size(); ++b) {
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             if (!suite.ok[b][s])

@@ -114,6 +114,9 @@ SizeSweepOutcome sweepSizesChecked(
  * @param data_refs use the data stream instead of instruction fetches.
  * @param mixed_refs use the mixed I+D stream.
  * @param engine kernel (one trace pass per benchmark) or per-leg.
+ *
+ * The first failure is thrown as a StatusError: a thin wrapper over
+ * sweepSuiteAverageChecked.
  */
 std::vector<SizeSweepPoint> sweepSuiteAverage(
     const std::vector<std::string> &benchmark_names, Count refs,

@@ -3,7 +3,7 @@
  * Tests of fault-tolerant sweep execution: an injected failing leg is
  * captured as a FailedLeg while every other leg completes bit-identical
  * to an unfaulted run, at 1, 2, and 8 workers and under both replay
- * engines.
+ * engines; the unchecked sweeps throw it under either engine.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +233,49 @@ TEST(SweepFaults, SuiteAverageSkipsFailedContributors)
                                        StreamKind::Instructions);
     EXPECT_EQ(outcome.points[0].dmMissPct, grid[0][0].dmMissPct());
     EXPECT_EQ(outcome.points[0].deMissPct, grid[0][0].deMissPct());
+}
+
+/** Runs @p sweep and expects it to throw the injected fault. */
+template <class Sweep>
+void
+expectInjectedFaultThrown(const char *what, Sweep sweep)
+{
+    SCOPED_TRACE(what);
+    try {
+        sweep();
+        ADD_FAILURE() << "the injected leg fault did not propagate";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::Internal);
+        EXPECT_EQ(e.status().message(), "injected fault");
+    }
+}
+
+TEST(SweepFaults, UncheckedSuiteSweepsThrowAnInjectedLegFault)
+{
+    // Both engines must consult the fault hook on every leg, so an
+    // unchecked sweep fails the same way whichever engine replays it.
+    ThreadCountGuard threads;
+    FaultHookGuard hook;
+    const std::vector<std::string> names = {"mat300", "tomcatv"};
+    const std::vector<std::uint64_t> sizes = {1024, 8 * 1024};
+    ThreadPool::setConfiguredWorkers(2);
+    injectLegFault("tomcatv", 8 * 1024);
+    for (const ReplayEngine engine :
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+        SCOPED_TRACE(replayEngineName(engine));
+        expectInjectedFaultThrown("sweepSuiteTriads", [&] {
+            (void)sweepSuiteTriads(names, 20000, sizes, 4, {},
+                                   StreamKind::Instructions, engine);
+        });
+        expectInjectedFaultThrown("sweepSuiteAverage", [&] {
+            (void)sweepSuiteAverage(names, 20000, sizes, 4, {}, false,
+                                    false, engine);
+        });
+        expectInjectedFaultThrown("sweepSuiteLineSizes", [&] {
+            (void)sweepSuiteLineSizes(names, 20000, 8 * 1024, {4, 16},
+                                      {}, engine);
+        });
+    }
 }
 
 TEST(FailedLegFormatting, ToStringNamesBenchSizeAndStatus)

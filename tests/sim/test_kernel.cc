@@ -71,7 +71,7 @@ kernelTriads(const Trace &trace, const NextUseIndex &index,
              std::uint32_t line,
              const DynamicExclusionConfig &config = {})
 {
-    return kernelTriadsOrThrow(replayTriadKernel(
+    return triadsOrThrow(replayTriadKernel(
         PackedTraceView(trace, line), index, sizes, line, config,
         trace.name()));
 }
