@@ -20,11 +20,14 @@ std::uint64_t traceBytes(const Trace &trace)
            trace.name().size();
 }
 
-/** Resident charge of one (index, view) artifact pair: 8-byte ticks
- * plus 8-byte block numbers per reference. */
-std::uint64_t artifactBytes(const Trace &trace)
+/** Resident charge of one (index, view) artifact pair: the index's
+ * next-use ticks plus the view's block numbers and dense ids. */
+std::uint64_t artifactBytes(const NextUseIndex &index,
+                            const PackedTraceView &view)
 {
-    return static_cast<std::uint64_t>(trace.size()) * 16;
+    return static_cast<std::uint64_t>(index.size()) * sizeof(Tick) +
+           static_cast<std::uint64_t>(view.size()) *
+               (sizeof(Addr) + sizeof(std::uint32_t));
 }
 
 void chargeActive(obs::Counter counter, std::uint64_t delta)
@@ -284,9 +287,10 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
     artifact->index = index;
     artifact->view = view;
     artifact->ready = true;
-    entry->bytes += artifactBytes(*source);
+    const std::uint64_t charge = artifactBytes(*index, *view);
+    entry->bytes += charge;
     entry->lastUse = ++useClock;
-    tallies.residentBytes += artifactBytes(*source);
+    tallies.residentBytes += charge;
     ++tallies.indexBuilds;
     chargeActive(obs::Counter::IndexBuildNs, elapsedNs);
     chargeActive(obs::Counter::IndexBuilds, 1);

@@ -10,7 +10,6 @@
 #define DYNEX_KERNEL_HAVE_AVX2 0
 #endif
 
-#include "cache/hit_last.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace_events.h"
@@ -104,83 +103,6 @@ computeSame(KernelIsa isa, const Addr *blocks, std::size_t n,
     computeSameScalar(blocks, n, prev, same);
 }
 
-/**
- * Per-leg hit-last bits. Traces with a compact block range get a flat
- * bitmap (one load + shift per probe, no pointer chase); anything
- * sparse enough to blow the cap falls back to the exact
- * IdealHitLastStore, whose values are identical by construction.
- */
-class HitLastLane
-{
-  public:
-    /** Blocks at or above this never use the flat bitmap (8MB). */
-    static constexpr Addr kFlatCapBlocks = Addr{1} << 26;
-
-    void
-    init(Addr max_block, bool initial_value)
-    {
-        if (max_block != kAddrInvalid && max_block < kFlatCapBlocks) {
-            words.assign((max_block >> 6) + 1,
-                         initial_value ? ~std::uint64_t{0} : 0);
-        } else {
-            store = std::make_unique<IdealHitLastStore>(initial_value);
-        }
-    }
-
-    bool isFlat() const { return !words.empty(); }
-    std::uint64_t *flatWords() { return words.data(); }
-    IdealHitLastStore *fallback() { return store.get(); }
-
-  private:
-    std::vector<std::uint64_t> words;
-    std::unique_ptr<IdealHitLastStore> store;
-};
-
-/** Flat-bitmap hit-last access policy for the DE chunk loop. */
-struct FlatHitLast
-{
-    std::uint64_t *__restrict words;
-
-    bool
-    get(Addr block) const
-    {
-        return (words[block >> 6] >> (block & 63)) & 1;
-    }
-
-    /** h[block] := @p keep ? unchanged : @p value, with no branch:
-     * `keep` follows the bypass decision, which flips irregularly, so
-     * a branch here would mispredict its way through bypass-heavy
-     * legs. */
-    void
-    update(Addr block, bool keep, bool value)
-    {
-        std::uint64_t &word = words[block >> 6];
-        const unsigned pos = static_cast<unsigned>(block & 63);
-        const std::uint64_t bit = std::uint64_t{1} << pos;
-        const std::uint64_t keep_mask =
-            0 - static_cast<std::uint64_t>(keep);
-        const std::uint64_t new_bit =
-            (keep_mask & word) |
-            (~keep_mask & (static_cast<std::uint64_t>(value) << pos));
-        word = (word & ~bit) | (new_bit & bit);
-    }
-};
-
-/** IdealHitLastStore-backed policy (sparse traces). */
-struct StoreHitLast
-{
-    IdealHitLastStore *store;
-
-    bool get(Addr block) const { return store->lookup(block); }
-
-    void
-    update(Addr block, bool keep, bool value)
-    {
-        if (!keep)
-            store->update(block, value);
-    }
-};
-
 /** One optimal-model set: tag and resident next-use share a 16-byte
  * lane, so the model's random probe touches one cache line instead of
  * two parallel arrays. */
@@ -200,12 +122,13 @@ struct KernelLeg
     std::vector<Addr> dmTags;
     std::uint64_t dmHits = 0, dmCold = 0;
 
-    // Dynamic exclusion: tag + sticky lanes, hit-last bitmap, and one
-    // tally per Figure-1 arc (ColdFill, Hit, ReplaceUnsticky,
+    // Dynamic exclusion: tag + sticky lanes, one hit-last byte per
+    // distinct block of the trace (indexed by the view's dense ids),
+    // and one tally per Figure-1 arc (ColdFill, Hit, ReplaceUnsticky,
     // ReplaceHitLast, Bypass — the FsmEvent order).
     std::vector<Addr> deTags;
     std::vector<std::uint8_t> deSticky;
-    HitLastLane deHitLast;
+    std::vector<std::uint8_t> deHitLast;
     std::uint64_t deCnt[5] = {};
     std::uint64_t deLlHits = 0;
 
@@ -219,7 +142,8 @@ struct KernelLeg
     std::uint64_t dmNs = 0, deNs = 0, optNs = 0;
 
     KernelLeg(std::uint64_t size_bytes, std::uint32_t line_bytes,
-              Addr max_block, const DynamicExclusionConfig &config)
+              std::size_t distinct_blocks,
+              const DynamicExclusionConfig &config)
         : sizeBytes(size_bytes)
     {
         // Same construction-time validation as the model-based legs,
@@ -232,7 +156,7 @@ struct KernelLeg
         dmTags.assign(sets, kAddrInvalid);
         deTags.assign(sets, kAddrInvalid);
         deSticky.assign(sets, 0);
-        deHitLast.init(max_block, config.initialHitLast);
+        deHitLast.assign(distinct_blocks, config.initialHitLast);
         optLanes.assign(sets, OptLane{kAddrInvalid, 0});
     }
 };
@@ -258,31 +182,37 @@ enum : unsigned
  * fig1Arc as a select chain, and the bypass/retain decisions become
  * mask arithmetic, because they are data-dependent and a compiler-
  * chosen branch mispredicts through bypass-heavy legs. Only the
- * within-run skips (and the sparse StoreHitLast fallback) remain
- * branches. Per-model tallies stay in registers (one named counter
- * per arc; an indexed ++cnt[arc] would move them to memory) and fold
- * into the leg once per chunk.
+ * within-run skips remain branches. Per-model tallies stay in
+ * registers (one named counter per arc; an indexed ++cnt[arc] would
+ * move them to memory) and fold into the leg once per chunk.
+ *
+ * DE's h[x] is one byte per distinct block, read once and written
+ * back unconditionally. A packed bit per block would make every
+ * update a read-modify-write of a word shared with the neighbouring
+ * blocks, and sequential code touches neighbours back to back, so
+ * each reference would wait on the previous one's store through
+ * store-to-load forwarding; with bytes, only a repeat of the same
+ * block carries a dependence.
  *
  * @tparam LastLine DE's last-line mode; the optimal model always uses
  *         the last-line register, the conventional model never does.
- * @tparam HitLast FlatHitLast or StoreHitLast, the leg's h[x] storage.
  */
-template <unsigned Models, bool LastLine, class HitLast>
+template <unsigned Models, bool LastLine>
 DYNEX_KERNEL_NOINLINE void
-chunk(KernelLeg &leg, [[maybe_unused]] HitLast hit_last,
-      const Addr *__restrict blocks,
+chunk(KernelLeg &leg, const Addr *__restrict blocks,
+      [[maybe_unused]] const std::uint32_t *__restrict ids,
       [[maybe_unused]] const Tick *__restrict next_use,
       [[maybe_unused]] const std::uint8_t *__restrict same,
       std::size_t n, [[maybe_unused]] std::uint8_t sticky_max)
 {
     // __restrict throughout: the lane stores can never alias the
-    // packed input arrays, and telling the compiler so stops it
-    // reloading blocks[i]/next_use[i]/same[i] after every store --
-    // this loop retires at full issue width, so every spared
-    // instruction is wall-clock.
+    // packed input arrays (or each other), and telling the compiler so
+    // stops it reloading blocks[i]/ids[i]/next_use[i]/same[i] after
+    // every store.
     Addr *const __restrict dm_tags = leg.dmTags.data();
     Addr *const __restrict de_tags = leg.deTags.data();
     std::uint8_t *const __restrict de_sticky = leg.deSticky.data();
+    std::uint8_t *const __restrict hit_last = leg.deHitLast.data();
     OptLane *const __restrict opt = leg.optLanes.data();
     const Addr mask = leg.setMask;
     std::uint64_t dm_hits = 0, dm_cold = 0;
@@ -310,9 +240,10 @@ chunk(KernelLeg &leg, [[maybe_unused]] HitLast hit_last,
             } else {
                 const Addr t = de_tags[set];
                 const std::uint8_t s = de_sticky[set];
+                const std::uint32_t id = ids[i];
+                const bool h = hit_last[id];
                 const FsmEvent arc =
-                    fig1Arc(t != kAddrInvalid, t == blk, s == 0,
-                            hit_last.get(blk));
+                    fig1Arc(t != kAddrInvalid, t == blk, s == 0, h);
                 const bool bypass = arc == FsmEvent::Bypass;
                 de_cold += arc == FsmEvent::ColdFill;
                 de_hit += arc == FsmEvent::Hit;
@@ -326,10 +257,9 @@ chunk(KernelLeg &leg, [[maybe_unused]] HitLast hit_last,
                 de_sticky[set] = bypass ? static_cast<std::uint8_t>(s - 1)
                                         : sticky_max;
                 // h[x] := 1 on fill/hit/unsticky replace, consumed
-                // (:= 0) on a hit-last override, untouched on bypass --
-                // exactly exclusionStep.
-                hit_last.update(blk, bypass,
-                                arc != FsmEvent::ReplaceHitLast);
+                // (:= 0) on a hit-last override, rewritten unchanged on
+                // bypass -- exactly exclusionStep.
+                hit_last[id] = bypass ? h : arc != FsmEvent::ReplaceHitLast;
             }
         }
 
@@ -380,28 +310,19 @@ chunk(KernelLeg &leg, [[maybe_unused]] HitLast hit_last,
     }
 }
 
-/** Run chunk<Models> on @p leg at the instantiation matching its
- * hit-last storage and @p config's last-line mode. */
+/** Run chunk<Models> on @p leg at @p config's last-line mode. */
 template <unsigned Models>
 void
-runChunk(KernelLeg &leg, const Addr *blocks, const Tick *next_use,
-         const std::uint8_t *same, std::size_t n,
+runChunk(KernelLeg &leg, const Addr *blocks, const std::uint32_t *ids,
+         const Tick *next_use, const std::uint8_t *same, std::size_t n,
          const DynamicExclusionConfig &config)
 {
-    const auto run = [&](auto hit_last) {
-        using HitLast = decltype(hit_last);
-        if (config.useLastLine)
-            chunk<Models, true, HitLast>(leg, hit_last, blocks, next_use,
-                                         same, n, config.stickyMax);
-        else
-            chunk<Models, false, HitLast>(leg, hit_last, blocks,
-                                          next_use, same, n,
-                                          config.stickyMax);
-    };
-    if (leg.deHitLast.isFlat())
-        run(FlatHitLast{leg.deHitLast.flatWords()});
+    if (config.useLastLine)
+        chunk<Models, true>(leg, blocks, ids, next_use, same, n,
+                            config.stickyMax);
     else
-        run(StoreHitLast{leg.deHitLast.fallback()});
+        chunk<Models, false>(leg, blocks, ids, next_use, same, n,
+                             config.stickyMax);
 }
 
 /** Derive the leg's TriadResult from the pass tallies; every counter
@@ -445,21 +366,6 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     return r;
 }
 
-/** The largest block number of the view (kAddrInvalid when empty),
- * used to size the flat hit-last bitmaps. */
-Addr
-maxBlockOf(const PackedTraceView &view)
-{
-    const Addr *blocks = view.blocks();
-    const std::size_t n = view.size();
-    if (n == 0)
-        return kAddrInvalid;
-    Addr max_block = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        max_block = blocks[i] > max_block ? blocks[i] : max_block;
-    return max_block;
-}
-
 /**
  * Stream @p view through every non-null leg once, in chunks.
  *
@@ -484,6 +390,7 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
 
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
     const Addr *blocks = view.blocks();
+    const std::uint32_t *ids = view.ids();
     const Tick *next_use = index.values().data();
     const std::size_t n = view.size();
     Addr prev_block = kAddrInvalid;
@@ -500,21 +407,21 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
             if (!leg)
                 continue;
             if (!metrics) {
-                runChunk<kAll>(*leg, blocks + base, next_use + base,
-                               same.data(), len, config);
+                runChunk<kAll>(*leg, blocks + base, ids + base,
+                               next_use + base, same.data(), len, config);
                 continue;
             }
             // Per-model timing: each model runs as its own chunk
             // instantiation, so its time is measured, not apportioned.
             const std::uint64_t t0 = obs::monotonicNs();
-            runChunk<kDm>(*leg, blocks + base, next_use + base,
-                          same.data(), len, config);
+            runChunk<kDm>(*leg, blocks + base, ids + base,
+                          next_use + base, same.data(), len, config);
             const std::uint64_t t1 = obs::monotonicNs();
-            runChunk<kDe>(*leg, blocks + base, next_use + base,
-                          same.data(), len, config);
+            runChunk<kDe>(*leg, blocks + base, ids + base,
+                          next_use + base, same.data(), len, config);
             const std::uint64_t t2 = obs::monotonicNs();
-            runChunk<kOpt>(*leg, blocks + base, next_use + base,
-                           same.data(), len, config);
+            runChunk<kOpt>(*leg, blocks + base, ids + base,
+                           next_use + base, same.data(), len, config);
             leg->dmNs += t1 - t0;
             leg->deNs += t2 - t1;
             leg->optNs += obs::monotonicNs() - t2;
@@ -631,7 +538,6 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
                   const std::string &label)
 {
     checkKernelInputs(view, index, line_bytes, de_config);
-    const Addr max_block = maxBlockOf(view);
 
     TriadBatchOutcome outcome;
     outcome.triads.resize(sizes.size());
@@ -646,7 +552,7 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
             legs[s] = std::make_unique<KernelLeg>(
-                sizes[s], line_bytes, max_block, de_config);
+                sizes[s], line_bytes, view.distinctBlocks(), de_config);
             outcome.ok[s] = 1;
         } catch (...) {
             legs[s].reset();

@@ -5,12 +5,14 @@
  *
  * A per-leg sweep re-streams the trace once per (size, model) leg and
  * walks a per-model object for every reference. The kernel instead
- * streams a PackedTraceView (8 bytes/ref of precomputed block numbers)
- * once, in L1/L2-sized chunks, and strips the per-reference machinery:
+ * streams a PackedTraceView (12 bytes/ref of precomputed block numbers
+ * and dense block ids) once, in L1/L2-sized chunks, and strips the
+ * per-reference machinery:
  *
  *  - model state lives in struct-of-arrays lanes (flat tag, next-use,
- *    and sticky arrays indexed by set; a flat bitmap for hit-last
- *    bits) with sentinel tags instead of validity sidecars;
+ *    and sticky arrays indexed by set; one hit-last byte per distinct
+ *    block, indexed by the view's dense ids) with sentinel tags
+ *    instead of validity sidecars;
  *  - McFarling's Figure 1 arc comes from fig1Arc (exclusion_fsm.h),
  *    the same function exclusionStep uses, as a branchless select
  *    with per-arc event tallies;
@@ -69,8 +71,9 @@ std::optional<ReplayEngine> parseReplayEngine(const std::string &name);
 namespace detail
 {
 
-/** References per kernel chunk: 4096 block numbers = 32KB, sized to
- * stay resident in L1/L2 while every leg replays it. */
+/** References per kernel chunk: 4096 block numbers = 32KB (plus 16KB
+ * of dense ids), sized to stay resident in L1/L2 while every leg
+ * replays it. */
 inline constexpr std::size_t kBatchChunkRefs = 4096;
 
 } // namespace detail

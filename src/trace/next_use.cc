@@ -9,22 +9,6 @@
 namespace dynex
 {
 
-namespace
-{
-
-/** Fibonacci (multiply-shift) hash: one multiply on the critical path.
- * Block numbers are dense and strided; multiplying by the golden-ratio
- * constant spreads consecutive keys far apart, and the linear-probe
- * table tolerates the weaker low-bit mixing. The slot index is taken
- * from the HIGH bits (callers shift, not mask). */
-inline std::uint64_t
-mixHash(std::uint64_t x)
-{
-    return x * 0x9e3779b97f4a7c15ULL;
-}
-
-} // namespace
-
 NextUseIndex::NextUseIndex(const Trace &trace, std::uint64_t block_size,
                            NextUseMode mode, NextUseScratch *scratch)
     : blockBytes(block_size), useMode(mode)

@@ -73,6 +73,19 @@ bitField(std::uint64_t value, unsigned offset, unsigned width)
     return (value >> offset) & lowMask(width);
 }
 
+/**
+ * Fibonacci (multiply-shift) hash for block-number hash tables: one
+ * multiply on the critical path. Block numbers are dense and strided;
+ * multiplying by the golden-ratio constant spreads consecutive keys
+ * far apart, and a linear-probe table tolerates the weaker low-bit
+ * mixing. Take the slot index from the HIGH bits (shift, not mask).
+ */
+constexpr std::uint64_t
+mixHash(std::uint64_t x)
+{
+    return x * 0x9e3779b97f4a7c15ULL;
+}
+
 } // namespace dynex
 
 #endif // DYNEX_UTIL_BITOPS_H

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -229,8 +230,11 @@ ThreadPool::runShared(std::size_t n,
             return loop->done.load() == loop->total;
         });
     }
-    if (loop->error)
-        std::rethrow_exception(loop->error);
+    // Take the error out of the Loop before rethrowing: a worker may
+    // hold the last reference to the Loop, and the exception must not
+    // be freed when that worker drops it.
+    if (std::exception_ptr error = std::exchange(loop->error, nullptr))
+        std::rethrow_exception(error);
 }
 
 } // namespace dynex

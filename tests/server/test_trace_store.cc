@@ -2,9 +2,10 @@
  * @file
  * TraceStore tests: single-flight loading under thread contention
  * (exactly one loader call for eight concurrent requesters), artifact
- * caching, failed-load retry, byte-budgeted LRU eviction in strict
- * recency order, counter stability across the whole lifecycle, and
- * sweeps over the cached packed view matching self-packed ones.
+ * caching and its resident charge, failed-load retry, byte-budgeted
+ * LRU eviction in strict recency order, counter stability across the
+ * whole lifecycle, and sweeps over the cached packed view matching
+ * self-packed ones.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +143,28 @@ TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
     const auto counters = store.counters();
     EXPECT_EQ(counters.indexBuilds, 2u); // one per granularity
     EXPECT_EQ(counters.indexHits, 1u);
+}
+
+TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
+{
+    // A cold artifact holds, per reference, an 8-byte next-use tick,
+    // an 8-byte block number and a 4-byte dense id.
+    TraceStore store(
+        [&](const std::string &name) -> Result<Trace> {
+            return tinyTrace(name);
+        },
+        1ull << 30);
+    ASSERT_TRUE(store.trace("alpha").ok());
+    const std::uint64_t before = store.counters().residentBytes;
+
+    ASSERT_TRUE(store.indexed("alpha", 4).ok());
+    EXPECT_EQ(store.counters().residentBytes - before,
+              64 * (sizeof(Tick) + sizeof(Addr) + sizeof(std::uint32_t)));
+
+    // A warm hit charges nothing more.
+    const std::uint64_t warm = store.counters().residentBytes;
+    ASSERT_TRUE(store.indexed("alpha", 4).ok());
+    EXPECT_EQ(store.counters().residentBytes, warm);
 }
 
 TEST(TraceStore, FailedLoadIsNotCachedAndRetries)

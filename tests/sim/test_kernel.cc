@@ -216,6 +216,72 @@ TEST(KernelDifferential, MatchesTheObjectModelsOnAdversarialTraces)
     }
 }
 
+TEST(KernelDifferential, SparseAddressesMatchTheObjectModels)
+{
+    // Section 3 patterns and loop nests laid out in 2MB regions whose
+    // blocks sit at or above 2^40, up to the very top of the address
+    // space, so every trace spans a block range no flat per-block table
+    // could cover; random geometries and DE knobs, every leg against
+    // runTriad.
+    Rng rng(kDiffSeed + 40);
+    const std::vector<std::uint32_t> lines = {4, 8, 16, 32};
+    constexpr Addr kRegion = Addr{1} << 21;
+    for (int c = 0; c < 60; ++c) {
+        const std::uint32_t line = lines[rng.nextBelow(lines.size())];
+        DynamicExclusionConfig config;
+        config.stickyMax = static_cast<std::uint8_t>(1 + rng.nextBelow(3));
+        config.useLastLine = rng.nextBelow(2) != 0;
+        config.initialHitLast = rng.nextBelow(2) != 0;
+        std::vector<std::uint64_t> sizes = {std::uint64_t{1024}
+                                            << rng.nextBelow(4)};
+        sizes.push_back(sizes[0] << (1 + rng.nextBelow(4)));
+        const Addr alias = sizes[rng.nextBelow(sizes.size())];
+
+        // Byte addresses of 2^46 and up keep every block at or above
+        // 2^40 at 32-byte lines.
+        const Addr regions[] = {
+            Addr{1} << 46,
+            (1 + rng.nextBelow(Addr{1} << 16)) << 46,
+            (Addr{1} << 63) + rng.nextBelow(Addr{1} << 40) * kRegion,
+            ~Addr{0} - kRegion + 1,
+        };
+        Trace trace("sparse" + std::to_string(c));
+        while (trace.size() < 6000) {
+            const Addr region = regions[rng.nextBelow(4)];
+            const Addr base = region + 4 * rng.nextBelow(kRegion / 16);
+            if (rng.nextBelow(2) != 0) {
+                const auto &patterns = paperPatterns();
+                trace.append(Trace::fromPattern(
+                    patterns[rng.nextBelow(patterns.size())], base,
+                    alias));
+            } else {
+                const Addr body = 2 + rng.nextBelow(40);
+                const Addr iterations = 1 + rng.nextBelow(8);
+                for (Addr it = 0; it < iterations; ++it)
+                    for (Addr j = 0; j < body; ++j)
+                        trace.append(ifetch(base + 4 * j));
+                trace.append(load(region + 8 * rng.nextBelow(4096)));
+            }
+        }
+
+        const NextUseIndex index(trace, line, NextUseMode::RunStart);
+        const TriadBatchOutcome kernel = replayTriadKernel(
+            PackedTraceView(trace, line), index, sizes, line, config,
+            trace.name());
+        ASSERT_TRUE(kernel.allOk());
+        for (std::size_t s = 0; s < sizes.size(); ++s)
+            expectTriadEq(
+                kernel.triads[s],
+                runTriad(trace, index, sizes[s], line, config),
+                "sparse case " + std::to_string(c) + ": " +
+                    std::to_string(sizes[s]) + "B/" +
+                    std::to_string(line) + "B sticky " +
+                    std::to_string(config.stickyMax) + " lastline " +
+                    std::to_string(config.useLastLine) + " hitlast0 " +
+                    std::to_string(config.initialHitLast));
+    }
+}
+
 /** The kernel's triad batch for @p trace against runTriad, leg by
  * leg, and the sweep the `batched` name selects against the per-leg
  * sweep. */
@@ -273,8 +339,10 @@ TEST(KernelReplay, MatchesBatchWithNonDefaultDeConfig)
 
 TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
 {
-    // Blocks far beyond the flat hit-last cap: the kernel must switch
-    // to the IdealHitLastStore fallback with identical values.
+    // Blocks around 2^40 and above: the kernel's hit-last bytes are
+    // indexed by the view's dense ids, so a sparse trace takes the same
+    // path as a dense one and must match the object models (whose
+    // IdealHitLastStore spills such blocks into its exact map).
     Rng rng(0xfee1);
     Trace trace("sparse");
     for (int i = 0; i < 8000; ++i) {
