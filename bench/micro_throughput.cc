@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator cores: accesses
  * per second for each cache model and the supporting machinery
- * (next-use indexing, trace generation).
+ * (packed views, next-use indexing, trace generation).
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "trace/next_use.h"
+#include "trace/packed_view.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
 #include "util/logging.h"
@@ -132,11 +133,28 @@ BM_OptimalCache(benchmark::State &state)
 BENCHMARK(BM_OptimalCache);
 
 void
-BM_NextUseIndexBuild(benchmark::State &state)
+BM_PackedViewBuild(benchmark::State &state)
 {
+    // The view's forward pass: the artifact's only block hash.
     const Trace &trace = sharedTrace();
     for (auto _ : state) {
-        NextUseIndex index(trace, 4, NextUseMode::RunStart);
+        PackedTraceView view(trace, 4);
+        benchmark::DoNotOptimize(view.distinctBlocks());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace.size()));
+}
+BENCHMARK(BM_PackedViewBuild);
+
+void
+BM_NextUseIndexBuild(benchmark::State &state)
+{
+    // The RunStart index from a view's dense ids: one backward pass
+    // over a flat per-block array, as every sweep builds it.
+    const Trace &trace = sharedTrace();
+    const PackedTraceView view(trace, 4);
+    for (auto _ : state) {
+        NextUseIndex index(view, NextUseMode::RunStart);
         benchmark::DoNotOptimize(index.size());
     }
     state.SetItemsProcessed(
@@ -145,26 +163,11 @@ BM_NextUseIndexBuild(benchmark::State &state)
 BENCHMARK(BM_NextUseIndexBuild);
 
 void
-BM_NextUseBuild(benchmark::State &state)
-{
-    // The flat-hash backward pass with the scratch table reused across
-    // builds — the per-(trace, line size) pattern of the sweeps.
-    const Trace &trace = sharedTrace();
-    NextUseScratch scratch;
-    for (auto _ : state) {
-        NextUseIndex index(trace, 4, NextUseMode::RunStart, &scratch);
-        benchmark::DoNotOptimize(index.size());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-BENCHMARK(BM_NextUseBuild);
-
-void
 BM_NextUseBuildMap(benchmark::State &state)
 {
     // Baseline: the original unordered_map backward pass, kept as the
-    // reference oracle. Compare against BM_NextUseBuild.
+    // reference oracle. Compare against BM_PackedViewBuild plus
+    // BM_NextUseIndexBuild.
     const Trace &trace = sharedTrace();
     for (auto _ : state) {
         const auto next =

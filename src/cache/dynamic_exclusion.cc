@@ -29,6 +29,7 @@ DynamicExclusionCache::reset()
     hitLast->reset();
     events.reset();
     lastBlock = kAddrInvalid;
+    lastValid = false;
     resetStats();
 }
 

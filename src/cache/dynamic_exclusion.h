@@ -139,15 +139,17 @@ class DynamicExclusionCache final : public CacheModel
     stepBlock(Addr block)
     {
         AccessOutcome outcome;
-        if (cfg.useLastLine && block == lastBlock) {
+        if (cfg.useLastLine && lastValid && block == lastBlock) {
             // Sequential reference within the most recent line: served
             // by the last-line buffer; exclusion state is deliberately
             // left untouched (Section 6).
             outcome.hit = true;
             return outcome;
         }
-        if (cfg.useLastLine)
+        if (cfg.useLastLine) {
             lastBlock = block;
+            lastValid = true;
+        }
 
         const std::uint64_t set = block & setMask;
         const bool h = lookupHitLast(block);
@@ -175,7 +177,11 @@ class DynamicExclusionCache final : public CacheModel
     IdealHitLastStore *idealHitLast = nullptr;
     std::vector<ExclusionLine> lines;
     FsmEventCounts events;
+    /** The last-line register; lastValid is false until the first
+     * reference, since every block value (kAddrInvalid included, at
+     * byte granularity) is a real block. */
     Addr lastBlock = kAddrInvalid;
+    bool lastValid = false;
     Addr setMask = 0; ///< numSets - 1, cached off the geometry
 };
 

@@ -30,6 +30,7 @@ OptimalDirectMappedCache::reset()
     std::fill(residentNextUse.begin(), residentNextUse.end(),
               kTickInfinity);
     lastBlock = kAddrInvalid;
+    lastValid = false;
     resetStats();
 }
 

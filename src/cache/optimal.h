@@ -66,14 +66,16 @@ class OptimalDirectMappedCache final : public CacheModel
                      " beyond indexed trace of ", oracle->size());
 
         AccessOutcome outcome;
-        if (lastLineEnabled && block == lastBlock) {
+        if (lastLineEnabled && lastValid && block == lastBlock) {
             // Within-run reference: served by the last-line register
             // without touching (or re-deciding) the cache line.
             outcome.hit = true;
             return outcome;
         }
-        if (lastLineEnabled)
+        if (lastLineEnabled) {
             lastBlock = block;
+            lastValid = true;
+        }
 
         const std::uint64_t set = block & setMask;
         const Tick incoming_next = oracle->nextUse(tick);
@@ -114,7 +116,11 @@ class OptimalDirectMappedCache final : public CacheModel
     /** Next-use tick of the resident block, refreshed on every touch. */
     std::vector<Tick> residentNextUse;
     bool lastLineEnabled;
+    /** The last-line register; lastValid is false until the first
+     * reference, since every block value (kAddrInvalid included, at
+     * byte granularity) is a real block. */
     Addr lastBlock = kAddrInvalid;
+    bool lastValid = false;
     Addr setMask = 0; ///< numSets - 1, cached off the geometry
 };
 

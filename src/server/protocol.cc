@@ -842,6 +842,8 @@ statusFromWire(const ErrorInfo &error)
         return Status::deadlineExceeded(error.message);
       case StatusCode::Busy:
         return Status::busy(error.message);
+      case StatusCode::InvalidArgument:
+        return Status::invalidArgument(error.message);
       default:
         return Status::internal(error.message);
     }

@@ -20,14 +20,13 @@ std::uint64_t traceBytes(const Trace &trace)
            trace.name().size();
 }
 
-/** Resident charge of one (index, view) artifact pair: the index's
- * next-use ticks plus the view's block numbers and dense ids. */
+/** Resident charge of one (index, view) artifact pair: the view's set
+ * words and dense ids plus the index's next-use ticks, 12 bytes per
+ * reference. */
 std::uint64_t artifactBytes(const NextUseIndex &index,
                             const PackedTraceView &view)
 {
-    return static_cast<std::uint64_t>(index.size()) * sizeof(Tick) +
-           static_cast<std::uint64_t>(view.size()) *
-               (sizeof(Addr) + sizeof(std::uint32_t));
+    return index.bytes() + view.bytes();
 }
 
 void chargeActive(obs::Counter counter, std::uint64_t delta)
@@ -234,10 +233,10 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
         const std::uint64_t startNs = obs::monotonicNs();
         IndexedTrace result;
         result.trace = base.value();
-        result.index = std::make_shared<const NextUseIndex>(
-            *result.trace, line_bytes, NextUseMode::RunStart);
         result.view = std::make_shared<const PackedTraceView>(*result.trace,
                                                               line_bytes);
+        result.index = std::make_shared<const NextUseIndex>(
+            *result.view, NextUseMode::RunStart);
         result.lineBytes = line_bytes;
         chargeActive(obs::Counter::IndexBuildNs,
                      obs::monotonicNs() - startNs);
@@ -278,9 +277,9 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
     std::shared_ptr<const Trace> source = entry->trace;
     lock.unlock();
     const std::uint64_t startNs = obs::monotonicNs();
-    auto index = std::make_shared<const NextUseIndex>(*source, line_bytes,
-                                                      NextUseMode::RunStart);
     auto view = std::make_shared<const PackedTraceView>(*source, line_bytes);
+    auto index = std::make_shared<const NextUseIndex>(*view,
+                                                      NextUseMode::RunStart);
     const std::uint64_t elapsedNs = obs::monotonicNs() - startNs;
     lock.lock();
 

@@ -1,7 +1,9 @@
 #include "sim/kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define DYNEX_KERNEL_HAVE_AVX2 1
@@ -46,87 +48,95 @@ cpuHasAvx2()
 }
 
 /**
- * The run-boundary lane: same[i] = 1 iff blocks[i] equals the previous
- * block of the trace (with @p prev carried in from the previous chunk,
- * kAddrInvalid at trace start). Both last-line models consume it: a
- * set bit is exactly a within-run reference served by the last-line
- * register.
+ * The run-boundary lane: same[i] = 1 iff ids[i] equals the previous
+ * reference's dense id (with @p prev carried in from the previous
+ * chunk, ~0u -- never an id -- at trace start). Both last-line models
+ * consume it: a set bit is exactly a within-run reference served by
+ * the last-line register.
  */
 void
-computeSameScalar(const Addr *blocks, std::size_t n, Addr prev,
-                  std::uint8_t *same)
+computeSameScalar(const std::uint32_t *ids, std::size_t n,
+                  std::uint32_t prev, std::uint8_t *same)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        same[i] = blocks[i] == prev;
-        prev = blocks[i];
+        same[i] = ids[i] == prev;
+        prev = ids[i];
     }
 }
 
 #if DYNEX_KERNEL_HAVE_AVX2
 __attribute__((target("avx2"))) void
-computeSameAvx2(const Addr *blocks, std::size_t n, Addr prev,
-                std::uint8_t *same)
+computeSameAvx2(const std::uint32_t *ids, std::size_t n,
+                std::uint32_t prev, std::uint8_t *same)
 {
     if (n == 0)
         return;
-    same[0] = blocks[0] == prev;
+    same[0] = ids[0] == prev;
     std::size_t i = 1;
-    for (; i + 4 <= n; i += 4) {
+    for (; i + 8 <= n; i += 8) {
         const __m256i cur = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(blocks + i));
+            reinterpret_cast<const __m256i *>(ids + i));
         const __m256i pre = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(blocks + i - 1));
-        const __m256i eq = _mm256_cmpeq_epi64(cur, pre);
-        const int mask =
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        same[i] = mask & 1;
-        same[i + 1] = (mask >> 1) & 1;
-        same[i + 2] = (mask >> 2) & 1;
-        same[i + 3] = (mask >> 3) & 1;
+            reinterpret_cast<const __m256i *>(ids + i - 1));
+        const unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(cur, pre))));
+        for (unsigned k = 0; k < 8; ++k)
+            same[i + k] = (mask >> k) & 1;
     }
     for (; i < n; ++i)
-        same[i] = blocks[i] == blocks[i - 1];
+        same[i] = ids[i] == ids[i - 1];
 }
 #endif
 
 void
-computeSame(KernelIsa isa, const Addr *blocks, std::size_t n,
-            Addr prev, std::uint8_t *same)
+computeSame(KernelIsa isa, const std::uint32_t *ids, std::size_t n,
+            std::uint32_t prev, std::uint8_t *same)
 {
 #if DYNEX_KERNEL_HAVE_AVX2
     if (isa == KernelIsa::Avx2) {
-        computeSameAvx2(blocks, n, prev, same);
+        computeSameAvx2(ids, n, prev, same);
         return;
     }
 #endif
     (void)isa;
-    computeSameScalar(blocks, n, prev, same);
+    computeSameScalar(ids, n, prev, same);
 }
 
-/** One optimal-model set: tag and resident next-use share a 16-byte
- * lane, so the model's random probe touches one cache line instead of
- * two parallel arrays. */
-struct OptLane
+/** The tag of an empty line: above every dense id, because a view
+ * holds fewer than 2^32 references. */
+constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+/**
+ * One optimal-model set as one 64-bit word: the resident block's id in
+ * the low half, its next-use tick in the high half. The model's random
+ * probe is one load and its update one scalar select and store; as a
+ * two-field struct the compiler vectorizes the select through SSE
+ * shuffles, a longer chain than the scalar one.
+ */
+using OptLane = std::uint64_t;
+
+constexpr OptLane
+optLane(std::uint32_t id, std::uint32_t next)
 {
-    Addr tag;
-    Tick next;
-};
+    return std::uint64_t{next} << 32 | id;
+}
 
 /** All SoA lanes and event tallies of one (cache size) leg. */
 struct KernelLeg
 {
     std::uint64_t sizeBytes = 0;
-    Addr setMask = 0;
+    std::uint32_t setMask = 0;
 
-    // Conventional direct-mapped: sentinel tags double as validity.
-    std::vector<Addr> dmTags;
+    // Conventional direct-mapped: tags are dense block ids, and the
+    // kNoBlock sentinel doubles as validity.
+    std::vector<std::uint32_t> dmTags;
     std::uint64_t dmHits = 0, dmCold = 0;
 
     // Dynamic exclusion: tag + sticky lanes, one hit-last byte per
     // distinct block of the trace (indexed by the view's dense ids),
     // and one tally per Figure-1 arc (ColdFill, Hit, ReplaceUnsticky,
     // ReplaceHitLast, Bypass — the FsmEvent order).
-    std::vector<Addr> deTags;
+    std::vector<std::uint32_t> deTags;
     std::vector<std::uint8_t> deSticky;
     std::vector<std::uint8_t> deHitLast;
     std::uint64_t deCnt[5] = {};
@@ -152,12 +162,18 @@ struct KernelLeg
             CacheGeometry::directMapped(size_bytes, line_bytes);
         geometry.validate();
         const std::uint64_t sets = geometry.numSets();
-        setMask = sets - 1;
-        dmTags.assign(sets, kAddrInvalid);
-        deTags.assign(sets, kAddrInvalid);
+        // Sets come from the view's 32-bit set words.
+        if (sets > (std::uint64_t{1} << 32))
+            throw StatusError(Status::invalidArgument(
+                "kernel leg " + geometry.toString() + " has " +
+                std::to_string(sets) +
+                " sets; set indices are limited to 32 bits"));
+        setMask = static_cast<std::uint32_t>(sets - 1);
+        dmTags.assign(sets, kNoBlock);
+        deTags.assign(sets, kNoBlock);
         deSticky.assign(sets, 0);
         deHitLast.assign(distinct_blocks, config.initialHitLast);
-        optLanes.assign(sets, OptLane{kAddrInvalid, 0});
+        optLanes.assign(sets, optLane(kNoBlock, 0));
     }
 };
 
@@ -199,37 +215,37 @@ enum : unsigned
  */
 template <unsigned Models, bool LastLine>
 DYNEX_KERNEL_NOINLINE void
-chunk(KernelLeg &leg, const Addr *__restrict blocks,
-      [[maybe_unused]] const std::uint32_t *__restrict ids,
-      [[maybe_unused]] const Tick *__restrict next_use,
+chunk(KernelLeg &leg, const std::uint32_t *__restrict set_words,
+      const std::uint32_t *__restrict ids,
+      [[maybe_unused]] const std::uint32_t *__restrict next_use,
       [[maybe_unused]] const std::uint8_t *__restrict same,
       std::size_t n, [[maybe_unused]] std::uint8_t sticky_max)
 {
     // __restrict throughout: the lane stores can never alias the
     // packed input arrays (or each other), and telling the compiler so
-    // stops it reloading blocks[i]/ids[i]/next_use[i]/same[i] after
+    // stops it reloading set_words[i]/ids[i]/next_use[i]/same[i] after
     // every store.
-    Addr *const __restrict dm_tags = leg.dmTags.data();
-    Addr *const __restrict de_tags = leg.deTags.data();
+    std::uint32_t *const __restrict dm_tags = leg.dmTags.data();
+    std::uint32_t *const __restrict de_tags = leg.deTags.data();
     std::uint8_t *const __restrict de_sticky = leg.deSticky.data();
     std::uint8_t *const __restrict hit_last = leg.deHitLast.data();
     OptLane *const __restrict opt = leg.optLanes.data();
-    const Addr mask = leg.setMask;
+    const std::uint32_t mask = leg.setMask;
     std::uint64_t dm_hits = 0, dm_cold = 0;
     std::uint64_t de_cold = 0, de_hit = 0, de_unsticky = 0,
                   de_override = 0, de_bypassed = 0, de_ll = 0;
     std::uint64_t opt_hits = 0, opt_cold = 0, opt_writes = 0,
                   opt_ll = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const Addr blk = blocks[i];
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
+        const std::uint32_t id = ids[i];
+        const std::size_t set = set_words[i] & mask;
 
         if constexpr ((Models & kDm) != 0) {
             // Always fill, so the tag store is unconditional.
-            const Addr t = dm_tags[set];
-            dm_hits += t == blk;
-            dm_cold += t == kAddrInvalid;
-            dm_tags[set] = blk;
+            const std::uint32_t t = dm_tags[set];
+            dm_hits += t == id;
+            dm_cold += t == kNoBlock;
+            dm_tags[set] = id;
         }
 
         if constexpr ((Models & kDe) != 0) {
@@ -238,12 +254,11 @@ chunk(KernelLeg &leg, const Addr *__restrict blocks,
                 // and the FSM deliberately does not observe it.
                 ++de_ll;
             } else {
-                const Addr t = de_tags[set];
+                const std::uint32_t t = de_tags[set];
                 const std::uint8_t s = de_sticky[set];
-                const std::uint32_t id = ids[i];
                 const bool h = hit_last[id];
                 const FsmEvent arc =
-                    fig1Arc(t != kAddrInvalid, t == blk, s == 0, h);
+                    fig1Arc(t != kNoBlock, t == id, s == 0, h);
                 const bool bypass = arc == FsmEvent::Bypass;
                 de_cold += arc == FsmEvent::ColdFill;
                 de_hit += arc == FsmEvent::Hit;
@@ -252,8 +267,9 @@ chunk(KernelLeg &leg, const Addr *__restrict blocks,
                 de_bypassed += bypass;
                 // Bypass keeps the line and decays sticky; every other
                 // arc installs the block at full stickiness.
-                const Addr bmask = 0 - static_cast<Addr>(bypass);
-                de_tags[set] = (t & bmask) | (blk & ~bmask);
+                const std::uint32_t bmask =
+                    0 - static_cast<std::uint32_t>(bypass);
+                de_tags[set] = (t & bmask) | (id & ~bmask);
                 de_sticky[set] = bypass ? static_cast<std::uint8_t>(s - 1)
                                         : sticky_max;
                 // h[x] := 1 on fill/hit/unsticky replace, consumed
@@ -268,18 +284,20 @@ chunk(KernelLeg &leg, const Addr *__restrict blocks,
                 ++opt_ll;
             } else {
                 // RunStart oracle: retain whichever of {resident,
-                // incoming} is referenced sooner. Hits refresh the
+                // incoming} is referenced sooner (kNever, "never
+                // again", is the largest tick). Hits refresh the
                 // resident next-use; cold misses and won conflicts
                 // install the incoming block; lost conflicts bypass.
-                OptLane &lane = opt[set];
-                const Tick next = next_use[i];
-                const bool hit = lane.tag == blk;
-                const bool cold_miss = lane.tag == kAddrInvalid;
-                const bool wins = next < lane.next;
+                const OptLane lane = opt[set];
+                const std::uint32_t lane_id =
+                    static_cast<std::uint32_t>(lane);
+                const std::uint32_t next = next_use[i];
+                const bool hit = lane_id == id;
+                const bool cold_miss = lane_id == kNoBlock;
+                const bool wins = next < lane >> 32;
                 const bool write = hit | cold_miss | wins;
-                const Addr wmask = 0 - static_cast<Addr>(write);
-                lane.tag = (blk & wmask) | (lane.tag & ~wmask);
-                lane.next = (next & wmask) | (lane.next & ~wmask);
+                const OptLane wmask = 0 - static_cast<OptLane>(write);
+                opt[set] = (optLane(id, next) & wmask) | (lane & ~wmask);
                 opt_hits += hit;
                 opt_cold += cold_miss;
                 opt_writes += write;
@@ -313,15 +331,16 @@ chunk(KernelLeg &leg, const Addr *__restrict blocks,
 /** Run chunk<Models> on @p leg at @p config's last-line mode. */
 template <unsigned Models>
 void
-runChunk(KernelLeg &leg, const Addr *blocks, const std::uint32_t *ids,
-         const Tick *next_use, const std::uint8_t *same, std::size_t n,
+runChunk(KernelLeg &leg, const std::uint32_t *set_words,
+         const std::uint32_t *ids, const std::uint32_t *next_use,
+         const std::uint8_t *same, std::size_t n,
          const DynamicExclusionConfig &config)
 {
     if (config.useLastLine)
-        chunk<Models, true>(leg, blocks, ids, next_use, same, n,
+        chunk<Models, true>(leg, set_words, ids, next_use, same, n,
                             config.stickyMax);
     else
-        chunk<Models, false>(leg, blocks, ids, next_use, same, n,
+        chunk<Models, false>(leg, set_words, ids, next_use, same, n,
                              config.stickyMax);
 }
 
@@ -389,38 +408,38 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     std::vector<std::uint8_t> same(detail::kBatchChunkRefs);
 
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
-    const Addr *blocks = view.blocks();
+    const std::uint32_t *set_words = view.setWords();
     const std::uint32_t *ids = view.ids();
-    const Tick *next_use = index.values().data();
+    const std::uint32_t *next_use = index.ticks();
     const std::size_t n = view.size();
-    Addr prev_block = kAddrInvalid;
+    std::uint32_t prev_id = kNoBlock;
     for (std::size_t base = 0; base < n;
          base += detail::kBatchChunkRefs) {
         const std::size_t end =
             std::min(n, base + detail::kBatchChunkRefs);
         const std::size_t len = end - base;
-        computeSame(isa, blocks + base, len, prev_block, same.data());
-        prev_block = blocks[end - 1];
+        computeSame(isa, ids + base, len, prev_id, same.data());
+        prev_id = ids[end - 1];
 
         const std::uint64_t chunk_start = tracer ? tracer->nowNs() : 0;
         for (const auto &leg : legs) {
             if (!leg)
                 continue;
             if (!metrics) {
-                runChunk<kAll>(*leg, blocks + base, ids + base,
+                runChunk<kAll>(*leg, set_words + base, ids + base,
                                next_use + base, same.data(), len, config);
                 continue;
             }
             // Per-model timing: each model runs as its own chunk
             // instantiation, so its time is measured, not apportioned.
             const std::uint64_t t0 = obs::monotonicNs();
-            runChunk<kDm>(*leg, blocks + base, ids + base,
+            runChunk<kDm>(*leg, set_words + base, ids + base,
                           next_use + base, same.data(), len, config);
             const std::uint64_t t1 = obs::monotonicNs();
-            runChunk<kDe>(*leg, blocks + base, ids + base,
+            runChunk<kDe>(*leg, set_words + base, ids + base,
                           next_use + base, same.data(), len, config);
             const std::uint64_t t2 = obs::monotonicNs();
-            runChunk<kOpt>(*leg, blocks + base, ids + base,
+            runChunk<kOpt>(*leg, set_words + base, ids + base,
                            next_use + base, same.data(), len, config);
             leg->dmNs += t1 - t0;
             leg->deNs += t2 - t1;
@@ -441,28 +460,29 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
 }
 
 /** Record every completed leg into its registered metrics slot (legs
- * that were never registered, or whose setup failed, are skipped). */
+ * that were never registered, or that failed, are skipped). */
 void
 fillLegMetrics(const std::string &label,
                const std::vector<std::uint64_t> &sizes,
                std::size_t refs,
                const std::vector<std::unique_ptr<KernelLeg>> &legs,
-               const std::vector<TriadResult> &triads)
+               const TriadBatchOutcome &outcome)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
     if (!metrics)
         return;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-        if (!legs[s])
+        if (!outcome.ok[s])
             continue;
         obs::LegMetrics *const leg = metrics->leg(label, sizes[s]);
         if (!leg)
             continue;
+        const TriadResult &triad = outcome.triads[s];
         leg->refs = refs;
-        leg->dm = triads[s].dm;
-        leg->de = triads[s].de;
-        leg->opt = triads[s].opt;
-        leg->deEvents = triads[s].deEvents;
+        leg->dm = triad.dm;
+        leg->de = triad.de;
+        leg->opt = triad.opt;
+        leg->deEvents = triad.deEvents;
         leg->dmReplayNs = legs[s]->dmNs;
         leg->deReplayNs = legs[s]->deNs;
         leg->optReplayNs = legs[s]->optNs;
@@ -547,27 +567,97 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
     // null and is skipped by the pass; legs never interact, so the
     // survivors replay exactly as they would in an unfaulted run.
     std::vector<std::unique_ptr<KernelLeg>> legs(sizes.size());
+    std::vector<Status> leg_status(sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
             legs[s] = std::make_unique<KernelLeg>(
                 sizes[s], line_bytes, view.distinctBlocks(), de_config);
-            outcome.ok[s] = 1;
         } catch (...) {
             legs[s].reset();
-            outcome.failures.push_back(
-                {s, statusFromException(std::current_exception())});
+            leg_status[s] = statusFromException(std::current_exception());
         }
     }
 
     runKernelPass(view, index, label, legs, de_config);
 
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        if (outcome.ok[s])
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        if (legs[s]) {
             outcome.triads[s] = legResult(*legs[s], view.size());
-    fillLegMetrics(label, sizes, view.size(), legs, outcome.triads);
+            leg_status[s] =
+                checkLegIdentities(outcome.triads[s], legs[s]->deLlHits);
+        }
+        outcome.ok[s] = leg_status[s].ok();
+        if (!outcome.ok[s])
+            outcome.failures.push_back({s, std::move(leg_status[s])});
+    }
+    fillLegMetrics(label, sizes, view.size(), legs, outcome);
     return outcome;
+}
+
+namespace
+{
+
+/** a + b == total with neither part above the total. */
+bool
+sumsTo(Count a, Count b, Count total)
+{
+    return a <= total && b <= total && a + b == total;
+}
+
+Status
+brokenIdentity(const char *model, const char *identity, Count a, Count b,
+               Count total)
+{
+    return Status::internal(std::string("leg identity broken: ") + model +
+                            " " + identity + " (" + std::to_string(a) +
+                            " + " + std::to_string(b) +
+                            " != " + std::to_string(total) + ")");
+}
+
+} // namespace
+
+Status
+checkLegIdentities(const TriadResult &triad, Count de_last_line_hits)
+{
+    const std::pair<const char *, const CacheStats *> models[] = {
+        {"dm", &triad.dm}, {"de", &triad.de}, {"opt", &triad.opt}};
+    for (const auto &[model, stats] : models) {
+        if (!sumsTo(stats->hits, stats->misses, stats->accesses))
+            return brokenIdentity(model, "hits + misses = accesses",
+                                  stats->hits, stats->misses,
+                                  stats->accesses);
+        if (!sumsTo(stats->fills, stats->bypasses, stats->misses))
+            return brokenIdentity(model, "fills + bypasses = misses",
+                                  stats->fills, stats->bypasses,
+                                  stats->misses);
+        if (!sumsTo(stats->evictions, stats->coldMisses, stats->fills))
+            return brokenIdentity(model, "evictions = fills - cold",
+                                  stats->evictions, stats->coldMisses,
+                                  stats->fills);
+    }
+    if constexpr (FsmEventCounts::enabled) {
+        Count arcs = 0;
+        bool bounded = true;
+        for (const Count arc : triad.deEvents.byEvent) {
+            bounded = bounded && arc <= triad.de.accesses;
+            arcs += arc;
+        }
+        if (!bounded ||
+            !sumsTo(arcs, de_last_line_hits, triad.de.accesses))
+            return brokenIdentity(
+                "de", "Figure-1 arcs = accesses - last-line hits", arcs,
+                de_last_line_hits, triad.de.accesses);
+    }
+    if (triad.dm.coldMisses != triad.de.coldMisses ||
+        triad.dm.coldMisses != triad.opt.coldMisses)
+        return Status::internal(
+            "leg identity broken: cold misses equal across dm, de and "
+            "opt (" + std::to_string(triad.dm.coldMisses) + ", " +
+            std::to_string(triad.de.coldMisses) + ", " +
+            std::to_string(triad.opt.coldMisses) + ")");
+    return Status();
 }
 
 std::vector<TriadResult>

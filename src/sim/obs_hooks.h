@@ -19,6 +19,7 @@
 #include "obs/trace_events.h"
 #include "sim/runner.h"
 #include "trace/next_use.h"
+#include "trace/packed_view.h"
 #include "trace/trace.h"
 
 namespace dynex
@@ -60,6 +61,19 @@ struct IndexBuildTimer
                              tracer->nowNs() - tracerT0);
     }
 };
+
+/**
+ * Build the RunStart next-use index of @p view (one backward pass over
+ * its dense ids) under an IndexBuildTimer charged to @p bench.
+ */
+inline NextUseIndex
+indexRunStarts(const PackedTraceView &view, const std::string &bench)
+{
+    IndexBuildTimer timer;
+    NextUseIndex index(view, NextUseMode::RunStart);
+    timer.finish(bench);
+    return index;
+}
 
 /**
  * Run one (bench, cache size) triad leg through the per-leg engine

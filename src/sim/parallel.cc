@@ -65,19 +65,15 @@ simParallelFor(std::size_t n,
 
 TriadBatchOutcome
 replayTriads(ReplayEngine engine, const Trace &trace,
-             const NextUseIndex &index, const PackedTraceView *view,
+             const PackedTraceView &view, const NextUseIndex &index,
              const std::vector<std::uint64_t> &sizes,
              std::uint32_t line_bytes,
              const DynamicExclusionConfig &config,
              const std::string &label)
 {
-    if (engine == ReplayEngine::Kernel) {
-        std::optional<PackedTraceView> packed;
-        if (!view)
-            view = &packed.emplace(trace, line_bytes);
-        return replayTriadKernel(*view, index, sizes, line_bytes, config,
+    if (engine == ReplayEngine::Kernel)
+        return replayTriadKernel(view, index, sizes, line_bytes, config,
                                  label);
-    }
 
     TriadBatchOutcome outcome;
     outcome.triads.resize(sizes.size());
@@ -142,19 +138,14 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
             if (obs::Tracer::active())
                 bench_span.emplace("bench", "bench " + bench);
             std::shared_ptr<const Trace> trace;
-            std::unique_ptr<NextUseIndex> index;
+            std::optional<PackedTraceView> view;
+            std::optional<NextUseIndex> index;
             try {
                 if (const auto &hook = sweepFaultHook())
                     hook(bench, 0);
                 trace = loadStream(bench, refs, stream);
-                // Per-worker scratch: consecutive benchmarks on one
-                // pool thread reuse the backward-pass table allocation.
-                thread_local NextUseScratch scratch;
-                simobs::IndexBuildTimer index_timer;
-                index = std::make_unique<NextUseIndex>(
-                    *trace, line_bytes, NextUseMode::RunStart,
-                    &scratch);
-                index_timer.finish(bench);
+                view.emplace(*trace, line_bytes);
+                index.emplace(simobs::indexRunStarts(*view, bench));
             } catch (...) {
                 per_bench[b].push_back(
                     {bench, 0, "triad",
@@ -162,7 +153,7 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                 return;
             }
             TriadBatchOutcome pass =
-                replayTriads(engine, *trace, *index, nullptr, sizes,
+                replayTriads(engine, *trace, *view, *index, sizes,
                              line_bytes, config, bench);
             outcome.grid[b] = std::move(pass.triads);
             outcome.ok[b] = std::move(pass.ok);
@@ -203,17 +194,15 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             bench_span.emplace("bench", "bench " + bench);
         const auto trace =
             loadStream(bench, refs, StreamKind::Instructions);
-        NextUseScratch scratch;
         const std::vector<std::uint64_t> one_size = {size_bytes};
         auto &row = grid[b];
         row.resize(lines.size());
         for (std::size_t l = 0; l < lines.size(); ++l) {
-            simobs::IndexBuildTimer index_timer;
-            const NextUseIndex index(*trace, lines[l],
-                                     NextUseMode::RunStart, &scratch);
-            index_timer.finish(bench);
-            row[l] = triadsOrThrow(replayTriads(engine, *trace, index,
-                                                nullptr, one_size,
+            const PackedTraceView view(*trace, lines[l]);
+            const NextUseIndex index =
+                simobs::indexRunStarts(view, bench);
+            row[l] = triadsOrThrow(replayTriads(engine, *trace, view,
+                                                index, one_size,
                                                 lines[l], config,
                                                 bench))[0];
         }

@@ -81,19 +81,20 @@ void simParallelFor(std::size_t n,
 
 /**
  * Replay every size leg of @p trace with @p engine: the one place a
- * sweep's engine choice is made. The kernel streams @p view (packed
- * here when null) once for all legs; PerLeg runs one observed runTriad
- * per size across the pool. Either engine calls the sweep fault hook
- * as hook(label, size) per leg and records a leg that throws as a
+ * sweep's engine choice is made. The kernel streams @p view and
+ * @p index once for all legs; PerLeg runs one observed runTriad per
+ * size across the pool. Either engine calls the sweep fault hook as
+ * hook(label, size) per leg and records a leg that throws as a
  * TriadLegFailure without perturbing the others.
  *
+ * @param view @p trace packed at @p line_bytes.
  * @param index a RunStart next-use index over @p trace at @p line_bytes.
  * @param label names the legs' metrics slots, spans and fault-hook
  *        calls.
  */
 TriadBatchOutcome replayTriads(ReplayEngine engine, const Trace &trace,
+                               const PackedTraceView &view,
                                const NextUseIndex &index,
-                               const PackedTraceView *view,
                                const std::vector<std::uint64_t> &sizes,
                                std::uint32_t line_bytes,
                                const DynamicExclusionConfig &config,
@@ -111,9 +112,9 @@ std::vector<std::vector<TriadResult>> sweepSuiteTriads(
     ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
- * The full triad grid of a suite sweep, fault-tolerant. One trace and
- * one RunStart next-use index are built per benchmark and shared by
- * replayTriads across its sizes; benchmarks fan out across the pool,
+ * The full triad grid of a suite sweep, fault-tolerant. One trace, its
+ * packed view and its RunStart next-use index are built per benchmark
+ * and shared by replayTriads across its sizes; benchmarks fan out across the pool,
  * so peak memory scales with the worker count, not the suite size.
  * Every failure -- a throwing trace load, a failing leg, an injected
  * fault (the hook also sees (bench, 0) before the load) -- is captured
@@ -129,10 +130,9 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
 /**
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
- * RunStart index is built per (benchmark, line size), since next-use
- * equivalence depends on block granularity; a benchmark's line sizes
- * run serially so those index builds share one scratch table, and
- * benchmarks fan out across the pool. The first failure is thrown as
+ * view and RunStart index are built per (benchmark, line size), since
+ * block identity depends on the granularity; a benchmark's line sizes
+ * run serially, and benchmarks fan out across the pool. The first failure is thrown as
  * a StatusError.
  */
 std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(

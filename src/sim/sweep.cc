@@ -1,6 +1,5 @@
 #include "sim/sweep.h"
 
-#include <memory>
 #include <optional>
 
 #include "sim/kernel.h"
@@ -108,10 +107,10 @@ namespace
 {
 
 /** The shared checked-sweep body; the caller owns the sweep span and
- * has already built (or fetched) the index. */
+ * has already built (or fetched) the view and index. */
 SizeSweepOutcome
-sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
-                      const PackedTraceView *view,
+sweepSizesCheckedImpl(const Trace &trace, const PackedTraceView &view,
+                      const NextUseIndex &index,
                       const std::vector<std::uint64_t> &sizes,
                       std::uint32_t line_bytes,
                       const DynamicExclusionConfig &config,
@@ -121,7 +120,7 @@ sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
                      index.mode() == NextUseMode::RunStart,
                  "sweepSizesChecked needs a RunStart index at line "
                  "granularity");
-    TriadBatchOutcome pass = replayTriads(engine, trace, index, view,
+    TriadBatchOutcome pass = replayTriads(engine, trace, view, index,
                                           sizes, line_bytes, config,
                                           trace.name());
     SizeSweepOutcome outcome;
@@ -155,14 +154,13 @@ sweepSizesChecked(const Trace &trace,
     if (obs::Tracer::active())
         sweep_span.emplace("sweep", "sweep " + trace.name());
 
-    std::unique_ptr<NextUseIndex> index;
+    std::optional<PackedTraceView> view;
+    std::optional<NextUseIndex> index;
     try {
-        simobs::IndexBuildTimer index_timer;
-        index = std::make_unique<NextUseIndex>(trace, line_bytes,
-                                               NextUseMode::RunStart);
-        index_timer.finish(trace.name());
+        view.emplace(trace, line_bytes);
+        index.emplace(simobs::indexRunStarts(*view, trace.name()));
     } catch (...) {
-        // Without the shared next-use oracle no leg can run.
+        // Without the shared view and next-use oracle no leg can run.
         const Status status =
             statusFromException(std::current_exception())
                 .withContext("next-use index");
@@ -176,7 +174,7 @@ sweepSizesChecked(const Trace &trace,
         }
         return outcome;
     }
-    return sweepSizesCheckedImpl(trace, *index, nullptr, sizes,
+    return sweepSizesCheckedImpl(trace, *view, *index, sizes,
                                  line_bytes, config, engine);
 }
 
@@ -191,7 +189,7 @@ sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
     std::optional<obs::ScopedSpan> sweep_span;
     if (obs::Tracer::active())
         sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesCheckedImpl(trace, index, &view, sizes, line_bytes,
+    return sweepSizesCheckedImpl(trace, view, index, sizes, line_bytes,
                                  config, engine);
 }
 

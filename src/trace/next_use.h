@@ -8,8 +8,10 @@
 #ifndef DYNEX_TRACE_NEXT_USE_H
 #define DYNEX_TRACE_NEXT_USE_H
 
+#include <cstdint>
 #include <vector>
 
+#include "trace/packed_view.h"
 #include "trace/trace.h"
 #include "util/types.h"
 
@@ -31,83 +33,69 @@ enum class NextUseMode
 };
 
 /**
- * Reusable working memory for NextUseIndex builds: the open-addressing
- * block -> upcoming-position table of the backward pass.
- *
- * A sweep that builds several indexes over the same trace (one per
- * line size) can pass one scratch to every build; the table's
- * allocation survives between builds and is wiped (not reallocated),
- * so only the first build pays for the memory.
- */
-class NextUseScratch
-{
-  public:
-    NextUseScratch() = default;
-
-  private:
-    friend class NextUseIndex;
-    /** One open-addressing slot: the key and its payload share a cache
-     * line, so a probe touches one line instead of two arrays. */
-    struct Slot
-    {
-        Addr key;  ///< block number; kAddrInvalid = empty
-        Tick tick; ///< upcoming qualifying position for the key
-    };
-    std::vector<Slot> slots;
-};
-
-/**
  * Precomputed forward-reference distances at a given block granularity.
  *
  * nextUse(i) is the smallest j > i such that block(trace[j]) ==
  * block(trace[i]) (and, in RunStart mode, j starts a new run), or
- * kTickInfinity when the block is never referenced again. Built in one
- * backward pass over an open-addressing flat hash table (one probe
- * chain per reference, no node allocation), O(n) expected.
+ * kTickInfinity when the block is never referenced again. Built from a
+ * PackedTraceView's dense ids in one backward pass over a flat array
+ * of one upcoming position per distinct block: the view's pass is the
+ * only block hash. Ticks are stored in 32 bits (the view holds fewer
+ * than 2^32 references), with kNever for "never again".
  */
 class NextUseIndex
 {
   public:
+    /** The stored tick of a block that is never referenced again. */
+    static constexpr std::uint32_t kNever = ~std::uint32_t{0};
+
     /**
-     * @param trace the trace to index.
-     * @param block_size power-of-two block granularity in bytes;
-     *        references are equivalent iff addr / block_size matches.
+     * @param view the trace packed at the index's block granularity.
      * @param mode which references qualify as future uses.
-     * @param scratch optional reusable working memory; pass the same
-     *        scratch to consecutive builds to amortize the table
-     *        allocation. Not thread-safe: concurrent builds need
-     *        distinct scratches (or none).
+     */
+    explicit NextUseIndex(const PackedTraceView &view,
+                          NextUseMode mode = NextUseMode::AnyReference);
+
+    /**
+     * Index @p trace at @p block_size granularity: packs a temporary
+     * PackedTraceView and indexes its ids. Callers that also replay
+     * through the kernel should build the view once and pass it.
      */
     NextUseIndex(const Trace &trace, std::uint64_t block_size,
-                 NextUseMode mode = NextUseMode::AnyReference,
-                 NextUseScratch *scratch = nullptr);
+                 NextUseMode mode = NextUseMode::AnyReference);
 
     /** @return the next qualifying position referencing trace[i]'s
      * block, or kTickInfinity. */
     Tick
     nextUse(Tick i) const
     {
-        return next[i];
+        const std::uint32_t tick = next[i];
+        return tick == kNever ? kTickInfinity : tick;
     }
 
-    /** The whole index, for equivalence tests. */
-    const std::vector<Tick> &values() const { return next; }
+    /** The stored 32-bit ticks (kNever for "never"), one per reference:
+     * the kernel's optimal lane streams them directly. */
+    const std::uint32_t *ticks() const { return next.data(); }
+
+    /** The whole index as nextUse() values, for equivalence tests. */
+    std::vector<Tick> values() const;
 
     std::uint64_t blockSize() const { return blockBytes; }
     NextUseMode mode() const { return useMode; }
     std::size_t size() const { return next.size(); }
 
-  private:
-    void build(const Trace &trace, NextUseScratch &scratch);
+    /** Resident bytes of the per-reference ticks. */
+    std::uint64_t bytes() const { return next.size() * sizeof(next[0]); }
 
-    std::vector<Tick> next;
+  private:
+    std::vector<std::uint32_t> next;
     std::uint64_t blockBytes;
     NextUseMode useMode;
 };
 
 /**
- * Reference implementation of the backward pass on std::unordered_map,
- * the pre-flat-hash builder. Kept (only) as the oracle for equivalence
+ * Reference implementation of the backward pass on std::unordered_map
+ * keyed by block number. Kept (only) as the oracle for equivalence
  * tests and as the baseline of the BM_NextUseBuild microbenchmarks;
  * simulation code should use NextUseIndex.
  */

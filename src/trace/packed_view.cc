@@ -20,12 +20,13 @@ PackedTraceView::PackedTraceView(const Trace &trace,
                  "a packed view numbers blocks with 32-bit ids; the "
                  "trace has ", n, " references");
     const unsigned shift = floorLog2(block_bytes);
-    blockNumbers.resize(n);
+    setWordArray.resize(n);
     denseIds.resize(n);
 
-    // Block -> id, open addressing with linear probes, sized and grown
-    // like NextUseIndex's table: start near the typical distinct-block
-    // count (~n/16) and double at a 0.75 load factor.
+    // Block -> id, open addressing with linear probes: the only block
+    // hash of a replay artifact (NextUseIndex chains the ids). Start
+    // near the typical distinct-block count (~n/16) and double at a
+    // 0.75 load factor.
     struct Slot
     {
         Addr key;
@@ -63,7 +64,7 @@ PackedTraceView::PackedTraceView(const Trace &trace,
     std::size_t used = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const Addr block = refs[i].addr >> shift;
-        blockNumbers[i] = block;
+        setWordArray[i] = static_cast<std::uint32_t>(block);
         std::uint32_t id;
         if (block == kAddrInvalid) {
             if (sentinel_id == kNoId)

@@ -23,6 +23,8 @@ statusCodeName(StatusCode code)
         return "deadline-exceeded";
       case StatusCode::Busy:
         return "busy";
+      case StatusCode::InvalidArgument:
+        return "invalid-argument";
     }
     return "unknown";
 }
@@ -69,6 +71,12 @@ Status::busy(std::string message, std::uint32_t retry_after_ms)
     Status status(StatusCode::Busy, std::move(message));
     status.retryAfterHintMs = retry_after_ms;
     return status;
+}
+
+Status
+Status::invalidArgument(std::string message)
+{
+    return Status(StatusCode::InvalidArgument, std::move(message));
 }
 
 std::string

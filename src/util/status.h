@@ -39,6 +39,9 @@ enum class StatusCode : std::uint8_t
     Internal,
     DeadlineExceeded,
     Busy,
+    /** A request no configuration of this build can serve (e.g. a
+     * cache geometry outside the kernel's 32-bit set indices). */
+    InvalidArgument,
 };
 
 /** @return "ok", "corrupt-input", "io-error", ... */
@@ -66,6 +69,7 @@ class [[nodiscard]] Status
     /** Overload shedding; @p retry_after_ms of 0 means "no hint". */
     static Status busy(std::string message,
                        std::uint32_t retry_after_ms = 0);
+    static Status invalidArgument(std::string message);
 
     bool ok() const { return statusCode == StatusCode::Ok; }
     StatusCode code() const { return statusCode; }

@@ -147,8 +147,8 @@ TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
 
 TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
 {
-    // A cold artifact holds, per reference, an 8-byte next-use tick,
-    // an 8-byte block number and a 4-byte dense id.
+    // A cold artifact holds 12 bytes per reference: a 4-byte set
+    // word, a 4-byte dense id and a 4-byte next-use tick.
     TraceStore store(
         [&](const std::string &name) -> Result<Trace> {
             return tinyTrace(name);
@@ -159,7 +159,7 @@ TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
 
     ASSERT_TRUE(store.indexed("alpha", 4).ok());
     EXPECT_EQ(store.counters().residentBytes - before,
-              64 * (sizeof(Tick) + sizeof(Addr) + sizeof(std::uint32_t)));
+              64u * 12);
 
     // A warm hit charges nothing more.
     const std::uint64_t warm = store.counters().residentBytes;

@@ -282,6 +282,46 @@ TEST(KernelDifferential, SparseAddressesMatchTheObjectModels)
     }
 }
 
+TEST(KernelDifferential, SentinelBlockMatchesTheObjectModels)
+{
+    // At 1-byte lines the top byte address is block 2^64-1, the value
+    // a 64-bit tag lane would use for an empty line. It leads the
+    // trace, repeats in runs, and conflicts with kAddrInvalid - 0x400
+    // at 1KB, while 0x10 and 0x410 conflict with each other.
+    Trace trace("sentinel");
+    for (int r = 0; r < 4; ++r)
+        for (const Addr addr :
+             {kAddrInvalid, kAddrInvalid, Addr{0x10}, Addr{0x410},
+              Addr{0x10}, kAddrInvalid - 0x400, kAddrInvalid,
+              Addr{0x410}, Addr{0x410}, Addr{0x10}})
+            trace.append(load(addr, 1));
+    const std::uint32_t line = 1;
+    const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
+    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    for (std::uint8_t sticky = 1; sticky <= 3; ++sticky) {
+        for (const bool last_line : {false, true}) {
+            for (const bool hit_last : {false, true}) {
+                DynamicExclusionConfig config;
+                config.stickyMax = sticky;
+                config.useLastLine = last_line;
+                config.initialHitLast = hit_last;
+                const TriadBatchOutcome kernel = replayTriadKernel(
+                    PackedTraceView(trace, line), index, sizes, line,
+                    config, trace.name());
+                ASSERT_TRUE(kernel.allOk());
+                for (std::size_t s = 0; s < sizes.size(); ++s)
+                    expectTriadEq(
+                        kernel.triads[s],
+                        runTriad(trace, index, sizes[s], line, config),
+                        std::to_string(sizes[s]) + "B sticky " +
+                            std::to_string(sticky) + " lastline " +
+                            std::to_string(last_line) + " hitlast0 " +
+                            std::to_string(hit_last));
+            }
+        }
+    }
+}
+
 /** The kernel's triad batch for @p trace against runTriad, leg by
  * leg, and the sweep the `batched` name selects against the per-leg
  * sweep. */
@@ -511,6 +551,75 @@ TEST(KernelReplay, CheckedKernelIsolatesInjectedFaults)
     const auto clean = kernelTriads(trace, index, sizes, line);
     expectTriadEq(checked.triads[0], clean[0], "surviving leg 0");
     expectTriadEq(checked.triads[2], clean[2], "surviving leg 2");
+}
+
+TEST(KernelReplay, RejectsSetCountsBeyondThirtyTwoBits)
+{
+    // 8GB at 1-byte lines is 2^33 sets: more than the view's 32-bit set
+    // words can index. The leg fails setup as InvalidArgument, before
+    // allocating a lane, and the other leg completes.
+    const Trace trace = kernelTrace(2000);
+    const std::uint32_t line = 1;
+    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const std::vector<std::uint64_t> sizes = {1024,
+                                              std::uint64_t{1} << 33};
+    const TriadBatchOutcome outcome = replayTriadKernel(
+        PackedTraceView(trace, line), index, sizes, line, {},
+        trace.name());
+    ASSERT_EQ(outcome.failures.size(), 1u);
+    EXPECT_EQ(outcome.failures[0].sizeIndex, 1u);
+    EXPECT_EQ(outcome.failures[0].status.code(),
+              StatusCode::InvalidArgument);
+    EXPECT_TRUE(outcome.ok[0]);
+    EXPECT_FALSE(outcome.ok[1]);
+    expectTriadEq(outcome.triads[0],
+                  runTriad(trace, index, 1024, line), "1KB leg");
+}
+
+TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
+{
+    const Trace trace = kernelTrace(5000);
+    const NextUseIndex index(trace, 16, NextUseMode::RunStart);
+    DynamicExclusionConfig config;
+    config.useLastLine = true;
+    const TriadResult good = runTriad(trace, index, 1024, 16, config);
+    const Count last_line = good.de.hits - good.deEvents.of(FsmEvent::Hit);
+    ASSERT_TRUE(checkLegIdentities(good, last_line).ok());
+
+    struct Case
+    {
+        const char *identity;
+        void (*breakIt)(TriadResult &);
+    };
+    std::vector<Case> cases = {
+        {"dm hits + misses = accesses",
+         [](TriadResult &r) { ++r.dm.hits; }},
+        {"de fills + bypasses = misses",
+         [](TriadResult &r) { ++r.de.bypasses; }},
+        // Evictions that wrapped below zero still balance the sum
+        // modulo 2^64; the check must not be fooled.
+        {"opt evictions = fills - cold",
+         [](TriadResult &r) {
+             r.opt.coldMisses = r.opt.fills + 2;
+             r.opt.evictions = r.opt.fills - r.opt.coldMisses;
+         }},
+        {"cold misses equal across dm, de and opt",
+         [](TriadResult &r) {
+             ++r.dm.coldMisses;
+             --r.dm.evictions;
+         }},
+    };
+    if constexpr (FsmEventCounts::enabled)
+        cases.push_back({"de Figure-1 arcs = accesses - last-line hits",
+                         [](TriadResult &r) { ++r.deEvents.byEvent[4]; }});
+    for (const Case &c : cases) {
+        TriadResult broken = good;
+        c.breakIt(broken);
+        const Status status = checkLegIdentities(broken, last_line);
+        EXPECT_EQ(status.code(), StatusCode::Internal) << c.identity;
+        EXPECT_NE(status.message().find(c.identity), std::string::npos)
+            << status.message();
+    }
 }
 
 TEST(KernelReplay, EmptyTraceYieldsZeroedStats)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "trace/next_use.h"
 #include "util/rng.h"
 
@@ -100,48 +102,66 @@ randomizedTrace(std::uint64_t seed, std::size_t refs)
     return trace;
 }
 
-TEST(NextUse, FlatHashBuilderMatchesMapBuilderOnRandomTraces)
+/** The index built from @p trace's packed view equals the map
+ * oracle's, in both modes. */
+void
+expectMatchesMapOracle(const Trace &trace, std::uint32_t block,
+                        const std::string &label)
 {
-    // The flat open-addressing builder must be exact-equal to the
-    // reference unordered_map backward pass — both modes, several
-    // block granularities, several seeds.
-    for (const std::uint64_t seed : {0x1234u, 0xbeefu, 0x77u}) {
-        const Trace trace = randomizedTrace(seed, 40000);
-        for (const std::uint64_t block : {4u, 16u, 64u}) {
-            for (const NextUseMode mode : {NextUseMode::AnyReference,
-                                           NextUseMode::RunStart}) {
-                const NextUseIndex index(trace, block, mode);
-                EXPECT_EQ(index.values(),
-                          nextUseByMap(trace, block, mode))
-                    << "seed " << seed << " block " << block << " mode "
-                    << static_cast<int>(mode);
-            }
-        }
+    const PackedTraceView view(trace, block);
+    for (const NextUseMode mode :
+         {NextUseMode::AnyReference, NextUseMode::RunStart}) {
+        const NextUseIndex index(view, mode);
+        EXPECT_EQ(index.blockSize(), block);
+        EXPECT_EQ(index.values(), nextUseByMap(trace, block, mode))
+            << label << " block " << block << " mode "
+            << static_cast<int>(mode);
     }
 }
 
-TEST(NextUse, ScratchReuseAcrossBuildsIsExact)
+TEST(NextUse, IdPassMatchesMapOracleOnRandomTraces)
 {
-    // One scratch across per-(trace, block size) builds — the sweep
-    // reuse pattern — must not leak state between builds.
-    NextUseScratch scratch;
-    for (const std::uint64_t seed : {1u, 2u}) {
-        const Trace trace = randomizedTrace(seed, 20000);
-        for (const std::uint64_t block : {64u, 16u, 4u}) {
-            const NextUseIndex index(trace, block,
-                                     NextUseMode::RunStart, &scratch);
-            EXPECT_EQ(index.values(),
-                      nextUseByMap(trace, block,
-                                   NextUseMode::RunStart))
-                << "seed " << seed << " block " << block;
-        }
+    // The backward pass over the view's dense ids must be exact-equal
+    // to the reference unordered_map backward pass over block numbers:
+    // both modes, several block granularities, several seeds.
+    for (const std::uint64_t seed : {0x1234u, 0xbeefu, 0x77u}) {
+        const Trace trace = randomizedTrace(seed, 40000);
+        for (const std::uint32_t block : {4u, 16u, 64u})
+            expectMatchesMapOracle(trace, block,
+                                    "seed " + std::to_string(seed));
     }
+}
+
+TEST(NextUse, IdPassMatchesMapOracleOnEdgeTraces)
+{
+    expectMatchesMapOracle(Trace("empty"), 4, "empty");
+
+    // At 1-byte granularity the top byte address is block
+    // kAddrInvalid, a real block like any other: as the first
+    // reference (a run start with no predecessor), in runs, and beside
+    // a block that differs from it only above bit 32.
+    Trace top("top");
+    for (const Addr addr :
+         {kAddrInvalid, kAddrInvalid, Addr{0x10}, kAddrInvalid - 1,
+          kAddrInvalid, Addr{0xffffffff}, Addr{0x10}, kAddrInvalid,
+          kAddrInvalid, Addr{0xffffffff}})
+        top.append(load(addr, 1));
+    expectMatchesMapOracle(top, 1, "top");
+}
+
+TEST(NextUse, TraceWrapperMatchesTheViewBuild)
+{
+    const Trace trace = randomizedTrace(0x51, 5000);
+    const PackedTraceView view(trace, 16);
+    EXPECT_EQ(NextUseIndex(trace, 16, NextUseMode::RunStart).values(),
+              NextUseIndex(view, NextUseMode::RunStart).values());
 }
 
 TEST(NextUse, TableGrowthPreservesChains)
 {
-    // A trace of mostly-distinct blocks forces the table past its
-    // initial capacity (sized at refs/4) mid-build.
+    // A trace of mostly-distinct blocks forces the view's id table
+    // past its initial capacity mid-build; the chains built from the
+    // ids must survive the rehash.
     Trace trace("distinct");
     const std::size_t n = 4096;
     for (std::size_t i = 0; i < n; ++i)

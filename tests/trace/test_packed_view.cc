@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests of the packed trace view: block numbers at the view's
- * granularity, and dense block ids numbered in order of first
- * appearance, including table growth and the kAddrInvalid sidecar.
+ * Unit tests of the packed trace view: set words (the low 32 bits of
+ * each block number at the view's granularity), and dense block ids
+ * numbered in order of first appearance, including table growth and
+ * the kAddrInvalid sidecar.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "trace/packed_view.h"
+#include "util/bitops.h"
 #include "util/rng.h"
 
 namespace dynex
@@ -18,17 +20,23 @@ namespace dynex
 namespace
 {
 
-/** ids()[i] == ids()[j] iff blocks()[i] == blocks()[j], ids numbered
- * by first appearance, and distinctBlocks() counts them: each id must
- * equal a std::map numbering of the view's own block array, which is
- * one-to-one by construction. */
+/** ids()[i] == ids()[j] iff block(i) == block(j), ids numbered by
+ * first appearance, and distinctBlocks() counts them: each id must
+ * equal a std::map numbering of @p trace's block numbers, which is
+ * one-to-one by construction. Every set word is its block's low 32
+ * bits. */
 void
-expectDenseIds(const PackedTraceView &view)
+expectDenseIds(const Trace &trace, const PackedTraceView &view)
 {
+    ASSERT_EQ(view.size(), trace.size());
+    const unsigned shift = floorLog2(view.blockBytes());
     std::map<Addr, std::uint32_t> first;
     for (std::size_t i = 0; i < view.size(); ++i) {
+        const Addr block = trace[i].addr >> shift;
+        EXPECT_EQ(view.setWords()[i], static_cast<std::uint32_t>(block))
+            << "ref " << i;
         const auto [it, inserted] = first.emplace(
-            view.blocks()[i], static_cast<std::uint32_t>(first.size()));
+            block, static_cast<std::uint32_t>(first.size()));
         EXPECT_EQ(view.ids()[i], it->second) << "ref " << i;
         ASSERT_LT(view.ids()[i], view.distinctBlocks()) << "ref " << i;
     }
@@ -43,9 +51,10 @@ TEST(PackedView, BlocksAreAddressesShiftedToTheGranularity)
     const PackedTraceView view(trace, 16);
     ASSERT_EQ(view.size(), 5u);
     EXPECT_EQ(view.blockBytes(), 16u);
-    const Addr expected[] = {0x10, 0x10, 0x10, 0x20, 0x10};
+    const std::uint32_t expected[] = {0x10, 0x10, 0x10, 0x20, 0x10};
     for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(view.blocks()[i], expected[i]) << i;
+        EXPECT_EQ(view.setWords()[i], expected[i]) << i;
+    EXPECT_EQ(view.bytes(), 5u * 8);
 }
 
 TEST(PackedView, IdsNumberBlocksInOrderOfFirstAppearance)
@@ -72,7 +81,7 @@ TEST(PackedView, IdsMatchIffBlocksMatchOnARandomTrace)
                           4 * rng.nextBelow(3000)));
     for (const std::uint32_t line : {1u, 4u, 32u}) {
         SCOPED_TRACE("line " + std::to_string(line));
-        expectDenseIds(PackedTraceView(trace, line));
+        expectDenseIds(trace, PackedTraceView(trace, line));
     }
 }
 
@@ -100,7 +109,7 @@ TEST(PackedView, GrowsPastTheInitialTable)
         EXPECT_EQ(view.ids()[b], b);
         EXPECT_EQ(view.ids()[9999 - b], b);
     }
-    expectDenseIds(view);
+    expectDenseIds(trace, view);
 }
 
 TEST(PackedView, TheInvalidBlockGetsASidecarId)
@@ -113,7 +122,7 @@ TEST(PackedView, TheInvalidBlockGetsASidecarId)
                             kAddrInvalid, Addr{0x10}, kAddrInvalid})
         trace.append(load(addr, 1));
     const PackedTraceView view(trace, 1);
-    EXPECT_EQ(view.blocks()[1], kAddrInvalid);
+    EXPECT_EQ(view.setWords()[1], 0xffffffffu);
     const std::uint32_t expected[] = {0, 1, 2, 1, 0, 1};
     for (std::size_t i = 0; i < 6; ++i)
         EXPECT_EQ(view.ids()[i], expected[i]) << i;

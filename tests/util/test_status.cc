@@ -40,6 +40,8 @@ TEST(Status, FactoriesCarryCodeAndMessage)
         {Status::deadlineExceeded("m"), StatusCode::DeadlineExceeded,
          "deadline-exceeded"},
         {Status::busy("m"), StatusCode::Busy, "busy"},
+        {Status::invalidArgument("m"), StatusCode::InvalidArgument,
+         "invalid-argument"},
     };
     for (const auto &c : cases) {
         EXPECT_FALSE(c.status.ok());
@@ -77,6 +79,7 @@ TEST(Status, RetryableCodes)
     EXPECT_FALSE(isRetryableCode(StatusCode::ResourceLimit));
     EXPECT_FALSE(isRetryableCode(StatusCode::DeadlineExceeded));
     EXPECT_FALSE(isRetryableCode(StatusCode::Internal));
+    EXPECT_FALSE(isRetryableCode(StatusCode::InvalidArgument));
     EXPECT_FALSE(isRetryableCode(StatusCode::Ok));
 }
 

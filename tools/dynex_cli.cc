@@ -137,6 +137,7 @@ exitCodeFor(const Status &status)
     case StatusCode::ResourceLimit:
     case StatusCode::DeadlineExceeded:
     case StatusCode::Busy:
+    case StatusCode::InvalidArgument:
         return kExitData;
     case StatusCode::Internal:
         break;
