@@ -22,8 +22,10 @@ main()
     report.table().setHeader(
         {"cache", "direct-mapped %", "dynamic-exclusion %", "optimal %"});
 
-    const auto points = sweepSuiteAverage(suiteNames(), refs(),
-                                          paperCacheSizes(), kWordLine);
+    const auto sweep = sweepSuiteAverage(suiteNames(), refs(),
+                                         paperCacheSizes(), kWordLine);
+    throwIfFailed(sweep.failures);
+    const auto &points = sweep.points;
 
     bool bounded = true;
     bool shrinking = true;

@@ -28,8 +28,10 @@ main()
     report.table().setHeader(
         {"cache", "dynamic-exclusion gain %", "optimal gain %"});
 
-    const auto points = sweepSuiteAverage(suiteNames(), refs(),
-                                          paperCacheSizes(), kWordLine);
+    const auto sweep = sweepSuiteAverage(suiteNames(), refs(),
+                                         paperCacheSizes(), kWordLine);
+    throwIfFailed(sweep.failures);
+    const auto &points = sweep.points;
 
     double peak_de = 0.0;
     std::uint64_t peak_size = 0;

@@ -25,9 +25,11 @@ main()
 
     DynamicExclusionConfig config;
     config.useLastLine = true;
-    const auto points = sweepSuiteAverage(suiteNames(), refs(),
-                                          paperCacheSizes(), kLine16,
-                                          config);
+    const auto sweep = sweepSuiteAverage(suiteNames(), refs(),
+                                         paperCacheSizes(), kLine16,
+                                         config);
+    throwIfFailed(sweep.failures);
+    const auto &points = sweep.points;
 
     double gain_at_32k = 0.0;
     double peak = 0.0;

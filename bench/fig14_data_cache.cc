@@ -26,9 +26,11 @@ main()
                               "dynamic-exclusion %", "optimal %",
                               "de gain %"});
 
-    const auto points =
+    const auto sweep =
         sweepSuiteAverage(suiteNames(), refs(), paperCacheSizes(),
-                          kWordLine, {}, /*data_refs=*/true);
+                          kWordLine, {}, StreamKind::Data);
+    throwIfFailed(sweep.failures);
+    const auto &points = sweep.points;
 
     double gain_small_max = 0.0;
     double gain_sum = 0.0;

@@ -27,9 +27,11 @@ main()
                               "dynamic-exclusion %", "optimal %",
                               "de gain %"});
 
-    const auto points = sweepSuiteAverage(
-        suiteNames(), refs(), paperCacheSizes(), kWordLine, {},
-        /*data_refs=*/false, /*mixed_refs=*/true);
+    const auto sweep = sweepSuiteAverage(suiteNames(), refs(),
+                                         paperCacheSizes(), kWordLine, {},
+                                         StreamKind::Mixed);
+    throwIfFailed(sweep.failures);
+    const auto &points = sweep.points;
 
     double best_small = 0.0;
     double gain_large = 0.0;

@@ -231,10 +231,11 @@ runSuiteSweepBenchmark(benchmark::State &state, ReplayEngine engine,
         install.emplace(collector.get());
     }
     for (auto _ : state) {
-        const auto points =
+        const auto sweep =
             sweepSuiteAverage(names, kRefs, paperCacheSizes(), 4, {},
-                              false, false, engine);
-        benchmark::DoNotOptimize(points.back().deMissPct);
+                              StreamKind::Instructions, engine);
+        throwIfFailed(sweep.failures);
+        benchmark::DoNotOptimize(sweep.points.back().deMissPct);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * names.size() * paperCacheSizes().size() *

@@ -753,7 +753,7 @@ std::string Server::handleReplay(const ReplayRequest &request,
 
     const bool wantsOptimal = iequals(request.model, "opt");
     std::shared_ptr<const Trace> trace;
-    std::shared_ptr<const NextUseIndex> index;
+    std::shared_ptr<const ReplayArtifact> artifact;
     {
         obs::ScopedSpan span("srv", "store-load", ctx.traceId);
         const std::uint64_t loadStartNs = obs::monotonicNs();
@@ -764,7 +764,7 @@ std::string Server::handleReplay(const ReplayRequest &request,
             if (!warm.ok())
                 return errorFrame(warm.status());
             trace = warm.value().trace;
-            index = warm.value().index;
+            artifact = warm.value().artifact;
         }
         else
         {
@@ -789,8 +789,8 @@ std::string Server::handleReplay(const ReplayRequest &request,
     std::unique_ptr<CacheModel> cache;
     if (wantsOptimal)
     {
-        cache = std::make_unique<OptimalDirectMappedCache>(geo, *index,
-                                                           true);
+        cache = std::make_unique<OptimalDirectMappedCache>(
+            geo, artifact->index(), true);
     }
     else if (request.victimEntries > 0 && iequals(request.model, "dm"))
     {
@@ -895,9 +895,9 @@ std::string Server::handleSweep(const SweepRequest &request,
     const SizeSweepOutcome outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
-        SizeSweepOutcome swept = sweepSizesChecked(
-            *warm.value().trace, *warm.value().index, *warm.value().view,
-            axis, request.lineBytes, sweepConfig, engine);
+        SizeSweepOutcome swept =
+            sweepSizes(*warm.value().trace, *warm.value().artifact, axis,
+                       sweepConfig, engine);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;

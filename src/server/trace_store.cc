@@ -20,15 +20,6 @@ std::uint64_t traceBytes(const Trace &trace)
            trace.name().size();
 }
 
-/** Resident charge of one (index, view) artifact pair: the view's set
- * words and dense ids plus the index's next-use ticks, 12 bytes per
- * reference. */
-std::uint64_t artifactBytes(const NextUseIndex &index,
-                            const PackedTraceView &view)
-{
-    return index.bytes() + view.bytes();
-}
-
 void chargeActive(obs::Counter counter, std::uint64_t delta)
 {
     if (obs::MetricsCollector *metrics = obs::activeMetrics())
@@ -37,12 +28,12 @@ void chargeActive(obs::Counter counter, std::uint64_t delta)
 
 } // namespace
 
-/** One (index, view) pair at one line granularity, single-flight. */
+/** One replay artifact at one line granularity, single-flight. */
 struct TraceStore::Artifact
 {
     bool ready = false; ///< false while the builder thread runs
-    std::shared_ptr<const NextUseIndex> index;
-    std::shared_ptr<const PackedTraceView> view;
+    std::shared_ptr<const ReplayArtifact> value; ///< null if it failed
+    Status error = Status();
 };
 
 /** One cached trace and its per-granularity artifacts. All fields are
@@ -98,6 +89,20 @@ std::uint64_t TraceStore::chargeForLocked(const Trace &trace,
     return encoded_bytes;
 }
 
+std::uint64_t TraceStore::probeEncoded(const std::string &name) const
+{
+    if (!sizeProbe)
+        return 0;
+    try
+    {
+        return sizeProbe(name);
+    }
+    catch (...)
+    {
+        return 0; // an unknown size just charges decoded
+    }
+}
+
 Result<std::shared_ptr<const Trace>> TraceStore::trace(const std::string &name)
 {
     std::unique_lock<std::mutex> lock(storeMutex);
@@ -148,18 +153,7 @@ Result<std::shared_ptr<const Trace>> TraceStore::trace(const std::string &name)
         }
     }();
     const std::uint64_t elapsedNs = obs::monotonicNs() - startNs;
-    std::uint64_t encoded = 0;
-    if (sizeProbe && loaded.ok())
-    {
-        try
-        {
-            encoded = sizeProbe(name);
-        }
-        catch (...)
-        {
-            encoded = 0; // an unknown size just charges decoded
-        }
-    }
+    const std::uint64_t encoded = loaded.ok() ? probeEncoded(name) : 0;
     lock.lock();
 
     if (!loaded.ok())
@@ -192,82 +186,56 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
     if (!base.ok())
         return base.status();
 
+    // trace() counted this request once; finding the slot below must
+    // not count it again, so it waits on a newer flight directly.
     std::unique_lock<std::mutex> lock(storeMutex);
-    auto it = entries.find(name);
-    // The entry can only have been evicted (or replaced after a
-    // concurrent eviction) between the calls; re-insert our handle so
-    // the artifacts attach to a live slot.
     std::shared_ptr<Entry> entry;
-    if (it != entries.end() && it->second->state == Entry::State::Ready &&
-        it->second->trace == base.value())
+    for (;;)
     {
-        entry = it->second;
-    }
-    else if (it == entries.end())
-    {
-        entry = std::make_shared<Entry>();
-        entry->name = name;
-        entry->trace = base.value();
-        std::uint64_t encoded = 0;
-        if (sizeProbe)
+        auto it = entries.find(name);
+        if (it == entries.end())
         {
-            try
-            {
-                encoded = sizeProbe(name);
-            }
-            catch (...)
-            {
-                encoded = 0;
-            }
+            // Evicted since the load: re-insert the trace so the
+            // artifact attaches to a live slot.
+            entry = std::make_shared<Entry>();
+            entry->name = name;
+            entry->trace = base.value();
+            entry->bytes = chargeForLocked(*entry->trace, probeEncoded(name));
+            entry->state = Entry::State::Ready;
+            entries.emplace(name, entry);
+            tallies.residentBytes += entry->bytes;
+            break;
         }
-        entry->bytes = chargeForLocked(*entry->trace, encoded);
-        entry->state = Entry::State::Ready;
-        entries.emplace(name, entry);
-        tallies.residentBytes += entry->bytes;
-    }
-    else
-    {
-        // A different flight owns the slot; fall back to a private
-        // (uncached) build rather than fight over it.
-        lock.unlock();
-        const std::uint64_t startNs = obs::monotonicNs();
-        IndexedTrace result;
-        result.trace = base.value();
-        result.view = std::make_shared<const PackedTraceView>(*result.trace,
-                                                              line_bytes);
-        result.index = std::make_shared<const NextUseIndex>(
-            *result.view, NextUseMode::RunStart);
-        result.lineBytes = line_bytes;
-        chargeActive(obs::Counter::IndexBuildNs,
-                     obs::monotonicNs() - startNs);
-        chargeActive(obs::Counter::IndexBuilds, 1);
-        return result;
+        entry = it->second;
+        if (entry->state == Entry::State::Ready)
+            break;
+        // Evicted and reloaded by a newer flight: join it.
+        storeCv.wait(lock, [&] {
+            return entry->state != Entry::State::Loading;
+        });
+        if (entry->state == Entry::State::Failed)
+            return entry->error;
     }
     entry->lastUse = ++useClock;
 
-    for (;;)
+    if (auto slot = entry->artifacts.find(line_bytes);
+        slot != entry->artifacts.end())
     {
-        auto slot = entry->artifacts.find(line_bytes);
-        if (slot == entry->artifacts.end())
-            break; // we own the build
         std::shared_ptr<Artifact> artifact = slot->second;
         if (!artifact->ready)
         {
             // Joined the in-flight build: a wait, not a hit.
             ++tallies.singleFlightWaits;
             storeCv.wait(lock, [&] { return artifact->ready; });
+            if (!artifact->value)
+                return artifact->error;
         }
         else
         {
             ++tallies.indexHits;
             chargeActive(obs::Counter::StoreHits, 1);
         }
-        IndexedTrace result;
-        result.trace = entry->trace;
-        result.index = artifact->index;
-        result.view = artifact->view;
-        result.lineBytes = line_bytes;
-        return result;
+        return IndexedTrace{entry->trace, artifact->value};
     }
 
     auto artifact = std::make_shared<Artifact>();
@@ -276,32 +244,36 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
 
     std::shared_ptr<const Trace> source = entry->trace;
     lock.unlock();
-    const std::uint64_t startNs = obs::monotonicNs();
-    auto view = std::make_shared<const PackedTraceView>(*source, line_bytes);
-    auto index = std::make_shared<const NextUseIndex>(*view,
-                                                      NextUseMode::RunStart);
-    const std::uint64_t elapsedNs = obs::monotonicNs() - startNs;
+    std::shared_ptr<const ReplayArtifact> built;
+    Status failed;
+    try
+    {
+        built = buildReplayArtifact(*source, line_bytes, name);
+    }
+    catch (...)
+    {
+        failed = statusFromException(std::current_exception())
+                     .withContext("building '" + name + "'");
+    }
     lock.lock();
 
-    artifact->index = index;
-    artifact->view = view;
     artifact->ready = true;
-    const std::uint64_t charge = artifactBytes(*index, *view);
-    entry->bytes += charge;
-    entry->lastUse = ++useClock;
-    tallies.residentBytes += charge;
-    ++tallies.indexBuilds;
-    chargeActive(obs::Counter::IndexBuildNs, elapsedNs);
-    chargeActive(obs::Counter::IndexBuilds, 1);
-    evictIfNeededLocked(entry.get());
+    artifact->value = built;
+    artifact->error = failed;
     storeCv.notify_all();
-
-    IndexedTrace result;
-    result.trace = source;
-    result.index = index;
-    result.view = view;
-    result.lineBytes = line_bytes;
-    return result;
+    if (!built)
+    {
+        // Like a failed load: every waiter gets the status, and the
+        // next request retries.
+        entry->artifacts.erase(line_bytes);
+        return failed;
+    }
+    entry->bytes += built->bytes();
+    entry->lastUse = ++useClock;
+    tallies.residentBytes += built->bytes();
+    ++tallies.indexBuilds;
+    evictIfNeededLocked(entry.get());
+    return IndexedTrace{source, built};
 }
 
 void TraceStore::evictIfNeededLocked(const Entry *keep)

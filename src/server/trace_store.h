@@ -1,9 +1,9 @@
 /**
  * @file
  * TraceStore: the server's in-memory cache of loaded traces and their
- * derived artifacts (RunStart next-use indices and packed views, per
- * line granularity), so repeated simulation queries skip DXT parsing
- * and index builds entirely.
+ * replay artifacts (packed view plus RunStart next-use index, per line
+ * granularity), so repeated simulation queries skip DXT parsing and
+ * artifact builds entirely.
  *
  * Guarantees:
  *   - Single-flight loading: concurrent requests for the same trace
@@ -24,8 +24,9 @@
  *
  * Counters flow two ways: the store's own snapshot (counters()) for
  * the STATS response, and — when an obs::MetricsCollector is
- * installed — the shared Counter shards (TraceLoad*, IndexBuild*,
- * StoreHits/StoreMisses/StoreEvictions) for the server's run report.
+ * installed — the shared Counter shards (TraceLoad*,
+ * StoreHits/StoreMisses/StoreEvictions; buildReplayArtifact charges
+ * IndexBuild*) for the server's run report.
  */
 
 #ifndef DYNEX_SERVER_TRACE_STORE_H
@@ -39,8 +40,7 @@
 #include <mutex>
 #include <string>
 
-#include "trace/next_use.h"
-#include "trace/packed_view.h"
+#include "sim/kernel.h"
 #include "trace/trace.h"
 #include "util/status.h"
 
@@ -53,9 +53,7 @@ namespace server
 struct IndexedTrace
 {
     std::shared_ptr<const Trace> trace;
-    std::shared_ptr<const NextUseIndex> index; ///< RunStart @ lineBytes
-    std::shared_ptr<const PackedTraceView> view;
-    std::uint32_t lineBytes = 0;
+    std::shared_ptr<const ReplayArtifact> artifact;
 };
 
 class TraceStore
@@ -85,7 +83,7 @@ class TraceStore
         std::uint64_t traceLoads = 0;  ///< loader invocations completed
         std::uint64_t loadFailures = 0;
         std::uint64_t indexHits = 0;   ///< artifact ready on arrival
-        std::uint64_t indexBuilds = 0; ///< index+view builds completed
+        std::uint64_t indexBuilds = 0; ///< artifact builds completed
         std::uint64_t singleFlightWaits = 0; ///< joined an in-flight op
         std::uint64_t evictions = 0;
         std::uint64_t residentBytes = 0;
@@ -104,9 +102,10 @@ class TraceStore
     Result<std::shared_ptr<const Trace>> trace(const std::string &name);
 
     /**
-     * The trace plus its RunStart next-use index and packed view at
-     * @p line_bytes, building them on first use (single-flight per
-     * (name, line)).
+     * The trace plus its replay artifact at @p line_bytes, building it
+     * on first use (single-flight per (name, line)). A build that
+     * throws is returned as its Status to every waiter and is not
+     * cached.
      */
     Result<IndexedTrace> indexed(const std::string &name,
                                  std::uint32_t line_bytes);
@@ -124,6 +123,10 @@ class TraceStore
     /** Evict LRU ready entries until the budget fits; @p keep is the
      * entry being returned and is never evicted. */
     void evictIfNeededLocked(const Entry *keep);
+
+    /** The size probe's figure for @p name; 0 when there is no probe
+     * or it throws. */
+    std::uint64_t probeEncoded(const std::string &name) const;
 
     /** Charge for @p trace under the probe; bumps the saved-bytes
      * tallies when the encoded size wins. Caller holds the lock. */

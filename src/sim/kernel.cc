@@ -491,21 +491,6 @@ fillLegMetrics(const std::string &label,
     }
 }
 
-void
-checkKernelInputs(const PackedTraceView &view,
-                  const NextUseIndex &index, std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config)
-{
-    DYNEX_ASSERT(index.blockSize() == line_bytes,
-                 "index granularity mismatch");
-    DYNEX_ASSERT(view.blockBytes() == line_bytes,
-                 "packed view granularity mismatch");
-    DYNEX_ASSERT(view.size() <= index.size(),
-                 "next-use index shorter than the trace");
-    DYNEX_ASSERT(config.stickyMax >= 1,
-                 "sticky_max must be at least 1");
-}
-
 } // namespace
 
 const char *
@@ -524,12 +509,6 @@ parseReplayEngine(const std::string &name)
     return std::nullopt;
 }
 
-const char *
-kernelIsaName(KernelIsa isa)
-{
-    return isa == KernelIsa::Avx2 ? "avx2" : "scalar";
-}
-
 KernelIsa
 kernelDispatchIsa()
 {
@@ -544,20 +523,59 @@ setKernelForceScalar(bool force)
     gForceScalar.store(force, std::memory_order_relaxed);
 }
 
-bool
-kernelForceScalar()
+std::string
+FailedLeg::toString() const
 {
-    return gForceScalar.load(std::memory_order_relaxed);
+    return bench + " @ " +
+           (sizeBytes ? formatSize(sizeBytes) : std::string("all")) +
+           " [" + model + "]: " + status.toString();
+}
+
+void
+throwIfFailed(const std::vector<FailedLeg> &failures)
+{
+    if (!failures.empty())
+        throw StatusError(failures.front().status);
+}
+
+ReplayArtifact::ReplayArtifact(const Trace &trace,
+                               std::uint32_t line_bytes)
+    : packed(trace, line_bytes), nextUse(packed, NextUseMode::RunStart)
+{
+}
+
+std::shared_ptr<const ReplayArtifact>
+buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
+                    const std::string &label)
+{
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    obs::Tracer *const tracer = obs::Tracer::active();
+    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
+    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
+
+    std::shared_ptr<const ReplayArtifact> artifact(
+        new ReplayArtifact(trace, line_bytes));
+
+    if (metrics) {
+        metrics->add(obs::Counter::IndexBuildNs,
+                     obs::monotonicNs() - metrics_t0);
+        metrics->add(obs::Counter::IndexBuilds, 1);
+    }
+    if (tracer)
+        tracer->complete("index " + label, "index", tracer_t0,
+                         tracer->nowNs() - tracer_t0);
+    return artifact;
 }
 
 TriadBatchOutcome
-replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
+replayTriadKernel(const ReplayArtifact &artifact,
                   const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
                   const DynamicExclusionConfig &de_config,
                   const std::string &label)
 {
-    checkKernelInputs(view, index, line_bytes, de_config);
+    DYNEX_ASSERT(de_config.stickyMax >= 1,
+                 "sticky_max must be at least 1");
+    const PackedTraceView &view = artifact.view();
 
     TriadBatchOutcome outcome;
     outcome.triads.resize(sizes.size());
@@ -573,14 +591,15 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
             legs[s] = std::make_unique<KernelLeg>(
-                sizes[s], line_bytes, view.distinctBlocks(), de_config);
+                sizes[s], artifact.lineBytes(), view.distinctBlocks(),
+                de_config);
         } catch (...) {
             legs[s].reset();
             leg_status[s] = statusFromException(std::current_exception());
         }
     }
 
-    runKernelPass(view, index, label, legs, de_config);
+    runKernelPass(view, artifact.index(), label, legs, de_config);
 
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         if (legs[s]) {
@@ -590,7 +609,8 @@ replayTriadKernel(const PackedTraceView &view, const NextUseIndex &index,
         }
         outcome.ok[s] = leg_status[s].ok();
         if (!outcome.ok[s])
-            outcome.failures.push_back({s, std::move(leg_status[s])});
+            outcome.failures.push_back(
+                {label, sizes[s], "triad", std::move(leg_status[s])});
     }
     fillLegMetrics(label, sizes, view.size(), legs, outcome);
     return outcome;
@@ -658,14 +678,6 @@ checkLegIdentities(const TriadResult &triad, Count de_last_line_hits)
             std::to_string(triad.de.coldMisses) + ", " +
             std::to_string(triad.opt.coldMisses) + ")");
     return Status();
-}
-
-std::vector<TriadResult>
-triadsOrThrow(TriadBatchOutcome outcome)
-{
-    if (!outcome.allOk())
-        throw StatusError(std::move(outcome.failures.front().status));
-    return std::move(outcome.triads);
 }
 
 } // namespace dynex

@@ -33,6 +33,7 @@
 #ifndef DYNEX_SIM_KERNEL_H
 #define DYNEX_SIM_KERNEL_H
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,9 +89,6 @@ enum class KernelIsa
     Avx2,   ///< explicit 256-bit lanes for the chunk precomputes
 };
 
-/** @return a short lowercase name for @p isa ("scalar", "avx2"). */
-const char *kernelIsaName(KernelIsa isa);
-
 /**
  * The ISA the kernel will use for the next pass: Avx2 when the CPU
  * supports it and setKernelForceScalar(true) is not in effect, Scalar
@@ -102,15 +100,62 @@ KernelIsa kernelDispatchIsa();
  * dispatch unit test uses it to compare both paths on one machine). */
 void setKernelForceScalar(bool force);
 
-/** @return true when the scalar override is active. */
-bool kernelForceScalar();
-
-/** One failed size leg of a kernel pass. */
-struct TriadLegFailure
+/**
+ * One failed leg of a fault-tolerant sweep. sizeBytes == 0 means the
+ * whole benchmark failed (trace load / artifact build / setup), so
+ * every size of that benchmark is invalid.
+ */
+struct FailedLeg
 {
-    std::size_t sizeIndex = 0;
+    std::string bench;
+    std::uint64_t sizeBytes = 0;
+    /** Which model(s) the failure covers; "triad" = all three. */
+    std::string model = "triad";
     Status status;
+
+    std::string toString() const;
 };
+
+/** For callers that must not fail (the figure benches, the line
+ * sweeps): throw the first of @p failures as a StatusError. */
+void throwIfFailed(const std::vector<FailedLeg> &failures);
+
+/**
+ * A trace's replay artifact at one line size: its packed view and the
+ * RunStart next-use index built from that view, 12 bytes per
+ * reference. Only buildReplayArtifact makes one, so the view and the
+ * index always share the trace, the length and the granularity.
+ */
+class ReplayArtifact
+{
+  public:
+    const PackedTraceView &view() const { return packed; }
+    const NextUseIndex &index() const { return nextUse; }
+    std::uint32_t lineBytes() const { return packed.blockBytes(); }
+    /** Resident bytes: the view's set words and ids plus the index's
+     * ticks. */
+    std::uint64_t bytes() const { return packed.bytes() + nextUse.bytes(); }
+
+  private:
+    friend std::shared_ptr<const ReplayArtifact>
+    buildReplayArtifact(const Trace &, std::uint32_t, const std::string &);
+
+    ReplayArtifact(const Trace &trace, std::uint32_t line_bytes);
+
+    PackedTraceView packed;
+    NextUseIndex nextUse;
+};
+
+/**
+ * Pack @p trace at @p line_bytes and build its RunStart next-use
+ * index: the one place either is built for replay. Charges one
+ * IndexBuilds and the view-plus-index wall time to IndexBuildNs and
+ * records one "index" span named after @p label, whichever path (CLI,
+ * suite, served) asks. Throws what the view or the index throws.
+ */
+std::shared_ptr<const ReplayArtifact>
+buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
+                    const std::string &label);
 
 /** The result of replaying every size leg of one trace, by either
  * engine: per-size triads plus a validity mask and the statuses of any
@@ -120,37 +165,33 @@ struct TriadBatchOutcome
     /** triads[s] is meaningful iff ok[s]. */
     std::vector<TriadResult> triads;
     std::vector<std::uint8_t> ok;
-    /** Sorted by sizeIndex. */
-    std::vector<TriadLegFailure> failures;
+    /** One per failed leg, ordered by size. */
+    std::vector<FailedLeg> failures;
 
     bool allOk() const { return failures.empty(); }
 };
 
 /**
  * Replay all |sizes| x {conventional, dynamic-exclusion, optimal}
- * legs of @p view in one pass through the SoA lanes. triads[s] is
- * bit-identical to runTriad(trace, index, sizes[s], line_bytes,
- * de_config) for the trace @p view packs.
+ * legs of @p artifact in one pass through the SoA lanes, at the
+ * artifact's line size. triads[s] is bit-identical to runTriad(trace,
+ * artifact.index(), sizes[s], artifact.lineBytes(), de_config) for the
+ * trace the artifact was built from.
  *
  * A leg whose setup throws (a bad geometry, a set count beyond 32
  * bits, or an injected fault via the sweep fault hook) is recorded as
- * a TriadLegFailure and skipped; the surviving legs never interact
- * with it, so they complete with results bit-identical to an unfaulted
- * run. A completed leg whose counts break checkLegIdentities is
- * recorded as a failure too, never returned as a table.
+ * a FailedLeg{label, sizes[s], "triad", status} and skipped; the
+ * surviving legs never interact with it, so they complete with results
+ * bit-identical to an unfaulted run. A completed leg whose counts
+ * break checkLegIdentities is recorded as a failure too, never
+ * returned as a table.
  *
- * @param view the trace packed at @p line_bytes granularity; callers
- *        holding a cached view (the serving TraceStore) pass it here
- *        and skip repacking.
- * @param index a RunStart next-use oracle for the same trace at
- *        @p line_bytes granularity (normally built from @p view),
- *        shared by every optimal leg.
- * @param label the benchmark label for metrics slots, tracer spans
- *        and the sweep fault hook.
+ * @param label the benchmark label for failures, metrics slots,
+ *        tracer spans and the sweep fault hook.
  */
 TriadBatchOutcome replayTriadKernel(
-    const PackedTraceView &view, const NextUseIndex &index,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
+    const ReplayArtifact &artifact,
+    const std::vector<std::uint64_t> &sizes,
     const DynamicExclusionConfig &de_config, const std::string &label);
 
 /**
@@ -172,10 +213,6 @@ TriadBatchOutcome replayTriadKernel(
  */
 Status checkLegIdentities(const TriadResult &triad,
                           Count de_last_line_hits);
-
-/** The triads of a replay that must not fail: the first failed leg's
- * status is thrown as a StatusError. */
-std::vector<TriadResult> triadsOrThrow(TriadBatchOutcome outcome);
 
 } // namespace dynex
 

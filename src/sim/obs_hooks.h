@@ -1,9 +1,9 @@
 /**
  * @file
- * Internal glue between the sweep engines and the obs layer: tiny
- * helpers that read the active collector/tracer/progress pointers once
- * per leg (or per build), so the engine code stays readable and the
- * cost with observability off stays at a few null checks per leg.
+ * Internal glue between the per-leg engine and the obs layer: a tiny
+ * helper that reads the active collector/tracer/progress pointers once
+ * per leg, so the engine code stays readable and the cost with
+ * observability off stays at a few null checks per leg.
  *
  * This header is sim-internal; the public observability surface is
  * src/obs/.
@@ -19,61 +19,12 @@
 #include "obs/trace_events.h"
 #include "sim/runner.h"
 #include "trace/next_use.h"
-#include "trace/packed_view.h"
 #include "trace/trace.h"
 
 namespace dynex
 {
 namespace simobs
 {
-
-/**
- * Timer for a next-use index build. Construct immediately before the
- * build, call finish(bench) after it: charges wall time and a build
- * count to the counters and emits one "index" span. All no-ops when
- * nothing is installed.
- */
-struct IndexBuildTimer
-{
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
-    std::uint64_t metricsT0 = 0;
-    std::uint64_t tracerT0 = 0;
-
-    IndexBuildTimer()
-    {
-        if (metrics)
-            metricsT0 = obs::monotonicNs();
-        if (tracer)
-            tracerT0 = tracer->nowNs();
-    }
-
-    void
-    finish(const std::string &bench)
-    {
-        if (metrics) {
-            metrics->add(obs::Counter::IndexBuildNs,
-                         obs::monotonicNs() - metricsT0);
-            metrics->add(obs::Counter::IndexBuilds, 1);
-        }
-        if (tracer)
-            tracer->complete("index " + bench, "index", tracerT0,
-                             tracer->nowNs() - tracerT0);
-    }
-};
-
-/**
- * Build the RunStart next-use index of @p view (one backward pass over
- * its dense ids) under an IndexBuildTimer charged to @p bench.
- */
-inline NextUseIndex
-indexRunStarts(const PackedTraceView &view, const std::string &bench)
-{
-    IndexBuildTimer timer;
-    NextUseIndex index(view, NextUseMode::RunStart);
-    timer.finish(bench);
-    return index;
-}
 
 /**
  * Run one (bench, cache size) triad leg through the per-leg engine

@@ -2,27 +2,14 @@
 
 #include <memory>
 #include <optional>
-#include <sstream>
 
 #include "sim/kernel.h"
 #include "sim/obs_hooks.h"
 #include "sim/workloads.h"
-#include "trace/next_use.h"
-#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace dynex
 {
-
-std::string
-FailedLeg::toString() const
-{
-    std::ostringstream oss;
-    oss << bench << " @ "
-        << (sizeBytes ? formatSize(sizeBytes) : std::string("all"))
-        << " [" << model << "]: " << status.toString();
-    return oss.str();
-}
 
 std::shared_ptr<const Trace>
 loadStream(const std::string &name, Count refs, StreamKind stream)
@@ -56,35 +43,27 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
     return trace;
 }
 
-void
-simParallelFor(std::size_t n,
-               const std::function<void(std::size_t)> &body)
-{
-    ThreadPool::global().parallelFor(n, body);
-}
-
 TriadBatchOutcome
 replayTriads(ReplayEngine engine, const Trace &trace,
-             const PackedTraceView &view, const NextUseIndex &index,
+             const ReplayArtifact &artifact,
              const std::vector<std::uint64_t> &sizes,
-             std::uint32_t line_bytes,
              const DynamicExclusionConfig &config,
              const std::string &label)
 {
     if (engine == ReplayEngine::Kernel)
-        return replayTriadKernel(view, index, sizes, line_bytes, config,
-                                 label);
+        return replayTriadKernel(artifact, sizes, config, label);
 
     TriadBatchOutcome outcome;
     outcome.triads.resize(sizes.size());
     outcome.ok.assign(sizes.size(), 0);
     std::vector<Status> leg_status(sizes.size());
-    simParallelFor(sizes.size(), [&](std::size_t s) {
+    ThreadPool::global().parallelFor(sizes.size(), [&](std::size_t s) {
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
             outcome.triads[s] = simobs::runTriadLeg(
-                trace, index, label, sizes[s], line_bytes, config);
+                trace, artifact.index(), label, sizes[s],
+                artifact.lineBytes(), config);
             outcome.ok[s] = 1;
         } catch (...) {
             leg_status[s] =
@@ -93,31 +72,17 @@ replayTriads(ReplayEngine engine, const Trace &trace,
     });
     for (std::size_t s = 0; s < sizes.size(); ++s)
         if (!outcome.ok[s])
-            outcome.failures.push_back({s, std::move(leg_status[s])});
+            outcome.failures.push_back(
+                {label, sizes[s], "triad", std::move(leg_status[s])});
     return outcome;
 }
 
-std::vector<std::vector<TriadResult>>
+SuiteSweepOutcome
 sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
                  Count refs, const std::vector<std::uint64_t> &sizes,
                  std::uint32_t line_bytes,
                  const DynamicExclusionConfig &config, StreamKind stream,
                  ReplayEngine engine)
-{
-    SuiteSweepOutcome outcome = sweepSuiteTriadsChecked(
-        benchmark_names, refs, sizes, line_bytes, config, stream, engine);
-    if (!outcome.allOk())
-        throw StatusError(std::move(outcome.failures.front().status));
-    return std::move(outcome.grid);
-}
-
-SuiteSweepOutcome
-sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
-                        Count refs,
-                        const std::vector<std::uint64_t> &sizes,
-                        std::uint32_t line_bytes,
-                        const DynamicExclusionConfig &config,
-                        StreamKind stream, ReplayEngine engine)
 {
     const std::size_t benches = benchmark_names.size();
     SuiteSweepOutcome outcome;
@@ -138,29 +103,23 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
             if (obs::Tracer::active())
                 bench_span.emplace("bench", "bench " + bench);
             std::shared_ptr<const Trace> trace;
-            std::optional<PackedTraceView> view;
-            std::optional<NextUseIndex> index;
+            std::shared_ptr<const ReplayArtifact> artifact;
             try {
                 if (const auto &hook = sweepFaultHook())
                     hook(bench, 0);
                 trace = loadStream(bench, refs, stream);
-                view.emplace(*trace, line_bytes);
-                index.emplace(simobs::indexRunStarts(*view, bench));
+                artifact = buildReplayArtifact(*trace, line_bytes, bench);
             } catch (...) {
                 per_bench[b].push_back(
                     {bench, 0, "triad",
                      statusFromException(std::current_exception())});
                 return;
             }
-            TriadBatchOutcome pass =
-                replayTriads(engine, *trace, *view, *index, sizes,
-                             line_bytes, config, bench);
+            TriadBatchOutcome pass = replayTriads(
+                engine, *trace, *artifact, sizes, config, bench);
             outcome.grid[b] = std::move(pass.triads);
             outcome.ok[b] = std::move(pass.ok);
-            for (auto &failure : pass.failures)
-                per_bench[b].push_back({bench, sizes[failure.sizeIndex],
-                                        "triad",
-                                        std::move(failure.status)});
+            per_bench[b] = std::move(pass.failures);
         });
 
     // A failure that escaped the per-leg capture (e.g. an allocation
@@ -187,26 +146,25 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
                      ReplayEngine engine)
 {
     std::vector<std::vector<TriadResult>> grid(benchmark_names.size());
-    simParallelFor(benchmark_names.size(), [&](std::size_t b) {
-        const std::string &bench = benchmark_names[b];
-        std::optional<obs::ScopedSpan> bench_span;
-        if (obs::Tracer::active())
-            bench_span.emplace("bench", "bench " + bench);
-        const auto trace =
-            loadStream(bench, refs, StreamKind::Instructions);
-        const std::vector<std::uint64_t> one_size = {size_bytes};
-        auto &row = grid[b];
-        row.resize(lines.size());
-        for (std::size_t l = 0; l < lines.size(); ++l) {
-            const PackedTraceView view(*trace, lines[l]);
-            const NextUseIndex index =
-                simobs::indexRunStarts(view, bench);
-            row[l] = triadsOrThrow(replayTriads(engine, *trace, view,
-                                                index, one_size,
-                                                lines[l], config,
-                                                bench))[0];
-        }
-    });
+    ThreadPool::global().parallelFor(
+        benchmark_names.size(), [&](std::size_t b) {
+            const std::string &bench = benchmark_names[b];
+            std::optional<obs::ScopedSpan> bench_span;
+            if (obs::Tracer::active())
+                bench_span.emplace("bench", "bench " + bench);
+            const auto trace =
+                loadStream(bench, refs, StreamKind::Instructions);
+            auto &row = grid[b];
+            row.resize(lines.size());
+            for (std::size_t l = 0; l < lines.size(); ++l) {
+                const TriadBatchOutcome pass = replayTriads(
+                    engine, *trace,
+                    *buildReplayArtifact(*trace, lines[l], bench),
+                    {size_bytes}, config, bench);
+                throwIfFailed(pass.failures);
+                row[l] = pass.triads[0];
+            }
+        });
     return grid;
 }
 

@@ -15,7 +15,6 @@
 #ifndef DYNEX_SIM_PARALLEL_H
 #define DYNEX_SIM_PARALLEL_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,22 +26,6 @@
 
 namespace dynex
 {
-
-/**
- * One failed leg of a fault-tolerant sweep. sizeBytes == 0 means the
- * whole benchmark failed (trace load / index build / setup), so every
- * size of that benchmark is invalid.
- */
-struct FailedLeg
-{
-    std::string bench;
-    std::uint64_t sizeBytes = 0;
-    /** Which model(s) the failure covers; "triad" = all three. */
-    std::string model = "triad";
-    Status status;
-
-    std::string toString() const;
-};
 
 /**
  * A fault-tolerant suite sweep's result: the triad grid plus a
@@ -72,56 +55,35 @@ std::shared_ptr<const Trace> loadStream(const std::string &name,
                                         Count refs, StreamKind stream);
 
 /**
- * Run body(i) for i in [0, n) on the global pool and block until all
- * complete. Thin wrapper over ThreadPool::global().parallelFor so sim
- * code does not depend on the pool type directly; may be nested.
- */
-void simParallelFor(std::size_t n,
-                    const std::function<void(std::size_t)> &body);
-
-/**
  * Replay every size leg of @p trace with @p engine: the one place a
- * sweep's engine choice is made. The kernel streams @p view and
- * @p index once for all legs; PerLeg runs one observed runTriad per
- * size across the pool. Either engine calls the sweep fault hook as
- * hook(label, size) per leg and records a leg that throws as a
- * TriadLegFailure without perturbing the others.
+ * sweep's engine choice is made. The kernel streams @p artifact once
+ * for all legs; PerLeg runs one observed runTriad per size across the
+ * pool, against the artifact's index. Either engine calls the sweep
+ * fault hook as hook(label, size) per leg and records a leg that
+ * throws as a FailedLeg without perturbing the others.
  *
- * @param view @p trace packed at @p line_bytes.
- * @param index a RunStart next-use index over @p trace at @p line_bytes.
- * @param label names the legs' metrics slots, spans and fault-hook
- *        calls.
+ * @param artifact @p trace's replay artifact; its line size is the
+ *        legs' line size.
+ * @param label names the legs' failures, metrics slots, spans and
+ *        fault-hook calls.
  */
 TriadBatchOutcome replayTriads(ReplayEngine engine, const Trace &trace,
-                               const PackedTraceView &view,
-                               const NextUseIndex &index,
+                               const ReplayArtifact &artifact,
                                const std::vector<std::uint64_t> &sizes,
-                               std::uint32_t line_bytes,
                                const DynamicExclusionConfig &config,
                                const std::string &label);
 
 /**
- * The full triad grid of a suite sweep: result[b][s] is the triad of
- * benchmark_names[b] at sizes[s]; the first failure is thrown as a
- * StatusError. A thin wrapper over sweepSuiteTriadsChecked.
+ * The full triad grid of a suite sweep. One trace and its replay
+ * artifact are built per benchmark and shared by replayTriads across
+ * its sizes; benchmarks fan out across the pool, so peak memory scales
+ * with the worker count, not the suite size. Every failure -- a
+ * throwing trace load, a failing leg, an injected fault (the hook also
+ * sees (bench, 0) before the load) -- is captured as a FailedLeg, and
+ * every unaffected leg completes bit-identical to an unfaulted run at
+ * any worker count.
  */
-std::vector<std::vector<TriadResult>> sweepSuiteTriads(
-    const std::vector<std::string> &benchmark_names, Count refs,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Kernel);
-
-/**
- * The full triad grid of a suite sweep, fault-tolerant. One trace, its
- * packed view and its RunStart next-use index are built per benchmark
- * and shared by replayTriads across its sizes; benchmarks fan out across the pool,
- * so peak memory scales with the worker count, not the suite size.
- * Every failure -- a throwing trace load, a failing leg, an injected
- * fault (the hook also sees (bench, 0) before the load) -- is captured
- * as a FailedLeg, and every unaffected leg completes bit-identical to
- * an unfaulted run at any worker count.
- */
-SuiteSweepOutcome sweepSuiteTriadsChecked(
+SuiteSweepOutcome sweepSuiteTriads(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config, StreamKind stream,
@@ -130,10 +92,10 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
 /**
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
- * view and RunStart index are built per (benchmark, line size), since
- * block identity depends on the granularity; a benchmark's line sizes
- * run serially, and benchmarks fan out across the pool. The first failure is thrown as
- * a StatusError.
+ * replay artifact is built per (benchmark, line size), since block
+ * identity depends on the granularity; a benchmark's line sizes run
+ * serially, and benchmarks fan out across the pool. The first failure
+ * is thrown as a StatusError (throwIfFailed).
  */
 std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(
     const std::vector<std::string> &benchmark_names, Count refs,

@@ -22,13 +22,13 @@ namespace dynex
 {
 
 /**
- * Fault-injection point for the checked sweep engines (tests and the
- * CLI's --inject-fault flag). When set, the hook is invoked before
- * each leg of a *checked* sweep runs — once per benchmark with
- * size_bytes == 0 ("setup"), and once per (benchmark, cache size)
- * leg — and may throw (typically StatusError) to make that leg fail.
- * The unchecked hot paths never consult it. Set it before a sweep
- * starts; it is read concurrently while one runs.
+ * Fault-injection point for the sweep engines (tests and the CLI's
+ * --inject-fault flag). When set, both engines invoke it before each
+ * (benchmark, cache size) leg of every sweep, and suite sweeps also
+ * invoke it once per benchmark with size_bytes == 0 ("setup") before
+ * loading the trace; single-trace sweeps make no setup call. It may
+ * throw (typically StatusError) to make that leg fail. Set it before a
+ * sweep starts; it is read concurrently while one runs.
  */
 using SweepFaultHook =
     std::function<void(const std::string &bench, std::uint64_t size_bytes)>;

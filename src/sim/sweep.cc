@@ -5,10 +5,7 @@
 #include "sim/kernel.h"
 #include "sim/obs_hooks.h"
 #include "sim/parallel.h"
-#include "sim/workloads.h"
-#include "trace/next_use.h"
 #include "util/bitops.h"
-#include "util/logging.h"
 #include "util/stats.h"
 
 namespace dynex
@@ -91,38 +88,13 @@ const
     return percentReduction(dmMissPct, optMissPct);
 }
 
-std::vector<SizeSweepPoint>
-sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
-           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
-           ReplayEngine engine)
-{
-    SizeSweepOutcome outcome =
-        sweepSizesChecked(trace, sizes, line_bytes, config, engine);
-    if (!outcome.allOk())
-        throw StatusError(std::move(outcome.failures.front().status));
-    return std::move(outcome.points);
-}
-
-namespace
-{
-
-/** The shared checked-sweep body; the caller owns the sweep span and
- * has already built (or fetched) the view and index. */
 SizeSweepOutcome
-sweepSizesCheckedImpl(const Trace &trace, const PackedTraceView &view,
-                      const NextUseIndex &index,
-                      const std::vector<std::uint64_t> &sizes,
-                      std::uint32_t line_bytes,
-                      const DynamicExclusionConfig &config,
-                      ReplayEngine engine)
+sweepSizes(const Trace &trace, const ReplayArtifact &artifact,
+           const std::vector<std::uint64_t> &sizes,
+           const DynamicExclusionConfig &config, ReplayEngine engine)
 {
-    DYNEX_ASSERT(index.blockSize() == line_bytes &&
-                     index.mode() == NextUseMode::RunStart,
-                 "sweepSizesChecked needs a RunStart index at line "
-                 "granularity");
-    TriadBatchOutcome pass = replayTriads(engine, trace, view, index,
-                                          sizes, line_bytes, config,
-                                          trace.name());
+    TriadBatchOutcome pass = replayTriads(engine, trace, artifact, sizes,
+                                          config, trace.name());
     SizeSweepOutcome outcome;
     outcome.points.resize(sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {
@@ -134,31 +106,22 @@ sweepSizesCheckedImpl(const Trace &trace, const PackedTraceView &view,
                        : SizeSweepPoint{sizes[s]};
     }
     outcome.ok = std::move(pass.ok);
-    for (auto &failure : pass.failures)
-        outcome.failures.push_back({trace.name(),
-                                    sizes[failure.sizeIndex], "triad",
-                                    std::move(failure.status)});
+    outcome.failures = std::move(pass.failures);
     return outcome;
 }
 
-} // namespace
-
 SizeSweepOutcome
-sweepSizesChecked(const Trace &trace,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config,
-                  ReplayEngine engine)
+sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
+           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
+           ReplayEngine engine)
 {
     std::optional<obs::ScopedSpan> sweep_span;
     if (obs::Tracer::active())
         sweep_span.emplace("sweep", "sweep " + trace.name());
 
-    std::optional<PackedTraceView> view;
-    std::optional<NextUseIndex> index;
+    std::shared_ptr<const ReplayArtifact> artifact;
     try {
-        view.emplace(trace, line_bytes);
-        index.emplace(simobs::indexRunStarts(*view, trace.name()));
+        artifact = buildReplayArtifact(trace, line_bytes, trace.name());
     } catch (...) {
         // Without the shared view and next-use oracle no leg can run.
         const Status status =
@@ -174,51 +137,16 @@ sweepSizesChecked(const Trace &trace,
         }
         return outcome;
     }
-    return sweepSizesCheckedImpl(trace, *view, *index, sizes,
-                                 line_bytes, config, engine);
-}
-
-SizeSweepOutcome
-sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
-                  const PackedTraceView &view,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config,
-                  ReplayEngine engine)
-{
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesCheckedImpl(trace, view, index, sizes, line_bytes,
-                                 config, engine);
-}
-
-std::vector<SizeSweepPoint>
-sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
-                  Count refs, const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config, bool data_refs,
-                  bool mixed_refs, ReplayEngine engine)
-{
-    SuiteAverageOutcome outcome = sweepSuiteAverageChecked(
-        benchmark_names, refs, sizes, line_bytes, config, data_refs,
-        mixed_refs, engine);
-    if (!outcome.allOk())
-        throw StatusError(std::move(outcome.failures.front().status));
-    return std::move(outcome.points);
+    return sweepSizes(trace, *artifact, sizes, config, engine);
 }
 
 SuiteAverageOutcome
-sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
-                         Count refs,
-                         const std::vector<std::uint64_t> &sizes,
-                         std::uint32_t line_bytes,
-                         const DynamicExclusionConfig &config,
-                         bool data_refs, bool mixed_refs,
-                         ReplayEngine engine)
+sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
+                  Count refs, const std::vector<std::uint64_t> &sizes,
+                  std::uint32_t line_bytes,
+                  const DynamicExclusionConfig &config, StreamKind stream,
+                  ReplayEngine engine)
 {
-    DYNEX_ASSERT(!(data_refs && mixed_refs),
-                 "choose one stream kind");
     SuiteAverageOutcome outcome;
     outcome.points.resize(sizes.size());
     outcome.ok.assign(sizes.size(), 0);
@@ -226,12 +154,8 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
     for (std::size_t s = 0; s < sizes.size(); ++s)
         outcome.points[s].sizeBytes = sizes[s];
 
-    const StreamKind stream = mixed_refs ? StreamKind::Mixed
-                              : data_refs ? StreamKind::Data
-                                          : StreamKind::Instructions;
-    auto suite = sweepSuiteTriadsChecked(benchmark_names, refs, sizes,
-                                         line_bytes, config, stream,
-                                         engine);
+    auto suite = sweepSuiteTriads(benchmark_names, refs, sizes,
+                                  line_bytes, config, stream, engine);
     outcome.failures = std::move(suite.failures);
 
     // Serial reduction in benchmark order: the same floating-point

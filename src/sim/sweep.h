@@ -52,22 +52,10 @@ struct SizeSweepPoint
 };
 
 /**
- * Run the three-way comparison over @p sizes on one trace.
- * A single RunStart next-use index at @p line_bytes is built once.
- * With the default Kernel engine the trace is streamed once for all
- * sizes and models; PerLeg replays the object models per (size, model)
- * leg. Both produce bit-identical results at any thread count.
- */
-std::vector<SizeSweepPoint> sweepSizes(
-    const Trace &trace, const std::vector<std::uint64_t> &sizes,
-    std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Kernel);
-
-/**
- * A fault-tolerant size sweep's result: every requested size has a
- * point (with its sizeBytes filled in), but points[s] carries real
- * miss rates only when ok[s]; the statuses of failed legs are listed
- * in failures (ordered by size).
+ * A size sweep's result: every requested size has a point (with its
+ * sizeBytes filled in), but points[s] carries real miss rates only
+ * when ok[s]; the statuses of failed legs are listed in failures
+ * (ordered by size).
  */
 struct SizeSweepOutcome
 {
@@ -79,58 +67,37 @@ struct SizeSweepOutcome
 };
 
 /**
- * The fault-tolerant form of sweepSizes: a failing leg (including one
- * injected via the sweep fault hook) is recorded instead of
- * propagating, and every other leg completes bit-identical to an
- * unfaulted run at any worker count.
+ * Run the three-way comparison over @p sizes on one trace, at the
+ * line size of @p artifact (built from @p trace). With the default
+ * Kernel engine the artifact is streamed once for all sizes and
+ * models; PerLeg replays the object models per (size, model) leg.
+ * Both produce bit-identical results at any thread count. A failing
+ * leg (including one injected via the sweep fault hook) is recorded
+ * instead of propagating, and every other leg completes bit-identical
+ * to an unfaulted run. The serving subsystem passes the TraceStore's
+ * cached artifact, so a warm request neither repacks nor reindexes.
  */
-SizeSweepOutcome sweepSizesChecked(
+SizeSweepOutcome sweepSizes(
+    const Trace &trace, const ReplayArtifact &artifact,
+    const std::vector<std::uint64_t> &sizes,
+    const DynamicExclusionConfig &config = {},
+    ReplayEngine engine = ReplayEngine::Kernel);
+
+/**
+ * sweepSizes over a replay artifact built here at @p line_bytes, under
+ * one "sweep" span. A failed build fails every leg.
+ */
+SizeSweepOutcome sweepSizes(
     const Trace &trace, const std::vector<std::uint64_t> &sizes,
     std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
     ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
- * sweepSizesChecked over artifacts the caller already holds: @p index
- * must be a RunStart index over @p trace and @p view its packing, both
- * at @p line_bytes granularity. The serving subsystem passes the
- * TraceStore's cached pair so a warm request neither rebuilds the
- * index nor repacks the trace; results are bit-identical to the
- * overload that builds both.
- */
-SizeSweepOutcome sweepSizesChecked(
-    const Trace &trace, const NextUseIndex &index,
-    const PackedTraceView &view,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Kernel);
-
-/**
- * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
- * percentages at each size (the paper's "average ... across the SPEC
- * benchmarks").
- *
- * @param benchmark_names suite member names.
- * @param refs per-benchmark reference budget.
- * @param data_refs use the data stream instead of instruction fetches.
- * @param mixed_refs use the mixed I+D stream.
- * @param engine kernel (one trace pass per benchmark) or per-leg.
- *
- * The first failure is thrown as a StatusError: a thin wrapper over
- * sweepSuiteAverageChecked.
- */
-std::vector<SizeSweepPoint> sweepSuiteAverage(
-    const std::vector<std::string> &benchmark_names, Count refs,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {}, bool data_refs = false,
-    bool mixed_refs = false,
-    ReplayEngine engine = ReplayEngine::Kernel);
-
-/**
- * A fault-tolerant suite average: points[s] averages the benchmarks
- * whose leg at sizes[s] succeeded (contributors[s] of them, in input
- * order — the same accumulation order as the unfaulted reduction);
- * ok[s] is false when no benchmark contributed. Per-leg failures are
- * listed in failures.
+ * A suite average: points[s] averages the benchmarks whose leg at
+ * sizes[s] succeeded (contributors[s] of them, in input order -- the
+ * same accumulation order as an unfaulted reduction); ok[s] is false
+ * when no benchmark contributed. Per-leg failures are listed in
+ * failures.
  */
 struct SuiteAverageOutcome
 {
@@ -142,12 +109,21 @@ struct SuiteAverageOutcome
     bool allOk() const { return failures.empty(); }
 };
 
-/** The fault-tolerant form of sweepSuiteAverage. */
-SuiteAverageOutcome sweepSuiteAverageChecked(
+/**
+ * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
+ * percentages at each size (the paper's "average ... across the SPEC
+ * benchmarks"), over sweepSuiteTriads.
+ *
+ * @param benchmark_names suite member names.
+ * @param refs per-benchmark reference budget.
+ * @param stream which reference stream of each benchmark to replay.
+ * @param engine kernel (one trace pass per benchmark) or per-leg.
+ */
+SuiteAverageOutcome sweepSuiteAverage(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {}, bool data_refs = false,
-    bool mixed_refs = false,
+    const DynamicExclusionConfig &config = {},
+    StreamKind stream = StreamKind::Instructions,
     ReplayEngine engine = ReplayEngine::Kernel);
 
 /** One (line size, triad) point at fixed capacity. */
@@ -162,7 +138,8 @@ struct LineSweepPoint
     double optImprovementPct() const;
 };
 
-/** Suite-averaged line-size sweep at fixed @p size_bytes. */
+/** Suite-averaged line-size sweep at fixed @p size_bytes; the first
+ * failed leg is thrown as a StatusError. */
 std::vector<LineSweepPoint> sweepSuiteLineSizes(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,

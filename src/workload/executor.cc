@@ -83,8 +83,8 @@ runLocal(const CampaignSpec &spec, CampaignReport &report)
             return trace.status();
         for (const std::uint32_t line : spec.lines) {
             const SizeSweepOutcome outcome =
-                sweepSizesChecked(trace.value(), spec.sizes, line,
-                                  legConfig(spec, line), spec.engine);
+                sweepSizes(trace.value(), spec.sizes, line,
+                           legConfig(spec, line), spec.engine);
             appendOutcome(report, source.label, line, spec.sizes,
                           outcome);
         }

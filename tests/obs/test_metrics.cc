@@ -48,7 +48,7 @@ struct SweptReport
     obs::RunReport report;
 };
 
-/** Run a checked size sweep at @p threads with a collector installed
+/** Run a size sweep at @p threads with a collector installed
  * and assemble its report. */
 SweptReport
 sweepWithMetrics(const Trace &trace, unsigned threads,
@@ -63,7 +63,7 @@ sweepWithMetrics(const Trace &trace, unsigned threads,
     {
         obs::ScopedMetrics install(&collector);
         result.outcome =
-            sweepSizesChecked(trace, kSizes, 4, {}, engine);
+            sweepSizes(trace, kSizes, 4, {}, engine);
     }
 
     obs::RunInfo info;
@@ -178,8 +178,10 @@ TEST(MetricsReport, InstrumentationDoesNotPerturbResults)
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         ThreadPool::setConfiguredWorkers(2);
-        const auto bare = sweepSizesChecked(trace, kSizes, 4, {}, engine);
+        const auto bare = sweepSizes(trace, kSizes, 4, {}, engine);
         const auto observed = sweepWithMetrics(trace, 2, engine);
+        ASSERT_TRUE(bare.allOk());
+        ASSERT_TRUE(observed.outcome.allOk());
         ASSERT_EQ(bare.points.size(), observed.outcome.points.size());
         for (std::size_t s = 0; s < bare.points.size(); ++s) {
             EXPECT_EQ(bare.points[s].dmMissPct,

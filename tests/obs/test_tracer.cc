@@ -58,9 +58,11 @@ runTracedSweep(ReplayEngine engine, unsigned threads,
     obs::Tracer tracer;
     obs::Tracer::setActive(&tracer);
     obs::setPoolJobSpans(true);
-    sweepSizesChecked(trace, {64, 256, 1024}, 4, {}, engine);
+    const bool all_ok =
+        sweepSizes(trace, {64, 256, 1024}, 4, {}, engine).allOk();
     obs::setPoolJobSpans(false);
     obs::Tracer::setActive(nullptr);
+    EXPECT_TRUE(all_ok);
 
     const std::string json = tracer.toJson();
     if (json_out)

@@ -3,7 +3,8 @@
  * Tests of fault-tolerant sweep execution: an injected failing leg is
  * captured as a FailedLeg while every other leg completes bit-identical
  * to an unfaulted run, at 1, 2, and 8 workers and under both replay
- * engines; the unchecked sweeps throw it under either engine.
+ * engines; callers that must not fail throw it (throwIfFailed, and
+ * the line sweeps) under either engine.
  */
 
 #include <gtest/gtest.h>
@@ -71,10 +72,12 @@ expectSizeSweepSurvivesLegFault(ReplayEngine engine, unsigned threads)
     const Trace trace = conflictTrace();
 
     setSweepFaultHook({});
-    const auto clean = sweepSizes(trace, kSizes, 4, {}, engine);
+    const auto unfaulted = sweepSizes(trace, kSizes, 4, {}, engine);
+    ASSERT_TRUE(unfaulted.allOk());
+    const auto &clean = unfaulted.points;
 
     injectLegFault(trace.name(), kFaultSize);
-    const auto faulted = sweepSizesChecked(trace, kSizes, 4, {}, engine);
+    const auto faulted = sweepSizes(trace, kSizes, 4, {}, engine);
 
     ASSERT_EQ(faulted.points.size(), kSizes.size());
     ASSERT_EQ(faulted.failures.size(), 1u);
@@ -111,15 +114,20 @@ TEST(SweepFaults, SizeSweepSurvivesOneFailingLeg)
 
 TEST(SweepFaults, CheckedSweepWithoutFaultsMatchesUnchecked)
 {
+    // Without faults, the sweep over a caller-held artifact (the
+    // served path) and the one that builds its own agree exactly.
     ThreadCountGuard threads;
     FaultHookGuard hook;
     setSweepFaultHook({});
     const Trace trace = conflictTrace();
+    const auto artifact = buildReplayArtifact(trace, 4, trace.name());
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
-        const auto clean = sweepSizes(trace, kSizes, 4, {}, engine);
+        const auto built = sweepSizes(trace, kSizes, 4, {}, engine);
+        ASSERT_TRUE(built.allOk());
+        const auto &clean = built.points;
         const auto checked =
-            sweepSizesChecked(trace, kSizes, 4, {}, engine);
+            sweepSizes(trace, *artifact, kSizes, {}, engine);
         EXPECT_TRUE(checked.allOk());
         for (std::size_t s = 0; s < kSizes.size(); ++s) {
             ASSERT_TRUE(checked.ok[s]);
@@ -141,8 +149,10 @@ TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
 
     setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(1);
-    const auto clean = sweepSuiteTriads(names, 30000, sizes, 4, {},
-                                        StreamKind::Instructions);
+    const auto unfaulted = sweepSuiteTriads(names, 30000, sizes, 4, {},
+                                            StreamKind::Instructions);
+    ASSERT_TRUE(unfaulted.allOk());
+    const auto &clean = unfaulted.grid;
 
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
@@ -150,7 +160,7 @@ TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
             SCOPED_TRACE("workers=" + std::to_string(workers));
             ThreadPool::setConfiguredWorkers(workers);
             injectLegFault("mat300", 8 * 1024);
-            const auto faulted = sweepSuiteTriadsChecked(
+            const auto faulted = sweepSuiteTriads(
                 names, 30000, sizes, 4, {}, StreamKind::Instructions,
                 engine);
 
@@ -188,12 +198,14 @@ TEST(SweepFaults, WholeBenchmarkFailureVoidsOnlyThatRow)
 
     setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(2);
-    const auto clean = sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                        StreamKind::Instructions);
+    const auto unfaulted = sweepSuiteTriads(names, 20000, sizes, 4, {},
+                                            StreamKind::Instructions);
+    ASSERT_TRUE(unfaulted.allOk());
+    const auto &clean = unfaulted.grid;
 
     // size_bytes == 0 is the per-benchmark setup probe.
     injectLegFault("tomcatv", 0);
-    const auto faulted = sweepSuiteTriadsChecked(
+    const auto faulted = sweepSuiteTriads(
         names, 20000, sizes, 4, {}, StreamKind::Instructions);
 
     ASSERT_EQ(faulted.failures.size(), 1u);
@@ -216,8 +228,7 @@ TEST(SweepFaults, SuiteAverageSkipsFailedContributors)
     ThreadPool::setConfiguredWorkers(2);
 
     injectLegFault("mat300", 1024);
-    const auto outcome =
-        sweepSuiteAverageChecked(names, 20000, sizes, 4);
+    const auto outcome = sweepSuiteAverage(names, 20000, sizes, 4);
     ASSERT_EQ(outcome.failures.size(), 1u);
     ASSERT_EQ(outcome.contributors.size(), sizes.size());
     EXPECT_EQ(outcome.contributors[0], 1u)
@@ -229,8 +240,10 @@ TEST(SweepFaults, SuiteAverageSkipsFailedContributors)
     // The surviving-benchmark average at the faulted size must equal
     // tomcatv's own miss rates.
     setSweepFaultHook({});
-    const auto grid = sweepSuiteTriads({"tomcatv"}, 20000, sizes, 4, {},
-                                       StreamKind::Instructions);
+    const auto alone = sweepSuiteTriads({"tomcatv"}, 20000, sizes, 4, {},
+                                        StreamKind::Instructions);
+    ASSERT_TRUE(alone.allOk());
+    const auto &grid = alone.grid;
     EXPECT_EQ(outcome.points[0].dmMissPct, grid[0][0].dmMissPct());
     EXPECT_EQ(outcome.points[0].deMissPct, grid[0][0].deMissPct());
 }
@@ -252,8 +265,9 @@ expectInjectedFaultThrown(const char *what, Sweep sweep)
 
 TEST(SweepFaults, UncheckedSuiteSweepsThrowAnInjectedLegFault)
 {
-    // Both engines must consult the fault hook on every leg, so an
-    // unchecked sweep fails the same way whichever engine replays it.
+    // Both engines must consult the fault hook on every leg, so a
+    // caller that must not fail sees the same fault whichever engine
+    // replays it.
     ThreadCountGuard threads;
     FaultHookGuard hook;
     const std::vector<std::string> names = {"mat300", "tomcatv"};
@@ -264,12 +278,16 @@ TEST(SweepFaults, UncheckedSuiteSweepsThrowAnInjectedLegFault)
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         SCOPED_TRACE(replayEngineName(engine));
         expectInjectedFaultThrown("sweepSuiteTriads", [&] {
-            (void)sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                   StreamKind::Instructions, engine);
+            throwIfFailed(sweepSuiteTriads(names, 20000, sizes, 4, {},
+                                           StreamKind::Instructions,
+                                           engine)
+                              .failures);
         });
         expectInjectedFaultThrown("sweepSuiteAverage", [&] {
-            (void)sweepSuiteAverage(names, 20000, sizes, 4, {}, false,
-                                    false, engine);
+            throwIfFailed(sweepSuiteAverage(names, 20000, sizes, 4, {},
+                                            StreamKind::Instructions,
+                                            engine)
+                              .failures);
         });
         expectInjectedFaultThrown("sweepSuiteLineSizes", [&] {
             (void)sweepSuiteLineSizes(names, 20000, 8 * 1024, {4, 16},

@@ -3,7 +3,7 @@
  * End-to-end server tests: an in-process Server plus Client pairs
  * exercising the whole DXP1 surface — ping/list/replay/sweep/stats —
  * with the acceptance contracts attached: sweep responses bit-identical
- * to local sweepSizesChecked at any worker count and either engine, a
+ * to local sweepSizes at any worker count and either engine, a
  * warm TraceStore serving the second sweep with zero new loads or
  * index builds, explicit BUSY backpressure (with a retry-after hint)
  * on a full queue and on admission sheds, deadline expiry as a
@@ -164,7 +164,7 @@ TEST(ServerEndToEnd, SweepsAreBitIdenticalToLocalAtAnyWorkerCount)
 
     // Every engine byte — 0 (batched, now the kernel), 1 (per-leg)
     // and 2 (kernel) — must reproduce the object models' sweep.
-    const SizeSweepOutcome expected = sweepSizesChecked(
+    const SizeSweepOutcome expected = sweepSizes(
         local, paperCacheSizes(), kLine, config, ReplayEngine::PerLeg);
     ASSERT_TRUE(expected.allOk());
     for (const std::uint8_t wireEngine : {0, 1, 2})

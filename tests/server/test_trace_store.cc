@@ -4,8 +4,9 @@
  * (exactly one loader call for eight concurrent requesters), artifact
  * caching and its resident charge, failed-load retry, byte-budgeted
  * LRU eviction in strict recency order, counter stability across the
- * whole lifecycle, and sweeps over the cached packed view matching
- * self-packed ones.
+ * whole lifecycle, artifact builds visible to the tracer and the
+ * metrics exactly as a local sweep's are, and sweeps over the cached
+ * artifact matching self-built ones.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace_events.h"
 #include "server/trace_store.h"
 #include "sim/sweep.h"
 #include "trace/trace.h"
@@ -126,18 +129,17 @@ TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
 
     const auto a = store.indexed("alpha", 4);
     ASSERT_TRUE(a.ok()) << a.status().toString();
-    ASSERT_NE(a.value().index, nullptr);
-    ASSERT_NE(a.value().view, nullptr);
-    EXPECT_EQ(a.value().lineBytes, 4u);
+    ASSERT_NE(a.value().artifact, nullptr);
+    EXPECT_EQ(a.value().artifact->lineBytes(), 4u);
 
     const auto again = store.indexed("alpha", 4);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(a.value().index.get(), again.value().index.get());
-    EXPECT_EQ(a.value().view.get(), again.value().view.get());
+    EXPECT_EQ(a.value().artifact.get(), again.value().artifact.get());
 
     const auto wider = store.indexed("alpha", 16);
     ASSERT_TRUE(wider.ok());
-    EXPECT_NE(a.value().index.get(), wider.value().index.get());
+    EXPECT_NE(a.value().artifact.get(), wider.value().artifact.get());
+    EXPECT_EQ(wider.value().artifact->lineBytes(), 16u);
 
     EXPECT_EQ(loads.load(), 1);
     const auto counters = store.counters();
@@ -165,6 +167,59 @@ TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
     const std::uint64_t warm = store.counters().residentBytes;
     ASSERT_TRUE(store.indexed("alpha", 4).ok());
     EXPECT_EQ(store.counters().residentBytes, warm);
+}
+
+/** What one call records under an installed tracer and collector:
+ * its "index" spans and its IndexBuilds count. */
+struct ArtifactBuilds
+{
+    std::size_t indexSpans = 0;
+    std::uint64_t indexBuilds = 0;
+};
+
+template <class Call>
+ArtifactBuilds
+observeArtifactBuilds(Call call)
+{
+    obs::Tracer tracer;
+    obs::MetricsCollector metrics;
+    obs::Tracer::setActive(&tracer);
+    {
+        obs::ScopedMetrics install(&metrics);
+        call();
+    }
+    obs::Tracer::setActive(nullptr);
+    ArtifactBuilds seen;
+    for (const obs::TraceEvent &event : tracer.sortedEvents())
+        seen.indexSpans += std::string(event.category) == "index";
+    seen.indexBuilds = metrics.total(obs::Counter::IndexBuilds);
+    return seen;
+}
+
+TEST(TraceStore, ColdIndexedRecordsOneBuildLikeALocalSweep)
+{
+    TraceStore store(
+        [&](const std::string &name) -> Result<Trace> {
+            return tinyTrace(name, 5000);
+        },
+        1ull << 30);
+    ASSERT_TRUE(store.trace("alpha").ok());
+
+    const ArtifactBuilds cold = observeArtifactBuilds(
+        [&] { ASSERT_TRUE(store.indexed("alpha", 4).ok()); });
+    EXPECT_EQ(cold.indexSpans, 1u);
+    EXPECT_EQ(cold.indexBuilds, 1u);
+
+    const ArtifactBuilds warm = observeArtifactBuilds(
+        [&] { ASSERT_TRUE(store.indexed("alpha", 4).ok()); });
+    EXPECT_EQ(warm.indexSpans, 0u);
+    EXPECT_EQ(warm.indexBuilds, 0u);
+
+    const Trace local = tinyTrace("alpha", 5000);
+    const ArtifactBuilds swept = observeArtifactBuilds(
+        [&] { ASSERT_TRUE(sweepSizes(local, {1024}, 4).allOk()); });
+    EXPECT_EQ(swept.indexSpans, cold.indexSpans);
+    EXPECT_EQ(swept.indexBuilds, cold.indexBuilds);
 }
 
 TEST(TraceStore, FailedLoadIsNotCachedAndRetries)
@@ -370,10 +425,10 @@ TEST(TraceStore, CachedViewSweepMatchesASelfPackedSweepByteForByte)
         ASSERT_TRUE(warm.ok()) << warm.status().toString();
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
-        const SizeSweepOutcome cached = sweepSizesChecked(
-            *warm.value().trace, *warm.value().index, *warm.value().view,
-            paperCacheSizes(), line, config);
-        const SizeSweepOutcome packed = sweepSizesChecked(
+        const SizeSweepOutcome cached =
+            sweepSizes(*warm.value().trace, *warm.value().artifact,
+                       paperCacheSizes(), config);
+        const SizeSweepOutcome packed = sweepSizes(
             *warm.value().trace, paperCacheSizes(), line, config);
         ASSERT_TRUE(cached.allOk());
         ASSERT_TRUE(packed.allOk());

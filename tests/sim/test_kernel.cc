@@ -4,8 +4,9 @@
  * event count must be EXPECT_EQ-exact against the per-leg object
  * models: a seeded randomized differential against runTriad over
  * geometries, DE knobs and adversarial traces, plus worker counts,
- * checked/unchecked paths, sparse block ranges, both dispatch ISAs,
- * and the `batched` name, which now selects the kernel.
+ * fault isolation, sparse block ranges, both dispatch ISAs, and the
+ * `batched` name (CLI `--replay batched`, campaign `engine batched`,
+ * DXP1 engine byte 0), which now selects the kernel.
  */
 
 #include <gtest/gtest.h>
@@ -63,17 +64,25 @@ expectTriadEq(const TriadResult &kernel, const TriadResult &reference,
             << label << " event " << e;
 }
 
-/** The kernel's triads for @p trace, packed here; throws on a failed
- * leg. */
+/** The kernel's triads over @p artifact; throws on a failed leg. */
 std::vector<TriadResult>
-kernelTriads(const Trace &trace, const NextUseIndex &index,
+kernelTriads(const ReplayArtifact &artifact,
              const std::vector<std::uint64_t> &sizes,
-             std::uint32_t line,
              const DynamicExclusionConfig &config = {})
 {
-    return triadsOrThrow(replayTriadKernel(
-        PackedTraceView(trace, line), index, sizes, line, config,
-        trace.name()));
+    TriadBatchOutcome outcome =
+        replayTriadKernel(artifact, sizes, config, "kernel");
+    throwIfFailed(outcome.failures);
+    return std::move(outcome.triads);
+}
+
+/** The engine every caller selects with the name "batched". */
+ReplayEngine
+batchedAlias()
+{
+    const auto engine = parseReplayEngine("batched");
+    EXPECT_TRUE(engine.has_value());
+    return engine.value_or(ReplayEngine::PerLeg);
 }
 
 /** A conflict-heavy loopy trace with a pseudo-random data sprinkle. */
@@ -196,10 +205,10 @@ TEST(KernelDifferential, MatchesTheObjectModelsOnAdversarialTraces)
         appendLoopNest(trace, rng, 4000 + rng.nextBelow(12000));
         appendPatterns(trace, rng, alias);
 
-        const NextUseIndex index(trace, line, NextUseMode::RunStart);
-        const TriadBatchOutcome kernel = replayTriadKernel(
-            PackedTraceView(trace, line), index, sizes, line, config,
-            trace.name());
+        const auto artifact = buildReplayArtifact(trace, line, "diff");
+        const NextUseIndex &index = artifact->index();
+        const TriadBatchOutcome kernel =
+            replayTriadKernel(*artifact, sizes, config, trace.name());
         ASSERT_TRUE(kernel.allOk());
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             const std::string label =
@@ -264,10 +273,10 @@ TEST(KernelDifferential, SparseAddressesMatchTheObjectModels)
             }
         }
 
-        const NextUseIndex index(trace, line, NextUseMode::RunStart);
-        const TriadBatchOutcome kernel = replayTriadKernel(
-            PackedTraceView(trace, line), index, sizes, line, config,
-            trace.name());
+        const auto artifact = buildReplayArtifact(trace, line, "sparse");
+        const NextUseIndex &index = artifact->index();
+        const TriadBatchOutcome kernel =
+            replayTriadKernel(*artifact, sizes, config, trace.name());
         ASSERT_TRUE(kernel.allOk());
         for (std::size_t s = 0; s < sizes.size(); ++s)
             expectTriadEq(
@@ -297,7 +306,8 @@ TEST(KernelDifferential, SentinelBlockMatchesTheObjectModels)
             trace.append(load(addr, 1));
     const std::uint32_t line = 1;
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto artifact = buildReplayArtifact(trace, line, "sentinel");
+    const NextUseIndex &index = artifact->index();
     for (std::uint8_t sticky = 1; sticky <= 3; ++sticky) {
         for (const bool last_line : {false, true}) {
             for (const bool hit_last : {false, true}) {
@@ -306,8 +316,7 @@ TEST(KernelDifferential, SentinelBlockMatchesTheObjectModels)
                 config.useLastLine = last_line;
                 config.initialHitLast = hit_last;
                 const TriadBatchOutcome kernel = replayTriadKernel(
-                    PackedTraceView(trace, line), index, sizes, line,
-                    config, trace.name());
+                    *artifact, sizes, config, trace.name());
                 ASSERT_TRUE(kernel.allOk());
                 for (std::size_t s = 0; s < sizes.size(); ++s)
                     expectTriadEq(
@@ -332,19 +341,23 @@ expectBatchMatchesPerLeg(const Trace &trace,
                          const DynamicExclusionConfig &config,
                          const std::string &label)
 {
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
-    const auto kernel = kernelTriads(trace, index, sizes, line, config);
+    const auto artifact = buildReplayArtifact(trace, line, label);
+    const NextUseIndex &index = artifact->index();
+    const auto kernel = kernelTriads(*artifact, sizes, config);
     ASSERT_EQ(kernel.size(), sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s)
         expectTriadEq(kernel[s],
                       runTriad(trace, index, sizes[s], line, config),
                       label + " size " + std::to_string(sizes[s]));
 
-    const auto batched = parseReplayEngine("batched");
-    ASSERT_TRUE(batched.has_value());
-    const auto points = sweepSizes(trace, sizes, line, config, *batched);
-    const auto reference =
+    const auto batched =
+        sweepSizes(trace, sizes, line, config, batchedAlias());
+    const auto per_leg =
         sweepSizes(trace, sizes, line, config, ReplayEngine::PerLeg);
+    ASSERT_TRUE(batched.allOk()) << label;
+    ASSERT_TRUE(per_leg.allOk()) << label;
+    const auto &points = batched.points;
+    const auto &reference = per_leg.points;
     ASSERT_EQ(points.size(), reference.size());
     for (std::size_t s = 0; s < points.size(); ++s) {
         EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct) << label;
@@ -390,11 +403,12 @@ TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
         trace.append(ifetch(page + 4 * rng.nextBelow(64)));
     }
     const std::uint32_t line = 4;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto artifact = buildReplayArtifact(trace, line, "sparse");
     const std::vector<std::uint64_t> sizes = {256, 4096};
-    const auto kernel = kernelTriads(trace, index, sizes, line);
+    const auto kernel = kernelTriads(*artifact, sizes);
     for (std::size_t s = 0; s < sizes.size(); ++s)
-        expectTriadEq(kernel[s], runTriad(trace, index, sizes[s], line),
+        expectTriadEq(kernel[s],
+                      runTriad(trace, artifact->index(), sizes[s], line),
                       "sparse size " + std::to_string(sizes[s]));
 }
 
@@ -402,27 +416,26 @@ TEST(KernelReplay, ScalarDispatchIsBitIdenticalToTheNaturalIsa)
 {
     ScalarGuard guard;
     const Trace trace = kernelTrace(25000, 0xd15b);
-    const std::uint32_t line = 16;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto artifact = buildReplayArtifact(trace, 16, "dispatch");
     DynamicExclusionConfig config;
     config.useLastLine = true;
     const std::vector<std::uint64_t> sizes = {1024, 8 * 1024};
 
     setKernelForceScalar(false);
     const KernelIsa natural = kernelDispatchIsa();
-    const auto fast = kernelTriads(trace, index, sizes, line, config);
+    const auto fast = kernelTriads(*artifact, sizes, config);
 
     setKernelForceScalar(true);
-    EXPECT_TRUE(kernelForceScalar());
     EXPECT_EQ(kernelDispatchIsa(), KernelIsa::Scalar);
-    const auto scalar = kernelTriads(trace, index, sizes, line, config);
+    const auto scalar = kernelTriads(*artifact, sizes, config);
 
     // On AVX2 hardware this compares the two code paths; elsewhere it
     // still proves the forced-scalar path is the dispatched one, so a
     // CI machine without AVX2 exercises the fallback by construction.
     for (std::size_t s = 0; s < sizes.size(); ++s)
         expectTriadEq(scalar[s], fast[s],
-                      std::string("isa ") + kernelIsaName(natural) +
+                      std::string("isa ") +
+                          (natural == KernelIsa::Avx2 ? "avx2" : "scalar") +
                           " size " + std::to_string(sizes[s]));
 }
 
@@ -432,13 +445,19 @@ TEST(KernelReplay, SweepSizesKernelIdenticalAcrossWorkerCounts)
     const Trace trace = kernelTrace(30000);
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
     ThreadPool::setConfiguredWorkers(1);
-    const auto reference =
+    const auto per_leg =
         sweepSizes(trace, sizes, 4, {}, ReplayEngine::PerLeg);
+    ASSERT_TRUE(per_leg.allOk());
+    const auto &reference = per_leg.points;
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
         for (const ReplayEngine engine :
-             {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
-            const auto points = sweepSizes(trace, sizes, 4, {}, engine);
+             {ReplayEngine::Kernel, batchedAlias(), ReplayEngine::PerLeg}) {
+            const auto swept = sweepSizes(trace, sizes, 4, {}, engine);
+            ASSERT_TRUE(swept.allOk())
+                << replayEngineName(engine) << ", " << threads
+                << " workers";
+            const auto &points = swept.points;
             ASSERT_EQ(points.size(), reference.size());
             for (std::size_t s = 0; s < points.size(); ++s) {
                 EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
@@ -458,39 +477,37 @@ TEST(KernelReplay, SweepSizesKernelIdenticalAcrossWorkerCounts)
 
 TEST(KernelReplay, SuiteSweepsIdenticalCheckedAndUncheckedAllWorkers)
 {
+    // The suite average under the kernel and the `batched` alias
+    // reports no failed leg and matches the per-leg engine exactly.
     ThreadCountGuard guard;
     const std::vector<std::string> names = {"mat300", "tomcatv"};
     const std::vector<std::uint64_t> sizes = {1024, 8 * 1024,
                                               32 * 1024};
     ThreadPool::setConfiguredWorkers(1);
-    const auto reference = sweepSuiteAverage(
-        names, 30000, sizes, 4, {}, false, false, ReplayEngine::PerLeg);
+    const auto reference =
+        sweepSuiteAverage(names, 30000, sizes, 4, {},
+                          StreamKind::Instructions, ReplayEngine::PerLeg);
+    ASSERT_TRUE(reference.allOk());
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
-        const auto kernel =
-            sweepSuiteAverage(names, 30000, sizes, 4, {}, false, false,
-                              ReplayEngine::Kernel);
-        const auto checked = sweepSuiteAverageChecked(
-            names, 30000, sizes, 4, {}, false, false,
-            ReplayEngine::Kernel);
-        ASSERT_TRUE(checked.failures.empty());
-        ASSERT_EQ(kernel.size(), reference.size());
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            EXPECT_EQ(kernel[s].dmMissPct, reference[s].dmMissPct)
-                << threads << " workers, size " << sizes[s];
-            EXPECT_EQ(kernel[s].deMissPct, reference[s].deMissPct)
-                << threads << " workers, size " << sizes[s];
-            EXPECT_EQ(kernel[s].optMissPct, reference[s].optMissPct)
-                << threads << " workers, size " << sizes[s];
-            EXPECT_EQ(checked.points[s].dmMissPct,
-                      reference[s].dmMissPct)
-                << "checked, " << threads << " workers";
-            EXPECT_EQ(checked.points[s].deMissPct,
-                      reference[s].deMissPct)
-                << "checked, " << threads << " workers";
-            EXPECT_EQ(checked.points[s].optMissPct,
-                      reference[s].optMissPct)
-                << "checked, " << threads << " workers";
+        for (const ReplayEngine engine :
+             {ReplayEngine::Kernel, batchedAlias()}) {
+            const auto kernel =
+                sweepSuiteAverage(names, 30000, sizes, 4, {},
+                                  StreamKind::Instructions, engine);
+            ASSERT_TRUE(kernel.allOk());
+            ASSERT_EQ(kernel.points.size(), reference.points.size());
+            for (std::size_t s = 0; s < sizes.size(); ++s) {
+                EXPECT_EQ(kernel.points[s].dmMissPct,
+                          reference.points[s].dmMissPct)
+                    << threads << " workers, size " << sizes[s];
+                EXPECT_EQ(kernel.points[s].deMissPct,
+                          reference.points[s].deMissPct)
+                    << threads << " workers, size " << sizes[s];
+                EXPECT_EQ(kernel.points[s].optMissPct,
+                          reference.points[s].optMissPct)
+                    << threads << " workers, size " << sizes[s];
+            }
         }
     }
 }
@@ -501,15 +518,14 @@ TEST(KernelReplay, LineSweepKernelMatchesBatch)
     // selects it, both match the per-leg line sweep.
     ThreadCountGuard guard;
     const std::vector<std::string> names = {"tomcatv"};
-    const auto batched = parseReplayEngine("batched");
-    ASSERT_TRUE(batched.has_value());
     ThreadPool::setConfiguredWorkers(1);
     const auto reference =
         sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64}, {},
                             ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
-        for (const ReplayEngine engine : {ReplayEngine::Kernel, *batched}) {
+        for (const ReplayEngine engine :
+             {ReplayEngine::Kernel, batchedAlias()}) {
             const auto kernel =
                 sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64},
                                     {}, engine);
@@ -530,25 +546,25 @@ TEST(KernelReplay, LineSweepKernelMatchesBatch)
 TEST(KernelReplay, CheckedKernelIsolatesInjectedFaults)
 {
     const Trace trace = kernelTrace(10000);
-    const std::uint32_t line = 4;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto artifact = buildReplayArtifact(trace, 4, "faults");
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
 
     setSweepFaultHook([](const std::string &, std::uint64_t size) {
         if (size == 1024)
             throw StatusError(Status::internal("injected"));
     });
-    const auto checked = replayTriadKernel(
-        PackedTraceView(trace, line), index, sizes, line, {},
-        trace.name());
-    EXPECT_THROW(kernelTriads(trace, index, sizes, line), StatusError)
-        << "the unchecked form throws the failed leg's status";
+    const auto checked =
+        replayTriadKernel(*artifact, sizes, {}, trace.name());
+    EXPECT_THROW(kernelTriads(*artifact, sizes), StatusError)
+        << "throwIfFailed throws the failed leg's status";
     setSweepFaultHook({});
 
     ASSERT_EQ(checked.failures.size(), 1u);
-    EXPECT_EQ(checked.failures[0].sizeIndex, 1u);
+    EXPECT_EQ(checked.failures[0].bench, trace.name());
+    EXPECT_EQ(checked.failures[0].sizeBytes, 1024u);
+    EXPECT_EQ(checked.failures[0].model, "triad");
     EXPECT_FALSE(checked.ok[1]);
-    const auto clean = kernelTriads(trace, index, sizes, line);
+    const auto clean = kernelTriads(*artifact, sizes);
     expectTriadEq(checked.triads[0], clean[0], "surviving leg 0");
     expectTriadEq(checked.triads[2], clean[2], "surviving leg 2");
 }
@@ -560,20 +576,20 @@ TEST(KernelReplay, RejectsSetCountsBeyondThirtyTwoBits)
     // allocating a lane, and the other leg completes.
     const Trace trace = kernelTrace(2000);
     const std::uint32_t line = 1;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    const auto artifact = buildReplayArtifact(trace, line, "wide");
     const std::vector<std::uint64_t> sizes = {1024,
                                               std::uint64_t{1} << 33};
-    const TriadBatchOutcome outcome = replayTriadKernel(
-        PackedTraceView(trace, line), index, sizes, line, {},
-        trace.name());
+    const TriadBatchOutcome outcome =
+        replayTriadKernel(*artifact, sizes, {}, trace.name());
     ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_EQ(outcome.failures[0].sizeIndex, 1u);
+    EXPECT_EQ(outcome.failures[0].sizeBytes, sizes[1]);
     EXPECT_EQ(outcome.failures[0].status.code(),
               StatusCode::InvalidArgument);
     EXPECT_TRUE(outcome.ok[0]);
     EXPECT_FALSE(outcome.ok[1]);
     expectTriadEq(outcome.triads[0],
-                  runTriad(trace, index, 1024, line), "1KB leg");
+                  runTriad(trace, artifact->index(), 1024, line),
+                  "1KB leg");
 }
 
 TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
@@ -625,20 +641,24 @@ TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
 TEST(KernelReplay, EmptyTraceYieldsZeroedStats)
 {
     Trace trace("empty");
-    const NextUseIndex index(trace, 4, NextUseMode::RunStart);
-    const auto triads = kernelTriads(trace, index, {256, 1024}, 4);
+    const auto triads =
+        kernelTriads(*buildReplayArtifact(trace, 4, "empty"), {256, 1024});
     ASSERT_EQ(triads.size(), 2u);
     for (const auto &triad : triads) {
         EXPECT_EQ(triad.dm.accesses, 0u);
         EXPECT_EQ(triad.de.accesses, 0u);
         EXPECT_EQ(triad.opt.accesses, 0u);
     }
-}
-
-TEST(KernelReplay, IsaNamesAreStable)
-{
-    EXPECT_STREQ(kernelIsaName(KernelIsa::Scalar), "scalar");
-    EXPECT_STREQ(kernelIsaName(KernelIsa::Avx2), "avx2");
+    for (const ReplayEngine engine :
+         {ReplayEngine::Kernel, batchedAlias(), ReplayEngine::PerLeg}) {
+        const auto swept = sweepSizes(trace, {256, 1024}, 4, {}, engine);
+        ASSERT_TRUE(swept.allOk());
+        for (const auto &point : swept.points) {
+            EXPECT_EQ(point.dmMissPct, 0.0);
+            EXPECT_EQ(point.deMissPct, 0.0);
+            EXPECT_EQ(point.optMissPct, 0.0);
+        }
+    }
 }
 
 } // namespace

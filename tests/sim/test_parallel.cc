@@ -43,7 +43,9 @@ std::vector<SizeSweepPoint>
 sweepAt(unsigned threads, const Trace &trace)
 {
     ThreadPool::setConfiguredWorkers(threads);
-    return sweepSizes(trace, {64, 128, 256, 1024, 4096}, 4);
+    const auto outcome = sweepSizes(trace, {64, 128, 256, 1024, 4096}, 4);
+    EXPECT_TRUE(outcome.allOk());
+    return outcome.points;
 }
 
 TEST(ParallelSweep, SizeSweepBitIdenticalAcrossThreadCounts)
@@ -75,10 +77,14 @@ TEST(ParallelSweep, SuiteAverageBitIdenticalAcrossThreadCounts)
     const std::vector<std::uint64_t> sizes = {1024, 8 * 1024,
                                               32 * 1024};
     ThreadPool::setConfiguredWorkers(1);
-    const auto serial = sweepSuiteAverage(names, 30000, sizes, 4);
+    const auto serial_outcome = sweepSuiteAverage(names, 30000, sizes, 4);
+    ASSERT_TRUE(serial_outcome.allOk());
+    const auto &serial = serial_outcome.points;
     for (const unsigned threads : {2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
-        const auto parallel = sweepSuiteAverage(names, 30000, sizes, 4);
+        const auto outcome = sweepSuiteAverage(names, 30000, sizes, 4);
+        ASSERT_TRUE(outcome.allOk()) << threads << " workers";
+        const auto &parallel = outcome.points;
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(parallel[i].dmMissPct, serial[i].dmMissPct);
@@ -130,9 +136,10 @@ TEST(ParallelSweep, SuiteTriadGridHasInputShapeAndOrder)
     ThreadPool::setConfiguredWorkers(8);
     const std::vector<std::string> names = {"mat300", "tomcatv"};
     const std::vector<std::uint64_t> sizes = {1024, 32 * 1024};
-    const auto grid =
-        sweepSuiteTriads(names, 20000, sizes, 4, {},
-                         StreamKind::Instructions);
+    const auto suite = sweepSuiteTriads(names, 20000, sizes, 4, {},
+                                        StreamKind::Instructions);
+    ASSERT_TRUE(suite.allOk());
+    const auto &grid = suite.grid;
     ASSERT_EQ(grid.size(), names.size());
     for (const auto &row : grid) {
         ASSERT_EQ(row.size(), sizes.size());

@@ -31,7 +31,9 @@ TEST(Sweep, MissRatesFallWithCacheSize)
         for (Addr a = 0; a < 24; ++a)
             trace.append(ifetch(0x1000 + 256 + 4 * a));
     }
-    const auto points = sweepSizes(trace, {64, 128, 256, 1024}, 4);
+    const auto outcome = sweepSizes(trace, {64, 128, 256, 1024}, 4);
+    ASSERT_TRUE(outcome.allOk());
+    const auto &points = outcome.points;
     ASSERT_EQ(points.size(), 4u);
     for (std::size_t i = 1; i < points.size(); ++i) {
         EXPECT_LE(points[i].dmMissPct, points[i - 1].dmMissPct + 1e-9);
@@ -49,7 +51,10 @@ TEST(Sweep, OptimalBoundsTheOtherCurves)
         trace.append(ifetch(0x1000 + 64));
         trace.append(ifetch(0x1000 + 4));
     }
-    const auto points = sweepSizes(trace, {64, 128}, 4);
+    const auto outcome = sweepSizes(trace, {64, 128}, 4);
+    ASSERT_TRUE(outcome.allOk());
+    const auto &points = outcome.points;
+    ASSERT_EQ(points.size(), 2u);
     for (const auto &point : points) {
         EXPECT_LE(point.optMissPct, point.dmMissPct + 1e-9);
         EXPECT_LE(point.optMissPct, point.deMissPct + 1e-9);
@@ -84,8 +89,10 @@ TEST(Sweep, SuiteAverageUsesRealBenchmarks)
 {
     // Two tiny-footprint benchmarks at a small budget: sanity-check
     // the plumbing end to end without a long runtime.
-    const auto points = sweepSuiteAverage({"mat300", "tomcatv"}, 50000,
-                                          {1024, 32 * 1024}, 4);
+    const auto outcome = sweepSuiteAverage({"mat300", "tomcatv"}, 50000,
+                                           {1024, 32 * 1024}, 4);
+    ASSERT_TRUE(outcome.allOk());
+    const auto &points = outcome.points;
     ASSERT_EQ(points.size(), 2u);
     EXPECT_GE(points[0].dmMissPct, points[1].dmMissPct);
     EXPECT_LT(points[1].dmMissPct, 1.0)

@@ -989,6 +989,50 @@ class SweepObservation
     std::unique_ptr<obs::ProgressBar> bar;
 };
 
+/**
+ * Print a size sweep's miss table, then its failed legs if any. Local
+ * and remote sweeps share it, so their tables are byte-identical.
+ * @return kExitOk, or the worst exit code among the failed legs.
+ */
+int
+printSweepTable(const SizeSweepOutcome &outcome)
+{
+    Table table;
+    table.setHeader({"size", "dm miss %", "dynex miss %", "opt miss %",
+                     "dynex gain %"});
+    for (std::size_t s = 0; s < outcome.points.size(); ++s) {
+        const auto &point = outcome.points[s];
+        if (!outcome.ok[s]) {
+            table.addRow({formatSize(point.sizeBytes), "-", "-", "-",
+                          "-"});
+            continue;
+        }
+        table.addRow({formatSize(point.sizeBytes),
+                      Table::fmt(point.dmMissPct, 3),
+                      Table::fmt(point.deMissPct, 3),
+                      Table::fmt(point.optMissPct, 3),
+                      Table::fmt(point.deImprovementPct(), 1)});
+    }
+    std::printf("%s", table.toText().c_str());
+    if (outcome.allOk())
+        return kExitOk;
+
+    Table failed;
+    failed.setHeader({"failed leg", "status"});
+    int worst = kExitOk;
+    for (const auto &failure : outcome.failures) {
+        failed.addRow({failure.bench + " @ " +
+                           formatSize(failure.sizeBytes),
+                       failure.status.toString()});
+        worst = std::max(worst, exitCodeFor(failure.status));
+    }
+    std::printf("\n%zu of %zu legs failed; results above are "
+                "partial\n\n%s",
+                outcome.failures.size(), outcome.points.size(),
+                failed.toText().c_str());
+    return worst;
+}
+
 int
 cmdSweep(const std::string &target, const Options &options)
 {
@@ -1011,51 +1055,18 @@ cmdSweep(const std::string &target, const Options &options)
     config.stickyMax = options.stickyMax;
     config.useLastLine = options.lineBytes > 4;
     SweepObservation observation(options, *trace);
-    const auto outcome = sweepSizesChecked(*trace, paperCacheSizes(),
-                                           options.lineBytes, config,
-                                           options.replay);
+    const auto outcome = sweepSizes(*trace, paperCacheSizes(),
+                                    options.lineBytes, config,
+                                    options.replay);
     const int obs_rc =
         observation.finish(outcome, trace->size());
 
-    Table table;
-    table.setHeader({"size", "dm miss %", "dynex miss %", "opt miss %",
-                     "dynex gain %"});
-    for (std::size_t s = 0; s < outcome.points.size(); ++s) {
-        const auto &point = outcome.points[s];
-        if (!outcome.ok[s]) {
-            table.addRow({formatSize(point.sizeBytes), "-", "-", "-",
-                          "-"});
-            continue;
-        }
-        table.addRow({formatSize(point.sizeBytes),
-                      Table::fmt(point.dmMissPct, 3),
-                      Table::fmt(point.deMissPct, 3),
-                      Table::fmt(point.optMissPct, 3),
-                      Table::fmt(point.deImprovementPct(), 1)});
-    }
     std::printf("trace: %s (%zu refs), %s lines, %u worker thread(s)\n\n",
                 trace->name().c_str(), trace->size(),
                 formatSize(options.lineBytes).c_str(),
                 ThreadPool::global().workers());
-    std::printf("%s", table.toText().c_str());
-
-    if (!outcome.failures.empty()) {
-        Table failed;
-        failed.setHeader({"failed leg", "status"});
-        int worst = kExitOk;
-        for (const auto &failure : outcome.failures) {
-            failed.addRow({failure.bench + " @ " +
-                               formatSize(failure.sizeBytes),
-                           failure.status.toString()});
-            worst = std::max(worst, exitCodeFor(failure.status));
-        }
-        std::printf("\n%zu of %zu legs failed; results above are "
-                    "partial\n\n%s",
-                    outcome.failures.size(), outcome.points.size(),
-                    failed.toText().c_str());
-        return worst;
-    }
-    return obs_rc;
+    const int worst = printSweepTable(outcome);
+    return outcome.allOk() ? obs_rc : worst;
 }
 
 int
@@ -1198,54 +1209,25 @@ cmdRemoteSweep(const std::string &target, const Options &options)
     }
     const server::SweepResult &result = swept.value();
 
-    // The table below is built exactly like cmdSweep's: miss rates
-    // travel bit-exactly, so the rendered rows are byte-identical to
-    // a local sweep of the same trace.
-    Table table;
-    table.setHeader({"size", "dm miss %", "dynex miss %", "opt miss %",
-                     "dynex gain %"});
+    // Miss rates travel bit-exactly, so the rendered rows are
+    // byte-identical to a local sweep of the same trace.
+    SizeSweepOutcome outcome;
     for (const auto &point : result.points) {
-        if (!point.ok) {
-            table.addRow({formatSize(point.sizeBytes), "-", "-", "-",
-                          "-"});
-            continue;
-        }
-        SizeSweepPoint local;
-        local.dmMissPct = point.dmMissPct;
-        local.deMissPct = point.deMissPct;
-        local.optMissPct = point.optMissPct;
-        table.addRow({formatSize(point.sizeBytes),
-                      Table::fmt(point.dmMissPct, 3),
-                      Table::fmt(point.deMissPct, 3),
-                      Table::fmt(point.optMissPct, 3),
-                      Table::fmt(local.deImprovementPct(), 1)});
+        outcome.points.push_back({point.sizeBytes, point.dmMissPct,
+                                  point.deMissPct, point.optMissPct});
+        outcome.ok.push_back(point.ok);
     }
+    for (const auto &failure : result.failures)
+        outcome.failures.push_back(
+            {failure.bench, failure.sizeBytes, failure.model,
+             server::statusFromWire({failure.code, failure.message})});
     std::printf("trace: %s (%llu refs), %s lines, served by %s:%u\n\n",
                 result.trace.c_str(),
                 static_cast<unsigned long long>(result.refs),
                 formatSize(options.lineBytes).c_str(),
                 options.host.c_str(), options.port);
-    std::printf("%s", table.toText().c_str());
-
-    if (!result.failures.empty()) {
-        Table failed;
-        failed.setHeader({"failed leg", "status"});
-        int worst = kExitOk;
-        for (const auto &failure : result.failures) {
-            const Status status = server::statusFromWire(
-                {failure.code, failure.message});
-            failed.addRow({failure.bench + " @ " +
-                               formatSize(failure.sizeBytes),
-                           status.toString()});
-            worst = std::max(worst, exitCodeFor(status));
-        }
-        std::printf("\n%zu of %zu legs failed; results above are "
-                    "partial\n\n%s",
-                    result.failures.size(), result.points.size(),
-                    failed.toText().c_str());
-        return std::max(worst, traceRc);
-    }
-    return traceRc;
+    const int worst = printSweepTable(outcome);
+    return outcome.allOk() ? traceRc : std::max(worst, traceRc);
 }
 
 /** One parsed latency series out of a STATS response: the percentile
