@@ -1,22 +1,16 @@
 #include "trace/text_io.h"
 
-#include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
-#include "util/string_utils.h"
+#include "trace/line_reader.h"
 
 namespace dynex
 {
 
 namespace
 {
-
-/** Hex digits in a full 64-bit address: anything longer overflows. */
-constexpr std::size_t kMaxAddrHexDigits = 16;
 
 int
 dinLabel(RefType type)
@@ -30,14 +24,6 @@ dinLabel(RefType type)
         return 2;
     }
     return 2;
-}
-
-Status
-lineError(std::size_t line_no, const std::string &reason)
-{
-    std::ostringstream oss;
-    oss << "line " << line_no << ": " << reason;
-    return Status::corruptInput(oss.str());
 }
 
 std::string
@@ -87,21 +73,15 @@ Result<Trace>
 readDinTrace(std::istream &in, const std::string &name)
 {
     Trace trace(name);
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::string text = trim(line);
-        if (text.empty() || text[0] == '#')
-            continue;
-
+    LineReader lines(in);
+    std::string_view line;
+    while (lines.next(line)) {
         // Label field. Matched as literal text so both unknown ("x")
         // and out-of-range ("3", "17", "-1") labels are rejected.
-        std::size_t pos = 0;
-        while (pos < text.size() &&
-               !std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-        const std::string label = text.substr(0, pos);
+        std::string_view rest = line;
+        const std::string_view label = nextField(rest);
+        if (label.empty() || label[0] == '#')
+            continue;
         RefType type;
         if (label == "0")
             type = RefType::Load;
@@ -110,34 +90,19 @@ readDinTrace(std::istream &in, const std::string &name)
         else if (label == "2")
             type = RefType::Ifetch;
         else
-            return lineError(line_no,
-                             "unknown din label '" + label + "'");
+            return lineError(lines.lineNumber(),
+                             "unknown din label '" + std::string(label) +
+                                 "'");
 
-        // Address field (hex, optional 0x prefix).
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-        std::string addr_text = text.substr(pos);
-        // Drop anything after the address (din allows extra fields).
-        if (const auto cut = addr_text.find_first_of(" \t");
-            cut != std::string::npos)
-            addr_text = addr_text.substr(0, cut);
-        if (addr_text.rfind("0x", 0) == 0 || addr_text.rfind("0X", 0) == 0)
-            addr_text = addr_text.substr(2);
-        if (addr_text.empty())
-            return lineError(line_no, "missing address");
-        if (addr_text.size() > kMaxAddrHexDigits)
-            return lineError(line_no,
-                             "hex address longer than 64 bits");
+        // Address field (hex, optional 0x prefix). Only a blank or a
+        // tab ends it: din allows extra fields after the address.
+        std::string_view addr_text = trimSpace(rest);
+        addr_text = addr_text.substr(0, addr_text.find_first_of(" \t"));
         Addr addr = 0;
-        const auto result = std::from_chars(
-            addr_text.data(), addr_text.data() + addr_text.size(), addr,
-            16);
-        if (result.ec == std::errc::result_out_of_range)
-            return lineError(line_no, "hex address out of range");
-        if (result.ec != std::errc{} ||
-            result.ptr != addr_text.data() + addr_text.size())
-            return lineError(line_no, "malformed hex address");
+        if (const HexAddrError error = parseHexAddr(addr_text, addr);
+            error != HexAddrError::None)
+            return lineError(lines.lineNumber(),
+                             hexAddrReason(error, addr_text));
         trace.append(MemRef{addr, type, 4});
     }
     if (in.bad())

@@ -1,8 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), used by the
- * DXT2 trace format to checksum headers and record payloads. The
- * incremental form lets writers fold the CRC over streamed chunks
+ * DXT2 and DXT3 trace formats to checksum headers and record payloads
+ * and by DXP1 frames. It folds eight bytes per step (slicing-by-8).
+ * The incremental form lets writers fold the CRC over streamed chunks
  * without buffering the whole payload.
  */
 

@@ -1,9 +1,11 @@
 #include "workload/executor.h"
 
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "obs/run_report.h"
+#include "obs/trace_events.h"
 #include "server/client.h"
 #include "sim/sweep.h"
 #include "sim/workloads.h"
@@ -11,6 +13,7 @@
 #include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 #include "workload/import.h"
 
 namespace dynex
@@ -74,21 +77,54 @@ appendOutcome(CampaignReport &report, const std::string &label,
     }
 }
 
+/**
+ * Run every source as one pool job that resolves it and sweeps its
+ * lines as a nested loop, so the campaign takes as long as its slowest
+ * source. Jobs write only their own slots; the merge below reads them
+ * in spec order, so the report is byte-identical at any worker count,
+ * and of several unresolvable sources the first in spec order is the
+ * error, as when sources ran one after another.
+ */
 Status
 runLocal(const CampaignSpec &spec, CampaignReport &report)
 {
-    for (const TraceSource &source : spec.traces) {
-        Result<Trace> trace = resolveSource(source, spec.refs);
-        if (!trace.ok())
-            return trace.status();
-        for (const std::uint32_t line : spec.lines) {
-            const SizeSweepOutcome outcome =
-                sweepSizes(trace.value(), spec.sizes, line,
-                           legConfig(spec, line), spec.engine);
-            appendOutcome(report, source.label, line, spec.sizes,
-                          outcome);
-        }
-    }
+    const std::size_t lines = spec.lines.size();
+    std::vector<Status> resolved(spec.traces.size());
+    std::vector<SizeSweepOutcome> outcomes(spec.traces.size() * lines);
+
+    ThreadPool &pool = ThreadPool::global();
+    const std::vector<IndexedError> escaped = pool.parallelForCollect(
+        spec.traces.size(), [&](std::size_t t) {
+            const TraceSource &source = spec.traces[t];
+            std::optional<obs::ScopedSpan> source_span;
+            std::optional<obs::ScopedSpan> load_span;
+            if (obs::Tracer::active()) {
+                source_span.emplace("campaign", "source " + source.label);
+                load_span.emplace("load", "load " + source.label);
+            }
+            const Result<Trace> trace = resolveSource(source, spec.refs);
+            load_span.reset();
+            if (!trace.ok()) {
+                resolved[t] = trace.status();
+                return;
+            }
+            pool.parallelFor(lines, [&](std::size_t l) {
+                const std::uint32_t line = spec.lines[l];
+                outcomes[t * lines + l] =
+                    sweepSizes(trace.value(), spec.sizes, line,
+                               legConfig(spec, line), spec.engine);
+            });
+        });
+    for (const IndexedError &error : escaped)
+        resolved[error.index] = statusFromException(error.error);
+
+    for (const Status &status : resolved)
+        if (!status.ok())
+            return status;
+    for (std::size_t t = 0; t < spec.traces.size(); ++t)
+        for (std::size_t l = 0; l < lines; ++l)
+            appendOutcome(report, spec.traces[t].label, spec.lines[l],
+                          spec.sizes, outcomes[t * lines + l]);
     return Status();
 }
 

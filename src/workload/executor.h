@@ -8,10 +8,12 @@
  * import) is resolved locally first; remote runs then upload each
  * resolved trace by value (PUT) and sweep it by name with the
  * campaign's custom size axis, so the daemon needs no files of its
- * own. The merged report is byte-identical between local and remote
- * execution, at any worker count, with any replay engine: sweep
- * doubles travel the wire bit-exactly and failure statuses round-trip
- * through statusFromWire to the same toString() text.
+ * own. Local runs fan sources out across the thread pool, one job per
+ * source with its lines as a nested loop; remote runs are serial over
+ * one connection. The merged report is byte-identical between local
+ * and remote execution, at any worker count, with any replay engine:
+ * sweep doubles travel the wire bit-exactly and failure statuses
+ * round-trip through statusFromWire to the same toString() text.
  */
 
 #ifndef DYNEX_WORKLOAD_EXECUTOR_H

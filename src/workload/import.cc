@@ -1,15 +1,14 @@
 #include "workload/import.h"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <vector>
+#include <string_view>
 
-#include "util/string_utils.h"
+#include "trace/line_reader.h"
 
 namespace dynex
 {
@@ -19,22 +18,11 @@ namespace workload
 namespace
 {
 
-/** Hex digits in a full 64-bit address: anything longer overflows. */
-constexpr std::size_t kMaxAddrHexDigits = 16;
-
 /** Lackey record layout: addr u64 + kind u8 + size u8. */
 constexpr std::size_t kLackeyRecordBytes = 10;
 
 /** Chunked-read granularity for the binary reader. */
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
-
-Status
-lineError(std::size_t line_no, const std::string &reason)
-{
-    std::ostringstream oss;
-    oss << "line " << line_no << ": " << reason;
-    return Status::corruptInput(oss.str());
-}
 
 Status
 recordError(std::uint64_t record_no, std::uint64_t offset,
@@ -75,7 +63,7 @@ typeLetter(RefType type)
 
 /** Parse a decimal access size 1..255; nullopt on malformed text. */
 std::optional<std::uint8_t>
-parseAccessSize(const std::string &text)
+parseAccessSize(std::string_view text)
 {
     if (text.empty() || text.size() > 3)
         return std::nullopt;
@@ -143,82 +131,56 @@ readTextTrace(std::istream &in, const std::string &name,
 {
     const std::uint64_t cap = effectiveCap(options);
     Trace trace(name);
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
+    LineReader lines(in);
+    std::string_view line;
+    while (lines.next(line)) {
         // Trailing comments are part of the format; cut before
-        // tokenizing so "l 2000 # stack" parses.
-        if (const auto hash = line.find('#'); hash != std::string::npos)
-            line.resize(hash);
-        const std::string text = trim(line);
-        if (text.empty())
-            continue;
+        // splitting so "l 2000 # stack" parses.
+        line = line.substr(0, line.find('#'));
 
-        // Tokenize on whitespace: <type> <addr> [size].
-        std::vector<std::string> fields;
-        std::size_t pos = 0;
-        while (pos < text.size()) {
-            while (pos < text.size() &&
-                   std::isspace(static_cast<unsigned char>(text[pos])))
-                ++pos;
-            std::size_t end = pos;
-            while (end < text.size() &&
-                   !std::isspace(static_cast<unsigned char>(text[end])))
-                ++end;
-            if (end > pos)
-                fields.push_back(text.substr(pos, end - pos));
-            pos = end;
-        }
-        if (fields.size() < 2)
+        // Split on whitespace: <type> <addr> [size].
+        std::string_view fields[4];
+        std::size_t count = 0;
+        for (std::string_view field = nextField(line);
+             !field.empty() && count < 4; field = nextField(line))
+            fields[count++] = field;
+        if (count == 0)
+            continue;
+        const std::size_t line_no = lines.lineNumber();
+        if (count < 2)
             return lineError(line_no, "expected '<type> <hex-addr> "
                                       "[size]'");
-        if (fields.size() > 3)
-            return lineError(line_no,
-                             "unexpected trailing field '" + fields[3] +
-                                 "'");
+        if (count > 3)
+            return lineError(line_no, "unexpected trailing field '" +
+                                          std::string(fields[3]) + "'");
 
         // Type letter. Matched as literal text so unknown letters and
         // multi-character labels are both rejected with the offender.
-        const std::string &label = fields[0];
+        const std::string_view label = fields[0];
+        const char letter = label.size() == 1 ? label[0] : '\0';
         RefType type;
-        if (iequals(label, "i"))
+        if (letter == 'i' || letter == 'I')
             type = RefType::Ifetch;
-        else if (iequals(label, "l"))
+        else if (letter == 'l' || letter == 'L')
             type = RefType::Load;
-        else if (iequals(label, "s"))
+        else if (letter == 's' || letter == 'S')
             type = RefType::Store;
         else
             return lineError(line_no, "unknown reference type '" +
-                                          label + "' (want i, l, or s)");
+                                          std::string(label) +
+                                          "' (want i, l, or s)");
 
-        // Address (hex, optional 0x prefix).
-        std::string addr_text = fields[1];
-        if (addr_text.rfind("0x", 0) == 0 ||
-            addr_text.rfind("0X", 0) == 0)
-            addr_text = addr_text.substr(2);
-        if (addr_text.empty())
-            return lineError(line_no, "missing address");
-        if (addr_text.size() > kMaxAddrHexDigits)
-            return lineError(line_no,
-                             "hex address longer than 64 bits");
         Addr addr = 0;
-        const auto parsed = std::from_chars(
-            addr_text.data(), addr_text.data() + addr_text.size(),
-            addr, 16);
-        if (parsed.ec == std::errc::result_out_of_range)
-            return lineError(line_no, "hex address out of range");
-        if (parsed.ec != std::errc{} ||
-            parsed.ptr != addr_text.data() + addr_text.size())
-            return lineError(line_no, "malformed hex address '" +
-                                          fields[1] + "'");
+        if (const HexAddrError error = parseHexAddr(fields[1], addr);
+            error != HexAddrError::None)
+            return lineError(line_no, hexAddrReason(error, fields[1]));
 
         std::uint8_t size = 4;
-        if (fields.size() == 3) {
+        if (count == 3) {
             const auto access = parseAccessSize(fields[2]);
             if (!access)
                 return lineError(line_no, "bad access size '" +
-                                              fields[2] +
+                                              std::string(fields[2]) +
                                               "' (want 1..255)");
             size = *access;
         }

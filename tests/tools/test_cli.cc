@@ -358,6 +358,70 @@ TEST(CliTool, RejectsUnwritableMetricsPath)
     EXPECT_NE(result.output.find("cannot write"), std::string::npos);
 }
 
+/** Write a two-source campaign spec into the test's temp dir. */
+std::string
+writeCampaignSpec(const std::string &stem)
+{
+    const std::string path = ::testing::TempDir() + "/" + stem + ".dxc";
+    std::ofstream out(path);
+    out << "campaign \"cli\" {\n"
+           "  trace bench espresso as esp;\n"
+           "  trace bench doduc;\n"
+           "  models dm, dynex, opt;\n"
+           "  sizes 1KB, 2KB;\n"
+           "  lines 4, 16;\n"
+           "  refs 20000;\n"
+           "}\n";
+    return path;
+}
+
+TEST(CliTool, CampaignRunWritesSourceSpans)
+{
+    const std::string spec = writeCampaignSpec("cli_campaign_trace");
+    const std::string events =
+        ::testing::TempDir() + "/cli_campaign_trace.json";
+    const auto plain = runCli("campaign run " + spec + " --threads 4");
+    const auto traced = runCli("campaign run " + spec +
+                               " --threads 4 --trace-out " + events);
+    ASSERT_EQ(traced.exitCode, 0) << traced.output;
+    EXPECT_EQ(traced.output, plain.output);
+
+    const std::string trace_json = readFile(events);
+    for (const char *span : {"\"source esp\"", "\"load esp\"",
+                             "\"sweep esp\"", "\"source doduc\"",
+                             "\"load doduc\"", "\"sweep doduc\""})
+        EXPECT_NE(trace_json.find(span), std::string::npos) << span;
+
+    const auto unwritable =
+        runCli("campaign run " + spec +
+               " --trace-out /nonexistent-dir/x/trace.json");
+    EXPECT_EQ(unwritable.exitCode, 3) << unwritable.output;
+    EXPECT_NE(unwritable.output.find("cannot write"), std::string::npos);
+
+    std::remove(spec.c_str());
+    std::remove(events.c_str());
+}
+
+TEST(CliTool, CampaignRejectsSweepOnlyObservabilityFlags)
+{
+    const std::string spec = writeCampaignSpec("cli_campaign_flags");
+    for (const std::string flag :
+         {"--metrics-out m.json", "--csv-out t.csv", "--progress"}) {
+        const auto result = runCli("campaign run " + spec + " " + flag);
+        EXPECT_EQ(result.exitCode, 2) << flag << ": " << result.output;
+        EXPECT_NE(result.output.find(flag.substr(0, flag.find(' '))),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("campaign cli:"), std::string::npos)
+            << "ran anyway: " << result.output;
+    }
+    const auto check =
+        runCli("campaign check " + spec + " --trace-out t.json");
+    EXPECT_EQ(check.exitCode, 2) << check.output;
+    EXPECT_NE(check.output.find("--trace-out"), std::string::npos);
+    std::remove(spec.c_str());
+}
+
 TEST(CliTool, AnalyzeReportsConflictStructure)
 {
     const auto result =

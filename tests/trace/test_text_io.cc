@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "trace/text_io.h"
 
@@ -137,6 +138,111 @@ TEST(DinFormat, RejectsMissingAddress)
     const auto result = readDinTrace(in, "x");
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::CorruptInput);
+}
+
+// The reader's exact contract, pinned: what it accepts, and the status
+// code and message of everything it rejects.
+
+/** Parse @p text; the test fails unless it parses. */
+Trace
+parseOk(const std::string &text)
+{
+    std::istringstream in(text);
+    auto trace = readDinTrace(in, "t");
+    EXPECT_TRUE(trace.ok()) << trace.status().toString();
+    return trace.ok() ? std::move(trace.value()) : Trace("failed");
+}
+
+/** The status of parsing @p text. */
+Status
+parseStatus(const std::string &text)
+{
+    std::istringstream in(text);
+    return readDinTrace(in, "t").status();
+}
+
+TEST(DinFormat, AcceptsCrlfAndAnUnterminatedLastLine)
+{
+    const Trace trace = parseOk("2 1000\r\n0 2000\r\n\r\n1 3000");
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace[0].addr, 0x1000u);
+    EXPECT_EQ(trace[1].type, RefType::Load);
+    EXPECT_EQ(trace[2].type, RefType::Store);
+    EXPECT_EQ(trace[2].addr, 0x3000u);
+    EXPECT_EQ(parseStatus("2 1000\r\n\r\n5 1\r\n").message(),
+              "line 3: unknown din label '5'");
+    EXPECT_EQ(parseOk("").size(), 0u);
+}
+
+TEST(DinFormat, LinesLongerThanAReadChunkParse)
+{
+    const std::string pad(300'000, ' ');
+    const Trace trace = parseOk(pad + "2" + pad + "1000" + pad + "\n" +
+                                "#" + std::string(300'000, 'c') +
+                                "\n0 2000\n");
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace[0].addr, 0x1000u);
+    EXPECT_EQ(trace[1].addr, 0x2000u);
+    const std::string label(300'000, '7');
+    EXPECT_EQ(parseStatus("2 1\n" + pad + "\n" + label + " 1000\n")
+                  .message(),
+              "line 3: unknown din label '" + label + "'");
+}
+
+TEST(DinFormat, WhitespaceAndComments)
+{
+    const Trace trace =
+        parseOk("\f2\v1000\v\n\t0\t2000\t9 9\n  # indented\n1 3000 #x\n");
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace[0].addr, 0x1000u);
+    EXPECT_EQ(trace[1].addr, 0x2000u);
+    EXPECT_EQ(trace[2].addr, 0x3000u);
+    // Only a blank or a tab ends the address: any other space inside
+    // the line, or a '#' glued to it, is part of it.
+    for (const char *line : {"2 1000\v5\n", "2 1000\f5\n", "2 1000\r5\n",
+                             "2 1000#x\n"}) {
+        const Status status = parseStatus(line);
+        EXPECT_EQ(status.code(), StatusCode::CorruptInput) << line;
+        EXPECT_EQ(status.message().rfind("line 1: malformed hex address",
+                                         0),
+                  0u)
+            << status.toString();
+    }
+    // A '#' starts a comment only as the first character of a line.
+    EXPECT_EQ(parseStatus("2# 1000\n").message(),
+              "line 1: unknown din label '2#'");
+}
+
+TEST(DinFormat, AddressPrefixesAndExactMessages)
+{
+    const Trace trace = parseOk("2 0X1F\n0 0xabc\n1 ABC\n");
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace[0].addr, 0x1fu);
+    EXPECT_EQ(trace[1].addr, 0xabcu);
+    EXPECT_EQ(trace[2].addr, 0xabcu);
+
+    EXPECT_EQ(parseStatus("2 0x\n").message(), "line 1: missing address");
+    EXPECT_EQ(parseStatus("2 0X 5\n").message(),
+              "line 1: missing address");
+    EXPECT_EQ(parseStatus("# c\n2\n").message(),
+              "line 2: missing address");
+    EXPECT_EQ(parseStatus("2 12345678901234567\n").message(),
+              "line 1: hex address longer than 64 bits");
+    EXPECT_EQ(parseStatus("2 0x12345678901234567\n").message(),
+              "line 1: hex address longer than 64 bits");
+    EXPECT_EQ(parseStatus("x 1000\n").message(),
+              "line 1: unknown din label 'x'");
+    for (const char *line : {"2 0x0x5\n", "2 -5\n", "2 +5\n", "2 12g4\n"}) {
+        const Status status = parseStatus(line);
+        EXPECT_EQ(status.code(), StatusCode::CorruptInput) << line;
+        EXPECT_EQ(status.message().rfind("line 1: malformed hex address",
+                                         0),
+                  0u)
+            << status.toString();
+    }
+    // Like the text importer's, the message quotes the address.
+    EXPECT_EQ(parseStatus("2 0x0x5 9\n").message(),
+              "line 1: malformed hex address '0x0x5'");
 }
 
 TEST(DinFormat, FileRoundTripNamesTraceAfterBasename)

@@ -11,15 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "server/server.h"
 #include "sim/runner.h"
+#include "sim/workloads.h"
+#include "trace/trace_io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "workload/campaign.h"
 #include "workload/executor.h"
+#include "workload/import.h"
 
 namespace dynex::workload
 {
@@ -206,6 +212,149 @@ TEST(CampaignExecutor, CampaignLevelErrorsCarryTheCampaignName)
     EXPECT_NE(report.status().message().find("broken"),
               std::string::npos)
         << report.status().toString();
+}
+
+CampaignSpec
+parsedSpec(const std::string &text)
+{
+    auto spec = parseCampaign(text);
+    EXPECT_TRUE(spec.ok()) << spec.status().toString();
+    return spec.ok() ? std::move(spec.value()) : CampaignSpec{};
+}
+
+/** Files of every source kind a campaign reads, removed on exit. */
+struct SourceFiles
+{
+    std::string text = ::testing::TempDir() + "exec_fanout.txt";
+    std::string lackey = ::testing::TempDir() + "exec_fanout.lk";
+    std::string dxt2 = ::testing::TempDir() + "exec_fanout.dxt2";
+
+    SourceFiles()
+    {
+        const auto write = [](const std::string &bench,
+                              const auto &writer) {
+            const Trace trace(*Workloads::instructions(bench, 15000));
+            const Status status = writer(trace);
+            EXPECT_TRUE(status.ok()) << status.toString();
+        };
+        write("li", [&](const Trace &t) {
+            return writeTextTraceFile(t, text);
+        });
+        write("gcc", [&](const Trace &t) {
+            return writeLackeyTraceFile(t, lackey);
+        });
+        write("tomcatv", [&](const Trace &t) {
+            return writeTraceFile(t, dxt2);
+        });
+    }
+
+    ~SourceFiles()
+    {
+        std::remove(text.c_str());
+        std::remove(lackey.c_str());
+        std::remove(dxt2.c_str());
+    }
+};
+
+TEST(CampaignFanOut, MixedSourcesAreByteIdenticalAtAnyWorkerCount)
+{
+    ThreadCountGuard guard;
+    const SourceFiles files;
+    const CampaignSpec spec = parsedSpec(
+        "campaign \"mixed\" {\n"
+        "  trace import \"" + files.text + "\" format text as txt;\n"
+        "  trace import \"" + files.lackey + "\" format lackey as lk;\n"
+        "  trace file \"" + files.dxt2 + "\" as dxt;\n"
+        "  trace bench espresso;\n"
+        "  sizes 1KB, 4KB, 16KB;\n"
+        "  lines 4, 16, 32;\n"
+        "  refs 15000;\n"
+        "}\n");
+    std::vector<std::string> json;
+    std::vector<std::string> csv;
+    for (const unsigned workers : {1u, 2u, 8u}) {
+        ThreadPool::setConfiguredWorkers(workers);
+        const auto report = runCampaign(spec, {});
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        ASSERT_EQ(report.value().legs.size(), 4u * 3u * 3u);
+        EXPECT_TRUE(report.value().allOk());
+        json.push_back(report.value().toJson());
+        csv.push_back(report.value().toCsv());
+    }
+    EXPECT_EQ(json[0], json[1]);
+    EXPECT_EQ(json[0], json[2]);
+    EXPECT_EQ(csv[0], csv[1]);
+    EXPECT_EQ(csv[0], csv[2]);
+    // Legs follow spec order: every source's lines, then the next.
+    EXPECT_LT(json[0].find("\"txt\""), json[0].find("\"lk\""));
+    EXPECT_LT(json[0].find("\"lk\""), json[0].find("\"dxt\""));
+    EXPECT_LT(json[0].find("\"dxt\""), json[0].find("\"espresso\""));
+}
+
+TEST(CampaignFanOut, FirstUnresolvableSourceInSpecOrderIsTheError)
+{
+    ThreadCountGuard guard;
+    // The first failing source fails slowly (a bad last line after
+    // 200K good ones); the second fails at once (no such file). With
+    // several workers the second finishes first, and must still not
+    // be the one reported.
+    const std::string slow = ::testing::TempDir() + "exec_slow_bad.txt";
+    {
+        std::ofstream out(slow);
+        for (int i = 0; i < 200000; ++i)
+            out << "i " << std::hex << 0x1000 + 4 * i << "\n";
+        out << "q 1\n";
+    }
+    const CampaignSpec spec = parsedSpec(
+        "campaign \"two-bad\" {\n"
+        "  trace bench espresso;\n"
+        "  trace import \"" + slow + "\" format text as slow;\n"
+        "  trace file \"/nonexistent/fast.dxt2\" as fast;\n"
+        "  refs 5000;\n"
+        "}\n");
+    for (const unsigned workers : {1u, 8u}) {
+        ThreadPool::setConfiguredWorkers(workers);
+        const auto report = runCampaign(spec, {});
+        ASSERT_FALSE(report.ok()) << workers << " workers";
+        const std::string &message = report.status().message();
+        EXPECT_EQ(report.status().code(), StatusCode::CorruptInput)
+            << message;
+        EXPECT_NE(message.find("two-bad"), std::string::npos) << message;
+        EXPECT_NE(message.find("exec_slow_bad.txt"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find("line 200001"), std::string::npos)
+            << message;
+        EXPECT_EQ(message.find("fast.dxt2"), std::string::npos)
+            << message;
+    }
+    std::remove(slow.c_str());
+}
+
+TEST(CampaignFanOut, PerLegFailureListIsInSpecOrderAtAnyWorkerCount)
+{
+    ThreadCountGuard guard;
+    setSweepFaultHook([](const std::string &, std::uint64_t size) {
+        if (size == 2048 || size == 4096)
+            throw StatusError(Status::internal("injected fault"));
+    });
+    const CampaignSpec spec = smallSpec();
+    std::vector<std::string> lists;
+    for (const unsigned workers : {1u, 8u}) {
+        ThreadPool::setConfiguredWorkers(workers);
+        const auto report = runCampaign(spec, {});
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        std::ostringstream list;
+        for (const auto &failure : report.value().failures)
+            list << failure.trace << ' ' << failure.lineBytes << ' '
+                 << failure.sizeBytes << ' ' << failure.model << ' '
+                 << failure.status << '\n';
+        lists.push_back(list.str());
+        // 2 traces x 2 lines x 2 failing sizes.
+        EXPECT_EQ(report.value().failures.size(), 8u);
+    }
+    setSweepFaultHook({});
+    EXPECT_EQ(lists[0], lists[1]);
+    EXPECT_EQ(lists[0].find("espresso 4 2048"), 0u) << lists[0];
 }
 
 } // namespace

@@ -10,6 +10,7 @@
  *   dynex import <in> <out> --format {text,lackey}
  *             [--out-format {dxt2,dxt3}] [--refs N] [--force]
  *   dynex campaign run <spec.dxc> [--host H --port P] [--threads N]
+ *             [--trace-out F]
  *   dynex campaign check <spec.dxc>
  *   dynex sim <trace-file|benchmark> [--cache KIND] [--size S]
  *             [--line L] [--sticky N] [--lastline] [--victim N]
@@ -202,9 +203,10 @@ printUsage(std::FILE *out)
         "                      it the output extension decides\n"
         "         --force      convert/import: overwrite an existing\n"
         "                      output file instead of refusing\n"
-        "         --threads N  simulation worker threads for triad and\n"
-        "                      sweep (default: DYNEX_THREADS if set,\n"
-        "                      else all hardware threads); any count\n"
+        "         --threads N  simulation worker threads for triad,\n"
+        "                      sweep and campaign run (default:\n"
+        "                      DYNEX_THREADS if set, else all\n"
+        "                      hardware threads); any count\n"
         "                      produces identical results\n"
         "         --replay E   sweep replay engine; valid engines:\n"
         "                      kernel (default) streams the trace\n"
@@ -221,9 +223,9 @@ printUsage(std::FILE *out)
         "                      timings, failures) to F\n"
         "         --csv-out F  sweep: write the sweep table (one row\n"
         "                      per leg, with FSM event counts) to F\n"
-        "         --trace-out F  sweep: write Chrome trace-event JSON\n"
-        "                      to F; load in chrome://tracing or\n"
-        "                      Perfetto\n"
+        "         --trace-out F  sweep and campaign run: write\n"
+        "                      Chrome trace-event JSON to F; load in\n"
+        "                      chrome://tracing or Perfetto\n"
         "         --progress   sweep: draw a progress bar on stderr\n"
         "                      (stdout tables are unaffected)\n"
         "         --host H --port P  remote-* and campaign run: a\n"
@@ -720,6 +722,21 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     }
     const workload::CampaignSpec &spec = parsed.value();
 
+    // A campaign writes the report sinks its spec names, so these
+    // sweep flags would be accepted and ignored; `check` runs nothing
+    // to trace.
+    const char *ignored =
+        !options.metricsOut.empty() ? "--metrics-out"
+        : !options.csvOut.empty()   ? "--csv-out"
+        : options.progress          ? "--progress"
+        : verb == "check" && !options.traceOut.empty() ? "--trace-out"
+                                                       : nullptr;
+    if (ignored) {
+        std::fprintf(stderr, "dynex: campaign %s does not take %s\n",
+                     verb.c_str(), ignored);
+        return kExitUsage;
+    }
+
     if (verb == "check") {
         std::printf("campaign: %s\n", spec.name.c_str());
         std::printf("engine:   %s (sticky %u)\n",
@@ -760,8 +777,29 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     run.backoffMs = options.backoffMs;
     if (!options.clientId.empty())
         run.clientId = options.clientId;
+
+    // --trace-out: a `source` span per source job (with its `load`
+    // child) above the sweep spans, so overlapping sources show.
+    std::unique_ptr<obs::Tracer> tracer;
+    if (!options.traceOut.empty()) {
+        tracer = std::make_unique<obs::Tracer>();
+        obs::Tracer::setActive(tracer.get());
+        obs::setPoolJobSpans(true);
+    }
     const Result<workload::CampaignReport> ran =
         workload::runCampaign(spec, run);
+    int rc = kExitOk;
+    if (tracer) {
+        obs::setPoolJobSpans(false);
+        obs::Tracer::setActive(nullptr);
+        if (const Status wrote = tracer->writeJson(options.traceOut);
+            !wrote.ok()) {
+            std::fprintf(stderr, "dynex: cannot write %s: %s\n",
+                         options.traceOut.c_str(),
+                         wrote.toString().c_str());
+            rc = exitCodeFor(wrote);
+        }
+    }
     if (!ran.ok()) {
         std::fprintf(stderr, "dynex: %s\n",
                      ran.status().toString().c_str());
@@ -769,11 +807,10 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     }
     const workload::CampaignReport &report = ran.value();
 
-    int rc = kExitOk;
     const Status wrote = workload::writeCampaignOutputs(report, spec);
     if (!wrote.ok()) {
         std::fprintf(stderr, "dynex: %s\n", wrote.toString().c_str());
-        rc = exitCodeFor(wrote);
+        rc = std::max(rc, exitCodeFor(wrote));
     }
 
     std::printf("campaign %s: %zu leg(s), engine %s%s\n\n",
