@@ -896,8 +896,7 @@ std::string Server::handleSweep(const SweepRequest &request,
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
         SizeSweepOutcome swept =
-            sweepSizes(*warm.value().trace, *warm.value().artifact, axis,
-                       sweepConfig, engine);
+            sweepSizes(*warm.value().artifact, axis, sweepConfig, engine);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;

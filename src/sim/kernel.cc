@@ -48,30 +48,41 @@ cpuHasAvx2()
 }
 
 /**
- * The run-boundary lane: same[i] = 1 iff ids[i] equals the previous
- * reference's dense id (with @p prev carried in from the previous
- * chunk, ~0u -- never an id -- at trace start). Both last-line models
- * consume it: a set bit is exactly a within-run reference served by
- * the last-line register.
+ * The two lanes a chunk precomputes from its dense ids, once for every
+ * leg:
+ *  - the run-boundary lane: same[i] = 1 iff ids[i] equals the
+ *    previous reference's dense id (with @p prev carried in from the
+ *    previous chunk, ~0u -- never an id -- at trace start). Both
+ *    last-line models consume it: a set bit is exactly a within-run
+ *    reference served by the last-line register;
+ *  - the set words: sets[i] = block_sets[ids[i]], the view's one set
+ *    word per distinct block gathered per reference.
  */
 void
-computeSameScalar(const std::uint32_t *ids, std::size_t n,
-                  std::uint32_t prev, std::uint8_t *same)
+computeLanesScalar(const std::uint32_t *ids, std::size_t n,
+                   std::uint32_t prev, const std::uint32_t *block_sets,
+                   std::uint8_t *same, std::uint32_t *sets)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        same[i] = ids[i] == prev;
-        prev = ids[i];
+        const std::uint32_t id = ids[i];
+        same[i] = id == prev;
+        sets[i] = block_sets[id];
+        prev = id;
     }
 }
 
 #if DYNEX_KERNEL_HAVE_AVX2
+/** @pre every id is below 2^31: the gather's indices are signed. */
 __attribute__((target("avx2"))) void
-computeSameAvx2(const std::uint32_t *ids, std::size_t n,
-                std::uint32_t prev, std::uint8_t *same)
+computeLanesAvx2(const std::uint32_t *ids, std::size_t n,
+                 std::uint32_t prev, const std::uint32_t *block_sets,
+                 std::uint8_t *same, std::uint32_t *sets)
 {
     if (n == 0)
         return;
     same[0] = ids[0] == prev;
+    sets[0] = block_sets[ids[0]];
+    const int *const table = reinterpret_cast<const int *>(block_sets);
     std::size_t i = 1;
     for (; i + 8 <= n; i += 8) {
         const __m256i cur = _mm256_loadu_si256(
@@ -82,24 +93,29 @@ computeSameAvx2(const std::uint32_t *ids, std::size_t n,
             _mm256_castsi256_ps(_mm256_cmpeq_epi32(cur, pre))));
         for (unsigned k = 0; k < 8; ++k)
             same[i + k] = (mask >> k) & 1;
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(sets + i),
+                            _mm256_i32gather_epi32(table, cur, 4));
     }
-    for (; i < n; ++i)
+    for (; i < n; ++i) {
         same[i] = ids[i] == ids[i - 1];
+        sets[i] = block_sets[ids[i]];
+    }
 }
 #endif
 
 void
-computeSame(KernelIsa isa, const std::uint32_t *ids, std::size_t n,
-            std::uint32_t prev, std::uint8_t *same)
+computeLanes(KernelIsa isa, const std::uint32_t *ids, std::size_t n,
+             std::uint32_t prev, const std::uint32_t *block_sets,
+             std::uint8_t *same, std::uint32_t *sets)
 {
 #if DYNEX_KERNEL_HAVE_AVX2
     if (isa == KernelIsa::Avx2) {
-        computeSameAvx2(ids, n, prev, same);
+        computeLanesAvx2(ids, n, prev, block_sets, same, sets);
         return;
     }
 #endif
     (void)isa;
-    computeSameScalar(ids, n, prev, same);
+    computeLanesScalar(ids, n, prev, block_sets, same, sets);
 }
 
 /** The tag of an empty line: above every dense id, because a view
@@ -386,7 +402,9 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
 }
 
 /**
- * Stream @p view through every non-null leg once, in chunks.
+ * Stream @p view through every non-null leg once, in chunks. Each
+ * chunk's run-boundary lane and set words are computed once
+ * (computeLanes) and shared by every leg.
  *
  * Observability: per-chunk-per-model timing under a metrics collector
  * (never per reference), chunk and pass spans under a tracer,
@@ -404,11 +422,17 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     obs::Tracer *const tracer = obs::Tracer::active();
     obs::ProgressBar *const progress = obs::ProgressBar::active();
 
-    const KernelIsa isa = kernelDispatchIsa();
+    // The AVX2 gather indexes with signed 32-bit lanes.
+    const KernelIsa isa =
+        view.distinctBlocks() <= (std::uint64_t{1} << 31)
+            ? kernelDispatchIsa()
+            : KernelIsa::Scalar;
     std::vector<std::uint8_t> same(detail::kBatchChunkRefs);
+    std::vector<std::uint32_t> chunk_sets(detail::kBatchChunkRefs);
+    std::uint32_t *const set_words = chunk_sets.data();
 
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
-    const std::uint32_t *set_words = view.setWords();
+    const std::uint32_t *block_sets = view.blockSetWords();
     const std::uint32_t *ids = view.ids();
     const std::uint32_t *next_use = index.ticks();
     const std::size_t n = view.size();
@@ -418,7 +442,8 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
         const std::size_t end =
             std::min(n, base + detail::kBatchChunkRefs);
         const std::size_t len = end - base;
-        computeSame(isa, ids + base, len, prev_id, same.data());
+        computeLanes(isa, ids + base, len, prev_id, block_sets,
+                     same.data(), set_words);
         prev_id = ids[end - 1];
 
         const std::uint64_t chunk_start = tracer ? tracer->nowNs() : 0;
@@ -426,20 +451,20 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
             if (!leg)
                 continue;
             if (!metrics) {
-                runChunk<kAll>(*leg, set_words + base, ids + base,
+                runChunk<kAll>(*leg, set_words, ids + base,
                                next_use + base, same.data(), len, config);
                 continue;
             }
             // Per-model timing: each model runs as its own chunk
             // instantiation, so its time is measured, not apportioned.
             const std::uint64_t t0 = obs::monotonicNs();
-            runChunk<kDm>(*leg, set_words + base, ids + base,
+            runChunk<kDm>(*leg, set_words, ids + base,
                           next_use + base, same.data(), len, config);
             const std::uint64_t t1 = obs::monotonicNs();
-            runChunk<kDe>(*leg, set_words + base, ids + base,
+            runChunk<kDe>(*leg, set_words, ids + base,
                           next_use + base, same.data(), len, config);
             const std::uint64_t t2 = obs::monotonicNs();
-            runChunk<kOpt>(*leg, set_words + base, ids + base,
+            runChunk<kOpt>(*leg, set_words, ids + base,
                            next_use + base, same.data(), len, config);
             leg->dmNs += t1 - t0;
             leg->deNs += t2 - t1;
@@ -538,9 +563,10 @@ throwIfFailed(const std::vector<FailedLeg> &failures)
         throw StatusError(failures.front().status);
 }
 
-ReplayArtifact::ReplayArtifact(const Trace &trace,
-                               std::uint32_t line_bytes)
-    : packed(trace, line_bytes), nextUse(packed, NextUseMode::RunStart)
+ReplayArtifact::ReplayArtifact(std::string name, const Trace *trace,
+                               PackedTraceView view)
+    : sourceName(std::move(name)), source(trace), packed(std::move(view)),
+      nextUse(packed, NextUseMode::RunStart)
 {
 }
 
@@ -553,8 +579,8 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
     const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
     const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
 
-    std::shared_ptr<const ReplayArtifact> artifact(
-        new ReplayArtifact(trace, line_bytes));
+    std::shared_ptr<const ReplayArtifact> artifact(new ReplayArtifact(
+        trace.name(), &trace, PackedTraceView(trace, line_bytes)));
 
     if (metrics) {
         metrics->add(obs::Counter::IndexBuildNs,
@@ -564,6 +590,63 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
     if (tracer)
         tracer->complete("index " + label, "index", tracer_t0,
                          tracer->nowNs() - tracer_t0);
+    return artifact;
+}
+
+std::shared_ptr<const ReplayArtifact>
+buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes)
+{
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    obs::Tracer *const tracer = obs::Tracer::active();
+    // One clock for every delta: the tracer's when it is installed,
+    // so the decode spans and the charged time agree.
+    const auto now = [tracer] {
+        return tracer ? tracer->nowNs() : obs::monotonicNs();
+    };
+    const bool timed = metrics || tracer;
+    const std::uint64_t t0 = timed ? now() : 0;
+
+    TraceImageDecoder decoder;
+    if (!file.mapped() || !decoder.open(file.data(), file.size()) ||
+        decoder.count() >= (std::uint64_t{1} << 32))
+        return nullptr;
+    // Validation (both CRCs) is part of the decode.
+    std::uint64_t decode_ns = timed ? now() - t0 : 0;
+    PackedTraceView view(line_bytes,
+                         static_cast<std::size_t>(decoder.count()));
+    for (;;) {
+        const std::uint64_t block_t0 = timed ? now() : 0;
+        const std::span<const MemRef> block = decoder.next();
+        if (timed) {
+            const std::uint64_t block_ns = now() - block_t0;
+            decode_ns += block_ns;
+            if (tracer && !block.empty())
+                tracer->complete("decode@" + std::to_string(view.size()),
+                                 "load", block_t0, block_ns);
+        }
+        if (block.empty())
+            break;
+        view.append(block);
+    }
+    if (!decoder.ok())
+        return nullptr;
+    view.finish();
+
+    std::shared_ptr<const ReplayArtifact> artifact(
+        new ReplayArtifact(decoder.name(), nullptr, std::move(view)));
+
+    if (timed) {
+        const std::uint64_t total_ns = now() - t0;
+        if (metrics) {
+            metrics->add(obs::Counter::TraceLoadNs, decode_ns);
+            metrics->add(obs::Counter::TraceLoadRefs, artifact->refs());
+            metrics->add(obs::Counter::IndexBuildNs, total_ns - decode_ns);
+            metrics->add(obs::Counter::IndexBuilds, 1);
+        }
+        if (tracer)
+            tracer->complete("index " + artifact->name(), "index", t0,
+                             total_ns);
+    }
     return artifact;
 }
 

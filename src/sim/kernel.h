@@ -5,10 +5,9 @@
  *
  * A per-leg sweep re-streams the trace once per (size, model) leg and
  * walks a per-model object for every reference. The kernel instead
- * streams a 12 bytes/ref artifact once, in L1/L2-sized chunks: the
- * PackedTraceView's 32-bit set words and dense block ids plus the
- * NextUseIndex's 32-bit RunStart ticks. It strips the per-reference
- * machinery:
+ * streams an 8 bytes/ref artifact once, in L1/L2-sized chunks: the
+ * PackedTraceView's 32-bit dense block ids plus the NextUseIndex's
+ * 32-bit RunStart ticks. It strips the per-reference machinery:
  *
  *  - model state lives in 32-bit struct-of-arrays lanes (flat tag,
  *    next-use, and sticky arrays indexed by set; one hit-last byte
@@ -21,7 +20,8 @@
  *    instead of six counter adds per reference per model;
  *  - the run-boundary lane shared by the last-line models is
  *    precomputed per chunk from the ids, with an AVX2 path behind
- *    runtime dispatch (scalar fallback bit-identical);
+ *    runtime dispatch (scalar fallback bit-identical), and so are the
+ *    chunk's set words, from the view's one set word per block;
  *  - every completed leg is checked against its conservation
  *    identities (checkLegIdentities) before it is returned.
  *
@@ -40,6 +40,7 @@
 
 #include "cache/dynamic_exclusion.h"
 #include "sim/runner.h"
+#include "trace/mmap_io.h"
 #include "trace/next_use.h"
 #include "trace/packed_view.h"
 #include "util/status.h"
@@ -75,9 +76,10 @@ std::optional<ReplayEngine> parseReplayEngine(const std::string &name);
 namespace detail
 {
 
-/** References per kernel chunk: 4096 x 12 bytes (set word, dense id,
- * next-use tick) = 48KB, plus 4KB of run-boundary flags, sized to stay
- * resident in L1/L2 while every leg replays it. */
+/** References per kernel chunk: 4096 x 12 bytes (dense id, next-use
+ * tick, and the set word gathered per chunk) = 48KB, plus 4KB of
+ * run-boundary flags, sized to stay resident in L1/L2 while every leg
+ * replays it. */
 inline constexpr std::size_t kBatchChunkRefs = 4096;
 
 } // namespace detail
@@ -122,9 +124,10 @@ void throwIfFailed(const std::vector<FailedLeg> &failures);
 
 /**
  * A trace's replay artifact at one line size: its packed view and the
- * RunStart next-use index built from that view, 12 bytes per
- * reference. Only buildReplayArtifact makes one, so the view and the
- * index always share the trace, the length and the granularity.
+ * RunStart next-use index built from that view, 8 bytes per reference
+ * plus 4 per distinct block. Only buildReplayArtifact makes one, so
+ * the view and the index always share the source, the length and the
+ * granularity, and the artifact names its source.
  */
 class ReplayArtifact
 {
@@ -132,30 +135,68 @@ class ReplayArtifact
     const PackedTraceView &view() const { return packed; }
     const NextUseIndex &index() const { return nextUse; }
     std::uint32_t lineBytes() const { return packed.blockBytes(); }
-    /** Resident bytes: the view's set words and ids plus the index's
-     * ticks. */
+    /** The source trace's name: the label its sweeps report under. */
+    const std::string &name() const { return sourceName; }
+    /** The source's reference count. */
+    std::size_t refs() const { return packed.size(); }
+    /**
+     * The Trace the artifact was built from, or nullptr when it was
+     * packed straight from a trace file. Non-owning: it is valid only
+     * while that Trace lives, and every builder's caller keeps the
+     * Trace beside the artifact (sweepSizes for its call, the suite
+     * sweeps for their benchmark's job, a TraceStore entry and each
+     * IndexedTrace it hands out hold both). Only the per-leg engine
+     * reads it.
+     */
+    const Trace *trace() const { return source; }
+    /** Resident bytes: the view's ids and per-block set words plus the
+     * index's ticks. */
     std::uint64_t bytes() const { return packed.bytes() + nextUse.bytes(); }
 
   private:
     friend std::shared_ptr<const ReplayArtifact>
     buildReplayArtifact(const Trace &, std::uint32_t, const std::string &);
+    friend std::shared_ptr<const ReplayArtifact>
+    buildReplayArtifact(const MappedFile &, std::uint32_t);
 
-    ReplayArtifact(const Trace &trace, std::uint32_t line_bytes);
+    ReplayArtifact(std::string name, const Trace *trace,
+                   PackedTraceView view);
 
+    std::string sourceName;
+    const Trace *source;
     PackedTraceView packed;
     NextUseIndex nextUse;
 };
 
 /**
  * Pack @p trace at @p line_bytes and build its RunStart next-use
- * index: the one place either is built for replay. Charges one
- * IndexBuilds and the view-plus-index wall time to IndexBuildNs and
- * records one "index" span named after @p label, whichever path (CLI,
- * suite, served) asks. Throws what the view or the index throws.
+ * index. Charges one IndexBuilds and the view-plus-index wall time to
+ * IndexBuildNs and records one "index" span named after @p label,
+ * whichever path (CLI, suite, served) asks. Throws what the view or
+ * the index throws.
  */
 std::shared_ptr<const ReplayArtifact>
 buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
                     const std::string &label);
+
+/**
+ * Pack the DXT2/DXT3 image mapped in @p file at @p line_bytes block by
+ * block as TraceImageDecoder yields it, and build its RunStart index:
+ * the Trace is never built, so the artifact's trace() is nullptr. The
+ * artifact is named after the image's trace, and so is its span.
+ * Charges like the Trace overload (IndexBuilds, the "index" span, and
+ * pack plus index to IndexBuildNs) and charges the decode, timed per
+ * block and only under a metrics collector or tracer, as trace
+ * acquisition: TraceLoadNs and TraceLoadRefs, plus a "decode" span
+ * per block.
+ *
+ * @return the artifact, or nullptr when @p file is not a well-formed
+ *         DXT2/DXT3 image or holds 2^32 references or more; the caller
+ *         then reads it as a Trace, whose reader reports the exact
+ *         Status.
+ */
+std::shared_ptr<const ReplayArtifact>
+buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes);
 
 /** The result of replaying every size leg of one trace, by either
  * engine: per-size triads plus a validity mask and the statuses of any
@@ -176,7 +217,8 @@ struct TriadBatchOutcome
  * legs of @p artifact in one pass through the SoA lanes, at the
  * artifact's line size. triads[s] is bit-identical to runTriad(trace,
  * artifact.index(), sizes[s], artifact.lineBytes(), de_config) for the
- * trace the artifact was built from.
+ * trace the artifact was built from, whether it was packed from that
+ * Trace or from its file.
  *
  * A leg whose setup throws (a bad geometry, a set count beyond 32
  * bits, or an injected fault via the sweep fault hook) is recorded as

@@ -44,8 +44,7 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
 }
 
 TriadBatchOutcome
-replayTriads(ReplayEngine engine, const Trace &trace,
-             const ReplayArtifact &artifact,
+replayTriads(ReplayEngine engine, const ReplayArtifact &artifact,
              const std::vector<std::uint64_t> &sizes,
              const DynamicExclusionConfig &config,
              const std::string &label)
@@ -56,13 +55,24 @@ replayTriads(ReplayEngine engine, const Trace &trace,
     TriadBatchOutcome outcome;
     outcome.triads.resize(sizes.size());
     outcome.ok.assign(sizes.size(), 0);
+    const Trace *const trace = artifact.trace();
+    if (!trace) {
+        for (const std::uint64_t size : sizes)
+            outcome.failures.push_back(
+                {label, size, "triad",
+                 Status::invalidArgument(
+                     "the per-leg engine replays a decoded trace; '" +
+                     artifact.name() +
+                     "' was packed straight from its file")});
+        return outcome;
+    }
     std::vector<Status> leg_status(sizes.size());
     ThreadPool::global().parallelFor(sizes.size(), [&](std::size_t s) {
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
             outcome.triads[s] = simobs::runTriadLeg(
-                trace, artifact.index(), label, sizes[s],
+                *trace, artifact.index(), label, sizes[s],
                 artifact.lineBytes(), config);
             outcome.ok[s] = 1;
         } catch (...) {
@@ -115,8 +125,8 @@ sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
                      statusFromException(std::current_exception())});
                 return;
             }
-            TriadBatchOutcome pass = replayTriads(
-                engine, *trace, *artifact, sizes, config, bench);
+            TriadBatchOutcome pass =
+                replayTriads(engine, *artifact, sizes, config, bench);
             outcome.grid[b] = std::move(pass.triads);
             outcome.ok[b] = std::move(pass.ok);
             per_bench[b] = std::move(pass.failures);
@@ -158,8 +168,7 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             row.resize(lines.size());
             for (std::size_t l = 0; l < lines.size(); ++l) {
                 const TriadBatchOutcome pass = replayTriads(
-                    engine, *trace,
-                    *buildReplayArtifact(*trace, lines[l], bench),
+                    engine, *buildReplayArtifact(*trace, lines[l], bench),
                     {size_bytes}, config, bench);
                 throwIfFailed(pass.failures);
                 row[l] = pass.triads[0];

@@ -55,19 +55,21 @@ std::shared_ptr<const Trace> loadStream(const std::string &name,
                                         Count refs, StreamKind stream);
 
 /**
- * Replay every size leg of @p trace with @p engine: the one place a
- * sweep's engine choice is made. The kernel streams @p artifact once
- * for all legs; PerLeg runs one observed runTriad per size across the
- * pool, against the artifact's index. Either engine calls the sweep
- * fault hook as hook(label, size) per leg and records a leg that
- * throws as a FailedLeg without perturbing the others.
+ * Replay every size leg of @p artifact's source with @p engine: the
+ * one place a sweep's engine choice is made. The kernel streams the
+ * artifact once for all legs; PerLeg runs one observed runTriad per
+ * size across the pool over the artifact's trace() and index. Either
+ * engine calls the sweep fault hook as hook(label, size) per leg and
+ * records a leg that throws as a FailedLeg without perturbing the
+ * others. PerLeg on an artifact packed from a file (no trace()) fails
+ * every leg with InvalidArgument.
  *
- * @param artifact @p trace's replay artifact; its line size is the
- *        legs' line size.
+ * @param artifact the replay artifact; its line size is the legs' line
+ *        size.
  * @param label names the legs' failures, metrics slots, spans and
  *        fault-hook calls.
  */
-TriadBatchOutcome replayTriads(ReplayEngine engine, const Trace &trace,
+TriadBatchOutcome replayTriads(ReplayEngine engine,
                                const ReplayArtifact &artifact,
                                const std::vector<std::uint64_t> &sizes,
                                const DynamicExclusionConfig &config,

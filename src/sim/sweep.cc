@@ -89,12 +89,12 @@ const
 }
 
 SizeSweepOutcome
-sweepSizes(const Trace &trace, const ReplayArtifact &artifact,
+sweepSizes(const ReplayArtifact &artifact,
            const std::vector<std::uint64_t> &sizes,
            const DynamicExclusionConfig &config, ReplayEngine engine)
 {
-    TriadBatchOutcome pass = replayTriads(engine, trace, artifact, sizes,
-                                          config, trace.name());
+    TriadBatchOutcome pass = replayTriads(engine, artifact, sizes, config,
+                                          artifact.name());
     SizeSweepOutcome outcome;
     outcome.points.resize(sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {
@@ -137,7 +137,7 @@ sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
         }
         return outcome;
     }
-    return sweepSizes(trace, *artifact, sizes, config, engine);
+    return sweepSizes(*artifact, sizes, config, engine);
 }
 
 SuiteAverageOutcome

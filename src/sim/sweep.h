@@ -67,18 +67,21 @@ struct SizeSweepOutcome
 };
 
 /**
- * Run the three-way comparison over @p sizes on one trace, at the
- * line size of @p artifact (built from @p trace). With the default
- * Kernel engine the artifact is streamed once for all sizes and
- * models; PerLeg replays the object models per (size, model) leg.
- * Both produce bit-identical results at any thread count. A failing
- * leg (including one injected via the sweep fault hook) is recorded
- * instead of propagating, and every other leg completes bit-identical
- * to an unfaulted run. The serving subsystem passes the TraceStore's
- * cached artifact, so a warm request neither repacks nor reindexes.
+ * Run the three-way comparison over @p sizes on @p artifact's source,
+ * at the artifact's line size, labelled with its name(). With the
+ * default Kernel engine the artifact is streamed once for all sizes
+ * and models; PerLeg replays the object models per (size, model) leg
+ * over the artifact's trace(), and fails every leg with
+ * InvalidArgument when it was packed from a file. Both produce
+ * bit-identical results at any thread count. A failing leg (including
+ * one injected via the sweep fault hook) is recorded instead of
+ * propagating, and every other leg completes bit-identical to an
+ * unfaulted run. The serving subsystem passes the TraceStore's cached
+ * artifact, so a warm request neither repacks nor reindexes; the CLI
+ * passes one packed straight from a trace file.
  */
 SizeSweepOutcome sweepSizes(
-    const Trace &trace, const ReplayArtifact &artifact,
+    const ReplayArtifact &artifact,
     const std::vector<std::uint64_t> &sizes,
     const DynamicExclusionConfig &config = {},
     ReplayEngine engine = ReplayEngine::Kernel);

@@ -72,25 +72,26 @@ zigzagDecode(std::uint64_t v)
 }
 
 /**
- * Bounds- and width-checked varint read from [*at, end). A varint
+ * Bounds- and width-checked varint read from [at, size). A varint
  * wider than 10 bytes cannot come from the encoder and is corruption.
+ * @return nullptr, or the reason the varint is corrupt.
  */
-Status
-getVarint(const unsigned char *data, std::size_t size, std::size_t *at,
-          std::uint64_t *v)
+inline const char *
+getVarint(const unsigned char *data, std::size_t size, std::size_t &at,
+          std::uint64_t &v)
 {
     std::uint64_t value = 0;
     for (int shift = 0; shift < 70; shift += 7) {
-        if (*at >= size)
-            return Status::corruptInput("truncated varint");
-        const unsigned char byte = data[(*at)++];
+        if (at >= size)
+            return "truncated varint";
+        const unsigned char byte = data[at++];
         value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80)) {
-            *v = value;
-            return Status();
+            v = value;
+            return nullptr;
         }
     }
-    return Status::corruptInput("overlong varint");
+    return "overlong varint";
 }
 
 std::string
@@ -114,14 +115,8 @@ readFailure(const std::istream &in, const char *what)
     return Status::corruptInput(std::string("truncated ") + what);
 }
 
-/** Three running address predictors, one per RefType. */
-struct DeltaState
-{
-    std::uint64_t prev[3] = {0, 0, 0};
-};
-
 void
-encodeRecord(std::string &buf, const MemRef &ref, DeltaState &state)
+encodeRecord(std::string &buf, const MemRef &ref, Dxt3Predictors &state)
 {
     const auto type = static_cast<std::uint8_t>(ref.type);
     const std::uint8_t inline_size =
@@ -135,37 +130,40 @@ encodeRecord(std::string &buf, const MemRef &ref, DeltaState &state)
     state.prev[type] = ref.addr;
 }
 
-Status
-decodeRecord(const unsigned char *data, std::size_t size,
-             std::size_t *at, DeltaState &state, MemRef *ref)
-{
-    if (*at >= size)
-        return Status::corruptInput("truncated record meta");
-    const unsigned char meta = data[(*at)++];
-    const unsigned char type = meta >> 6;
-    if (type > static_cast<unsigned char>(RefType::Store))
-        return Status::corruptInput("invalid reference type");
-    std::uint64_t access_size = meta & 0x3f;
-    if (access_size == kSizeEscape) {
-        if (Status status = getVarint(data, size, at, &access_size);
-            !status.ok())
-            return status;
-        if (access_size > 0xff)
-            return Status::corruptInput("invalid access size");
-    }
-    std::uint64_t encoded_delta = 0;
-    if (Status status = getVarint(data, size, at, &encoded_delta);
-        !status.ok())
-        return status;
-    state.prev[type] += static_cast<std::uint64_t>(
-        zigzagDecode(encoded_delta));
-    ref->addr = state.prev[type];
-    ref->type = static_cast<RefType>(type);
-    ref->size = static_cast<std::uint8_t>(access_size);
-    return Status();
-}
-
 } // namespace
+
+const char *
+decodeDxt3Block(const unsigned char *data, std::size_t size,
+                std::size_t records, Dxt3Predictors &state, MemRef *out)
+{
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < records; ++i) {
+        if (at >= size)
+            return "truncated record meta";
+        const unsigned char meta = data[at++];
+        const unsigned char type = meta >> 6;
+        if (type > static_cast<unsigned char>(RefType::Store))
+            return "invalid reference type";
+        std::uint64_t access_size = meta & 0x3f;
+        if (access_size == kSizeEscape) {
+            if (const char *error = getVarint(data, size, at, access_size))
+                return error;
+            if (access_size > 0xff)
+                return "invalid access size";
+        }
+        std::uint64_t encoded_delta = 0;
+        if (const char *error = getVarint(data, size, at, encoded_delta))
+            return error;
+        state.prev[type] += static_cast<std::uint64_t>(
+            zigzagDecode(encoded_delta));
+        out[i].addr = state.prev[type];
+        out[i].type = static_cast<RefType>(type);
+        out[i].size = static_cast<std::uint8_t>(access_size);
+    }
+    if (at != size)
+        return "trailing bytes in block";
+    return nullptr;
+}
 
 Status
 writeTraceDxt3(const Trace &trace, std::ostream &out)
@@ -183,7 +181,7 @@ writeTraceDxt3(const Trace &trace, std::ostream &out)
     std::uint32_t crc = crc32Update(crc32Init(), trace.name().data(),
                                     trace.name().size());
 
-    DeltaState state;
+    Dxt3Predictors state;
     std::string block;
     std::string framed;
     for (std::size_t base = 0; base < trace.size();
@@ -250,7 +248,7 @@ readTraceDxt3(std::istream &in)
     Trace trace(name);
     trace.reserve(static_cast<std::size_t>(
         std::min(count, kReserveCapRecords)));
-    DeltaState state;
+    Dxt3Predictors state;
     std::vector<unsigned char> block;
     std::uint64_t remaining = count;
     while (remaining > 0) {
@@ -273,17 +271,13 @@ readTraceDxt3(std::istream &in)
                                 static_cast<std::streamsize>(encoded)))
             return readFailure(in, "block");
         crc = crc32Update(crc, block.data(), block.size());
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < records; ++i) {
-            MemRef ref;
-            if (Status status = decodeRecord(block.data(), block.size(),
-                                             &at, state, &ref);
-                !status.ok())
-                return status;
-            trace.append(ref);
-        }
-        if (at != block.size())
-            return Status::corruptInput("trailing bytes in block");
+        std::vector<MemRef> &refs = trace.mutableRecords();
+        const std::size_t base = refs.size();
+        refs.resize(base + records);
+        if (const char *error = decodeDxt3Block(
+                block.data(), block.size(), records, state,
+                refs.data() + base))
+            return Status::corruptInput(error);
         remaining -= records;
     }
 

@@ -28,7 +28,10 @@
  * meta bytes with an invalid type are rejected, and each block must be
  * consumed exactly. Corrupt input yields CorruptInput, implausible
  * lengths yield ResourceLimit — never a crash or unbounded allocation
- * (the corruption fuzzer hammers this entry point).
+ * (the corruption fuzzer hammers this entry point). The per-record
+ * checks live in decodeDxt3Block, the one DXT3 record decoder: the
+ * streaming reader and the mapped image decoder (trace/mmap_io.h)
+ * both call it.
  */
 
 #ifndef DYNEX_TRACE_DXT3_H
@@ -52,6 +55,26 @@ inline constexpr std::size_t kDxt3BlockRecords = 4096;
  */
 inline constexpr std::uint32_t kDxt3MaxBlockBytes =
     static_cast<std::uint32_t>(kDxt3BlockRecords) * 13;
+
+/** The three running address predictors of a DXT3 stream, one per
+ * RefType; a stream's first block starts from all zeros. */
+struct Dxt3Predictors
+{
+    std::uint64_t prev[3] = {0, 0, 0};
+};
+
+/**
+ * Decode one DXT3 block: exactly @p records records from the @p size
+ * encoded bytes at @p data into @p out, advancing @p state. Every
+ * meta byte's type, the size escape, and every varint's bounds and
+ * width are checked, and the block must be consumed exactly.
+ *
+ * @return nullptr on success, else the reason the block is corrupt
+ *         (the message of the CorruptInput a reader reports).
+ */
+const char *decodeDxt3Block(const unsigned char *data, std::size_t size,
+                            std::size_t records, Dxt3Predictors &state,
+                            MemRef *out);
 
 /** Serialize @p trace to @p out in DXT3 (including the magic). */
 Status writeTraceDxt3(const Trace &trace, std::ostream &out);

@@ -1,7 +1,7 @@
 #include "trace/mmap_io.h"
 
+#include <algorithm>
 #include <cstring>
-#include <optional>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DYNEX_HAVE_MMAP 1
@@ -22,54 +22,13 @@ namespace dynex
 namespace
 {
 
-#if DYNEX_HAVE_MMAP
-
-constexpr std::size_t kDxt2HeaderBytes = 20; // magic..header_crc
+constexpr std::size_t kHeaderBytes = 20; // magic..header_crc
 constexpr std::size_t kDxt2RecordBytes = 10;
+/** The fewest bytes a DXT3 record encodes to: meta plus a one-byte
+ * delta. */
+constexpr std::uint64_t kDxt3MinRecordBytes = 2;
 constexpr std::uint64_t kMaxNameBytes = 1 << 20;
 constexpr std::uint64_t kMaxRecords = std::uint64_t{1} << 33;
-
-/** A read-only mapping of a whole regular file. */
-class MappedFile
-{
-  public:
-    /** @return false when the file cannot be mapped (not an error —
-     * the caller falls back to streaming). */
-    bool
-    open(const std::string &path)
-    {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        struct stat st{};
-        if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) ||
-            st.st_size <= 0) {
-            ::close(fd);
-            return false;
-        }
-        bytes = static_cast<std::size_t>(st.st_size);
-        void *mapping = mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE,
-                             fd, 0);
-        ::close(fd);
-        if (mapping == MAP_FAILED)
-            return false;
-        base = static_cast<const unsigned char *>(mapping);
-        return true;
-    }
-
-    ~MappedFile()
-    {
-        if (base)
-            munmap(const_cast<unsigned char *>(base), bytes);
-    }
-
-    const unsigned char *data() const { return base; }
-    std::size_t size() const { return bytes; }
-
-  private:
-    const unsigned char *base = nullptr;
-    std::size_t bytes = 0;
-};
 
 std::uint64_t
 getUint(const unsigned char *p, int bytes)
@@ -80,72 +39,163 @@ getUint(const unsigned char *p, int bytes)
     return v;
 }
 
-/**
- * Decode a complete DXT2 image in place. Returns an empty optional
- * when the image is not a well-formed DXT2 file of exactly this size —
- * truncated, oversized, corrupt, or a different magic — in which case
- * the caller re-reads through the streaming path so the reported
- * Status matches the canonical reader's.
- */
-std::optional<Trace>
-decodeDxt2Mapped(const unsigned char *data, std::size_t size)
+} // namespace
+
+MappedFile::MappedFile(const std::string &path)
 {
-    if (size < kDxt2HeaderBytes + 4 ||
-        std::memcmp(data, "DXT2", 4) != 0)
-        return std::nullopt;
+#if DYNEX_HAVE_MMAP
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return;
+    struct stat st{};
+    if (fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+        const auto length = static_cast<std::size_t>(st.st_size);
+        void *mapping =
+            mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
+        if (mapping != MAP_FAILED) {
+            base = static_cast<const unsigned char *>(mapping);
+            bytes = length;
+        }
+    }
+    ::close(fd);
+#else
+    (void)path;
+#endif
+}
+
+MappedFile::~MappedFile()
+{
+#if DYNEX_HAVE_MMAP
+    if (base)
+        munmap(const_cast<unsigned char *>(base), bytes);
+#endif
+}
+
+bool
+TraceImageDecoder::open(const unsigned char *data, std::size_t size)
+{
+    if (size < kHeaderBytes + 4)
+        return false;
+    dxt3 = std::memcmp(data, "DXT3", 4) == 0;
+    if (!dxt3 && std::memcmp(data, "DXT2", 4) != 0)
+        return false;
     if (crc32Of(data, 16) !=
         static_cast<std::uint32_t>(getUint(data + 16, 4)))
-        return std::nullopt;
+        return false;
     const std::uint64_t name_len = getUint(data + 4, 4);
     const std::uint64_t count = getUint(data + 8, 8);
     if (name_len > kMaxNameBytes || count > kMaxRecords)
-        return std::nullopt;
-    const std::uint64_t payload = name_len + count * kDxt2RecordBytes;
-    if (kDxt2HeaderBytes + payload + 4 != size)
-        return std::nullopt;
-
-    const unsigned char *p = data + kDxt2HeaderBytes;
-    if (crc32Of(p, static_cast<std::size_t>(payload)) !=
-        static_cast<std::uint32_t>(
-            getUint(p + payload, 4)))
-        return std::nullopt;
-
-    Trace trace(std::string(reinterpret_cast<const char *>(p),
-                            static_cast<std::size_t>(name_len)));
-    trace.reserve(static_cast<std::size_t>(count));
-    const unsigned char *rec = p + name_len;
-    for (std::uint64_t i = 0; i < count; ++i, rec += kDxt2RecordBytes) {
-        const unsigned char type = rec[8];
-        if (type > static_cast<unsigned char>(RefType::Store))
-            return std::nullopt;
-        MemRef ref;
-        ref.addr = getUint(rec, 8);
-        ref.type = static_cast<RefType>(type);
-        ref.size = rec[9];
-        trace.append(ref);
+        return false;
+    // The payload (name plus records or blocks) sits between the
+    // header and the trailing CRC. With both fields capped, none of
+    // these sums can overflow.
+    const std::uint64_t payload = size - kHeaderBytes - 4;
+    if (name_len > payload)
+        return false;
+    const std::uint64_t body = payload - name_len;
+    if (dxt3) {
+        const std::uint64_t blocks =
+            (count + kDxt3BlockRecords - 1) / kDxt3BlockRecords;
+        if (body < 4 * blocks + kDxt3MinRecordBytes * count)
+            return false;
+    } else if (body != count * kDxt2RecordBytes) {
+        return false;
     }
-    return trace;
+    const unsigned char *p = data + kHeaderBytes;
+    if (crc32Of(p, static_cast<std::size_t>(payload)) !=
+        static_cast<std::uint32_t>(getUint(p + payload, 4)))
+        return false;
+
+    traceName.assign(reinterpret_cast<const char *>(p),
+                     static_cast<std::size_t>(name_len));
+    cursor = p + name_len;
+    payloadEnd = p + payload;
+    records = remaining = count;
+    failed = false;
+    predictors = Dxt3Predictors();
+    buffer.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(count, kImageBlockRecords)));
+    return true;
 }
 
-#endif // DYNEX_HAVE_MMAP
+std::span<const MemRef>
+TraceImageDecoder::fail()
+{
+    failed = true;
+    return {};
+}
 
-} // namespace
+std::span<const MemRef>
+TraceImageDecoder::next()
+{
+    if (failed)
+        return {};
+    if (remaining == 0) {
+        // Every record is out: the blocks must end with the payload.
+        if (cursor != payloadEnd)
+            return fail();
+        return {};
+    }
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining, kImageBlockRecords));
+    MemRef *const out = buffer.data();
+    if (dxt3) {
+        if (payloadEnd - cursor < 4)
+            return fail();
+        const std::uint64_t encoded = getUint(cursor, 4);
+        cursor += 4;
+        if (encoded > kDxt3MaxBlockBytes ||
+            encoded > static_cast<std::uint64_t>(payloadEnd - cursor))
+            return fail();
+        if (decodeDxt3Block(cursor, static_cast<std::size_t>(encoded), n,
+                            predictors, out))
+            return fail();
+        cursor += encoded;
+    } else {
+        // open() checked that all count() records are present.
+        for (std::size_t i = 0; i < n; ++i, cursor += kDxt2RecordBytes) {
+            const unsigned char type = cursor[8];
+            if (type > static_cast<unsigned char>(RefType::Store))
+                return fail();
+            out[i].addr = getUint(cursor, 8);
+            out[i].type = static_cast<RefType>(type);
+            out[i].size = cursor[9];
+        }
+    }
+    remaining -= n;
+    return {out, n};
+}
+
+std::optional<Trace>
+decodeTraceImage(const unsigned char *data, std::size_t size)
+{
+    TraceImageDecoder decoder;
+    if (!decoder.open(data, size))
+        return std::nullopt;
+    Trace trace(decoder.name());
+    trace.reserve(static_cast<std::size_t>(decoder.count()));
+    std::vector<MemRef> &refs = trace.mutableRecords();
+    for (auto block = decoder.next(); !block.empty();
+         block = decoder.next())
+        refs.insert(refs.end(), block.begin(), block.end());
+    if (!decoder.ok())
+        return std::nullopt;
+    return trace;
+}
 
 Result<Trace>
 readTraceFileFast(const std::string &path, TraceReadPath *read_path)
 {
     if (read_path)
         *read_path = TraceReadPath::Streamed;
-#if DYNEX_HAVE_MMAP
-    MappedFile file;
-    if (file.open(path)) {
-        if (auto trace = decodeDxt2Mapped(file.data(), file.size())) {
+    const MappedFile file(path);
+    if (file.mapped()) {
+        if (auto trace = decodeTraceImage(file.data(), file.size())) {
             if (read_path)
                 *read_path = TraceReadPath::Mapped;
             return std::move(*trace);
         }
     }
-#endif
     return readTraceFile(path);
 }
 

@@ -8,85 +8,111 @@
 namespace dynex
 {
 
-PackedTraceView::PackedTraceView(const Trace &trace,
-                                 std::uint32_t block_bytes)
-    : blockBytesValue(block_bytes)
+namespace
+{
+
+constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+} // namespace
+
+PackedTraceView::PackedTraceView(std::uint32_t block_bytes,
+                                 std::size_t expected_refs)
+    : sentinelId(kNoId), blockBytesValue(block_bytes)
 {
     DYNEX_ASSERT(isPowerOfTwo(block_bytes),
                  "block size must be a power of two, got ", block_bytes);
-    const MemRef *refs = trace.records().data();
-    const std::size_t n = trace.size();
-    DYNEX_ASSERT(n < (std::uint64_t{1} << 32),
+    blockShift = floorLog2(block_bytes);
+    denseIds.reserve(expected_refs);
+    // Start near the typical distinct-block count (~n/16); append()
+    // doubles the table at a 0.75 load factor.
+    resizeHash(std::size_t{1}
+               << ceilLog2(std::max<std::size_t>(256, expected_refs / 16)));
+}
+
+PackedTraceView::PackedTraceView(const Trace &trace,
+                                 std::uint32_t block_bytes)
+    : PackedTraceView(block_bytes, trace.size())
+{
+    append(trace.records());
+    finish();
+}
+
+void
+PackedTraceView::resizeHash(std::size_t count)
+{
+    // kAddrInvalid doubles as the empty-slot marker.
+    std::vector<Slot> old(count, Slot{kAddrInvalid, 0});
+    old.swap(slots);
+    const std::size_t mask = slots.size() - 1;
+    indexShift = 64 - floorLog2(slots.size());
+    for (const Slot &entry : old) {
+        if (entry.key == kAddrInvalid)
+            continue;
+        std::size_t at = mixHash(entry.key) >> indexShift;
+        while (slots[at].key != kAddrInvalid)
+            at = (at + 1) & mask;
+        slots[at] = entry;
+    }
+}
+
+void
+PackedTraceView::append(std::span<const MemRef> refs)
+{
+    DYNEX_ASSERT(!slots.empty(), "append() after finish()");
+    DYNEX_ASSERT(denseIds.size() + refs.size() <
+                     (std::uint64_t{1} << 32),
                  "a packed view numbers blocks with 32-bit ids; the "
-                 "trace has ", n, " references");
-    const unsigned shift = floorLog2(block_bytes);
-    setWordArray.resize(n);
-    denseIds.resize(n);
+                 "trace has ", denseIds.size() + refs.size(),
+                 " references");
+    const std::size_t base = denseIds.size();
+    denseIds.resize(base + refs.size());
+    std::uint32_t *const out = denseIds.data() + base;
 
     // Block -> id, open addressing with linear probes: the only block
-    // hash of a replay artifact (NextUseIndex chains the ids). Start
-    // near the typical distinct-block count (~n/16) and double at a
-    // 0.75 load factor.
-    struct Slot
-    {
-        Addr key;
-        std::uint32_t id;
-    };
-    constexpr Slot kEmptySlot{kAddrInvalid, 0};
-    std::vector<Slot> slots(
-        std::size_t{1} << ceilLog2(std::max<std::size_t>(256, n / 16)),
-        kEmptySlot);
+    // hash of a replay artifact (NextUseIndex chains the ids). The
+    // probe state lives in locals for the pass and is reloaded after
+    // each growth.
+    Slot *table = slots.data();
     std::size_t mask = slots.size() - 1;
-    unsigned index_shift = 64 - floorLog2(slots.size());
     std::size_t limit = slots.size() - slots.size() / 4;
-
-    const auto grow = [&] {
-        std::vector<Slot> old(slots.size() * 2, kEmptySlot);
-        old.swap(slots);
-        mask = slots.size() - 1;
-        index_shift = 64 - floorLog2(slots.size());
-        limit = slots.size() - slots.size() / 4;
-        for (const Slot &entry : old) {
-            if (entry.key == kAddrInvalid)
-                continue;
-            std::size_t at = mixHash(entry.key) >> index_shift;
-            while (slots[at].key != kAddrInvalid)
-                at = (at + 1) & mask;
-            slots[at] = entry;
-        }
-    };
-
-    // kAddrInvalid doubles as the empty-slot marker, so a block equal
-    // to it (addr near 2^64 at byte granularity) gets a sidecar id.
-    constexpr std::uint32_t kNoId = ~std::uint32_t{0};
-    std::uint32_t sentinel_id = kNoId;
-    std::uint32_t next_id = 0;
-    std::size_t used = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr block = refs[i].addr >> shift;
-        setWordArray[i] = static_cast<std::uint32_t>(block);
+    std::size_t used = setWords.size() - (sentinelId != kNoId);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const Addr block = refs[i].addr >> blockShift;
         std::uint32_t id;
         if (block == kAddrInvalid) {
-            if (sentinel_id == kNoId)
-                sentinel_id = next_id++;
-            id = sentinel_id;
+            // The empty-slot marker itself (addr near 2^64 at byte
+            // granularity) gets a sidecar id.
+            if (sentinelId == kNoId) {
+                sentinelId = static_cast<std::uint32_t>(setWords.size());
+                setWords.push_back(static_cast<std::uint32_t>(block));
+            }
+            id = sentinelId;
         } else {
-            std::size_t at = mixHash(block) >> index_shift;
-            while (slots[at].key != kAddrInvalid &&
-                   slots[at].key != block)
+            std::size_t at = mixHash(block) >> indexShift;
+            while (table[at].key != kAddrInvalid && table[at].key != block)
                 at = (at + 1) & mask;
-            if (slots[at].key == block) {
-                id = slots[at].id;
+            if (table[at].key == block) {
+                id = table[at].id;
             } else {
-                id = next_id++;
-                slots[at] = {block, id};
-                if (++used >= limit)
-                    grow();
+                id = static_cast<std::uint32_t>(setWords.size());
+                setWords.push_back(static_cast<std::uint32_t>(block));
+                table[at] = {block, id};
+                if (++used >= limit) {
+                    resizeHash(slots.size() * 2);
+                    table = slots.data();
+                    mask = slots.size() - 1;
+                    limit = slots.size() - slots.size() / 4;
+                }
             }
         }
-        denseIds[i] = id;
+        out[i] = id;
     }
-    distinct = next_id;
+}
+
+void
+PackedTraceView::finish()
+{
+    std::vector<Slot>().swap(slots);
 }
 
 } // namespace dynex

@@ -7,20 +7,30 @@
  * to the matching parser. Every mutation must yield either a clean
  * success (CRC-less formats can survive benign flips) or a
  * structured, non-Internal error — never a crash, hang, or unbounded
- * allocation. Shared between the gtest smoke test and the standalone
- * fuzz binary so both run the exact same corpus for a given seed.
+ * allocation. Every binary trace mutant is also fed to the mapped
+ * image decoder (TraceImageDecoder, the zero-copy path), twice: as is,
+ * and with both CRCs resealed so the mutation reaches the per-block
+ * checks behind them. Wherever the mapped decoder accepts an image,
+ * the streaming reader must yield the identical trace; where it
+ * refuses, the mapped path falls back to the streaming reader, so the
+ * Status is the same by construction. A disagreement is a violation.
+ * Shared between the gtest smoke test and the standalone fuzz binary
+ * so both run the exact same corpus for a given seed.
  */
 
 #ifndef DYNEX_TESTS_ROBUSTNESS_CORRUPTION_FUZZER_H
 #define DYNEX_TESTS_ROBUSTNESS_CORRUPTION_FUZZER_H
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "workload/campaign.h"
 #include "workload/import.h"
@@ -72,11 +82,58 @@ corpusTrace()
     return trace;
 }
 
+/** @p image with its DXT2/DXT3 header CRC and trailing payload CRC
+ * recomputed over whatever bytes it now holds. */
+inline std::string
+resealed(std::string image)
+{
+    if (image.size() < 24)
+        return image;
+    const auto put = [&](std::size_t at, std::uint32_t crc) {
+        for (int i = 0; i < 4; ++i)
+            image[at + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    };
+    put(16, crc32Of(image.data(), 16));
+    put(image.size() - 4, crc32Of(image.data() + 20, image.size() - 24));
+    return image;
+}
+
+/** Where the mapped decoder accepts @p bytes, the streaming reader's
+ * @p streamed result must be the identical trace: Ok, or an Internal
+ * status describing the disagreement. */
+inline Status
+checkMappedAgrees(const std::string &bytes, const Result<Trace> &streamed)
+{
+    const std::optional<Trace> mapped = decodeTraceImage(
+        reinterpret_cast<const unsigned char *>(bytes.data()),
+        bytes.size());
+    if (!mapped)
+        return Status();
+    if (!streamed.ok())
+        return Status::internal(
+            "mapped decoder accepted an image the streaming reader "
+            "rejects: " + streamed.status().toString());
+    if (mapped->name() != streamed->name() ||
+        mapped->records() != streamed->records())
+        return Status::internal(
+            "mapped decoder and streaming reader disagree on the "
+            "records");
+    return Status();
+}
+
 inline Status
 parseBinary(const std::string &bytes)
 {
+    const std::string sealed = resealed(bytes);
+    std::istringstream sealed_in(sealed);
+    if (Status agree = checkMappedAgrees(sealed, readTrace(sealed_in));
+        !agree.ok())
+        return agree.withContext("resealed");
     std::istringstream in(bytes);
-    return readTrace(in).status();
+    const Result<Trace> streamed = readTrace(in);
+    if (Status agree = checkMappedAgrees(bytes, streamed); !agree.ok())
+        return agree;
+    return streamed.status();
 }
 
 inline Status

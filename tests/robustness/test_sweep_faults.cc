@@ -126,8 +126,7 @@ TEST(SweepFaults, CheckedSweepWithoutFaultsMatchesUnchecked)
         const auto built = sweepSizes(trace, kSizes, 4, {}, engine);
         ASSERT_TRUE(built.allOk());
         const auto &clean = built.points;
-        const auto checked =
-            sweepSizes(trace, *artifact, kSizes, {}, engine);
+        const auto checked = sweepSizes(*artifact, kSizes, {}, engine);
         EXPECT_TRUE(checked.allOk());
         for (std::size_t s = 0; s < kSizes.size(); ++s) {
             ASSERT_TRUE(checked.ok[s]);

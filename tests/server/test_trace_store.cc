@@ -149,8 +149,9 @@ TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
 
 TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
 {
-    // A cold artifact holds 12 bytes per reference: a 4-byte set
-    // word, a 4-byte dense id and a 4-byte next-use tick.
+    // A cold artifact holds 8 bytes per reference, a 4-byte dense id
+    // and a 4-byte next-use tick, plus a 4-byte set word per distinct
+    // block (tinyTrace touches 7).
     TraceStore store(
         [&](const std::string &name) -> Result<Trace> {
             return tinyTrace(name);
@@ -161,7 +162,7 @@ TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
 
     ASSERT_TRUE(store.indexed("alpha", 4).ok());
     EXPECT_EQ(store.counters().residentBytes - before,
-              64u * 12);
+              64u * 8 + 7u * 4);
 
     // A warm hit charges nothing more.
     const std::uint64_t warm = store.counters().residentBytes;
@@ -426,8 +427,7 @@ TEST(TraceStore, CachedViewSweepMatchesASelfPackedSweepByteForByte)
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
         const SizeSweepOutcome cached =
-            sweepSizes(*warm.value().trace, *warm.value().artifact,
-                       paperCacheSizes(), config);
+            sweepSizes(*warm.value().artifact, paperCacheSizes(), config);
         const SizeSweepOutcome packed = sweepSizes(
             *warm.value().trace, paperCacheSizes(), line, config);
         ASSERT_TRUE(cached.allOk());

@@ -333,6 +333,45 @@ TEST(CliTool, SweepDefaultsToTheKernelEngine)
     std::remove(path.c_str());
 }
 
+TEST(CliTool, FileSweepsChargeTraceLoad)
+{
+    // A --metrics-out sweep of a DXT3 and of a DXT2 file charges the
+    // trace's acquisition, every reference and a nonzero time, both
+    // on the kernel's mapped path and on the per-leg engine's Trace
+    // path; the tables agree across formats and engines.
+    const std::string dir = ::testing::TempDir();
+    const std::string dxt2 = dir + "/cli_load.dxt2";
+    const std::string dxt3 = dir + "/cli_load.dxt3";
+    const std::string report = dir + "/cli_load.json";
+    ASSERT_EQ(runCli("gen mat300 " + dxt2 + " --refs 30000").exitCode, 0);
+    ASSERT_EQ(runCli("convert " + dxt2 + " " + dxt3).exitCode, 0);
+
+    static const std::regex load_ns("\"trace-load-ns\":([0-9]+)");
+    std::string reference;
+    for (const std::string &file : {dxt3, dxt2}) {
+        for (const char *engine : {"kernel", "per-leg"}) {
+            SCOPED_TRACE(file + " " + engine);
+            const auto result =
+                runCli("sweep " + file + " --line 4 --replay " + engine +
+                       " --metrics-out " + report);
+            ASSERT_EQ(result.exitCode, 0) << result.output;
+            if (reference.empty())
+                reference = result.output;
+            EXPECT_EQ(result.output, reference);
+            const std::string json = readFile(report);
+            EXPECT_NE(json.find("\"trace-load-refs\":30000"),
+                      std::string::npos)
+                << json;
+            std::smatch match;
+            ASSERT_TRUE(std::regex_search(json, match, load_ns)) << json;
+            EXPECT_GT(std::stoull(match[1].str()), 0u) << json;
+        }
+    }
+    std::remove(dxt2.c_str());
+    std::remove(dxt3.c_str());
+    std::remove(report.c_str());
+}
+
 TEST(CliTool, MetricsReportRecordsInjectedFailures)
 {
     const std::string dir = ::testing::TempDir();

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <utility>
 
 #include "trace/mmap_io.h"
 #include "trace/trace_io.h"
@@ -51,6 +53,73 @@ TEST(MmapIo, MapsDxt2AndMatchesStreamingReader)
     ASSERT_EQ(mapped->size(), streamed->size());
     for (std::size_t i = 0; i < mapped->size(); ++i)
         ASSERT_EQ((*mapped)[i], (*streamed)[i]) << "record " << i;
+}
+
+TEST(MmapIo, MapsDxt3AndMatchesStreamingReader)
+{
+    // Several 4096-record blocks, all three reference types, and
+    // access sizes that need DXT3's size escape.
+    Trace original("mapped3");
+    for (std::size_t i = 0; i < 3 * 4096 + 77; ++i) {
+        const auto size = static_cast<std::uint8_t>(i % 256);
+        switch (i % 3) {
+          case 0:
+            original.append(ifetch(0x400000 + 4 * (i % 9000)));
+            break;
+          case 1:
+            original.append(load(0x10000000 - 8 * i, size));
+            break;
+          default:
+            original.append(store((Addr{1} << 60) + 16 * i, size));
+            break;
+        }
+    }
+    TempTraceFile file("dynex_mmap_test.dxt3");
+    ASSERT_TRUE(
+        writeTraceFile(original, file.path, TraceFormat::Dxt3).ok());
+
+    TraceReadPath read_path = TraceReadPath::Streamed;
+    const auto mapped = readTraceFileFast(file.path, &read_path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
+    EXPECT_EQ(read_path, TraceReadPath::Mapped);
+    EXPECT_EQ(mapped->name(), original.name());
+    EXPECT_EQ(mapped->records(), original.records());
+}
+
+TEST(MmapIo, ImageDecoderYieldsBlocksInMemory)
+{
+    // The decoder runs on any in-memory image: blocks of at most
+    // kImageBlockRecords, then an empty block with ok() set.
+    const Trace original = sampleTrace(2 * 4096 + 5);
+    for (const TraceFormat format : {TraceFormat::Dxt2, TraceFormat::Dxt3}) {
+        std::ostringstream out;
+        ASSERT_TRUE(writeTrace(original, out, format).ok());
+        const std::string image = out.str();
+        const auto *data =
+            reinterpret_cast<const unsigned char *>(image.data());
+        TraceImageDecoder decoder;
+        ASSERT_TRUE(decoder.open(data, image.size()));
+        EXPECT_EQ(decoder.name(), original.name());
+        EXPECT_EQ(decoder.count(), original.size());
+        std::vector<std::size_t> blocks;
+        std::vector<MemRef> records;
+        for (auto block = decoder.next(); !block.empty();
+             block = decoder.next()) {
+            blocks.push_back(block.size());
+            records.insert(records.end(), block.begin(), block.end());
+        }
+        EXPECT_TRUE(decoder.ok());
+        EXPECT_EQ(blocks, (std::vector<std::size_t>{4096, 4096, 5}));
+        EXPECT_EQ(records, original.records());
+
+        // A byte appended, or one missing, is not this image: the
+        // decoder refuses it (the streaming reader reports the rest).
+        std::string longer = image + '\0';
+        EXPECT_FALSE(TraceImageDecoder().open(
+            reinterpret_cast<const unsigned char *>(longer.data()),
+            longer.size()));
+        EXPECT_FALSE(decodeTraceImage(data, image.size() - 1));
+    }
 }
 
 TEST(MmapIo, TruncatedFileFallsBackToStreamingStatus)
@@ -101,16 +170,20 @@ TEST(MmapIo, CorruptPayloadIsRejectedNotMapped)
 
 TEST(MmapIo, NonDxt2FormatsFallBackAndStillLoad)
 {
+    // DXT3 maps like DXT2; the legacy DXT1 still streams.
     const Trace original = sampleTrace(2000);
-    for (const TraceFormat format :
-         {TraceFormat::Dxt1, TraceFormat::Dxt3}) {
+    const std::pair<TraceFormat, TraceReadPath> cases[] = {
+        {TraceFormat::Dxt1, TraceReadPath::Streamed},
+        {TraceFormat::Dxt3, TraceReadPath::Mapped},
+    };
+    for (const auto &[format, expected_path] : cases) {
         TempTraceFile file("dynex_mmap_other.dxt");
         ASSERT_TRUE(
             writeTraceFile(original, file.path, format).ok());
         TraceReadPath read_path = TraceReadPath::Mapped;
         const auto result = readTraceFileFast(file.path, &read_path);
         ASSERT_TRUE(result.ok()) << result.status().toString();
-        EXPECT_EQ(read_path, TraceReadPath::Streamed);
+        EXPECT_EQ(read_path, expected_path);
         ASSERT_EQ(result->size(), original.size());
         EXPECT_EQ((*result)[1999], original[1999]);
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests of the packed trace view: set words (the low 32 bits of
- * each block number at the view's granularity), and dense block ids
- * numbered in order of first appearance, including table growth and
- * the kAddrInvalid sidecar.
+ * Unit tests of the packed trace view: dense block ids numbered in
+ * order of first appearance, one set word per distinct block (the low
+ * 32 bits of its block number at the view's granularity), table
+ * growth, the kAddrInvalid sidecar, and building by appended blocks.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +23,8 @@ namespace
 /** ids()[i] == ids()[j] iff block(i) == block(j), ids numbered by
  * first appearance, and distinctBlocks() counts them: each id must
  * equal a std::map numbering of @p trace's block numbers, which is
- * one-to-one by construction. Every set word is its block's low 32
- * bits. */
+ * one-to-one by construction. Every id's set word is its block's low
+ * 32 bits. */
 void
 expectDenseIds(const Trace &trace, const PackedTraceView &view)
 {
@@ -33,12 +33,13 @@ expectDenseIds(const Trace &trace, const PackedTraceView &view)
     std::map<Addr, std::uint32_t> first;
     for (std::size_t i = 0; i < view.size(); ++i) {
         const Addr block = trace[i].addr >> shift;
-        EXPECT_EQ(view.setWords()[i], static_cast<std::uint32_t>(block))
-            << "ref " << i;
         const auto [it, inserted] = first.emplace(
             block, static_cast<std::uint32_t>(first.size()));
         EXPECT_EQ(view.ids()[i], it->second) << "ref " << i;
         ASSERT_LT(view.ids()[i], view.distinctBlocks()) << "ref " << i;
+        EXPECT_EQ(view.blockSetWords()[view.ids()[i]],
+                  static_cast<std::uint32_t>(block))
+            << "ref " << i;
     }
     EXPECT_EQ(view.distinctBlocks(), first.size());
 }
@@ -53,8 +54,10 @@ TEST(PackedView, BlocksAreAddressesShiftedToTheGranularity)
     EXPECT_EQ(view.blockBytes(), 16u);
     const std::uint32_t expected[] = {0x10, 0x10, 0x10, 0x20, 0x10};
     for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(view.setWords()[i], expected[i]) << i;
-    EXPECT_EQ(view.bytes(), 5u * 8);
+        EXPECT_EQ(view.blockSetWords()[view.ids()[i]], expected[i]) << i;
+    // 4 bytes per reference plus 4 per distinct block (0x10 and 0x20).
+    EXPECT_EQ(view.distinctBlocks(), 2u);
+    EXPECT_EQ(view.bytes(), 5u * 4 + 2u * 4);
 }
 
 TEST(PackedView, IdsNumberBlocksInOrderOfFirstAppearance)
@@ -122,7 +125,7 @@ TEST(PackedView, TheInvalidBlockGetsASidecarId)
                             kAddrInvalid, Addr{0x10}, kAddrInvalid})
         trace.append(load(addr, 1));
     const PackedTraceView view(trace, 1);
-    EXPECT_EQ(view.setWords()[1], 0xffffffffu);
+    EXPECT_EQ(view.blockSetWords()[view.ids()[1]], 0xffffffffu);
     const std::uint32_t expected[] = {0, 1, 2, 1, 0, 1};
     for (std::size_t i = 0; i < 6; ++i)
         EXPECT_EQ(view.ids()[i], expected[i]) << i;
@@ -137,6 +140,42 @@ TEST(PackedView, TheInvalidBlockGetsASidecarId)
     EXPECT_EQ(lead.ids()[1], 0u);
     EXPECT_EQ(lead.ids()[2], 1u);
     EXPECT_EQ(lead.distinctBlocks(), 2u);
+}
+
+TEST(PackedView, AppendedBlocksMatchOneBlock)
+{
+    // A decoder appends a trace block by block; blocks of any length,
+    // including empty ones and ones that split a run or straddle a
+    // table growth, must give exactly the one-block view.
+    Rng rng(0xb10c);
+    Trace trace("blocks");
+    for (int i = 0; i < 30000; ++i)
+        trace.append(load((rng.nextBelow(3) << 40) +
+                          4 * rng.nextBelow(20000)));
+    trace.append(load(kAddrInvalid, 1));
+    for (const std::uint32_t line : {1u, 4u, 64u}) {
+        SCOPED_TRACE("line " + std::to_string(line));
+        const PackedTraceView whole(trace, line);
+        PackedTraceView pieces(line);
+        std::size_t at = 0;
+        while (at < trace.size()) {
+            const std::size_t n = std::min<std::size_t>(
+                trace.size() - at, rng.nextBelow(5000));
+            pieces.append({trace.records().data() + at, n});
+            at += n;
+        }
+        pieces.finish();
+        ASSERT_EQ(pieces.size(), whole.size());
+        ASSERT_EQ(pieces.distinctBlocks(), whole.distinctBlocks());
+        for (std::size_t i = 0; i < whole.size(); ++i)
+            ASSERT_EQ(pieces.ids()[i], whole.ids()[i]) << "ref " << i;
+        for (std::size_t id = 0; id < whole.distinctBlocks(); ++id)
+            ASSERT_EQ(pieces.blockSetWords()[id],
+                      whole.blockSetWords()[id])
+                << "id " << id;
+        EXPECT_EQ(pieces.bytes(), whole.bytes());
+        expectDenseIds(trace, pieces);
+    }
 }
 
 } // namespace

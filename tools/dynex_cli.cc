@@ -916,19 +916,16 @@ cmdTriad(const std::string &target, const Options &options)
 
 /** Install the requested obs sinks for cmdSweep's run and write their
  * outputs when it ends. Everything is scoped to the sweep call: the
- * global obs pointers are cleared before any file is written. */
+ * sinks go in before the trace is acquired, so its load is charged,
+ * and the global obs pointers are cleared before any file is
+ * written. */
 class SweepObservation
 {
   public:
-    SweepObservation(const Options &options, const Trace &trace)
-        : opts(options), traceName(trace.name())
+    explicit SweepObservation(const Options &options) : opts(options)
     {
         if (!opts.metricsOut.empty() || !opts.csvOut.empty()) {
             collector = std::make_unique<obs::MetricsCollector>();
-            // Serial registration in size order: this fixes the leg
-            // order every report emits, independent of scheduling.
-            for (const std::uint64_t size : paperCacheSizes())
-                collector->addLeg(traceName, size);
             obs::setActiveMetrics(collector.get());
         }
         if (!opts.traceOut.empty()) {
@@ -936,15 +933,29 @@ class SweepObservation
             obs::Tracer::setActive(tracer.get());
             obs::setPoolJobSpans(true);
         }
+    }
+
+    /** Register the legs of the acquired trace @p trace_name and start
+     * the progress bar over its @p refs references; call before the
+     * replay. */
+    void
+    begin(const std::string &trace_name, std::uint64_t refs)
+    {
+        traceName = trace_name;
+        if (collector) {
+            // Serial registration in size order: this fixes the leg
+            // order every report emits, independent of scheduling.
+            for (const std::uint64_t size : paperCacheSizes())
+                collector->addLeg(traceName, size);
+        }
         if (opts.progress) {
             // Work units are references replayed: the kernel streams
             // the trace once for all legs, the per-leg engine once per
             // leg.
-            const auto total =
-                static_cast<std::uint64_t>(trace.size()) *
-                (opts.replay == ReplayEngine::PerLeg
-                     ? paperCacheSizes().size()
-                     : 1);
+            const std::uint64_t total =
+                refs * (opts.replay == ReplayEngine::PerLeg
+                            ? paperCacheSizes().size()
+                            : 1);
             bar = std::make_unique<obs::ProgressBar>(traceName, total);
             obs::ProgressBar::setActive(bar.get());
         }
@@ -1020,7 +1031,7 @@ class SweepObservation
     }
 
     const Options &opts;
-    const std::string traceName;
+    std::string traceName;
     std::unique_ptr<obs::MetricsCollector> collector;
     std::unique_ptr<obs::Tracer> tracer;
     std::unique_ptr<obs::ProgressBar> bar;
@@ -1070,15 +1081,49 @@ printSweepTable(const SizeSweepOutcome &outcome)
     return worst;
 }
 
+/**
+ * A kernel sweep's replay artifact packed straight from the DXT2/DXT3
+ * image at @p target; nullptr when the engine is per-leg, @p target is
+ * a benchmark or a din file, or the mapped decoder refuses the file
+ * (another format, or any malformation).
+ */
+std::shared_ptr<const ReplayArtifact>
+mappedSweepArtifact(const std::string &target, const Options &options)
+{
+    if (options.replay != ReplayEngine::Kernel || !looksLikeFile(target) ||
+        isDinPath(target))
+        return nullptr;
+    return buildReplayArtifact(MappedFile(target), options.lineBytes);
+}
+
+/** resolveTrace, charged as trace acquisition: TraceLoadNs,
+ * TraceLoadRefs and a "load" span. */
+std::optional<Trace>
+acquireTrace(const std::string &target, const Options &options,
+             int &exit_code)
+{
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    obs::Tracer *const tracer = obs::Tracer::active();
+    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
+    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
+    std::optional<Trace> trace = resolveTrace(target, options, exit_code);
+    if (!trace)
+        return trace;
+    if (metrics) {
+        metrics->add(obs::Counter::TraceLoadNs,
+                     obs::monotonicNs() - metrics_t0);
+        metrics->add(obs::Counter::TraceLoadRefs, trace->size());
+    }
+    if (tracer)
+        tracer->complete("load " + trace->name(), "load", tracer_t0,
+                         tracer->nowNs() - tracer_t0);
+    return trace;
+}
+
 int
 cmdSweep(const std::string &target, const Options &options)
 {
     applyThreads(options);
-    int rc = kExitInternal;
-    const auto trace = resolveTrace(target, options, rc);
-    if (!trace)
-        return rc;
-
     if (options.injectFaultSize > 0) {
         const std::uint64_t fault_size = options.injectFaultSize;
         setSweepFaultHook([fault_size](const std::string &,
@@ -1091,16 +1136,41 @@ cmdSweep(const std::string &target, const Options &options)
     DynamicExclusionConfig config;
     config.stickyMax = options.stickyMax;
     config.useLastLine = options.lineBytes > 4;
-    SweepObservation observation(options, *trace);
-    const auto outcome = sweepSizes(*trace, paperCacheSizes(),
-                                    options.lineBytes, config,
-                                    options.replay);
-    const int obs_rc =
-        observation.finish(outcome, trace->size());
+    SweepObservation observation(options);
+
+    // A kernel sweep of a DXT2/DXT3 file never builds the Trace: the
+    // mapped image is packed block by block into the artifact. Every
+    // other sweep, and any file the mapped decoder refuses, reads a
+    // Trace, whose reader reports the exact Status of a bad file.
+    obs::Tracer *const tracer = obs::Tracer::active();
+    const std::uint64_t sweep_t0 = tracer ? tracer->nowNs() : 0;
+    std::string name;
+    std::size_t refs = 0;
+    SizeSweepOutcome outcome;
+    if (const auto artifact = mappedSweepArtifact(target, options)) {
+        name = artifact->name();
+        refs = artifact->refs();
+        observation.begin(name, refs);
+        outcome = sweepSizes(*artifact, paperCacheSizes(), config,
+                             options.replay);
+        if (tracer)
+            tracer->complete("sweep " + name, "sweep", sweep_t0,
+                             tracer->nowNs() - sweep_t0);
+    } else {
+        int rc = kExitInternal;
+        const auto trace = acquireTrace(target, options, rc);
+        if (!trace)
+            return rc;
+        name = trace->name();
+        refs = trace->size();
+        observation.begin(name, refs);
+        outcome = sweepSizes(*trace, paperCacheSizes(), options.lineBytes,
+                             config, options.replay);
+    }
+    const int obs_rc = observation.finish(outcome, refs);
 
     std::printf("trace: %s (%zu refs), %s lines, %u worker thread(s)\n\n",
-                trace->name().c_str(), trace->size(),
-                formatSize(options.lineBytes).c_str(),
+                name.c_str(), refs, formatSize(options.lineBytes).c_str(),
                 ThreadPool::global().workers());
     const int worst = printSweepTable(outcome);
     return outcome.allOk() ? obs_rc : worst;
