@@ -16,7 +16,6 @@
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "sim/workloads.h"
-#include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
@@ -35,12 +34,6 @@ namespace
 
 /** Poll interval for the listener / worker wakeup checks. */
 constexpr std::uint32_t kWakeupMs = 200;
-
-bool isDinPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-           iequals(path.substr(path.size() - 4), ".din");
-}
 
 /** Uploaded traces key into the TraceStore as "put:<name>#v<N>". */
 bool isPutKey(const std::string &key)
@@ -165,9 +158,7 @@ Server::Server(ServerConfig server_config)
                                          : Workloads::defaultRefs();
                   return Trace(*Workloads::instructions(name, refs));
               }
-              return isDinPath(served->path)
-                         ? readDinTraceFile(served->path)
-                         : readTraceFileFast(served->path);
+              return readAnyTraceFile(served->path);
           },
           config.storeBudgetBytes,
           [this](const std::string &name) -> std::uint64_t {

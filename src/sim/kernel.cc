@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace_events.h"
+#include "trace/trace_io.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 
@@ -593,8 +594,8 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
     return artifact;
 }
 
-std::shared_ptr<const ReplayArtifact>
-buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes)
+Result<std::shared_ptr<const ReplayArtifact>>
+buildReplayArtifact(const std::string &path, std::uint32_t line_bytes)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
     obs::Tracer *const tracer = obs::Tracer::active();
@@ -606,17 +607,15 @@ buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes)
     const bool timed = metrics || tracer;
     const std::uint64_t t0 = timed ? now() : 0;
 
-    TraceImageDecoder decoder;
-    if (!file.mapped() || !decoder.open(file.data(), file.size()) ||
-        decoder.count() >= (std::uint64_t{1} << 32))
-        return nullptr;
-    // Validation (both CRCs) is part of the decode.
+    TraceDecoder decoder(path);
+    if (Status status = decoder.open(); !status.ok())
+        return status;
     std::uint64_t decode_ns = timed ? now() - t0 : 0;
-    PackedTraceView view(line_bytes,
-                         static_cast<std::size_t>(decoder.count()));
-    for (;;) {
+    PackedTraceView view(line_bytes, decoder.reserveRecords());
+    for (std::span<const MemRef> block;;) {
         const std::uint64_t block_t0 = timed ? now() : 0;
-        const std::span<const MemRef> block = decoder.next();
+        if (Status status = decoder.next(block); !status.ok())
+            return status;
         if (timed) {
             const std::uint64_t block_ns = now() - block_t0;
             decode_ns += block_ns;
@@ -626,10 +625,13 @@ buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes)
         }
         if (block.empty())
             break;
+        if (view.size() + block.size() >= (std::uint64_t{1} << 32))
+            return Status::resourceLimit(
+                       "2^32 or more references: a replay artifact "
+                       "numbers them with 32-bit ids")
+                .withContext(path);
         view.append(block);
     }
-    if (!decoder.ok())
-        return nullptr;
     view.finish();
 
     std::shared_ptr<const ReplayArtifact> artifact(

@@ -40,7 +40,6 @@
 
 #include "cache/dynamic_exclusion.h"
 #include "sim/runner.h"
-#include "trace/mmap_io.h"
 #include "trace/next_use.h"
 #include "trace/packed_view.h"
 #include "util/status.h"
@@ -156,8 +155,8 @@ class ReplayArtifact
   private:
     friend std::shared_ptr<const ReplayArtifact>
     buildReplayArtifact(const Trace &, std::uint32_t, const std::string &);
-    friend std::shared_ptr<const ReplayArtifact>
-    buildReplayArtifact(const MappedFile &, std::uint32_t);
+    friend Result<std::shared_ptr<const ReplayArtifact>>
+    buildReplayArtifact(const std::string &, std::uint32_t);
 
     ReplayArtifact(std::string name, const Trace *trace,
                    PackedTraceView view);
@@ -180,23 +179,24 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
                     const std::string &label);
 
 /**
- * Pack the DXT2/DXT3 image mapped in @p file at @p line_bytes block by
- * block as TraceImageDecoder yields it, and build its RunStart index:
- * the Trace is never built, so the artifact's trace() is nullptr. The
- * artifact is named after the image's trace, and so is its span.
- * Charges like the Trace overload (IndexBuilds, the "index" span, and
- * pack plus index to IndexBuildNs) and charges the decode, timed per
- * block and only under a metrics collector or tracer, as trace
- * acquisition: TraceLoadNs and TraceLoadRefs, plus a "decode" span
- * per block.
+ * Pack the DXT1/DXT2/DXT3 trace file at @p path at @p line_bytes block
+ * by block as its TraceDecoder (trace/trace_io.h) yields it, and build
+ * its RunStart index: the Trace is never built, so the artifact's
+ * trace() is nullptr. The artifact is named after the file's trace,
+ * and so is its span. Charges like the Trace overload (IndexBuilds,
+ * the "index" span, and pack plus index to IndexBuildNs) and charges
+ * the decode, the folded payload CRC included, timed per block and
+ * only under a metrics collector or tracer, as trace acquisition:
+ * TraceLoadNs and TraceLoadRefs, plus a "decode" span per block.
  *
- * @return the artifact, or nullptr when @p file is not a well-formed
- *         DXT2/DXT3 image or holds 2^32 references or more; the caller
- *         then reads it as a Trace, whose reader reports the exact
- *         Status.
+ * @return the artifact, or the decoder's Status: exactly what
+ *         readTraceFile(@p path) reports for the same file. A trace
+ *         of 2^32 references or more is a ResourceLimit, raised at
+ *         the block that reaches 2^32, so a forged count on a short
+ *         file still reports the decoder's own error first.
  */
-std::shared_ptr<const ReplayArtifact>
-buildReplayArtifact(const MappedFile &file, std::uint32_t line_bytes);
+Result<std::shared_ptr<const ReplayArtifact>>
+buildReplayArtifact(const std::string &path, std::uint32_t line_bytes);
 
 /** The result of replaying every size leg of one trace, by either
  * engine: per-size triads plus a validity mask and the statuses of any

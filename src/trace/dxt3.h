@@ -1,8 +1,8 @@
 /**
  * @file
- * DXT3: the delta/varint-compressed trace format. Same checksum
- * discipline as DXT2 (a CRC-validated fixed header plus a trailing
- * payload CRC) with a compressed record payload:
+ * DXT3: the delta/varint-compressed trace format. It shares DXT2's
+ * sealed container (a CRC-validated fixed header plus a trailing
+ * payload CRC, see trace/trace_io.h) with a compressed record payload:
  *
  *   magic       "DXT3"                       4 bytes
  *   name_len    u32                          4 bytes
@@ -22,25 +22,26 @@
  * references). Sequential code compresses to ~2 bytes per 10-byte
  * DXT2 record.
  *
- * The decoder trusts nothing: name length and record count are capped
- * before allocation, every block length is capped at the worst-case
- * encoding of a full block, varints are bounds- and width-checked,
- * meta bytes with an invalid type are rejected, and each block must be
- * consumed exactly. Corrupt input yields CorruptInput, implausible
- * lengths yield ResourceLimit — never a crash or unbounded allocation
- * (the corruption fuzzer hammers this entry point). The per-record
- * checks live in decodeDxt3Block, the one DXT3 record decoder: the
- * streaming reader and the mapped image decoder (trace/mmap_io.h)
- * both call it.
+ * This header is the block codec. The container is read and written
+ * with the other formats' by trace/trace_io.h, whose TraceDecoder
+ * trusts nothing: name length and record count are capped before
+ * allocation, every block length is capped at the worst-case encoding
+ * of a full block, and each block goes through decodeDxt3Block, the
+ * one DXT3 record decoder, where varints are bounds- and
+ * width-checked, meta bytes with an invalid type are rejected, and the
+ * block must be consumed exactly. Corrupt input yields CorruptInput,
+ * implausible lengths yield ResourceLimit — never a crash or unbounded
+ * allocation (the corruption fuzzer hammers this path).
  */
 
 #ifndef DYNEX_TRACE_DXT3_H
 #define DYNEX_TRACE_DXT3_H
 
-#include <iosfwd>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 
-#include "trace/trace.h"
-#include "util/status.h"
+#include "trace/record.h"
 
 namespace dynex
 {
@@ -56,12 +57,20 @@ inline constexpr std::size_t kDxt3BlockRecords = 4096;
 inline constexpr std::uint32_t kDxt3MaxBlockBytes =
     static_cast<std::uint32_t>(kDxt3BlockRecords) * 13;
 
+/** The fewest bytes a record encodes to: meta plus a one-byte delta. */
+inline constexpr std::size_t kDxt3MinRecordBytes = 2;
+
 /** The three running address predictors of a DXT3 stream, one per
  * RefType; a stream's first block starts from all zeros. */
 struct Dxt3Predictors
 {
     std::uint64_t prev[3] = {0, 0, 0};
 };
+
+/** Append the encoding of the @p records records at @p refs to
+ * @p out, advancing @p state. */
+void encodeDxt3Block(const MemRef *refs, std::size_t records,
+                     Dxt3Predictors &state, std::string &out);
 
 /**
  * Decode one DXT3 block: exactly @p records records from the @p size
@@ -75,15 +84,6 @@ struct Dxt3Predictors
 const char *decodeDxt3Block(const unsigned char *data, std::size_t size,
                             std::size_t records, Dxt3Predictors &state,
                             MemRef *out);
-
-/** Serialize @p trace to @p out in DXT3 (including the magic). */
-Status writeTraceDxt3(const Trace &trace, std::ostream &out);
-
-/**
- * Deserialize the body of a DXT3 image from @p in; the caller (the
- * readTrace magic dispatcher) has already consumed the 4 magic bytes.
- */
-Result<Trace> readTraceDxt3(std::istream &in);
 
 } // namespace dynex
 

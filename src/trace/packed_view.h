@@ -18,9 +18,9 @@
  * distinct block, however sparse the address space.
  *
  * A view is built by appending record blocks in trace order, so a
- * decoder can pack a trace file block by block without ever holding
- * the whole Trace (see TraceImageDecoder in trace/mmap_io.h); the
- * Trace constructor appends trace.records() as one block.
+ * trace file can be packed block by block as TraceDecoder
+ * (trace/trace_io.h) yields it, without ever holding the whole Trace;
+ * the Trace constructor appends trace.records() as one block.
  */
 
 #ifndef DYNEX_TRACE_PACKED_VIEW_H

@@ -5,6 +5,8 @@
 #include <fstream>
 
 #include "trace/line_reader.h"
+#include "trace/trace_io.h"
+#include "util/string_utils.h"
 
 namespace dynex
 {
@@ -126,6 +128,19 @@ readDinTraceFile(const std::string &path)
     if (!result.ok())
         return result.status().withContext(path);
     return result;
+}
+
+bool
+isDinPath(const std::string &path)
+{
+    return path.size() >= 4 &&
+           iequals(path.substr(path.size() - 4), ".din");
+}
+
+Result<Trace>
+readAnyTraceFile(const std::string &path)
+{
+    return isDinPath(path) ? readDinTraceFile(path) : readTraceFile(path);
 }
 
 } // namespace dynex

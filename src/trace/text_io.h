@@ -45,6 +45,14 @@ Result<Trace> readDinTrace(std::istream &in,
  * failures. */
 Result<Trace> readDinTraceFile(const std::string &path);
 
+/** True when @p path ends in ".din" (any case): the one test of which
+ * reader a trace file path selects. */
+bool isDinPath(const std::string &path);
+
+/** Load the trace file at @p path: din text when isDinPath(path),
+ * else a binary DXT1/DXT2/DXT3 file (readTraceFile). */
+Result<Trace> readAnyTraceFile(const std::string &path);
+
 } // namespace dynex
 
 #endif // DYNEX_TRACE_TEXT_IO_H

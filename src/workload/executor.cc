@@ -1,6 +1,5 @@
 #include "workload/executor.h"
 
-#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -10,9 +9,7 @@
 #include "sim/sweep.h"
 #include "sim/workloads.h"
 #include "tracegen/spec.h"
-#include "trace/mmap_io.h"
 #include "trace/text_io.h"
-#include "util/string_utils.h"
 #include "util/thread_pool.h"
 #include "workload/import.h"
 
@@ -23,14 +20,6 @@ namespace workload
 
 namespace
 {
-
-bool
-hasSuffix(const std::string &text, const char *suffix)
-{
-    const std::size_t n = std::strlen(suffix);
-    return text.size() >= n &&
-           iequals(text.substr(text.size() - n), suffix);
-}
 
 /** The sweep configuration a (campaign, line) leg runs under — the
  * same derivation the CLI and server use, so all three execution
@@ -223,9 +212,7 @@ resolveSource(const TraceSource &source, Count refs)
         return trace;
       }
       case SourceKind::File: {
-        Result<Trace> trace = hasSuffix(source.spec, ".din")
-                                  ? readDinTraceFile(source.spec)
-                                  : readTraceFileFast(source.spec);
+        Result<Trace> trace = readAnyTraceFile(source.spec);
         if (!trace.ok())
             return trace.status();
         trace.value().setName(source.label);

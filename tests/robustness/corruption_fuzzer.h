@@ -7,13 +7,12 @@
  * to the matching parser. Every mutation must yield either a clean
  * success (CRC-less formats can survive benign flips) or a
  * structured, non-Internal error — never a crash, hang, or unbounded
- * allocation. Every binary trace mutant is also fed to the mapped
- * image decoder (TraceImageDecoder, the zero-copy path), twice: as is,
- * and with both CRCs resealed so the mutation reaches the per-block
- * checks behind them. Wherever the mapped decoder accepts an image,
- * the streaming reader must yield the identical trace; where it
- * refuses, the mapped path falls back to the streaming reader, so the
- * Status is the same by construction. A disagreement is a violation.
+ * allocation. Every binary trace mutant is decoded from both of
+ * TraceDecoder's byte sources, twice: as is, and with both CRCs
+ * resealed so the mutation reaches the per-block checks behind them.
+ * The memory span (what a mapped file decodes through) and the stream
+ * must give the identical Result: the same records, or the same code
+ * and message. A disagreement is a violation.
  * Shared between the gtest smoke test and the standalone fuzz binary
  * so both run the exact same corpus for a given seed.
  */
@@ -22,12 +21,10 @@
 #define DYNEX_TESTS_ROBUSTNESS_CORRUPTION_FUZZER_H
 
 #include <cstdint>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "util/crc32.h"
@@ -98,42 +95,44 @@ resealed(std::string image)
     return image;
 }
 
-/** Where the mapped decoder accepts @p bytes, the streaming reader's
- * @p streamed result must be the identical trace: Ok, or an Internal
- * status describing the disagreement. */
-inline Status
-checkMappedAgrees(const std::string &bytes, const Result<Trace> &streamed)
+/** Decode @p bytes from a memory span and from a stream: the stream's
+ * Result when the two agree exactly, else an Internal status
+ * describing the disagreement. */
+inline Result<Trace>
+decodeBothSources(const std::string &bytes)
 {
-    const std::optional<Trace> mapped = decodeTraceImage(
+    TraceDecoder span(std::span<const unsigned char>(
         reinterpret_cast<const unsigned char *>(bytes.data()),
-        bytes.size());
-    if (!mapped)
-        return Status();
-    if (!streamed.ok())
+        bytes.size()));
+    const Result<Trace> mapped = decodeTrace(span);
+    std::istringstream in(bytes);
+    Result<Trace> streamed = readTrace(in);
+    if (mapped.ok() != streamed.ok())
         return Status::internal(
-            "mapped decoder accepted an image the streaming reader "
-            "rejects: " + streamed.status().toString());
-    if (mapped->name() != streamed->name() ||
-        mapped->records() != streamed->records())
+            "span source says " + mapped.status().toString() +
+            ", stream source says " + streamed.status().toString());
+    if (!streamed.ok()) {
+        if (mapped.status().code() != streamed.status().code() ||
+            mapped.status().message() != streamed.status().message())
+            return Status::internal(
+                "span and stream sources fail differently: " +
+                mapped.status().toString() + " vs " +
+                streamed.status().toString());
+    } else if (mapped->name() != streamed->name() ||
+               mapped->records() != streamed->records()) {
         return Status::internal(
-            "mapped decoder and streaming reader disagree on the "
-            "records");
-    return Status();
+            "span and stream sources disagree on the records");
+    }
+    return streamed;
 }
 
 inline Status
 parseBinary(const std::string &bytes)
 {
-    const std::string sealed = resealed(bytes);
-    std::istringstream sealed_in(sealed);
-    if (Status agree = checkMappedAgrees(sealed, readTrace(sealed_in));
-        !agree.ok())
-        return agree.withContext("resealed");
-    std::istringstream in(bytes);
-    const Result<Trace> streamed = readTrace(in);
-    if (Status agree = checkMappedAgrees(bytes, streamed); !agree.ok())
-        return agree;
-    return streamed.status();
+    if (const Result<Trace> sealed = decodeBothSources(resealed(bytes));
+        sealed.status().code() == StatusCode::Internal)
+        return sealed.status().withContext("resealed");
+    return decodeBothSources(bytes).status();
 }
 
 inline Status

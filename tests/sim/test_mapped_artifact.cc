@@ -1,12 +1,13 @@
 /**
  * @file
- * Equivalence tests of replay artifacts packed straight from a mapped
- * DXT2/DXT3 file against ones built from the decoded Trace: ids,
+ * Equivalence tests of replay artifacts packed straight from a
+ * DXT1/DXT2/DXT3 file against ones built from the decoded Trace: ids,
  * per-block set words, distinct count, next-use ticks and kernel
  * triads must match exactly at every line size, including a run that
  * straddles a decode block, the 2^64-1 sentinel block at 1-byte lines
  * and an empty trace. Also covers what a file-built artifact charges,
- * what it refuses, and the per-leg engine's InvalidArgument legs.
+ * that a file it cannot decode fails with readTraceFile's exact
+ * Status, and the per-leg engine's InvalidArgument legs.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "sim/kernel.h"
 #include "sim/parallel.h"
 #include "sim/sweep.h"
-#include "trace/mmap_io.h"
 #include "trace/trace_io.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -125,25 +125,27 @@ expectStatsEq(const CacheStats &got, const CacheStats &want,
 }
 
 /** The file-built artifact of @p trace equals its Trace-built one in
- * every array and every kernel triad, in both formats and at lines 1,
- * 4, 16 and 64. */
+ * every array and every kernel triad, in every format and at lines
+ * 1, 4, 16 and 64. */
 void
 expectMappedMatchesTrace(const Trace &trace)
 {
     const std::vector<std::uint64_t> sizes = {256, 1024, 8192, 65536};
-    for (const TraceFormat format : {TraceFormat::Dxt2, TraceFormat::Dxt3}) {
+    for (const TraceFormat format :
+         {TraceFormat::Dxt1, TraceFormat::Dxt2, TraceFormat::Dxt3}) {
         const TraceFile file(trace, format, "dynex_mapped_artifact");
-        const MappedFile mapped(file.path);
-        ASSERT_TRUE(mapped.mapped());
         for (const std::uint32_t line : {1u, 4u, 16u, 64u}) {
             const std::string label =
-                trace.name() + (format == TraceFormat::Dxt3 ? " dxt3 "
-                                                            : " dxt2 ") +
+                trace.name() +
+                (format == TraceFormat::Dxt3   ? " dxt3 "
+                 : format == TraceFormat::Dxt1 ? " dxt1 "
+                                               : " dxt2 ") +
                 std::to_string(line) + "B";
             SCOPED_TRACE(label);
             const auto want = buildReplayArtifact(trace, line, "want");
-            const auto got = buildReplayArtifact(mapped, line);
-            ASSERT_NE(got, nullptr);
+            const auto built = buildReplayArtifact(file.path, line);
+            ASSERT_TRUE(built.ok()) << built.status().toString();
+            const auto &got = *built;
             EXPECT_EQ(got->name(), trace.name());
             EXPECT_EQ(got->trace(), nullptr);
             EXPECT_EQ(want->trace(), &trace);
@@ -203,52 +205,109 @@ TEST(MappedArtifact, EmptyTraceMatches)
     expectMappedMatchesTrace(Trace("empty"));
 }
 
+/** The artifact builder fails on @p path with exactly the Status
+ * readTraceFile reports. */
+void
+expectReadTraceFileStatus(const std::string &path, const char *label)
+{
+    const auto built = buildReplayArtifact(path, 4);
+    const auto read = readTraceFile(path);
+    ASSERT_FALSE(read.ok()) << label;
+    ASSERT_FALSE(built.ok()) << label;
+    EXPECT_EQ(built.status().code(), read.status().code()) << label;
+    EXPECT_EQ(built.status().message(), read.status().message()) << label;
+}
+
+/** Overwrite the file at @p path with @p image. */
+void
+rewrite(const std::string &path, const std::string &image)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** @p image with its DXT2/DXT3 header and payload CRCs recomputed. */
+std::string
+resealed(std::string image)
+{
+    const auto put = [&](std::size_t at, std::uint32_t crc) {
+        for (int i = 0; i < 4; ++i)
+            image[at + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    };
+    put(16, crc32Of(image.data(), 16));
+    put(image.size() - 4, crc32Of(image.data() + 20, image.size() - 24));
+    return image;
+}
+
 TEST(MappedArtifact, RefusesWhatItCannotDecode)
 {
     const Trace trace = mixedTrace(5000);
+    expectReadTraceFileStatus(::testing::TempDir() + "/dynex_no_such.dxt",
+                              "missing");
     {
-        // DXT1 is the streaming reader's alone.
-        TraceFile file(trace, TraceFormat::Dxt1, "dynex_mapped_dxt1");
-        EXPECT_EQ(buildReplayArtifact(MappedFile(file.path), 4), nullptr);
+        TraceFile file(trace, TraceFormat::Dxt2, "dynex_mapped_text");
+        rewrite(file.path, "2 400000\n0 1000\n");
+        expectReadTraceFileStatus(file.path, "text");
     }
-    EXPECT_EQ(buildReplayArtifact(
-                  MappedFile(::testing::TempDir() + "/dynex_no_such.dxt"),
-                  4),
-              nullptr);
+    {
+        // Truncated DXT2: the count is checked against the file size.
+        TraceFile file(trace, TraceFormat::Dxt2, "dynex_mapped_trunc2");
+        const std::string image = slurp(file.path);
+        rewrite(file.path, image.substr(0, image.size() - 100));
+        expectReadTraceFileStatus(file.path, "truncated dxt2");
+    }
+    {
+        TraceFile file(trace, TraceFormat::Dxt2, "dynex_mapped_hdr");
+        std::string image = slurp(file.path);
+        image[9] ^= 0x40;
+        rewrite(file.path, image);
+        expectReadTraceFileStatus(file.path, "header crc");
+    }
 
-    // A truncated image, and one whose corrupt block still carries
-    // valid CRCs: both are refused, and the streaming reader names
-    // the corruption.
+    // A truncated DXT3 image, and one whose corrupt block still
+    // carries valid CRCs: both fail with the decoder's CorruptInput.
     for (const bool reseal : {false, true}) {
         const TraceFile file(trace, TraceFormat::Dxt3, "dynex_mapped_bad");
-        std::ifstream in(file.path, std::ios::binary);
-        std::string image((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        in.close();
+        std::string image = slurp(file.path);
         if (reseal) {
-            // The first block's first meta byte gets type 3 (invalid);
-            // then both CRCs are recomputed over the new bytes.
-            const std::size_t first_meta = 20 + trace.name().size() + 4;
-            image[first_meta] = static_cast<char>(0xc0);
-            const auto put = [&](std::size_t at, std::uint32_t crc) {
-                for (int i = 0; i < 4; ++i)
-                    image[at + i] =
-                        static_cast<char>((crc >> (8 * i)) & 0xff);
-            };
-            put(16, crc32Of(image.data(), 16));
-            put(image.size() - 4,
-                crc32Of(image.data() + 20, image.size() - 24));
+            // The first block's first meta byte gets type 3 (invalid).
+            image[20 + trace.name().size() + 4] = static_cast<char>(0xc0);
+            image = resealed(image);
         } else {
             image.resize(image.size() - 100);
         }
-        std::ofstream(file.path, std::ios::binary | std::ios::trunc)
-            .write(image.data(), static_cast<std::streamsize>(image.size()));
-        EXPECT_EQ(buildReplayArtifact(MappedFile(file.path), 4), nullptr)
-            << "reseal " << reseal;
-        const auto streamed = readTraceFile(file.path);
-        ASSERT_FALSE(streamed.ok());
-        EXPECT_EQ(streamed.status().code(), StatusCode::CorruptInput)
-            << streamed.status().toString();
+        rewrite(file.path, image);
+        expectReadTraceFileStatus(file.path, reseal ? "resealed" : "short");
+        EXPECT_EQ(readTraceFile(file.path).status().code(),
+                  StatusCode::CorruptInput);
+    }
+}
+
+TEST(MappedArtifact, ForgedCountReportsTheDecoderStatus)
+{
+    // A header claiming 2^32 + 5 references over a short file: the
+    // decoder's own error comes first, never the 2^32 limit (DXT2
+    // refuses the count against the file size, DXT3 runs out of
+    // blocks).
+    const Trace trace = mixedTrace(5000);
+    for (const TraceFormat format : {TraceFormat::Dxt2, TraceFormat::Dxt3}) {
+        const TraceFile file(trace, format, "dynex_mapped_forged");
+        std::string image = slurp(file.path);
+        const std::uint64_t forged = (std::uint64_t{1} << 32) + 5;
+        for (int i = 0; i < 8; ++i)
+            image[8 + i] = static_cast<char>((forged >> (8 * i)) & 0xff);
+        rewrite(file.path, resealed(image));
+        expectReadTraceFileStatus(file.path, "forged");
+        EXPECT_NE(buildReplayArtifact(file.path, 4).status().code(),
+                  StatusCode::Internal);
     }
 }
 
@@ -259,13 +318,14 @@ TEST(MappedArtifact, ChargesDecodeAsLoadAndPackAsIndex)
     obs::Tracer tracer;
     obs::MetricsCollector metrics;
     obs::Tracer::setActive(&tracer);
-    std::shared_ptr<const ReplayArtifact> artifact;
+    Result<std::shared_ptr<const ReplayArtifact>> built =
+        Status::internal("unset");
     {
         obs::ScopedMetrics install(&metrics);
-        artifact = buildReplayArtifact(MappedFile(file.path), 4);
+        built = buildReplayArtifact(file.path, 4);
     }
     obs::Tracer::setActive(nullptr);
-    ASSERT_NE(artifact, nullptr);
+    ASSERT_TRUE(built.ok()) << built.status().toString();
     EXPECT_EQ(metrics.total(obs::Counter::TraceLoadRefs), trace.size());
     EXPECT_GT(metrics.total(obs::Counter::TraceLoadNs), 0u);
     EXPECT_GT(metrics.total(obs::Counter::IndexBuildNs), 0u);
@@ -285,11 +345,12 @@ TEST(MappedArtifact, PerLegEngineFailsEveryLegWithoutTheTrace)
     // artifact has none, so every leg fails cleanly instead.
     const Trace trace = mixedTrace(5000);
     const TraceFile file(trace, TraceFormat::Dxt2, "dynex_mapped_perleg");
-    const auto artifact = buildReplayArtifact(MappedFile(file.path), 4);
-    ASSERT_NE(artifact, nullptr);
+    const auto built = buildReplayArtifact(file.path, 4);
+    ASSERT_TRUE(built.ok()) << built.status().toString();
+    const ReplayArtifact &artifact = **built;
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
     const SizeSweepOutcome outcome =
-        sweepSizes(*artifact, sizes, {}, ReplayEngine::PerLeg);
+        sweepSizes(artifact, sizes, {}, ReplayEngine::PerLeg);
     ASSERT_EQ(outcome.failures.size(), sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         EXPECT_FALSE(outcome.ok[s]);
@@ -301,7 +362,7 @@ TEST(MappedArtifact, PerLegEngineFailsEveryLegWithoutTheTrace)
             << outcome.failures[s].status.toString();
     }
     // The kernel replays the same artifact.
-    EXPECT_TRUE(sweepSizes(*artifact, sizes, {}).allOk());
+    EXPECT_TRUE(sweepSizes(artifact, sizes, {}).allOk());
 }
 
 } // namespace

@@ -201,6 +201,19 @@ TEST(TraceIo, ImplausibleCountIsAResourceLimitNotAnAllocation)
     EXPECT_EQ(result.status().code(), StatusCode::ResourceLimit);
 }
 
+TEST(TraceIo, Dxt1ImplausibleNameLengthQuotesTheLength)
+{
+    // The one name-length cap, with DXT2/DXT3's message.
+    std::string bytes = "DXT1";
+    bytes += std::string("\x01\x00\x20\x00", 4); // name_len = 2^21 + 1
+    bytes += "name";
+    std::stringstream in(bytes);
+    const auto result = readTrace(in);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::ResourceLimit);
+    EXPECT_EQ(result.status().message(), "implausible name length 2097153");
+}
+
 TEST(TraceIo, CountBeyondStreamSizeIsAResourceLimit)
 {
     // A plausible-looking count (1M records) with only a handful of

@@ -57,7 +57,6 @@
 #include "sim/sweep.h"
 #include "sim/runner.h"
 #include "sim/workloads.h"
-#include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
@@ -272,13 +271,6 @@ looksLikeFile(const std::string &name)
            name.find('/') != std::string::npos;
 }
 
-bool
-isDinPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-           iequals(path.substr(path.size() - 4), ".din");
-}
-
 /** A .dxt3 extension selects the compressed binary format. */
 bool
 isDxt3Path(const std::string &path)
@@ -287,17 +279,24 @@ isDxt3Path(const std::string &path)
            iequals(path.substr(path.size() - 5), ".dxt3");
 }
 
+/** Print why the trace file at @p path could not be read.
+ * @return its exit code (3 for I/O, 4 for corrupt/oversized data). */
+int
+reportReadFailure(const std::string &path, const Status &status)
+{
+    std::fprintf(stderr, "dynex: cannot read %s: %s\n", path.c_str(),
+                 status.toString().c_str());
+    return exitCodeFor(status);
+}
+
 /** Load a trace file; on failure print the reason and set
- * @p exit_code (3 for I/O, 4 for corrupt/oversized data). */
+ * @p exit_code. */
 std::optional<Trace>
 loadTraceFile(const std::string &path, int &exit_code)
 {
-    Result<Trace> trace = isDinPath(path) ? readDinTraceFile(path)
-                                          : readTraceFileFast(path);
+    Result<Trace> trace = readAnyTraceFile(path);
     if (!trace.ok()) {
-        std::fprintf(stderr, "dynex: cannot read %s: %s\n", path.c_str(),
-                     trace.status().toString().c_str());
-        exit_code = exitCodeFor(trace.status());
+        exit_code = reportReadFailure(path, trace.status());
         return std::nullopt;
     }
     return std::move(trace).value();
@@ -1081,21 +1080,6 @@ printSweepTable(const SizeSweepOutcome &outcome)
     return worst;
 }
 
-/**
- * A kernel sweep's replay artifact packed straight from the DXT2/DXT3
- * image at @p target; nullptr when the engine is per-leg, @p target is
- * a benchmark or a din file, or the mapped decoder refuses the file
- * (another format, or any malformation).
- */
-std::shared_ptr<const ReplayArtifact>
-mappedSweepArtifact(const std::string &target, const Options &options)
-{
-    if (options.replay != ReplayEngine::Kernel || !looksLikeFile(target) ||
-        isDinPath(target))
-        return nullptr;
-    return buildReplayArtifact(MappedFile(target), options.lineBytes);
-}
-
 /** resolveTrace, charged as trace acquisition: TraceLoadNs,
  * TraceLoadRefs and a "load" span. */
 std::optional<Trace>
@@ -1138,20 +1122,25 @@ cmdSweep(const std::string &target, const Options &options)
     config.useLastLine = options.lineBytes > 4;
     SweepObservation observation(options);
 
-    // A kernel sweep of a DXT2/DXT3 file never builds the Trace: the
-    // mapped image is packed block by block into the artifact. Every
-    // other sweep, and any file the mapped decoder refuses, reads a
-    // Trace, whose reader reports the exact Status of a bad file.
+    // A kernel sweep of a binary trace file never builds the Trace:
+    // the decoder's blocks are packed straight into the artifact, and
+    // a bad file fails with the decoder's Status. Every other sweep (the
+    // per-leg engine, a benchmark name, a din file) reads a Trace.
     obs::Tracer *const tracer = obs::Tracer::active();
     const std::uint64_t sweep_t0 = tracer ? tracer->nowNs() : 0;
     std::string name;
     std::size_t refs = 0;
     SizeSweepOutcome outcome;
-    if (const auto artifact = mappedSweepArtifact(target, options)) {
-        name = artifact->name();
-        refs = artifact->refs();
+    if (options.replay == ReplayEngine::Kernel && looksLikeFile(target) &&
+        !isDinPath(target)) {
+        const auto built = buildReplayArtifact(target, options.lineBytes);
+        if (!built.ok())
+            return reportReadFailure(target, built.status());
+        const ReplayArtifact &artifact = **built;
+        name = artifact.name();
+        refs = artifact.refs();
         observation.begin(name, refs);
-        outcome = sweepSizes(*artifact, paperCacheSizes(), config,
+        outcome = sweepSizes(artifact, paperCacheSizes(), config,
                              options.replay);
         if (tracer)
             tracer->complete("sweep " + name, "sweep", sweep_t0,
