@@ -69,10 +69,6 @@ counterName(Counter counter)
         return "store-misses";
       case Counter::StoreEvictions:
         return "store-evictions";
-      case Counter::StoreBytesSaved:
-        return "store-bytes-saved";
-      case Counter::StoreEncodedHits:
-        return "store-encoded-hits";
       case Counter::SrvAdmitted:
         return "srv-admitted";
       case Counter::SrvShed:

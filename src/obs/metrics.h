@@ -64,18 +64,16 @@ enum class Counter : std::uint8_t
     StoreHits,     ///< TraceStore lookups served from memory
     StoreMisses,   ///< TraceStore lookups that triggered a load
     StoreEvictions,///< TraceStore entries evicted for the byte budget
-    StoreBytesSaved,  ///< budget saved by encoded-size residency charges
-    StoreEncodedHits, ///< TraceStore loads charged at encoded size
     SrvAdmitted,      ///< cost-bearing requests past admission control
     SrvShed,          ///< requests shed with a BUSY + retry-after hint
     SrvRetryAfterMs,  ///< summed retry-after hints handed to clients
     ChaosBusy,        ///< chaos: forced BUSY answers
     ChaosTrunc,       ///< chaos: truncated response frames
     ChaosDelay,       ///< chaos: injected pre-handling delays
-    ChaosLoadFail,    ///< chaos: injected TraceStore load failures
+    ChaosLoadFail,    ///< chaos: injected TraceStore load/build failures
 };
 
-inline constexpr std::size_t kCounterCount = 22;
+inline constexpr std::size_t kCounterCount = 20;
 
 /** Stable lowercase name for @p counter (JSON keys, tables). */
 const char *counterName(Counter counter);

@@ -98,8 +98,7 @@ const std::array<Counter, kCounterCount> kAllCounters = {
     Counter::SrvErrors,    Counter::SrvBusy,
     Counter::SrvBytesIn,   Counter::SrvBytesOut,
     Counter::StoreHits,    Counter::StoreMisses,
-    Counter::StoreEvictions, Counter::StoreBytesSaved,
-    Counter::StoreEncodedHits, Counter::SrvAdmitted,
+    Counter::StoreEvictions, Counter::SrvAdmitted,
     Counter::SrvShed,      Counter::SrvRetryAfterMs,
     Counter::ChaosBusy,    Counter::ChaosTrunc,
     Counter::ChaosDelay,   Counter::ChaosLoadFail};

@@ -51,10 +51,9 @@ std::string putNameOf(const std::string &key)
     return name;
 }
 
-/** Encoded-residency charge of an uploaded trace: its wire footprint
- * (10 bytes per reference), mirroring file-backed traces' on-disk
- * charge. */
-std::uint64_t putEncodedBytes(std::uint64_t refs)
+/** The listed size of an uploaded trace: its wire footprint (10 bytes
+ * per reference), as a file-backed trace lists its on-disk size. */
+std::uint64_t putWireBytes(std::uint64_t refs)
 {
     return 10 * refs;
 }
@@ -128,7 +127,7 @@ Server::Server(ServerConfig server_config)
       admission(config.admission),
       chaos(config.chaos, config.chaosSeed),
       traceStore(
-          [this](const std::string &name) -> Result<Trace> {
+          [this](const std::string &name) -> Result<TraceSource> {
               if (chaos.shouldFailLoad())
               {
                   // Failed loads are never cached, so a retrying
@@ -145,7 +144,7 @@ Server::Server(ServerConfig server_config)
                   if (!uploaded)
                       return Status::corruptInput(
                           "unknown trace '" + putNameOf(name) + "'");
-                  return Trace(*uploaded);
+                  return TraceSource{"", std::move(uploaded)};
               }
               const ServedTrace *served = findServed(name);
               if (!served)
@@ -156,27 +155,19 @@ Server::Server(ServerConfig server_config)
                   const Count refs = config.refs
                                          ? config.refs
                                          : Workloads::defaultRefs();
-                  return Trace(*Workloads::instructions(name, refs));
+                  return TraceSource{"",
+                                     Workloads::instructions(name, refs)};
               }
-              return readAnyTraceFile(served->path);
+              // A din text file has no block decoder to pack from.
+              if (!isDinPath(served->path))
+                  return TraceSource{served->path, nullptr};
+              Result<Trace> read = readAnyTraceFile(served->path);
+              if (!read.ok())
+                  return read.status();
+              return TraceSource{
+                  "", std::make_shared<const Trace>(std::move(read.value()))};
           },
-          config.storeBudgetBytes,
-          [this](const std::string &name) -> std::uint64_t {
-              // Encoded residency charge: the on-disk footprint of a
-              // file-backed trace (DXT3 files make the --store-budget
-              // go several times further). Uploaded traces charge
-              // their wire footprint; synthetic traces have no
-              // encoded form and charge decoded.
-              if (isPutKey(name))
-              {
-                  std::shared_ptr<const Trace> uploaded =
-                      findUploaded(putNameOf(name));
-                  return uploaded ? putEncodedBytes(uploaded->size())
-                                  : 0;
-              }
-              const ServedTrace *served = findServed(name);
-              return served ? served->fileBytes : 0;
-          })
+          config.storeBudgetBytes)
 {
     if (config.workers == 0)
         config.workers = 1;
@@ -660,16 +651,16 @@ std::string Server::handleList()
         entry.resident = traceStore.resident(served.name) ? 1 : 0;
         entries.push_back(std::move(entry));
     }
-    // Uploaded traces list after the spec's, charged at their wire
-    // footprint. Snapshot the registry first: the store's residency
-    // check must not run under the uploads lock (its loader takes it).
+    // Uploaded traces list after the spec's, at their wire footprint.
+    // Snapshot the registry first: the store's residency check must
+    // not run under the uploads lock (its resolver takes it).
     std::vector<std::pair<std::string, std::uint64_t>> uploaded;
     {
         std::lock_guard<std::mutex> lock(uploadsMutex);
         for (const auto &[name, entry] : uploads)
             uploaded.emplace_back(
                 "put:" + name + "#v" + std::to_string(entry.version),
-                putEncodedBytes(entry.trace->size()));
+                putWireBytes(entry.trace->size()));
     }
     for (const auto &[key, bytes] : uploaded)
     {
@@ -743,27 +734,23 @@ std::string Server::handleReplay(const ReplayRequest &request,
     const std::uint64_t startNs = obs::monotonicNs();
 
     const bool wantsOptimal = iequals(request.model, "opt");
+    const std::string key = storeKeyFor(request.trace);
     std::shared_ptr<const Trace> trace;
     std::shared_ptr<const ReplayArtifact> artifact;
     {
         obs::ScopedSpan span("srv", "store-load", ctx.traceId);
         const std::uint64_t loadStartNs = obs::monotonicNs();
+        Result<std::shared_ptr<const Trace>> loaded = traceStore.trace(key);
+        if (!loaded.ok())
+            return errorFrame(loaded.status());
+        trace = std::move(loaded.value());
         if (wantsOptimal)
         {
-            Result<IndexedTrace> warm = traceStore.indexed(
-                storeKeyFor(request.trace), request.lineBytes);
+            Result<std::shared_ptr<const ReplayArtifact>> warm =
+                traceStore.artifact(key, request.lineBytes);
             if (!warm.ok())
                 return errorFrame(warm.status());
-            trace = warm.value().trace;
-            artifact = warm.value().artifact;
-        }
-        else
-        {
-            Result<std::shared_ptr<const Trace>> loaded =
-                traceStore.trace(storeKeyFor(request.trace));
-            if (!loaded.ok())
-                return errorFrame(loaded.status());
-            trace = loaded.value();
+            artifact = std::move(warm.value());
         }
         recordLatency(obs::Latency::StoreLoad,
                       obs::monotonicNs() - loadStartNs);
@@ -858,17 +845,37 @@ std::string Server::handleSweep(const SweepRequest &request,
     const AdmissionRelease released{admission, ticket.costNs};
     const std::uint64_t startNs = obs::monotonicNs();
 
-    Result<IndexedTrace> warm = [&] {
+    // A kernel sweep needs only the store's artifact; the per-leg
+    // engine replays the object models over the Trace, so it takes the
+    // Trace from the store and packs its own artifact for the call.
+    const bool perLeg = request.engine == 1;
+    const std::string key = storeKeyFor(request.trace);
+    std::shared_ptr<const Trace> trace;
+    std::shared_ptr<const ReplayArtifact> artifact;
+    {
         obs::ScopedSpan span("srv", "store-load", ctx.traceId);
         const std::uint64_t loadStartNs = obs::monotonicNs();
-        Result<IndexedTrace> loaded = traceStore.indexed(
-            storeKeyFor(request.trace), request.lineBytes);
+        Status loaded;
+        if (perLeg)
+        {
+            Result<std::shared_ptr<const Trace>> warm = traceStore.trace(key);
+            loaded = warm.status();
+            if (warm.ok())
+                trace = std::move(warm.value());
+        }
+        else
+        {
+            Result<std::shared_ptr<const ReplayArtifact>> warm =
+                traceStore.artifact(key, request.lineBytes);
+            loaded = warm.status();
+            if (warm.ok())
+                artifact = std::move(warm.value());
+        }
         recordLatency(obs::Latency::StoreLoad,
                       obs::monotonicNs() - loadStartNs);
-        return loaded;
-    }();
-    if (!warm.ok())
-        return errorFrame(warm.status());
+        if (!loaded.ok())
+            return errorFrame(loaded);
+    }
 
     deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
     if (!deadline.ok())
@@ -879,23 +886,23 @@ std::string Server::handleSweep(const SweepRequest &request,
     DynamicExclusionConfig sweepConfig;
     sweepConfig.stickyMax = request.stickyMax;
     sweepConfig.useLastLine = request.lineBytes > 4;
-    // Engine byte 0, the retired batched engine, runs the kernel.
-    const ReplayEngine engine = request.engine == 1
-                                    ? ReplayEngine::PerLeg
-                                    : ReplayEngine::Kernel;
     const SizeSweepOutcome outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
+        // Engine byte 0, the retired batched engine, runs the kernel.
         SizeSweepOutcome swept =
-            sweepSizes(*warm.value().artifact, axis, sweepConfig, engine);
+            perLeg ? sweepSizes(*trace, axis, request.lineBytes,
+                                sweepConfig, ReplayEngine::PerLeg)
+                   : sweepSizes(*artifact, axis, sweepConfig);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;
     }();
 
+    // The trace's own name, as a local sweep of it reports.
     SweepResult result;
-    result.trace = warm.value().trace->name();
-    result.refs = warm.value().trace->size();
+    result.trace = perLeg ? trace->name() : artifact->name();
+    result.refs = perLeg ? trace->size() : artifact->refs();
     result.points.reserve(outcome.points.size());
     for (std::size_t s = 0; s < outcome.points.size(); ++s)
     {
@@ -917,7 +924,7 @@ std::string Server::handleSweep(const SweepRequest &request,
         wire.message = failure.status.message();
         result.failures.push_back(std::move(wire));
     }
-    admission.recordServiced(kind, warm.value().trace->size(), legs,
+    admission.recordServiced(kind, result.refs, legs,
                              obs::monotonicNs() - startNs);
     const std::uint64_t encodeStartNs = obs::monotonicNs();
     obs::ScopedSpan span("srv", "serialize", ctx.traceId);
@@ -972,9 +979,8 @@ Server::statsRows() const
         {"store-single-flight-waits", store.singleFlightWaits},
         {"store-evictions", store.evictions},
         {"store-resident-bytes", store.residentBytes},
+        {"store-artifact-bytes", store.artifactBytes},
         {"store-entries", store.entries},
-        {"store-encoded-hits", store.encodedHits},
-        {"store-bytes-saved", store.bytesSaved},
     };
     if (config.telemetry)
         latencies.appendStatsRows(rows);

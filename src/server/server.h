@@ -17,8 +17,10 @@
  *     peer closes. Simulation work inside a request additionally fans
  *     out on the process-wide ThreadPool, so sweep responses are
  *     bit-identical to local runs at any worker count;
- *   - traces and their next-use indices live in a byte-budgeted LRU
- *     TraceStore shared by all workers (single-flight loading).
+ *   - replay artifacts (packed view plus next-use index) live in a
+ *     byte-budgeted LRU TraceStore shared by all workers
+ *     (single-flight loading); a trace's decoded Trace is loaded into
+ *     it only for replays and per-leg sweeps.
  *
  * Failure policy: a malformed, truncated, or CRC-corrupt frame is
  * answered with a structured ERROR frame (then the connection closes,
@@ -228,8 +230,9 @@ class Server
     /**
      * The TraceStore key for a request's trace name. Uploaded traces
      * key as "put:<name>#v<version>" so a re-upload under the same
-     * name never hits the previous version's cached decode or index;
-     * served traces key as themselves.
+     * name never hits the previous version's cached Trace or artifact;
+     * served traces key as themselves. Responses name the trace, never
+     * the key.
      */
     std::string storeKeyFor(const std::string &name) const;
 

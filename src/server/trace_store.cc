@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "trace/text_io.h"
 #include "util/logging.h"
 
 namespace dynex
@@ -28,252 +29,207 @@ void chargeActive(obs::Counter counter, std::uint64_t delta)
 
 } // namespace
 
-/** One replay artifact at one line granularity, single-flight. */
-struct TraceStore::Artifact
+/** One single-flight load: an entry's Trace or one of its artifacts.
+ * Guarded by the store mutex; the work itself runs off-lock on a
+ * local Slot, published here when ready. */
+struct TraceStore::Slot
 {
-    bool ready = false; ///< false while the builder thread runs
-    std::shared_ptr<const ReplayArtifact> value; ///< null if it failed
+    bool ready = false; ///< false while the flight runs
+    std::shared_ptr<const Trace> trace;             ///< kTraceSlot
+    std::shared_ptr<const ReplayArtifact> artifact; ///< any other key
     Status error = Status();
+    std::uint64_t bytes = 0; ///< resident charge once ready
+
+    /** Ready and holding its value (a failed slot holds none). */
+    bool warm() const { return trace || artifact; }
 };
 
-/** One cached trace and its per-granularity artifacts. All fields are
- * guarded by the store mutex; the load/build work itself runs
- * off-lock while the slot sits in its in-flight state. */
+/** One trace's slots. All fields are guarded by the store mutex. */
 struct TraceStore::Entry
 {
-    enum class State : std::uint8_t
-    {
-        Loading,
-        Ready,
-        Failed,
-    };
-
-    std::string name;
-    State state = State::Loading;
-    std::shared_ptr<const Trace> trace;
-    Status error = Status();
-    std::uint64_t bytes = 0;   ///< total resident charge
+    std::map<std::uint32_t, std::shared_ptr<Slot>> slots;
+    std::uint64_t bytes = 0;         ///< total resident charge
+    std::uint64_t artifactBytes = 0; ///< the artifacts' part of it
     std::uint64_t lastUse = 0; ///< LRU stamp (larger = more recent)
-    std::map<std::uint32_t, std::shared_ptr<Artifact>> artifacts;
+
+    bool warm() const
+    {
+        for (const auto &keyed : slots)
+            if (keyed.second->warm())
+                return true;
+        return false;
+    }
 
     /** An entry is evictable only when nothing is in flight on it. */
     bool idle() const
     {
-        if (state != State::Ready)
-            return false;
-        for (const auto &granularity : artifacts)
-            if (!granularity.second->ready)
+        for (const auto &keyed : slots)
+            if (!keyed.second->ready)
                 return false;
         return true;
     }
 };
 
-TraceStore::TraceStore(Loader trace_loader, std::uint64_t budget_bytes,
-                       SizeProbe size_probe)
-    : loader(std::move(trace_loader)), sizeProbe(std::move(size_probe)),
-      budget(budget_bytes)
+TraceStore::TraceStore(Resolver trace_resolver, std::uint64_t budget_bytes)
+    : resolver(std::move(trace_resolver)), budget(budget_bytes)
 {
-    DYNEX_ASSERT(loader != nullptr, "TraceStore needs a loader");
-}
-
-std::uint64_t TraceStore::chargeForLocked(const Trace &trace,
-                                          std::uint64_t encoded_bytes)
-{
-    const std::uint64_t decoded = traceBytes(trace);
-    if (encoded_bytes == 0 || encoded_bytes >= decoded)
-        return decoded;
-    ++tallies.encodedHits;
-    tallies.bytesSaved += decoded - encoded_bytes;
-    chargeActive(obs::Counter::StoreEncodedHits, 1);
-    chargeActive(obs::Counter::StoreBytesSaved, decoded - encoded_bytes);
-    return encoded_bytes;
-}
-
-std::uint64_t TraceStore::probeEncoded(const std::string &name) const
-{
-    if (!sizeProbe)
-        return 0;
-    try
-    {
-        return sizeProbe(name);
-    }
-    catch (...)
-    {
-        return 0; // an unknown size just charges decoded
-    }
+    DYNEX_ASSERT(resolver != nullptr, "TraceStore needs a resolver");
 }
 
 Result<std::shared_ptr<const Trace>> TraceStore::trace(const std::string &name)
 {
-    std::unique_lock<std::mutex> lock(storeMutex);
-    for (;;)
-    {
-        auto it = entries.find(name);
-        if (it == entries.end())
-            break; // we own the load
-        std::shared_ptr<Entry> entry = it->second;
-        if (entry->state == Entry::State::Loading)
-        {
-            ++tallies.singleFlightWaits;
-            storeCv.wait(lock, [&] {
-                return entry->state != Entry::State::Loading;
-            });
-            if (entry->state == Entry::State::Failed)
-                return entry->error;
-            // Joined the flight: counted as a wait, not as a hit (the
-            // trace was not warm when this request arrived).
-            entry->lastUse = ++useClock;
-            return entry->trace;
-        }
-        if (entry->state == Entry::State::Failed)
-            return entry->error;
-        ++tallies.traceHits;
-        chargeActive(obs::Counter::StoreHits, 1);
-        entry->lastUse = ++useClock;
-        return entry->trace;
-    }
-
-    auto entry = std::make_shared<Entry>();
-    entry->name = name;
-    entries.emplace(name, entry);
-    ++tallies.traceMisses;
-    chargeActive(obs::Counter::StoreMisses, 1);
-
-    lock.unlock();
-    const std::uint64_t startNs = obs::monotonicNs();
-    Result<Trace> loaded = [&]() -> Result<Trace> {
-        try
-        {
-            return loader(name);
-        }
-        catch (...)
-        {
-            return statusFromException(std::current_exception())
-                .withContext("trace loader");
-        }
-    }();
-    const std::uint64_t elapsedNs = obs::monotonicNs() - startNs;
-    const std::uint64_t encoded = loaded.ok() ? probeEncoded(name) : 0;
-    lock.lock();
-
-    if (!loaded.ok())
-    {
-        entry->state = Entry::State::Failed;
-        entry->error = loaded.status().withContext("loading '" + name + "'");
-        entries.erase(name); // do not cache failures; next request retries
-        ++tallies.loadFailures;
-        storeCv.notify_all();
-        return entry->error;
-    }
-
-    entry->trace = std::make_shared<const Trace>(std::move(loaded.value()));
-    entry->bytes = chargeForLocked(*entry->trace, encoded);
-    entry->state = Entry::State::Ready;
-    entry->lastUse = ++useClock;
-    tallies.residentBytes += entry->bytes;
-    ++tallies.traceLoads;
-    chargeActive(obs::Counter::TraceLoadNs, elapsedNs);
-    chargeActive(obs::Counter::TraceLoadRefs, entry->trace->size());
-    evictIfNeededLocked(entry.get());
-    storeCv.notify_all();
-    return entry->trace;
+    Result<std::shared_ptr<const Slot>> slot = fetch(name, kTraceSlot);
+    if (!slot.ok())
+        return slot.status();
+    return slot.value()->trace;
 }
 
-Result<IndexedTrace> TraceStore::indexed(const std::string &name,
-                                         std::uint32_t line_bytes)
+Result<std::shared_ptr<const ReplayArtifact>>
+TraceStore::artifact(const std::string &name, std::uint32_t line_bytes)
 {
-    Result<std::shared_ptr<const Trace>> base = trace(name);
-    if (!base.ok())
-        return base.status();
+    if (line_bytes == kTraceSlot)
+        return Status::invalidArgument("line size must be nonzero");
+    Result<std::shared_ptr<const Slot>> slot = fetch(name, line_bytes);
+    if (!slot.ok())
+        return slot.status();
+    return slot.value()->artifact;
+}
 
-    // trace() counted this request once; finding the slot below must
-    // not count it again, so it waits on a newer flight directly.
+Result<std::shared_ptr<const TraceStore::Slot>>
+TraceStore::fetch(const std::string &name, std::uint32_t key)
+{
     std::unique_lock<std::mutex> lock(storeMutex);
-    std::shared_ptr<Entry> entry;
-    for (;;)
+    std::shared_ptr<Entry> &found = entries[name];
+    if (!found)
+        found = std::make_shared<Entry>();
+    const std::shared_ptr<Entry> entry = found;
+    entry->lastUse = ++useClock;
+    const bool warm = entry->warm();
+    if (warm)
     {
-        auto it = entries.find(name);
-        if (it == entries.end())
+        ++tallies.traceHits;
+        chargeActive(obs::Counter::StoreHits, 1);
+    }
+
+    if (auto it = entry->slots.find(key); it != entry->slots.end())
+    {
+        const std::shared_ptr<Slot> slot = it->second;
+        if (slot->ready)
         {
-            // Evicted since the load: re-insert the trace so the
-            // artifact attaches to a live slot.
-            entry = std::make_shared<Entry>();
-            entry->name = name;
-            entry->trace = base.value();
-            entry->bytes = chargeForLocked(*entry->trace, probeEncoded(name));
-            entry->state = Entry::State::Ready;
-            entries.emplace(name, entry);
-            tallies.residentBytes += entry->bytes;
-            break;
+            if (key != kTraceSlot)
+            {
+                ++tallies.indexHits;
+                chargeActive(obs::Counter::StoreHits, 1);
+            }
+            return std::shared_ptr<const Slot>(slot);
         }
-        entry = it->second;
-        if (entry->state == Entry::State::Ready)
-            break;
-        // Evicted and reloaded by a newer flight: join it.
-        storeCv.wait(lock, [&] {
-            return entry->state != Entry::State::Loading;
-        });
-        if (entry->state == Entry::State::Failed)
-            return entry->error;
+        // Joined the in-flight load: a wait, not a hit.
+        ++tallies.singleFlightWaits;
+        storeCv.wait(lock, [&] { return slot->ready; });
+        if (!slot->warm())
+            return slot->error;
+        return std::shared_ptr<const Slot>(slot);
+    }
+
+    if (!warm)
+        ++tallies.traceMisses;
+    chargeActive(obs::Counter::StoreMisses, 1);
+    const auto slot = std::make_shared<Slot>();
+    entry->slots.emplace(key, slot);
+
+    lock.unlock();
+    Slot filled;
+    const bool loadedTrace = fill(filled, name, key);
+    lock.lock();
+
+    *slot = std::move(filled);
+    slot->ready = true;
+    storeCv.notify_all();
+    tallies.traceLoads += loadedTrace ? 1 : 0;
+    if (!slot->warm())
+    {
+        // Not cached: every waiter gets the status, and the next
+        // request retries. In flight, the entry cannot have been
+        // evicted, so it is still the one under @p name.
+        ++tallies.loadFailures;
+        entry->slots.erase(key);
+        if (entry->slots.empty())
+            entries.erase(name);
+        return slot->error;
+    }
+    entry->bytes += slot->bytes;
+    tallies.residentBytes += slot->bytes;
+    if (slot->artifact)
+    {
+        entry->artifactBytes += slot->bytes;
+        tallies.artifactBytes += slot->bytes;
+        ++tallies.indexBuilds;
     }
     entry->lastUse = ++useClock;
+    evictIfNeededLocked(entry.get());
+    return std::shared_ptr<const Slot>(slot);
+}
 
-    if (auto slot = entry->artifacts.find(line_bytes);
-        slot != entry->artifacts.end())
-    {
-        std::shared_ptr<Artifact> artifact = slot->second;
-        if (!artifact->ready)
-        {
-            // Joined the in-flight build: a wait, not a hit.
-            ++tallies.singleFlightWaits;
-            storeCv.wait(lock, [&] { return artifact->ready; });
-            if (!artifact->value)
-                return artifact->error;
-        }
-        else
-        {
-            ++tallies.indexHits;
-            chargeActive(obs::Counter::StoreHits, 1);
-        }
-        return IndexedTrace{entry->trace, artifact->value};
-    }
-
-    auto artifact = std::make_shared<Artifact>();
-    entry->artifacts.emplace(line_bytes, artifact);
-    chargeActive(obs::Counter::StoreMisses, 1);
-
-    std::shared_ptr<const Trace> source = entry->trace;
-    lock.unlock();
-    std::shared_ptr<const ReplayArtifact> built;
-    Status failed;
+bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key)
+{
+    const std::uint64_t startNs = obs::monotonicNs();
+    bool loadedTrace = false;
     try
     {
-        built = buildReplayArtifact(*source, line_bytes, name);
+        Result<TraceSource> source = resolver(name);
+        if (!source.ok())
+        {
+            slot.error = source.status().withContext("loading '" + name + "'");
+            return false;
+        }
+        std::shared_ptr<const Trace> trace = source.value().trace;
+        if (!trace && key != kTraceSlot)
+        {
+            // A binary trace file packs block by block: no Trace.
+            Result<std::shared_ptr<const ReplayArtifact>> built =
+                buildReplayArtifact(source.value().path, key);
+            if (!built.ok())
+                slot.error =
+                    built.status().withContext("building '" + name + "'");
+            else
+                slot.artifact = std::move(built.value());
+            slot.bytes = slot.artifact ? slot.artifact->bytes() : 0;
+            return false;
+        }
+        if (!trace)
+        {
+            Result<Trace> decoded = readAnyTraceFile(source.value().path);
+            if (!decoded.ok())
+            {
+                slot.error =
+                    decoded.status().withContext("loading '" + name + "'");
+                return false;
+            }
+            trace = std::make_shared<const Trace>(std::move(decoded.value()));
+        }
+        loadedTrace = true;
+        chargeActive(obs::Counter::TraceLoadNs, obs::monotonicNs() - startNs);
+        chargeActive(obs::Counter::TraceLoadRefs, trace->size());
+        if (key == kTraceSlot)
+        {
+            slot.bytes = traceBytes(*trace);
+            slot.trace = std::move(trace);
+            return true;
+        }
+        // The store keeps the artifact, not the Trace, so the artifact
+        // must not point at it.
+        slot.artifact = buildReplayArtifact(*trace, key, trace->name(),
+                                            TraceLink::Drop);
+        slot.bytes = slot.artifact->bytes();
     }
     catch (...)
     {
-        failed = statusFromException(std::current_exception())
-                     .withContext("building '" + name + "'");
+        slot.error = statusFromException(std::current_exception())
+                         .withContext((key == kTraceSlot ? "loading '"
+                                                         : "building '") +
+                                      name + "'");
     }
-    lock.lock();
-
-    artifact->ready = true;
-    artifact->value = built;
-    artifact->error = failed;
-    storeCv.notify_all();
-    if (!built)
-    {
-        // Like a failed load: every waiter gets the status, and the
-        // next request retries.
-        entry->artifacts.erase(line_bytes);
-        return failed;
-    }
-    entry->bytes += built->bytes();
-    entry->lastUse = ++useClock;
-    tallies.residentBytes += built->bytes();
-    ++tallies.indexBuilds;
-    evictIfNeededLocked(entry.get());
-    return IndexedTrace{source, built};
+    return loadedTrace;
 }
 
 void TraceStore::evictIfNeededLocked(const Entry *keep)
@@ -296,6 +252,7 @@ void TraceStore::evictIfNeededLocked(const Entry *keep)
         if (!victim)
             return; // everything left is in use or in flight
         tallies.residentBytes -= victim->bytes;
+        tallies.artifactBytes -= victim->artifactBytes;
         ++tallies.evictions;
         chargeActive(obs::Counter::StoreEvictions, 1);
         entries.erase(victimName);
@@ -306,7 +263,7 @@ bool TraceStore::resident(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(storeMutex);
     auto it = entries.find(name);
-    return it != entries.end() && it->second->state == Entry::State::Ready;
+    return it != entries.end() && it->second->warm();
 }
 
 TraceStore::Counters TraceStore::counters() const

@@ -211,13 +211,19 @@ enum : unsigned
  * pass runs each model as its own instantiation so each can be timed.
  * Tallies are exact integers, so both shapes are bit-identical.
  *
- * Every lane update is branch-free: DE's Figure-1 arc comes from
- * fig1Arc as a select chain, and the bypass/retain decisions become
- * mask arithmetic, because they are data-dependent and a compiler-
- * chosen branch mispredicts through bypass-heavy legs. Only the
- * within-run skips remain branches. Per-model tallies stay in
- * registers (one named counter per arc; an indexed ++cnt[arc] would
- * move them to memory) and fold into the leg once per chunk.
+ * The lane updates are written without branches, because their
+ * decisions are data-dependent and a branch mispredicts through
+ * bypass-heavy legs: DE's Figure-1 arc comes from fig1Arc as a select
+ * chain, the bypass/retain decisions are mask arithmetic, and each
+ * tally is a named counter (an indexed ++cnt[arc] would force them to
+ * memory) folded into the leg once per chunk. GCC 12 -O3 keeps that
+ * form for the DM and optimal lanes only:
+ * in the Release object, chunk<1,true> has 2 conditional jumps and
+ * chunk<4,true> 3 (the loop and the within-run skip). For DE it turns
+ * fig1Arc back into a compare-and-branch tree (cold? hit? h? sticky?),
+ * so chunk<2,true> and chunk<2,false> have 7 conditional jumps and the
+ * fused chunk<7,true> and chunk<7,false> 8, and it keeps the arc
+ * tallies in stack slots (addq $1 to memory) rather than registers.
  *
  * DE's h[x] is one byte per distinct block, read once and written
  * back unconditionally. A packed bit per block would make every
@@ -573,7 +579,7 @@ ReplayArtifact::ReplayArtifact(std::string name, const Trace *trace,
 
 std::shared_ptr<const ReplayArtifact>
 buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
-                    const std::string &label)
+                    const std::string &label, TraceLink link)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
     obs::Tracer *const tracer = obs::Tracer::active();
@@ -581,7 +587,8 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
     const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
 
     std::shared_ptr<const ReplayArtifact> artifact(new ReplayArtifact(
-        trace.name(), &trace, PackedTraceView(trace, line_bytes)));
+        trace.name(), link == TraceLink::Keep ? &trace : nullptr,
+        PackedTraceView(trace, line_bytes)));
 
     if (metrics) {
         metrics->add(obs::Counter::IndexBuildNs,

@@ -121,6 +121,13 @@ struct FailedLeg
  * sweeps): throw the first of @p failures as a StatusError. */
 void throwIfFailed(const std::vector<FailedLeg> &failures);
 
+/** Whether an artifact packed from a Trace points back at it. */
+enum class TraceLink : std::uint8_t
+{
+    Keep, ///< trace() is the source; the caller keeps it alive
+    Drop, ///< trace() is nullptr; the artifact may outlive the source
+};
+
 /**
  * A trace's replay artifact at one line size: its packed view and the
  * RunStart next-use index built from that view, 8 bytes per reference
@@ -140,12 +147,13 @@ class ReplayArtifact
     std::size_t refs() const { return packed.size(); }
     /**
      * The Trace the artifact was built from, or nullptr when it was
-     * packed straight from a trace file. Non-owning: it is valid only
-     * while that Trace lives, and every builder's caller keeps the
-     * Trace beside the artifact (sweepSizes for its call, the suite
-     * sweeps for their benchmark's job, a TraceStore entry and each
-     * IndexedTrace it hands out hold both). Only the per-leg engine
-     * reads it.
+     * packed straight from a trace file or detached from its Trace
+     * (TraceLink::Drop). Non-owning: a linked artifact is valid only
+     * while its Trace lives, so only callers that keep the Trace for
+     * the artifact's whole life link it (sweepSizes(Trace) for its
+     * call, the suite sweeps for their benchmark's job). A TraceStore
+     * keeps artifacts without their Traces and builds them detached.
+     * Only the per-leg engine reads it.
      */
     const Trace *trace() const { return source; }
     /** Resident bytes: the view's ids and per-block set words plus the
@@ -154,7 +162,8 @@ class ReplayArtifact
 
   private:
     friend std::shared_ptr<const ReplayArtifact>
-    buildReplayArtifact(const Trace &, std::uint32_t, const std::string &);
+    buildReplayArtifact(const Trace &, std::uint32_t, const std::string &,
+                        TraceLink);
     friend Result<std::shared_ptr<const ReplayArtifact>>
     buildReplayArtifact(const std::string &, std::uint32_t);
 
@@ -173,10 +182,14 @@ class ReplayArtifact
  * IndexBuildNs and records one "index" span named after @p label,
  * whichever path (CLI, suite, served) asks. Throws what the view or
  * the index throws.
+ *
+ * @param link Keep makes trace() return &@p trace; Drop leaves it
+ *        nullptr, for an artifact that outlives @p trace.
  */
 std::shared_ptr<const ReplayArtifact>
 buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
-                    const std::string &label);
+                    const std::string &label,
+                    TraceLink link = TraceLink::Keep);
 
 /**
  * Pack the DXT1/DXT2/DXT3 trace file at @p path at @p line_bytes block

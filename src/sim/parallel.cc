@@ -62,8 +62,7 @@ replayTriads(ReplayEngine engine, const ReplayArtifact &artifact,
                 {label, size, "triad",
                  Status::invalidArgument(
                      "the per-leg engine replays a decoded trace; '" +
-                     artifact.name() +
-                     "' was packed straight from its file")});
+                     artifact.name() + "' was packed without one")});
         return outcome;
     }
     std::vector<Status> leg_status(sizes.size());

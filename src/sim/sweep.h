@@ -72,13 +72,13 @@ struct SizeSweepOutcome
  * default Kernel engine the artifact is streamed once for all sizes
  * and models; PerLeg replays the object models per (size, model) leg
  * over the artifact's trace(), and fails every leg with
- * InvalidArgument when it was packed from a file. Both produce
- * bit-identical results at any thread count. A failing leg (including
+ * InvalidArgument when it has none (packed from a file or detached).
+ * Both produce bit-identical results at any thread count. A failing leg (including
  * one injected via the sweep fault hook) is recorded instead of
  * propagating, and every other leg completes bit-identical to an
  * unfaulted run. The serving subsystem passes the TraceStore's cached
- * artifact, so a warm request neither repacks nor reindexes; the CLI
- * passes one packed straight from a trace file.
+ * artifact to the kernel, so a warm request neither repacks nor
+ * reindexes; the CLI passes one packed straight from a trace file.
  */
 SizeSweepOutcome sweepSizes(
     const ReplayArtifact &artifact,

@@ -3,7 +3,8 @@
  * Chaos-layer tests: spec parsing and canonical round-trip, per-seam
  * seeded determinism of the injector, and end-to-end fault injection
  * through an in-process Server — forced BUSY sheds, injected
- * TraceStore load failures (never cached, hence retryable), truncated
+ * TraceStore load and artifact-build failures (never cached, hence
+ * retryable), truncated
  * responses, injected delays, and a retrying client whose sweep under
  * chaos is bit-identical to a clean server's.
  */
@@ -12,12 +13,16 @@
 
 #include <bit>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "server/chaos.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "sim/workloads.h"
+#include "trace/trace_io.h"
 
 namespace dynex::server
 {
@@ -183,6 +188,42 @@ TEST(ChaosEndToEnd, InjectedLoadFailureIsRetryableAndNeverCached)
     EXPECT_EQ(client.sweep(request).status().code(),
               StatusCode::IoError);
     EXPECT_TRUE(client.ping().ok());
+}
+
+TEST(ChaosEndToEnd, InjectedLoadFailureAlsoFailsFileArtifactBuilds)
+{
+    // A file-backed kernel sweep packs its artifact without a Trace
+    // load; the injected failure must reach that build too.
+    const std::string path =
+        ::testing::TempDir() + "/dynex_chaos_served.dxt2";
+    ASSERT_TRUE(writeTraceFile(*Workloads::instructions("li", 5000), path,
+                               TraceFormat::Dxt2)
+                    .ok());
+    ChaosSpec spec;
+    spec.loadFailProb = 1.0;
+    ServerConfig config = chaosServer("espresso", spec);
+    config.traces = {{"filed", path, std::filesystem::file_size(path)}};
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client;
+    ASSERT_TRUE(client.connect(kHost, server.port()).ok());
+
+    SweepRequest request;
+    request.trace = "filed";
+    request.engine = 2;
+    EXPECT_EQ(client.sweep(request).status().code(), StatusCode::IoError);
+    EXPECT_EQ(client.sweep(request).status().code(), StatusCode::IoError);
+    std::uint64_t injected = 0, failures = 0;
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    for (const auto &[name, value] : stats.value().counters)
+    {
+        injected += name == "chaos-load-failures" ? value : 0;
+        failures += name == "store-load-failures" ? value : 0;
+    }
+    EXPECT_EQ(injected, 2u);
+    EXPECT_EQ(failures, 2u);
+    std::remove(path.c_str());
 }
 
 TEST(ChaosEndToEnd, CertainTruncationPoisonsTheConnection)

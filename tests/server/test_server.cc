@@ -18,7 +18,11 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -32,6 +36,7 @@
 #include "sim/sweep.h"
 #include "sim/workloads.h"
 #include "trace/next_use.h"
+#include "trace/trace_io.h"
 #include "util/thread_pool.h"
 #include "util/version.h"
 
@@ -235,6 +240,219 @@ TEST(ServerEndToEnd, WarmStoreServesTheSecondSweepWithoutReloading)
     EXPECT_GT(warm.at("store-trace-hits"), cold.at("store-trace-hits"));
     EXPECT_GT(warm.at("store-index-hits"), cold.at("store-index-hits"));
     EXPECT_EQ(warm.at("sweeps"), 2u);
+}
+
+/** A benchmark's instruction trace written to a DXT2 file and served
+ * under @p served_name; removed at scope exit. */
+struct ServedFile
+{
+    std::string path;
+    ServedTrace served;
+
+    ServedFile(const std::string &bench, const std::string &served_name)
+        : path(::testing::TempDir() + "/dynex_served_" + served_name +
+               ".dxt2")
+    {
+        const Status status = writeTraceFile(
+            *Workloads::instructions(bench, kRefs), path, TraceFormat::Dxt2);
+        EXPECT_TRUE(status.ok()) << status.toString();
+        served = {served_name, path, std::filesystem::file_size(path)};
+    }
+    ~ServedFile() { std::remove(path.c_str()); }
+};
+
+/** Expect @p remote to carry exactly @p want's miss rates. */
+void
+expectSameTable(const SweepResult &remote, const SizeSweepOutcome &want)
+{
+    EXPECT_TRUE(remote.failures.empty());
+    ASSERT_EQ(remote.points.size(), want.points.size());
+    for (std::size_t s = 0; s < want.points.size(); ++s)
+    {
+        const auto &got = remote.points[s];
+        EXPECT_EQ(got.sizeBytes, want.points[s].sizeBytes);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
+                  std::bit_cast<std::uint64_t>(want.points[s].dmMissPct));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.deMissPct),
+                  std::bit_cast<std::uint64_t>(want.points[s].deMissPct));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.optMissPct),
+                  std::bit_cast<std::uint64_t>(want.points[s].optMissPct));
+    }
+}
+
+TEST(ServerEndToEnd, FileBackedKernelSweepNeverDecodesTheTrace)
+{
+    const ServedFile file("espresso", "esp");
+    ServerConfig config;
+    config.traces.push_back(file.served);
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    const Trace local(*Workloads::instructions("espresso", kRefs));
+    DynamicExclusionConfig sweepConfig;
+    sweepConfig.useLastLine = true;
+    const SizeSweepOutcome expected = sweepSizes(
+        local, paperCacheSizes(), 16, sweepConfig, ReplayEngine::PerLeg);
+
+    SweepRequest sweep;
+    sweep.trace = "esp";
+    sweep.lineBytes = 16;
+    sweep.engine = 2;
+    for (int round = 0; round < 2; ++round)
+    {
+        const auto remote = client.sweep(sweep);
+        ASSERT_TRUE(remote.ok()) << remote.status().toString();
+        // The trace's own name, as a local sweep of the file reports.
+        EXPECT_EQ(remote.value().trace, local.name());
+        EXPECT_EQ(remote.value().refs, local.size());
+        expectSameTable(remote.value(), expected);
+    }
+    auto stats = statsMap(client);
+    EXPECT_EQ(stats.at("store-trace-loads"), 0u);
+    EXPECT_EQ(stats.at("store-index-builds"), 1u);
+    EXPECT_EQ(stats.at("store-trace-hits"), 1u);
+    EXPECT_GT(stats.at("store-artifact-bytes"), 0u);
+    EXPECT_EQ(stats.at("store-resident-bytes"),
+              stats.at("store-artifact-bytes"));
+    const auto listed = client.list();
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(listed.value()[0].resident, 1);
+
+    // A replay needs the Trace: it is decoded once, then stays warm.
+    ReplayRequest replay;
+    replay.trace = "esp";
+    replay.model = "dynex";
+    const auto geo = CacheGeometry::directMapped(replay.sizeBytes,
+                                                 replay.lineBytes);
+    const CacheStats want =
+        runTrace(*makeCache("dynex", geo, DynamicExclusionConfig{}), local);
+    for (int round = 0; round < 2; ++round)
+    {
+        const auto remote = client.replay(replay);
+        ASSERT_TRUE(remote.ok()) << remote.status().toString();
+        EXPECT_EQ(remote.value().stats.misses, want.misses);
+        EXPECT_EQ(remote.value().stats.hits, want.hits);
+    }
+    stats = statsMap(client);
+    EXPECT_EQ(stats.at("store-trace-loads"), 1u);
+    EXPECT_GT(stats.at("store-resident-bytes"),
+              stats.at("store-artifact-bytes"));
+
+    // A per-leg sweep replays that warm Trace.
+    sweep.engine = 1;
+    const auto perLeg = client.sweep(sweep);
+    ASSERT_TRUE(perLeg.ok()) << perLeg.status().toString();
+    EXPECT_EQ(perLeg.value().trace, local.name());
+    expectSameTable(perLeg.value(), expected);
+    EXPECT_EQ(statsMap(client).at("store-trace-loads"), 1u);
+}
+
+TEST(ServerEndToEnd, ReplayAfterItsArtifactWasEvictedReloads)
+{
+    const ServedFile first("espresso", "first");
+    const ServedFile second("li", "second");
+    ServerConfig config;
+    config.workers = 2;
+    config.traces = {first.served, second.served};
+    // Room for about one artifact: each of the two evicts the other.
+    config.storeBudgetBytes = kRefs * 12;
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    ReplayRequest replay;
+    replay.trace = "first";
+    replay.model = "opt";
+    replay.lineBytes = 4;
+    const auto before = client.replay(replay);
+    ASSERT_TRUE(before.ok()) << before.status().toString();
+
+    SweepRequest sweep;
+    sweep.trace = "second";
+    ASSERT_TRUE(client.sweep(sweep).ok());
+    const auto listed = client.list();
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(listed.value()[0].resident, 0);
+    EXPECT_EQ(listed.value()[1].resident, 1);
+
+    const auto after = client.replay(replay);
+    ASSERT_TRUE(after.ok()) << after.status().toString();
+    EXPECT_EQ(after.value().stats.misses, before.value().stats.misses);
+    EXPECT_EQ(after.value().stats.bypasses, before.value().stats.bypasses);
+    EXPECT_EQ(after.value().refs, before.value().refs);
+
+    // A per-leg sweep of the evicted trace agrees with its kernel one.
+    sweep.trace = "first";
+    sweep.engine = 1;
+    const auto perLeg = client.sweep(sweep);
+    ASSERT_TRUE(perLeg.ok()) << perLeg.status().toString();
+    sweep.engine = 2;
+    const auto kernel = client.sweep(sweep);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().toString();
+    ASSERT_EQ(perLeg.value().points.size(), kernel.value().points.size());
+    for (std::size_t s = 0; s < kernel.value().points.size(); ++s)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      perLeg.value().points[s].optMissPct),
+                  std::bit_cast<std::uint64_t>(
+                      kernel.value().points[s].optMissPct));
+
+    // "first" was decoded once per residency; the sweeps after the
+    // second replay found its Trace and artifact warm.
+    const auto stats = statsMap(client);
+    EXPECT_GE(stats.at("store-evictions"), 2u);
+    EXPECT_EQ(stats.at("store-trace-loads"), 2u);
+}
+
+TEST(ServerEndToEnd, UploadedSweepFailuresNameTheTraceNotTheStoreKey)
+{
+    struct HookGuard
+    {
+        ~HookGuard() { setSweepFaultHook({}); }
+    } guard;
+    std::mutex labelsMutex;
+    std::set<std::string> labels;
+    setSweepFaultHook([&](const std::string &bench, std::uint64_t size) {
+        {
+            std::lock_guard<std::mutex> lock(labelsMutex);
+            labels.insert(bench);
+        }
+        if (size == 4096)
+            throw StatusError(Status::internal("injected at 4K"));
+    });
+
+    Server server(benchServer("espresso"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    Trace uploaded("upl");
+    for (const MemRef &ref : *Workloads::instructions("li", 5000))
+        uploaded.append(ref);
+    PutTraceRequest put;
+    put.name = "upl";
+    put.refs.assign(uploaded.begin(), uploaded.end());
+    // Twice: the store key carries the version, the responses do not.
+    ASSERT_TRUE(client.put(put).ok());
+    ASSERT_TRUE(client.put(put).ok());
+
+    const SizeSweepOutcome local =
+        sweepSizes(uploaded, paperCacheSizes(), 4);
+    ASSERT_EQ(local.failures.size(), 1u);
+    for (const std::uint8_t engine : {1, 2})
+    {
+        SweepRequest request;
+        request.trace = "upl";
+        request.engine = engine;
+        const auto remote = client.sweep(request);
+        ASSERT_TRUE(remote.ok()) << remote.status().toString();
+        EXPECT_EQ(remote.value().trace, "upl");
+        ASSERT_EQ(remote.value().failures.size(), 1u);
+        EXPECT_EQ(remote.value().failures[0].bench, local.failures[0].bench);
+        EXPECT_EQ(remote.value().failures[0].bench, "upl");
+        EXPECT_EQ(remote.value().failures[0].sizeBytes, 4096u);
+    }
+    std::lock_guard<std::mutex> lock(labelsMutex);
+    EXPECT_EQ(labels, std::set<std::string>{"upl"});
 }
 
 TEST(ServerEndToEnd, FullQueueAnswersBusyInsteadOfQueueingUnbounded)

@@ -1,12 +1,14 @@
 /**
  * @file
- * TraceStore tests: single-flight loading under thread contention
- * (exactly one loader call for eight concurrent requesters), artifact
- * caching and its resident charge, failed-load retry, byte-budgeted
- * LRU eviction in strict recency order, counter stability across the
- * whole lifecycle, artifact builds visible to the tracer and the
- * metrics exactly as a local sweep's are, and sweeps over the cached
- * artifact matching self-built ones.
+ * TraceStore tests: single-flight loads and builds under thread
+ * contention (exactly one resolver call for eight concurrent
+ * requesters), per-line artifact caching charged at its resident
+ * bytes, file-backed artifacts that never decode the Trace, failed
+ * loads and builds retried instead of cached, byte-budgeted LRU
+ * eviction in strict recency order, evicted Traces and artifacts
+ * staying valid for holders, artifact builds visible to the tracer and
+ * the metrics exactly as a local sweep's are, and sweeps over the
+ * cached artifact matching self-built ones.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -26,6 +29,7 @@
 #include "server/trace_store.h"
 #include "sim/sweep.h"
 #include "trace/trace.h"
+#include "trace/trace_io.h"
 #include "util/status.h"
 
 namespace dynex::server
@@ -45,13 +49,44 @@ tinyTrace(const std::string &name, std::size_t refs = 64)
     return trace;
 }
 
+/** A source for @p trace: the store packs its artifacts from it. */
+Result<TraceSource>
+decoded(Trace trace)
+{
+    return TraceSource{"", std::make_shared<const Trace>(std::move(trace))};
+}
+
+/** tinyTrace(name) written to a DXT2 file, removed at scope exit. */
+struct TinyFile
+{
+    std::string path;
+
+    explicit TinyFile(const std::string &name, std::size_t refs = 64)
+        : path(::testing::TempDir() + "/dynex_store_" + name + ".dxt2")
+    {
+        const Status status =
+            writeTraceFile(tinyTrace(name, refs), path, TraceFormat::Dxt2);
+        EXPECT_TRUE(status.ok()) << status.toString();
+    }
+    ~TinyFile() { std::remove(path.c_str()); }
+};
+
+/** Bytes of tinyTrace's artifact: 8 per reference, a 4-byte dense id
+ * and a 4-byte next-use tick, plus a 4-byte set word per distinct
+ * block (it touches 7 at 4-byte lines). */
+std::uint64_t
+tinyArtifactBytes(std::size_t refs)
+{
+    return refs * 8 + 7 * 4;
+}
+
 TEST(TraceStore, LoadsOnceAndHitsAfterwards)
 {
     std::atomic<int> loads{0};
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
+        [&](const std::string &name) -> Result<TraceSource> {
             ++loads;
-            return tinyTrace(name);
+            return decoded(tinyTrace(name));
         },
         1ull << 30);
 
@@ -76,12 +111,12 @@ TEST(TraceStore, EightThreadsShareOneFlight)
 {
     std::atomic<int> loads{0};
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
+        [&](const std::string &name) -> Result<TraceSource> {
             ++loads;
             // Stall long enough that every other thread arrives while
             // the flight is still open.
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            return tinyTrace(name, 4096);
+            return decoded(tinyTrace(name, 4096));
         },
         1ull << 30);
 
@@ -117,57 +152,154 @@ TEST(TraceStore, EightThreadsShareOneFlight)
               static_cast<std::uint64_t>(kThreads - 1));
 }
 
-TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
+TEST(TraceStore, EightThreadsShareOneArtifactBuild)
 {
-    std::atomic<int> loads{0};
+    std::atomic<int> resolves{0};
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            ++loads;
-            return tinyTrace(name);
+        [&](const std::string &name) -> Result<TraceSource> {
+            ++resolves;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return decoded(tinyTrace(name, 4096));
         },
         1ull << 30);
 
-    const auto a = store.indexed("alpha", 4);
+    constexpr int kThreads = 8;
+    std::vector<std::thread> threads;
+    std::vector<const ReplayArtifact *> seen(kThreads, nullptr);
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            const auto result = store.artifact("hammered", 4);
+            if (result.ok())
+                seen[t] = result.value().get();
+        });
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(resolves.load(), 1);
+    for (const ReplayArtifact *artifact : seen)
+        EXPECT_EQ(artifact, seen.front());
+    ASSERT_NE(seen.front(), nullptr);
+    const auto counters = store.counters();
+    EXPECT_EQ(counters.indexBuilds, 1u);
+    EXPECT_EQ(counters.traceMisses, 1u);
+    EXPECT_EQ(counters.indexHits + counters.singleFlightWaits,
+              static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(TraceStore, IndexedBuildsOncePerLineGranularity)
+{
+    // A file-backed trace: each granularity is packed from the file,
+    // and the Trace is never decoded.
+    const TinyFile file("alpha");
+    std::atomic<int> resolves{0};
+    TraceStore store(
+        [&](const std::string &) -> Result<TraceSource> {
+            ++resolves;
+            return TraceSource{file.path, nullptr};
+        },
+        1ull << 30);
+
+    const auto a = store.artifact("alpha", 4);
     ASSERT_TRUE(a.ok()) << a.status().toString();
-    ASSERT_NE(a.value().artifact, nullptr);
-    EXPECT_EQ(a.value().artifact->lineBytes(), 4u);
+    ASSERT_NE(a.value(), nullptr);
+    EXPECT_EQ(a.value()->lineBytes(), 4u);
+    EXPECT_EQ(a.value()->name(), "alpha");
 
-    const auto again = store.indexed("alpha", 4);
+    const auto again = store.artifact("alpha", 4);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(a.value().artifact.get(), again.value().artifact.get());
+    EXPECT_EQ(a.value().get(), again.value().get());
 
-    const auto wider = store.indexed("alpha", 16);
+    const auto wider = store.artifact("alpha", 16);
     ASSERT_TRUE(wider.ok());
-    EXPECT_NE(a.value().artifact.get(), wider.value().artifact.get());
-    EXPECT_EQ(wider.value().artifact->lineBytes(), 16u);
+    EXPECT_NE(a.value().get(), wider.value().get());
+    EXPECT_EQ(wider.value()->lineBytes(), 16u);
 
-    EXPECT_EQ(loads.load(), 1);
+    EXPECT_EQ(resolves.load(), 2); // one per granularity built
     const auto counters = store.counters();
     EXPECT_EQ(counters.indexBuilds, 2u); // one per granularity
     EXPECT_EQ(counters.indexHits, 1u);
+    EXPECT_EQ(counters.traceLoads, 0u);
+}
+
+TEST(TraceStore, FileBackedArtifactNeverLoadsTheTraceUntilAsked)
+{
+    // A kernel sweep's artifact comes straight from the file; the
+    // Trace is decoded only when a request asks for it (a replay), and
+    // then exactly once.
+    const TinyFile file("filed", 5000);
+    TraceStore store(
+        [&](const std::string &) -> Result<TraceSource> {
+            return TraceSource{file.path, nullptr};
+        },
+        1ull << 30);
+
+    const auto artifact = store.artifact("filed", 4);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().toString();
+    EXPECT_EQ(artifact.value()->trace(), nullptr);
+    EXPECT_EQ(artifact.value()->refs(), 5000u);
+    EXPECT_EQ(store.counters().traceLoads, 0u);
+    EXPECT_EQ(store.counters().residentBytes,
+              store.counters().artifactBytes);
+    EXPECT_TRUE(store.resident("filed"));
+
+    const auto first = store.trace("filed");
+    ASSERT_TRUE(first.ok()) << first.status().toString();
+    const auto second = store.trace("filed");
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(first.value().get(), second.value().get());
+    EXPECT_EQ(first.value()->name(), "filed");
+    EXPECT_EQ(first.value()->size(), 5000u);
+
+    const auto counters = store.counters();
+    EXPECT_EQ(counters.traceLoads, 1u);
+    // Every request after the first found the entry warm.
+    EXPECT_EQ(counters.traceMisses, 1u);
+    EXPECT_EQ(counters.traceHits, 2u);
+    // The Trace is charged its decoded bytes beside the artifact.
+    EXPECT_EQ(counters.residentBytes - counters.artifactBytes,
+              5000 * sizeof(MemRef) + std::string("filed").size());
+}
+
+TEST(TraceStore, ArtifactsPackedFromATraceDoNotKeepIt)
+{
+    std::atomic<int> resolves{0};
+    std::weak_ptr<const Trace> source;
+    TraceStore store(
+        [&](const std::string &name) -> Result<TraceSource> {
+            ++resolves;
+            auto trace = std::make_shared<const Trace>(tinyTrace(name));
+            source = trace;
+            return TraceSource{"", trace};
+        },
+        1ull << 30);
+
+    const auto artifact = store.artifact("alpha", 4);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().toString();
+    // Detached: no pointer to the Trace the store let go of.
+    EXPECT_EQ(artifact.value()->trace(), nullptr);
+    EXPECT_TRUE(source.expired());
+    EXPECT_EQ(artifact.value()->name(), "alpha");
+    EXPECT_EQ(store.counters().traceLoads, 1u);
+    EXPECT_EQ(store.counters().residentBytes, tinyArtifactBytes(64));
 }
 
 TEST(TraceStore, ColdIndexedChargesTheIndexAndViewBytes)
 {
-    // A cold artifact holds 8 bytes per reference, a 4-byte dense id
-    // and a 4-byte next-use tick, plus a 4-byte set word per distinct
-    // block (tinyTrace touches 7).
+    // A cold artifact is charged what it holds, and nothing else: the
+    // Trace it was packed from is not resident.
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name);
+        [&](const std::string &name) -> Result<TraceSource> {
+            return decoded(tinyTrace(name));
         },
         1ull << 30);
-    ASSERT_TRUE(store.trace("alpha").ok());
-    const std::uint64_t before = store.counters().residentBytes;
 
-    ASSERT_TRUE(store.indexed("alpha", 4).ok());
-    EXPECT_EQ(store.counters().residentBytes - before,
-              64u * 8 + 7u * 4);
+    ASSERT_TRUE(store.artifact("alpha", 4).ok());
+    EXPECT_EQ(store.counters().residentBytes, tinyArtifactBytes(64));
+    EXPECT_EQ(store.counters().artifactBytes, tinyArtifactBytes(64));
 
     // A warm hit charges nothing more.
-    const std::uint64_t warm = store.counters().residentBytes;
-    ASSERT_TRUE(store.indexed("alpha", 4).ok());
-    EXPECT_EQ(store.counters().residentBytes, warm);
+    ASSERT_TRUE(store.artifact("alpha", 4).ok());
+    EXPECT_EQ(store.counters().residentBytes, tinyArtifactBytes(64));
 }
 
 /** What one call records under an installed tracer and collector:
@@ -199,38 +331,43 @@ observeArtifactBuilds(Call call)
 
 TEST(TraceStore, ColdIndexedRecordsOneBuildLikeALocalSweep)
 {
+    const TinyFile file("filed", 5000);
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name, 5000);
+        [&](const std::string &name) -> Result<TraceSource> {
+            if (name == "filed")
+                return TraceSource{file.path, nullptr};
+            return decoded(tinyTrace(name, 5000));
         },
         1ull << 30);
-    ASSERT_TRUE(store.trace("alpha").ok());
-
-    const ArtifactBuilds cold = observeArtifactBuilds(
-        [&] { ASSERT_TRUE(store.indexed("alpha", 4).ok()); });
-    EXPECT_EQ(cold.indexSpans, 1u);
-    EXPECT_EQ(cold.indexBuilds, 1u);
-
-    const ArtifactBuilds warm = observeArtifactBuilds(
-        [&] { ASSERT_TRUE(store.indexed("alpha", 4).ok()); });
-    EXPECT_EQ(warm.indexSpans, 0u);
-    EXPECT_EQ(warm.indexBuilds, 0u);
 
     const Trace local = tinyTrace("alpha", 5000);
     const ArtifactBuilds swept = observeArtifactBuilds(
         [&] { ASSERT_TRUE(sweepSizes(local, {1024}, 4).allOk()); });
-    EXPECT_EQ(swept.indexSpans, cold.indexSpans);
-    EXPECT_EQ(swept.indexBuilds, cold.indexBuilds);
+    // Packed from a Trace or straight from a file alike.
+    for (const std::string name : {"alpha", "filed"}) {
+        SCOPED_TRACE(name);
+        const ArtifactBuilds cold = observeArtifactBuilds(
+            [&] { ASSERT_TRUE(store.artifact(name, 4).ok()); });
+        EXPECT_EQ(cold.indexSpans, 1u);
+        EXPECT_EQ(cold.indexBuilds, 1u);
+        EXPECT_EQ(swept.indexSpans, cold.indexSpans);
+        EXPECT_EQ(swept.indexBuilds, cold.indexBuilds);
+
+        const ArtifactBuilds warm = observeArtifactBuilds(
+            [&] { ASSERT_TRUE(store.artifact(name, 4).ok()); });
+        EXPECT_EQ(warm.indexSpans, 0u);
+        EXPECT_EQ(warm.indexBuilds, 0u);
+    }
 }
 
 TEST(TraceStore, FailedLoadIsNotCachedAndRetries)
 {
     std::atomic<int> calls{0};
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            if (++calls == 1)
+        [&](const std::string &name) -> Result<TraceSource> {
+            if (++calls % 2 == 1)
                 return Status::ioError("disk on fire");
-            return tinyTrace(name);
+            return decoded(tinyTrace(name));
         },
         1ull << 30);
 
@@ -239,17 +376,51 @@ TEST(TraceStore, FailedLoadIsNotCachedAndRetries)
     EXPECT_EQ(failed.status().code(), StatusCode::IoError);
     EXPECT_FALSE(store.resident("flaky"));
     EXPECT_EQ(store.counters().loadFailures, 1u);
+    EXPECT_EQ(store.counters().entries, 0u);
 
     const auto retried = store.trace("flaky");
     ASSERT_TRUE(retried.ok()) << retried.status().toString();
     EXPECT_EQ(calls.load(), 2);
     EXPECT_TRUE(store.resident("flaky"));
+
+    // An artifact build fails and retries the same way, and its
+    // failure leaves the warm Trace in place.
+    const auto unbuilt = store.artifact("flaky", 4);
+    ASSERT_FALSE(unbuilt.ok());
+    EXPECT_EQ(unbuilt.status().code(), StatusCode::IoError);
+    EXPECT_EQ(store.counters().loadFailures, 2u);
+    EXPECT_TRUE(store.resident("flaky"));
+    ASSERT_TRUE(store.artifact("flaky", 4).ok());
+    EXPECT_EQ(calls.load(), 4);
+    EXPECT_EQ(store.counters().indexBuilds, 1u);
+}
+
+TEST(TraceStore, BadTraceFileIsTheDecodersStatusAndNotCached)
+{
+    const std::string path =
+        ::testing::TempDir() + "/dynex_store_missing.dxt2";
+    std::remove(path.c_str());
+    TraceStore store(
+        [&](const std::string &) -> Result<TraceSource> {
+            return TraceSource{path, nullptr};
+        },
+        1ull << 30);
+
+    const auto artifact = store.artifact("missing", 4);
+    ASSERT_FALSE(artifact.ok());
+    EXPECT_EQ(artifact.status().code(), readTraceFile(path).status().code());
+    const auto trace = store.trace("missing");
+    ASSERT_FALSE(trace.ok());
+    EXPECT_EQ(trace.status().code(), readTraceFile(path).status().code());
+    EXPECT_EQ(store.counters().loadFailures, 2u);
+    EXPECT_EQ(store.counters().entries, 0u);
+    EXPECT_FALSE(store.resident("missing"));
 }
 
 TEST(TraceStore, ThrowingLoaderBecomesAStatusNotACrash)
 {
     TraceStore store(
-        [](const std::string &) -> Result<Trace> {
+        [](const std::string &) -> Result<TraceSource> {
             throw std::runtime_error("loader exploded");
         },
         1ull << 30);
@@ -257,25 +428,29 @@ TEST(TraceStore, ThrowingLoaderBecomesAStatusNotACrash)
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.status().toString().find("loader exploded"),
               std::string::npos);
+    const auto built = store.artifact("boom", 4);
+    ASSERT_FALSE(built.ok());
+    EXPECT_NE(built.status().toString().find("loader exploded"),
+              std::string::npos);
 }
 
 TEST(TraceStore, EvictsLeastRecentlyUsedFirstWhenOverBudget)
 {
-    // Each trace charges ~refs * sizeof(MemRef); pick a budget that
-    // holds roughly two of the three traces.
+    // Each entry is charged its artifact's bytes; pick a budget that
+    // holds roughly two of the three.
     constexpr std::size_t kRefs = 4096;
-    const std::uint64_t perTrace = kRefs * sizeof(MemRef);
+    const std::uint64_t perEntry = tinyArtifactBytes(kRefs);
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name, kRefs);
+        [&](const std::string &name) -> Result<TraceSource> {
+            return decoded(tinyTrace(name, kRefs));
         },
-        2 * perTrace + perTrace / 2);
+        2 * perEntry + perEntry / 2);
 
-    ASSERT_TRUE(store.trace("one").ok());
-    ASSERT_TRUE(store.trace("two").ok());
+    ASSERT_TRUE(store.artifact("one", 4).ok());
+    ASSERT_TRUE(store.artifact("two", 4).ok());
     // Touch "one" so "two" becomes the LRU entry.
-    ASSERT_TRUE(store.trace("one").ok());
-    ASSERT_TRUE(store.trace("three").ok());
+    ASSERT_TRUE(store.artifact("one", 4).ok());
+    ASSERT_TRUE(store.artifact("three", 4).ok());
 
     EXPECT_TRUE(store.resident("one"));
     EXPECT_FALSE(store.resident("two")); // strict LRU order
@@ -284,14 +459,25 @@ TEST(TraceStore, EvictsLeastRecentlyUsedFirstWhenOverBudget)
     const auto counters = store.counters();
     EXPECT_EQ(counters.evictions, 1u);
     EXPECT_EQ(counters.entries, 2u);
+    EXPECT_EQ(counters.residentBytes, 2 * perEntry);
+    EXPECT_EQ(counters.artifactBytes, 2 * perEntry);
     EXPECT_LE(counters.residentBytes, store.budgetBytes());
 
-    // A fourth load evicts the new LRU ("one") but never the entry
+    // A fourth build evicts the new LRU ("one") but never the entry
     // being returned.
-    ASSERT_TRUE(store.trace("four").ok());
+    ASSERT_TRUE(store.artifact("four", 4).ok());
     EXPECT_FALSE(store.resident("one"));
     EXPECT_TRUE(store.resident("four"));
     EXPECT_EQ(store.counters().evictions, 2u);
+
+    // A loaded Trace is charged too: decoding "three" (16 B/ref)
+    // pushes its own entry past the budget's share, so the LRU other
+    // entry goes and "three" stays.
+    ASSERT_TRUE(store.trace("three").ok());
+    EXPECT_TRUE(store.resident("three"));
+    EXPECT_FALSE(store.resident("four"));
+    EXPECT_EQ(store.counters().evictions, 3u);
+    EXPECT_EQ(store.counters().artifactBytes, perEntry);
 }
 
 TEST(TraceStore, EvictedTraceStaysValidForHolders)
@@ -299,117 +485,52 @@ TEST(TraceStore, EvictedTraceStaysValidForHolders)
     constexpr std::size_t kRefs = 2048;
     const std::uint64_t perTrace = kRefs * sizeof(MemRef);
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name, kRefs);
+        [&](const std::string &name) -> Result<TraceSource> {
+            return decoded(tinyTrace(name, kRefs));
         },
         perTrace + perTrace / 2);
 
     const auto held = store.trace("held");
     ASSERT_TRUE(held.ok());
+    const auto heldArtifact = store.artifact("held", 4);
+    ASSERT_TRUE(heldArtifact.ok());
     ASSERT_TRUE(store.trace("usurper").ok());
     EXPECT_FALSE(store.resident("held"));
-    // The shared_ptr keeps the evicted trace alive and intact.
+    // The shared_ptrs keep the evicted Trace and artifact alive and
+    // intact.
     EXPECT_EQ(held.value()->size(), kRefs);
     EXPECT_EQ(held.value()->name(), "held");
+    EXPECT_EQ(heldArtifact.value()->refs(), kRefs);
+    EXPECT_EQ(heldArtifact.value()->name(), "held");
+    EXPECT_TRUE(sweepSizes(*heldArtifact.value(), {1024}).allOk());
 }
 
 TEST(TraceStore, ZeroBudgetStillServesButKeepsNothing)
 {
     std::atomic<int> loads{0};
     TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
+        [&](const std::string &name) -> Result<TraceSource> {
             ++loads;
-            return tinyTrace(name);
+            return decoded(tinyTrace(name));
         },
         0);
-    ASSERT_TRUE(store.trace("a").ok());
+    ASSERT_TRUE(store.artifact("a", 4).ok());
+    ASSERT_TRUE(store.artifact("b", 4).ok());
+    ASSERT_TRUE(store.artifact("a", 4).ok());
     ASSERT_TRUE(store.trace("b").ok());
-    ASSERT_TRUE(store.trace("a").ok());
-    EXPECT_EQ(loads.load(), 3); // every lookup reloads
+    EXPECT_EQ(loads.load(), 4); // every lookup reloads
+    EXPECT_EQ(store.counters().indexBuilds, 3u);
     // Only the entry being returned survives each eviction pass.
     EXPECT_EQ(store.counters().entries, 1u);
-    EXPECT_TRUE(store.resident("a"));
-    EXPECT_FALSE(store.resident("b"));
-}
-
-TEST(TraceStore, SizeProbeChargesEncodedBytes)
-{
-    // 64 refs decode to 64 * 16 + name bytes; the probe claims a 256-
-    // byte on-disk footprint, so that is what residency must charge.
-    TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name);
-        },
-        1ull << 30, [](const std::string &) { return 256ull; });
-
-    ASSERT_TRUE(store.trace("alpha").ok());
-    const auto counters = store.counters();
-    EXPECT_EQ(counters.residentBytes, 256u);
-    EXPECT_EQ(counters.encodedHits, 1u);
-    const std::uint64_t decoded =
-        64 * sizeof(MemRef) + std::string("alpha").size();
-    EXPECT_EQ(counters.bytesSaved, decoded - 256);
-}
-
-TEST(TraceStore, SizeProbeNeverInflatesTheCharge)
-{
-    // A probe that reports more than the decoded footprint (or zero)
-    // must leave the decoded charge in place.
-    for (const std::uint64_t claimed : {std::uint64_t{0}, ~std::uint64_t{0}}) {
-        TraceStore store(
-            [&](const std::string &name) -> Result<Trace> {
-                return tinyTrace(name);
-            },
-            1ull << 30,
-            [claimed](const std::string &) { return claimed; });
-        ASSERT_TRUE(store.trace("alpha").ok());
-        const auto counters = store.counters();
-        EXPECT_EQ(counters.residentBytes,
-                  64 * sizeof(MemRef) + std::string("alpha").size());
-        EXPECT_EQ(counters.encodedHits, 0u);
-        EXPECT_EQ(counters.bytesSaved, 0u);
-    }
-}
-
-TEST(TraceStore, ThrowingSizeProbeFallsBackToDecoded)
-{
-    TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name);
-        },
-        1ull << 30,
-        [](const std::string &) -> std::uint64_t {
-            throw std::runtime_error("stat failed");
-        });
-    const auto result = store.trace("alpha");
-    ASSERT_TRUE(result.ok()) << result.status().toString();
-    EXPECT_EQ(store.counters().residentBytes,
-              64 * sizeof(MemRef) + std::string("alpha").size());
-}
-
-TEST(TraceStore, EncodedChargingHoldsMoreTracesPerBudgetByte)
-{
-    // Two decoded traces overflow the budget, but at their (claimed)
-    // encoded size both stay resident — the point of DXT3 charging.
-    const std::uint64_t decoded = 64 * sizeof(MemRef) + 1;
-    TraceStore store(
-        [&](const std::string &name) -> Result<Trace> {
-            return tinyTrace(name);
-        },
-        decoded + decoded / 2,
-        [](const std::string &) { return 128ull; });
-    ASSERT_TRUE(store.trace("a").ok());
-    ASSERT_TRUE(store.trace("b").ok());
-    EXPECT_TRUE(store.resident("a"));
     EXPECT_TRUE(store.resident("b"));
-    EXPECT_EQ(store.counters().evictions, 0u);
+    EXPECT_FALSE(store.resident("a"));
 }
 
 TEST(TraceStore, CachedViewSweepMatchesASelfPackedSweepByteForByte)
 {
     // A loop nest whose bodies alias across the paper's size axis.
     TraceStore store(
-        [](const std::string &name) -> Result<Trace> {
+        [](const std::string &name) -> Result<TraceSource> {
             Trace trace(name);
             for (int rep = 0; rep < 400; ++rep) {
                 for (Addr a = 0; a < 48; ++a)
@@ -418,18 +539,20 @@ TEST(TraceStore, CachedViewSweepMatchesASelfPackedSweepByteForByte)
                     trace.append(ifetch(0x1000 + 8192 + 4 * a));
                 trace.append(load(0x90000 + 8 * (rep % 97)));
             }
-            return trace;
+            return decoded(std::move(trace));
         },
         1ull << 30);
+    const auto trace = store.trace("loops");
+    ASSERT_TRUE(trace.ok()) << trace.status().toString();
     for (const std::uint32_t line : {4u, 16u}) {
-        const auto warm = store.indexed("loops", line);
+        const auto warm = store.artifact("loops", line);
         ASSERT_TRUE(warm.ok()) << warm.status().toString();
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
         const SizeSweepOutcome cached =
-            sweepSizes(*warm.value().artifact, paperCacheSizes(), config);
+            sweepSizes(*warm.value(), paperCacheSizes(), config);
         const SizeSweepOutcome packed = sweepSizes(
-            *warm.value().trace, paperCacheSizes(), line, config);
+            *trace.value(), paperCacheSizes(), line, config);
         ASSERT_TRUE(cached.allOk());
         ASSERT_TRUE(packed.allOk());
         ASSERT_EQ(cached.points.size(), packed.points.size());

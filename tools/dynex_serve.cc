@@ -15,8 +15,8 @@
  *
  * Serves the DXP1 protocol (see docs/serving.md) over loopback TCP:
  * ping, trace listing, single replays, and full size sweeps, with a
- * byte-budgeted LRU trace cache shared across requests. With no
- * --bench/--trace/--suite the whole synthetic suite is served.
+ * byte-budgeted LRU cache of replay artifacts shared across requests.
+ * With no --bench/--trace/--suite the whole synthetic suite is served.
  *
  * The process runs until SIGINT/SIGTERM, then drains gracefully:
  * in-flight requests finish, new connections stop being accepted, and
@@ -72,9 +72,9 @@ int usage()
         "  --queue N         accepted-connection queue capacity; a\n"
         "                    full queue answers BUSY (default 16)\n"
         "  --store-budget S  TraceStore byte budget, e.g. 512M\n"
-        "                    (default 1G); file-backed traces are\n"
-        "                    charged their on-disk size, so .dxt3\n"
-        "                    files stretch the budget ~4x\n"
+        "                    (default 1G); charges each warm replay\n"
+        "                    artifact (8 B/ref) plus any trace a\n"
+        "                    replay or per-leg sweep decoded (16 B/ref)\n"
         "  --refs N          synthetic references per benchmark\n"
         "  --bench NAME      serve one suite benchmark (repeatable)\n"
         "  --trace FILE      serve a .dxt/.dxt3/.din trace file\n"
