@@ -53,6 +53,8 @@ counterName(Counter counter)
         return "index-builds";
       case Counter::ReplayChunks:
         return "replay-chunks";
+      case Counter::KernelClosedFormRefs:
+        return "kernel-closed-form-refs";
       case Counter::SrvRequests:
         return "srv-requests";
       case Counter::SrvErrors:

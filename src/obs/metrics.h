@@ -56,6 +56,7 @@ enum class Counter : std::uint8_t
     IndexBuildNs,  ///< wall time spent building next-use indexes
     IndexBuilds,   ///< next-use indexes built
     ReplayChunks,  ///< kernel replay chunks processed
+    KernelClosedFormRefs, ///< kernel leg-references resolved without a lane
     SrvRequests,   ///< server requests answered (any outcome)
     SrvErrors,     ///< server requests answered with an ERROR frame
     SrvBusy,       ///< connections rejected with a BUSY frame
@@ -73,7 +74,7 @@ enum class Counter : std::uint8_t
     ChaosLoadFail,    ///< chaos: injected TraceStore load/build failures
 };
 
-inline constexpr std::size_t kCounterCount = 20;
+inline constexpr std::size_t kCounterCount = 21;
 
 /** Stable lowercase name for @p counter (JSON keys, tables). */
 const char *counterName(Counter counter);

@@ -94,14 +94,15 @@ const std::array<FsmEvent, 5> kAllFsmEvents = {
 const std::array<Counter, kCounterCount> kAllCounters = {
     Counter::TraceLoadNs,  Counter::TraceLoadRefs,
     Counter::IndexBuildNs, Counter::IndexBuilds,
-    Counter::ReplayChunks, Counter::SrvRequests,
-    Counter::SrvErrors,    Counter::SrvBusy,
-    Counter::SrvBytesIn,   Counter::SrvBytesOut,
-    Counter::StoreHits,    Counter::StoreMisses,
-    Counter::StoreEvictions, Counter::SrvAdmitted,
-    Counter::SrvShed,      Counter::SrvRetryAfterMs,
-    Counter::ChaosBusy,    Counter::ChaosTrunc,
-    Counter::ChaosDelay,   Counter::ChaosLoadFail};
+    Counter::ReplayChunks, Counter::KernelClosedFormRefs,
+    Counter::SrvRequests,  Counter::SrvErrors,
+    Counter::SrvBusy,      Counter::SrvBytesIn,
+    Counter::SrvBytesOut,  Counter::StoreHits,
+    Counter::StoreMisses,  Counter::StoreEvictions,
+    Counter::SrvAdmitted,  Counter::SrvShed,
+    Counter::SrvRetryAfterMs, Counter::ChaosBusy,
+    Counter::ChaosTrunc,   Counter::ChaosDelay,
+    Counter::ChaosLoadFail};
 
 /** Wall-clock counters are excluded at Deterministic detail. */
 bool

@@ -1,12 +1,15 @@
 #include "sim/sweep.h"
 
+#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "sim/kernel.h"
 #include "sim/obs_hooks.h"
 #include "sim/parallel.h"
 #include "util/bitops.h"
 #include "util/stats.h"
+#include "util/string_utils.h"
 
 namespace dynex
 {
@@ -88,6 +91,70 @@ const
     return percentReduction(dmMissPct, optMissPct);
 }
 
+void
+checkSweepOrderings(const std::vector<std::uint64_t> &sizes,
+                    TriadBatchOutcome &outcome, const std::string &label)
+{
+    const auto broken = [](const std::string &what, Count a, Count b) {
+        return Status::internal("sweep ordering broken: " + what + " (" +
+                                std::to_string(a) + " > " +
+                                std::to_string(b) + ")");
+    };
+    std::vector<std::size_t> ascending;
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        if (outcome.ok[s])
+            ascending.push_back(s);
+    std::stable_sort(ascending.begin(), ascending.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return sizes[a] < sizes[b];
+                     });
+    // Judged on the legs as they came in; marked afterwards.
+    std::vector<std::pair<std::size_t, Status>> failed;
+    for (std::size_t at = 0; at < ascending.size(); ++at) {
+        const std::size_t s = ascending[at];
+        const TriadResult &leg = outcome.triads[s];
+        if (leg.opt.misses > leg.de.misses) {
+            failed.emplace_back(s, broken("opt misses <= de misses",
+                                          leg.opt.misses, leg.de.misses));
+            continue;
+        }
+        if (leg.opt.misses > leg.dm.misses) {
+            failed.emplace_back(s, broken("opt misses <= dm misses",
+                                          leg.opt.misses, leg.dm.misses));
+            continue;
+        }
+        if (at == 0)
+            continue;
+        const std::size_t p = ascending[at - 1];
+        const TriadResult &smaller = outcome.triads[p];
+        const std::string step = " from " + formatSize(sizes[p]) +
+                                 " to " + formatSize(sizes[s]);
+        if (sizes[p] < sizes[s] && leg.dm.misses > smaller.dm.misses)
+            failed.emplace_back(
+                s, broken("dm misses never rise" + step, leg.dm.misses,
+                          smaller.dm.misses));
+        else if (sizes[p] < sizes[s] && leg.opt.misses > smaller.opt.misses)
+            failed.emplace_back(
+                s, broken("opt misses never rise" + step, leg.opt.misses,
+                          smaller.opt.misses));
+    }
+    if (failed.empty())
+        return;
+    for (auto &[s, status] : failed) {
+        outcome.ok[s] = 0;
+        outcome.failures.push_back({label, sizes[s], "triad", status});
+    }
+    // Back into leg order, as the engines list their failures.
+    const auto legOf = [&](const FailedLeg &failure) {
+        return std::find(sizes.begin(), sizes.end(), failure.sizeBytes) -
+               sizes.begin();
+    };
+    std::stable_sort(outcome.failures.begin(), outcome.failures.end(),
+                     [&](const FailedLeg &a, const FailedLeg &b) {
+                         return legOf(a) < legOf(b);
+                     });
+}
+
 SizeSweepOutcome
 sweepSizes(const ReplayArtifact &artifact,
            const std::vector<std::uint64_t> &sizes,
@@ -95,6 +162,7 @@ sweepSizes(const ReplayArtifact &artifact,
 {
     TriadBatchOutcome pass = replayTriads(engine, artifact, sizes, config,
                                           artifact.name());
+    checkSweepOrderings(sizes, pass, artifact.name());
     SizeSweepOutcome outcome;
     outcome.points.resize(sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {

@@ -67,6 +67,23 @@ struct SizeSweepOutcome
 };
 
 /**
+ * Check the orderings every size sweep of one trace must satisfy, on
+ * its OK legs:
+ *  - optimal misses <= DE misses and optimal <= DM misses, per leg;
+ *  - DM and optimal misses never rise from one OK leg to the next
+ *    larger one: at a power-of-two size each set splits in two, so DM
+ *    keeps every hit, and per-set MIN on a subsequence never does
+ *    worse.
+ * A leg that breaks one is marked failed (ok[s] = 0) with an Internal
+ * FailedLeg{label, sizes[s], "triad"} naming the ordering, inserted in
+ * size order. DE is not guaranteed monotone, so a DE step up is not a
+ * failure.
+ */
+void checkSweepOrderings(const std::vector<std::uint64_t> &sizes,
+                         TriadBatchOutcome &outcome,
+                         const std::string &label);
+
+/**
  * Run the three-way comparison over @p sizes on @p artifact's source,
  * at the artifact's line size, labelled with its name(). With the
  * default Kernel engine the artifact is streamed once for all sizes
@@ -74,9 +91,9 @@ struct SizeSweepOutcome
  * over the artifact's trace(), and fails every leg with
  * InvalidArgument when it has none (packed from a file or detached).
  * Both produce bit-identical results at any thread count. A failing leg (including
- * one injected via the sweep fault hook) is recorded instead of
- * propagating, and every other leg completes bit-identical to an
- * unfaulted run. The serving subsystem passes the TraceStore's cached
+ * one injected via the sweep fault hook, or one that breaks
+ * checkSweepOrderings) is recorded instead of propagating, and every
+ * other leg completes bit-identical to an unfaulted run. The serving subsystem passes the TraceStore's cached
  * artifact to the kernel, so a warm request neither repacks nor
  * reindexes; the CLI passes one packed straight from a trace file.
  */

@@ -67,14 +67,19 @@ memoInsert(std::string key, std::shared_ptr<const Trace> trace)
 /**
  * Keep only references of one kind, then truncate to @p refs; widen
  * the generation budget until enough survive (generation is
- * deterministic, so widening only extends the stream).
+ * deterministic, so widening only extends the stream). The mixed
+ * stream comes from the memo when @p memoize is set.
  */
 std::shared_ptr<const Trace>
-filtered(const std::string &name, Count refs, bool want_data)
+filtered(const std::string &name, Count refs, bool want_data,
+         bool memoize = true)
 {
     Count budget = refs * 2;
     for (int attempt = 0; attempt < 8; ++attempt) {
-        const auto base = Workloads::mixed(name, budget);
+        const auto base =
+            memoize ? Workloads::mixed(name, budget)
+                    : std::make_shared<const Trace>(
+                          makeSpecTrace(name, budget));
         Trace subset = want_data ? dataRefs(*base) : instructionRefs(*base);
         if (subset.size() >= refs) {
             return std::make_shared<const Trace>(truncate(subset, refs));
@@ -122,6 +127,12 @@ Workloads::instructions(const std::string &name, Count refs)
     auto trace = filtered(name, refs, /*want_data=*/false);
     memoInsert(key, trace);
     return trace;
+}
+
+std::shared_ptr<const Trace>
+Workloads::generateInstructions(const std::string &name, Count refs)
+{
+    return filtered(name, refs, /*want_data=*/false, /*memoize=*/false);
 }
 
 std::shared_ptr<const Trace>

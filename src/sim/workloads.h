@@ -39,6 +39,16 @@ class Workloads
     static std::shared_ptr<const Trace> instructions(
         const std::string &name, Count refs);
 
+    /**
+     * instructions(), generated afresh: neither the trace nor the mixed
+     * stream it is filtered from enters the memo, so the caller holds
+     * the only reference. For a caller that keeps what it derives from
+     * the trace rather than the trace (the server's TraceStore keeps
+     * the replay artifact and accounts for it).
+     */
+    static std::shared_ptr<const Trace> generateInstructions(
+        const std::string &name, Count refs);
+
     /** The first @p refs data references of the benchmark. */
     static std::shared_ptr<const Trace> data(const std::string &name,
                                              Count refs);

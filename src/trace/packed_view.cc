@@ -1,6 +1,7 @@
 #include "trace/packed_view.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/bitops.h"
 #include "util/logging.h"
@@ -113,6 +114,92 @@ void
 PackedTraceView::finish()
 {
     std::vector<Slot>().swap(slots);
+}
+
+namespace
+{
+
+constexpr std::uint32_t
+reverseBits(std::uint32_t x)
+{
+    x = ((x >> 1) & 0x55555555u) | ((x & 0x55555555u) << 1);
+    x = ((x >> 2) & 0x33333333u) | ((x & 0x33333333u) << 2);
+    x = ((x >> 4) & 0x0f0f0f0fu) | ((x & 0x0f0f0f0fu) << 4);
+    x = ((x >> 8) & 0x00ff00ffu) | ((x & 0x00ff00ffu) << 8);
+    return (x >> 16) | (x << 16);
+}
+
+} // namespace
+
+SetSharing::SetSharing(const PackedTraceView &view)
+    : shared(view.distinctBlocks() + 3, 0)
+{
+    // Sorted by reversed set word, each block's longest common run of
+    // low bits with any other block is with a sorted neighbour. The
+    // high half carries the reversed word and the low half the id.
+    // One scratch array of two words per block: the sort's keys and
+    // its radix buffer, then the per-block counts below.
+    const std::size_t blocks = view.distinctBlocks();
+    std::vector<std::uint64_t> scratch(2 * blocks);
+    std::uint64_t *order = scratch.data();
+    std::uint64_t *sorted = order + blocks;
+    const std::uint32_t *const words = view.blockSetWords();
+    for (std::uint32_t id = 0; id < blocks; ++id)
+        order[id] = std::uint64_t{reverseBits(words[id])} << 32 | id;
+    // An LSD radix sort on the high half, 11 bits a pass: a comparison
+    // sort of a 4 B-line view's distinct blocks cost more than the
+    // next-use index.
+    for (unsigned shift = 32; shift < 64; shift += 11) {
+        std::size_t at[std::size_t{1} << 11] = {};
+        for (std::size_t j = 0; j < blocks; ++j)
+            ++at[(order[j] >> shift) & 0x7ff];
+        std::size_t sum = 0;
+        for (std::size_t &slot : at)
+            sum += std::exchange(slot, sum);
+        for (std::size_t j = 0; j < blocks; ++j)
+            sorted[at[(order[j] >> shift) & 0x7ff]++] = order[j];
+        std::swap(order, sorted);
+    }
+    const auto common = [](std::uint64_t a, std::uint64_t b) {
+        return static_cast<std::uint8_t>(std::countl_zero(
+            static_cast<std::uint32_t>((a ^ b) >> 32)));
+    };
+    for (std::size_t j = 0; j + 1 < blocks; ++j) {
+        const std::uint8_t bits = common(order[j], order[j + 1]);
+        std::uint8_t &left = shared[static_cast<std::uint32_t>(order[j])];
+        left = std::max(left, bits);
+        shared[static_cast<std::uint32_t>(order[j + 1])] = bits;
+    }
+
+    // Each block's references (low half) and run starts (high half),
+    // in two copies that even and odd positions alternate between, so
+    // a run of one block does not chain every increment on the last.
+    // Counting per block and folding into the histograms afterwards
+    // keeps the per-reference increments off 33 shared buckets.
+    const std::uint32_t *const ids = view.ids();
+    std::fill(scratch.begin(), scratch.end(), 0);
+    std::uint64_t *const counts = scratch.data();
+    std::uint32_t prev = kNoId;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        const std::uint32_t id = ids[i];
+        counts[2 * id + (i & 1)] +=
+            1 + (std::uint64_t{id != prev} << 32);
+        prev = id;
+    }
+    Tally bucket[kBuckets];
+    for (std::size_t id = 0; id < blocks; ++id) {
+        // Both halves stay below 2^32: a view holds fewer references.
+        const std::uint64_t both = counts[2 * id] + counts[2 * id + 1];
+        Tally &into = bucket[shared[id]];
+        ++into.blocks;
+        into.refs += static_cast<std::uint32_t>(both);
+        into.runStarts += both >> 32;
+    }
+    for (unsigned k = 0; k < kBuckets; ++k) {
+        below[k + 1].blocks = below[k].blocks + bucket[k].blocks;
+        below[k + 1].refs = below[k].refs + bucket[k].refs;
+        below[k + 1].runStarts = below[k].runStarts + bucket[k].runStarts;
+    }
 }
 
 } // namespace dynex

@@ -111,6 +111,66 @@ class PackedTraceView
     unsigned blockShift;
 };
 
+/**
+ * Which blocks of a view are alone in their set, at every set count.
+ *
+ * sharedLowBits()[id] is the number of low set-word bits block id
+ * shares with the nearest other distinct block of the view: 0 to 32,
+ * 32 when another block agrees in all 32 (0 for the only block of a
+ * one-block view). At 2^k sets a block is the only distinct block
+ * mapping to its set iff k > sharedLowBits()[id], at every k, because
+ * a set only ever splits as the set count doubles (a one-block view's
+ * block is alone at one set too, but counts as shared there). Such a
+ * private block's outcome is closed form in all three sweep models:
+ * one cold fill, then hits (DE's Figure-1 arcs: ColdFill, then Hit).
+ *
+ * privateAt(k) sums the private blocks at 2^k sets, their references
+ * and their run starts (references whose block differs from the
+ * previous reference's), from three 33-bucket histograms over the
+ * shared bit count. Built once per view: one sort of the distinct set
+ * words, bit-reversed so that neighbours share the most low bits, and
+ * one pass over the ids.
+ */
+class SetSharing
+{
+  public:
+    /** Set counts are 2^0 to 2^32: one bucket per shared bit count. */
+    static constexpr unsigned kBuckets = 33;
+
+    /** Blocks, references and run starts of some set of blocks. */
+    struct Tally
+    {
+        Count blocks = 0;
+        Count refs = 0;
+        Count runStarts = 0;
+    };
+
+    explicit SetSharing(const PackedTraceView &view);
+
+    /** One count per distinct block, indexed by dense id, followed by
+     * three zero bytes, so a 4-byte load at any id stays inside. */
+    const std::uint8_t *sharedLowBits() const { return shared.data(); }
+
+    /** The blocks alone in their set at 2^@p k sets, k <= 32. */
+    const Tally &privateAt(unsigned k) const { return below[k]; }
+
+    /** Every run start of the view, private or not. */
+    Count runStarts() const { return below[kBuckets].runStarts; }
+
+    /** Resident bytes: 1 per distinct block, the 3-byte tail and the
+     * histograms. */
+    std::uint64_t
+    bytes() const
+    {
+        return shared.size() + sizeof(below);
+    }
+
+  private:
+    std::vector<std::uint8_t> shared;
+    /** below[k]: the blocks whose shared bit count is below k. */
+    Tally below[kBuckets + 1];
+};
+
 } // namespace dynex
 
 #endif // DYNEX_TRACE_PACKED_VIEW_H

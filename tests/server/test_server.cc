@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cache/factory.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/server.h"
@@ -357,16 +358,24 @@ TEST(ServerEndToEnd, ReplayAfterItsArtifactWasEvictedReloads)
     config.traces = {first.served, second.served};
     // Room for about one artifact: each of the two evicts the other.
     config.storeBudgetBytes = kRefs * 12;
+    obs::MetricsCollector metrics;
+    obs::ScopedMetrics install(&metrics);
     Server server(config);
     ASSERT_TRUE(server.start().ok());
     Client client = mustConnect(server);
+    const auto loadedRefs = [&] {
+        return metrics.total(obs::Counter::TraceLoadRefs);
+    };
 
+    // A cold opt REPLAY decodes the file once: its artifact is packed
+    // from the Trace the replay just loaded.
     ReplayRequest replay;
     replay.trace = "first";
     replay.model = "opt";
     replay.lineBytes = 4;
     const auto before = client.replay(replay);
     ASSERT_TRUE(before.ok()) << before.status().toString();
+    EXPECT_EQ(loadedRefs(), before.value().refs);
 
     SweepRequest sweep;
     sweep.trace = "second";
@@ -376,8 +385,10 @@ TEST(ServerEndToEnd, ReplayAfterItsArtifactWasEvictedReloads)
     EXPECT_EQ(listed.value()[0].resident, 0);
     EXPECT_EQ(listed.value()[1].resident, 1);
 
+    const Count loadedBefore = loadedRefs();
     const auto after = client.replay(replay);
     ASSERT_TRUE(after.ok()) << after.status().toString();
+    EXPECT_EQ(loadedRefs() - loadedBefore, after.value().refs);
     EXPECT_EQ(after.value().stats.misses, before.value().stats.misses);
     EXPECT_EQ(after.value().stats.bypasses, before.value().stats.bypasses);
     EXPECT_EQ(after.value().refs, before.value().refs);

@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
 
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 #include "sim/sweep.h"
+#include "util/bitops.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "../test_helpers.h"
@@ -635,6 +639,343 @@ TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
         EXPECT_EQ(status.code(), StatusCode::Internal) << c.identity;
         EXPECT_NE(status.message().find(c.identity), std::string::npos)
             << status.message();
+    }
+}
+
+// Closed-form references: the kernel replays a block alone in its set
+// (SetSharing) and, with the last-line register, a within-run reference
+// without a lane. These traces put that skip under the per-leg oracle.
+
+/** The set-word bits block @p a shares with block @p b. */
+unsigned
+sharedBits(std::uint32_t a, std::uint32_t b)
+{
+    return static_cast<unsigned>(std::countr_zero(a ^ b));
+}
+
+/** Brute force: at every k, each block's private flag from a per-set
+ * count of distinct blocks, and the private tallies from the ids. */
+void
+expectSharingMatchesBruteForce(const PackedTraceView &view,
+                               const std::string &label)
+{
+    const SetSharing sharing(view);
+    const std::uint32_t *words = view.blockSetWords();
+    const std::size_t blocks = view.distinctBlocks();
+    ASSERT_GE(blocks, 2u) << label;
+    for (std::size_t id = 0; id < blocks; ++id) {
+        unsigned most = 0;
+        for (std::size_t other = 0; other < blocks; ++other)
+            if (other != id)
+                most = std::max(most, sharedBits(words[id], words[other]));
+        ASSERT_EQ(sharing.sharedLowBits()[id], most)
+            << label << " id " << id;
+    }
+    for (std::size_t pad = 0; pad < 3; ++pad)
+        EXPECT_EQ(sharing.sharedLowBits()[blocks + pad], 0) << label;
+
+    for (unsigned k = 0; k <= 32; ++k) {
+        const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
+        std::map<std::uint64_t, Count> per_set;
+        for (std::size_t id = 0; id < blocks; ++id)
+            ++per_set[words[id] & mask];
+        std::vector<std::uint8_t> alone(blocks);
+        SetSharing::Tally want;
+        for (std::size_t id = 0; id < blocks; ++id) {
+            alone[id] = per_set[words[id] & mask] == 1;
+            EXPECT_EQ(alone[id] != 0, k > sharing.sharedLowBits()[id])
+                << label << " id " << id << " k " << k;
+            want.blocks += alone[id];
+        }
+        for (std::size_t i = 0; i < view.size(); ++i) {
+            const std::uint32_t id = view.ids()[i];
+            want.refs += alone[id];
+            want.runStarts += alone[id] && (i == 0 || view.ids()[i - 1] != id);
+        }
+        const SetSharing::Tally &got = sharing.privateAt(k);
+        EXPECT_EQ(got.blocks, want.blocks) << label << " k " << k;
+        EXPECT_EQ(got.refs, want.refs) << label << " k " << k;
+        EXPECT_EQ(got.runStarts, want.runStarts) << label << " k " << k;
+    }
+    Count starts = 0;
+    for (std::size_t i = 0; i < view.size(); ++i)
+        starts += i == 0 || view.ids()[i - 1] != view.ids()[i];
+    EXPECT_EQ(sharing.runStarts(), starts) << label;
+}
+
+TEST(ClosedForm, SharedLowBitsMatchABruteForceSetCount)
+{
+    Rng rng(0x5e7);
+    for (int c = 0; c < 40; ++c) {
+        Trace trace("sharing" + std::to_string(c));
+        const std::uint32_t line = 1u << rng.nextBelow(6);
+        const std::size_t blocks = 2 + rng.nextBelow(200);
+        std::vector<Addr> addrs;
+        for (std::size_t b = 0; b < blocks; ++b) {
+            // Dense code, sparse data, and a block 2^32 blocks above
+            // another (equal in every set-word bit).
+            const Addr pick = rng.nextBelow(3);
+            const Addr block =
+                pick == 0   ? 0x400 + rng.nextBelow(512)
+                : pick == 1 ? rng.nextBelow(Addr{1} << 40)
+                : addrs.empty()
+                    ? 7
+                    : addrs[rng.nextBelow(addrs.size())] / line +
+                          (Addr{1} << 32);
+            addrs.push_back(block * line);
+        }
+        for (int r = 0; r < 600; ++r) {
+            const Addr addr = addrs[rng.nextBelow(addrs.size())];
+            const int run = 1 + static_cast<int>(rng.nextBelow(4));
+            for (int j = 0; j < run; ++j)
+                trace.append(load(addr, 1));
+        }
+        const PackedTraceView view(trace, line);
+        if (view.distinctBlocks() < 2)
+            continue;
+        expectSharingMatchesBruteForce(view, trace.name());
+    }
+}
+
+TEST(ClosedForm, BlocksEqualInAllLowSetBitsAreNeverPrivate)
+{
+    // Blocks 5 and 5 + 2^32 agree in all 32 set-word bits: no set count
+    // a view can index separates them. Block 6 is alone from 2 sets on.
+    Trace trace("twins");
+    for (int r = 0; r < 50; ++r)
+        for (const Addr block : {Addr{5}, (Addr{1} << 32) + 5, Addr{6}})
+            trace.append(load(block * 4));
+    const PackedTraceView view(trace, 4);
+    expectSharingMatchesBruteForce(view, "twins");
+    const SetSharing sharing(view);
+    EXPECT_EQ(sharing.sharedLowBits()[0], 32);
+    EXPECT_EQ(sharing.sharedLowBits()[1], 32);
+    EXPECT_EQ(sharing.sharedLowBits()[2], 0);
+    EXPECT_EQ(sharing.privateAt(32).blocks, 1u);
+    EXPECT_EQ(sharing.privateAt(32).refs, 50u);
+
+    for (const bool last_line : {false, true}) {
+        DynamicExclusionConfig config;
+        config.useLastLine = last_line;
+        expectBatchMatchesPerLeg(trace, {16, 1024, 64 * 1024}, 4, config,
+                                 "twins lastline " +
+                                     std::to_string(last_line));
+    }
+}
+
+/** Pairs of blocks that conflict at every size up to sizes[p] and part
+ * at the next one, each pair in its own low bits, replayed as the
+ * paper's conflict patterns with runs: at each size index some blocks
+ * turn private. */
+Trace
+privateAtEverySize(const std::vector<std::uint64_t> &sizes,
+                   std::uint32_t line)
+{
+    Trace trace("every-size");
+    Rng rng(0xe5e);
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t p = 0; p < sizes.size(); ++p) {
+            const Addr a = 0x100000 + Addr{line} * (2 * p + 1);
+            const Addr b = a + sizes[p];
+            for (int rep = 0; rep < 30; ++rep) {
+                const int run = 1 + static_cast<int>(rng.nextBelow(5));
+                for (int j = 0; j < run; ++j)
+                    trace.append(load(rng.nextBelow(3) == 0 ? b : a));
+            }
+        }
+    }
+    return trace;
+}
+
+/** Every block conflicts with one twice the largest size away: no
+ * block turns private anywhere on the axis. */
+Trace
+privateAtNoSize(const std::vector<std::uint64_t> &sizes,
+                std::uint32_t line)
+{
+    Trace trace("no-size");
+    Rng rng(0x0);
+    const Addr alias = 2 * sizes.back();
+    for (int rep = 0; rep < 400; ++rep) {
+        const Addr base = 0x200000 + Addr{line} * rng.nextBelow(16);
+        const int run = 1 + static_cast<int>(rng.nextBelow(4));
+        const Addr addr = base + (rng.nextBelow(2) ? alias : 0);
+        for (int j = 0; j < run; ++j)
+            trace.append(ifetch(addr));
+    }
+    return trace;
+}
+
+/** A loop of 16 consecutive blocks, well inside the smallest size:
+ * every block is private at every size index. */
+Trace
+privateAtAllSizes(std::uint32_t line)
+{
+    Trace trace("all-sizes");
+    for (int it = 0; it < 60; ++it)
+        for (Addr j = 0; j < 16 * line; j += 4)
+            trace.append(ifetch(0x3000 + j));
+    return trace;
+}
+
+/** Runs of one block across the 4096-reference chunk boundaries, one of
+ * them longer than a whole chunk, around aliasing conflict traffic. */
+Trace
+runsAcrossChunks(std::uint32_t line)
+{
+    Trace trace("chunk-runs");
+    Rng rng(0xc4);
+    const auto conflicts = [&](std::size_t until) {
+        while (trace.size() < until)
+            trace.append(load(0x8000 + 1024 * rng.nextBelow(4) +
+                              line * rng.nextBelow(3)));
+    };
+    conflicts(4090);
+    for (int j = 0; j < 20; ++j)
+        trace.append(load(0x8000));
+    conflicts(2 * 4096 - 3);
+    for (int j = 0; j < 4096 + 10; ++j)
+        trace.append(load(0x8400));
+    conflicts(4 * 4096 + 1);
+    return trace;
+}
+
+/** The closed-form traces under one DE config, on both ISAs. */
+void
+expectClosedFormMatchesPerLeg(std::uint32_t line,
+                              const DynamicExclusionConfig &config)
+{
+    ScalarGuard guard;
+    const std::vector<std::uint64_t> sizes = {1024, 2048, 4096, 8192,
+                                              16 * 1024, 32 * 1024};
+    const std::string knobs = " line " + std::to_string(line) +
+                              " sticky " +
+                              std::to_string(config.stickyMax) +
+                              " lastline " +
+                              std::to_string(config.useLastLine);
+    for (const bool scalar : {false, true}) {
+        setKernelForceScalar(scalar);
+        const std::string isa = scalar ? " scalar" : " natural";
+        for (const Trace &trace :
+             {privateAtEverySize(sizes, line), privateAtNoSize(sizes, line),
+              privateAtAllSizes(line), runsAcrossChunks(line)})
+            expectBatchMatchesPerLeg(trace, sizes, line, config,
+                                     trace.name() + knobs + isa);
+    }
+}
+
+TEST(KernelDifferential, ClosedFormMatchesPerLegWithLastLineAtFourBytes)
+{
+    for (const std::uint8_t sticky : {1, 3}) {
+        DynamicExclusionConfig config;
+        config.stickyMax = sticky;
+        config.useLastLine = true;
+        expectClosedFormMatchesPerLeg(4, config);
+    }
+}
+
+TEST(KernelDifferential, ClosedFormMatchesPerLegWithoutLastLineAtSixteenBytes)
+{
+    for (const std::uint8_t sticky : {1, 3}) {
+        DynamicExclusionConfig config;
+        config.stickyMax = sticky;
+        config.useLastLine = false;
+        expectClosedFormMatchesPerLeg(16, config);
+    }
+}
+
+TEST(ClosedForm, PrivateAtEverySizeIndexReallyIs)
+{
+    // The traces above cover what they claim: some blocks turn private
+    // at each size index of the axis, none at any, or all at all.
+    const std::vector<std::uint64_t> sizes = {1024, 2048, 4096, 8192,
+                                              16 * 1024, 32 * 1024};
+    const std::uint32_t line = 16;
+    const auto privateBlocks = [&](const Trace &trace, std::uint64_t size) {
+        const PackedTraceView view(trace, line);
+        return SetSharing(view)
+            .privateAt(floorLog2(size / line))
+            .blocks;
+    };
+    const Trace every = privateAtEverySize(sizes, line);
+    for (std::size_t s = 1; s < sizes.size(); ++s)
+        EXPECT_GT(privateBlocks(every, sizes[s]),
+                  privateBlocks(every, sizes[s - 1]))
+            << sizes[s];
+    for (const std::uint64_t size : sizes) {
+        EXPECT_EQ(privateBlocks(privateAtNoSize(sizes, line), size), 0u);
+        EXPECT_EQ(privateBlocks(privateAtAllSizes(line), size), 16u);
+    }
+}
+
+TEST(ClosedForm, CountsLegReferencesResolvedWithoutALane)
+{
+    // Every reference of the all-private loop is closed form at every
+    // leg; with the last-line register none of the no-size trace's
+    // run starts is, and without it nothing is.
+    const std::vector<std::uint64_t> sizes = {1024, 4096};
+    const auto closedForm = [&](const Trace &trace, bool last_line) {
+        const auto artifact = buildReplayArtifact(trace, 16, "counted");
+        obs::MetricsCollector metrics;
+        DynamicExclusionConfig config;
+        config.useLastLine = last_line;
+        {
+            obs::ScopedMetrics install(&metrics);
+            EXPECT_TRUE(
+                replayTriadKernel(*artifact, sizes, config, "counted")
+                    .allOk());
+        }
+        return metrics.total(obs::Counter::KernelClosedFormRefs);
+    };
+    const Trace all = privateAtAllSizes(16);
+    EXPECT_EQ(closedForm(all, false), 2 * all.size());
+    EXPECT_EQ(closedForm(all, true), 2 * all.size());
+    const Trace none = privateAtNoSize(sizes, 16);
+    EXPECT_EQ(closedForm(none, false), 0u);
+    const PackedTraceView view(none, 16);
+    Count within = 0;
+    for (std::size_t i = 1; i < view.size(); ++i)
+        within += view.ids()[i] == view.ids()[i - 1];
+    EXPECT_GT(within, 0u);
+    EXPECT_EQ(closedForm(none, true), 2 * within);
+}
+
+TEST(ClosedForm, FaultOnAMiddleLegLeavesTheOthersExact)
+{
+    // A failed middle leg drops out of the ascending refinement; the
+    // legs around it still see exactly their own non-private entries.
+    struct HookGuard
+    {
+        ~HookGuard() { setSweepFaultHook({}); }
+    } hook_guard;
+    const std::vector<std::uint64_t> sizes = {1024, 2048, 4096, 8192,
+                                              16 * 1024};
+    for (const bool last_line : {false, true}) {
+        const Trace trace = privateAtEverySize(sizes, 16);
+        const auto artifact = buildReplayArtifact(trace, 16, "middle");
+        DynamicExclusionConfig config;
+        config.useLastLine = last_line;
+        setSweepFaultHook([](const std::string &, std::uint64_t size) {
+            if (size == 4096)
+                throw StatusError(Status::internal("injected"));
+        });
+        const TriadBatchOutcome faulted =
+            replayTriadKernel(*artifact, sizes, config, trace.name());
+        setSweepFaultHook({});
+        ASSERT_EQ(faulted.failures.size(), 1u);
+        EXPECT_EQ(faulted.failures[0].sizeBytes, 4096u);
+        for (std::size_t s = 0; s < sizes.size(); ++s) {
+            if (sizes[s] == 4096) {
+                EXPECT_FALSE(faulted.ok[s]);
+                continue;
+            }
+            ASSERT_TRUE(faulted.ok[s]);
+            expectTriadEq(faulted.triads[s],
+                          runTriad(trace, artifact->index(), sizes[s], 16,
+                                   config),
+                          "lastline " + std::to_string(last_line) +
+                              " size " + std::to_string(sizes[s]));
+        }
     }
 }
 

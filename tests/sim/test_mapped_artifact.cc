@@ -159,12 +159,27 @@ expectMappedMatchesTrace(const Trace &trace)
                 ASSERT_EQ(got->index().ticks()[i], want->index().ticks()[i])
                     << "ref " << i;
             }
-            for (std::size_t id = 0; id < wv.distinctBlocks(); ++id)
+            for (std::size_t id = 0; id < wv.distinctBlocks(); ++id) {
                 ASSERT_EQ(gv.blockSetWords()[id], wv.blockSetWords()[id])
                     << "id " << id;
-            // 8 bytes per reference plus 4 per distinct block.
+                ASSERT_EQ(got->sharing().sharedLowBits()[id],
+                          want->sharing().sharedLowBits()[id])
+                    << "id " << id;
+            }
+            for (unsigned k = 0; k <= 32; ++k) {
+                const SetSharing::Tally &g = got->sharing().privateAt(k);
+                const SetSharing::Tally &w = want->sharing().privateAt(k);
+                EXPECT_EQ(g.blocks, w.blocks) << "k " << k;
+                EXPECT_EQ(g.refs, w.refs) << "k " << k;
+                EXPECT_EQ(g.runStarts, w.runStarts) << "k " << k;
+            }
+            // 8 bytes per reference, 5 per distinct block (set word and
+            // shared bit count), the shared counts' 3-byte tail and the
+            // sharing histograms.
             EXPECT_EQ(got->bytes(),
-                      8 * trace.size() + 4 * gv.distinctBlocks());
+                      8 * trace.size() + 5 * gv.distinctBlocks() + 3 +
+                          (SetSharing::kBuckets + 1) *
+                              sizeof(SetSharing::Tally));
             EXPECT_EQ(got->bytes(), want->bytes());
 
             DynamicExclusionConfig config;

@@ -99,5 +99,115 @@ TEST(Sweep, SuiteAverageUsesRealBenchmarks)
         << "kernels fit a 32KB instruction cache";
 }
 
+/** One hand-built leg with the given miss counts. */
+TriadResult
+legWithMisses(Count dm, Count de, Count opt)
+{
+    TriadResult leg;
+    leg.dm.misses = dm;
+    leg.de.misses = de;
+    leg.opt.misses = opt;
+    return leg;
+}
+
+/** A hand-built outcome over 1KB, 2KB, 4KB and 8KB, every leg OK. */
+TriadBatchOutcome
+handBuilt(std::vector<TriadResult> legs)
+{
+    TriadBatchOutcome outcome;
+    outcome.ok.assign(legs.size(), 1);
+    outcome.triads = std::move(legs);
+    return outcome;
+}
+
+const std::vector<std::uint64_t> kHandSizes = {1024, 2048, 4096, 8192};
+
+TEST(SweepOrderings, SoundLegsPassAndADeStepUpIsNoFailure)
+{
+    // DE rises from 2KB to 4KB: not guaranteed monotone, so fine.
+    TriadBatchOutcome outcome = handBuilt(
+        {legWithMisses(90, 60, 50), legWithMisses(80, 40, 40),
+         legWithMisses(80, 45, 30), legWithMisses(10, 10, 10)});
+    checkSweepOrderings(kHandSizes, outcome, "hand");
+    EXPECT_TRUE(outcome.allOk());
+    EXPECT_EQ(outcome.ok, std::vector<std::uint8_t>(4, 1));
+}
+
+TEST(SweepOrderings, EachBrokenOrderingFailsItsLegByName)
+{
+    struct Case
+    {
+        const char *ordering;
+        std::uint64_t size;
+        std::vector<TriadResult> legs;
+    };
+    const std::vector<Case> cases = {
+        {"opt misses <= de misses", 2048,
+         {legWithMisses(90, 60, 50), legWithMisses(80, 40, 41),
+          legWithMisses(70, 40, 30), legWithMisses(60, 30, 20)}},
+        {"opt misses <= dm misses", 8192,
+         {legWithMisses(90, 60, 50), legWithMisses(80, 40, 40),
+          legWithMisses(70, 40, 30), legWithMisses(20, 30, 21)}},
+        {"dm misses never rise from 2KB to 4KB", 4096,
+         {legWithMisses(90, 60, 50), legWithMisses(80, 40, 40),
+          legWithMisses(81, 40, 30), legWithMisses(60, 30, 20)}},
+        {"opt misses never rise from 1KB to 2KB", 2048,
+         {legWithMisses(90, 60, 35), legWithMisses(80, 40, 36),
+          legWithMisses(70, 40, 30), legWithMisses(60, 30, 20)}},
+    };
+    for (const Case &c : cases) {
+        TriadBatchOutcome outcome = handBuilt(c.legs);
+        checkSweepOrderings(kHandSizes, outcome, "hand");
+        ASSERT_EQ(outcome.failures.size(), 1u) << c.ordering;
+        const FailedLeg &failure = outcome.failures[0];
+        EXPECT_EQ(failure.bench, "hand");
+        EXPECT_EQ(failure.sizeBytes, c.size) << c.ordering;
+        EXPECT_EQ(failure.model, "triad");
+        EXPECT_EQ(failure.status.code(), StatusCode::Internal);
+        EXPECT_NE(failure.status.message().find(c.ordering),
+                  std::string::npos)
+            << failure.status.message();
+        for (std::size_t s = 0; s < kHandSizes.size(); ++s)
+            EXPECT_EQ(outcome.ok[s] != 0, kHandSizes[s] != c.size)
+                << c.ordering << " leg " << s;
+    }
+}
+
+TEST(SweepOrderings, MonotonicityComparesConsecutiveOkLegsInLegOrder)
+{
+    // 2KB already failed: 4KB is compared with 1KB, and its rise
+    // against 1KB is listed after the 2KB failure, in leg order.
+    TriadBatchOutcome outcome = handBuilt(
+        {legWithMisses(90, 60, 50), legWithMisses(200, 200, 200),
+         legWithMisses(91, 60, 40), legWithMisses(60, 30, 20)});
+    outcome.ok[1] = 0;
+    outcome.failures.push_back(
+        {"hand", 2048, "triad", Status::internal("injected")});
+    checkSweepOrderings(kHandSizes, outcome, "hand");
+    ASSERT_EQ(outcome.failures.size(), 2u);
+    EXPECT_EQ(outcome.failures[0].sizeBytes, 2048u);
+    EXPECT_EQ(outcome.failures[1].sizeBytes, 4096u);
+    EXPECT_NE(outcome.failures[1].status.message().find(
+                  "dm misses never rise from 1KB to 4KB"),
+              std::string::npos)
+        << outcome.failures[1].status.message();
+    EXPECT_EQ(outcome.ok, (std::vector<std::uint8_t>{1, 0, 0, 1}));
+}
+
+TEST(SweepOrderings, SweepSizesChecksThemUnderBothEngines)
+{
+    // A real sweep passes under either engine: the checks hold for the
+    // replay, not just for hand-built legs.
+    const Trace trace = Trace::fromPattern(
+        test::repeat(test::repeat("a", 10) + "b", 10) + test::repeat("ab", 10),
+        0x10000, 1024);
+    for (const ReplayEngine engine :
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+        const auto swept =
+            sweepSizes(trace, {256, 512, 1024, 2048}, 4, {}, engine);
+        EXPECT_TRUE(swept.allOk()) << replayEngineName(engine);
+    }
+}
+
 } // namespace
 } // namespace dynex
