@@ -39,16 +39,16 @@ main()
 
     double dm_sum = 0, sa_sum = 0, de_sum = 0;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache dm(geo);
         SetAssocCache sa(
             CacheGeometry::setAssociative(kCacheBytes, kLine16, 2));
         DynamicExclusionCache de(geo, de_config);
 
-        const double dm_amat = dm_timing.amat(runTrace(dm, *trace));
-        const double sa_amat = sa_timing.amat(runTrace(sa, *trace));
-        const double de_amat = dm_timing.amat(runTrace(de, *trace));
+        const double dm_amat = dm_timing.amat(runTrace(dm, trace));
+        const double sa_amat = sa_timing.amat(runTrace(sa, trace));
+        const double de_amat = dm_timing.amat(runTrace(de, trace));
 
         report.table().addRow({name, Table::fmt(dm_amat, 4),
                                Table::fmt(sa_amat, 4),

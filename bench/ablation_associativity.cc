@@ -34,7 +34,7 @@ main()
 
     double dm_avg = 0, w2_avg = 0, w4_avg = 0, de_avg = 0;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache dm(geo);
         SetAssocCache w2(
@@ -43,10 +43,10 @@ main()
             CacheGeometry::setAssociative(kCacheBytes, kLine16, 4));
         DynamicExclusionCache de(geo, de_config);
 
-        const double dm_pct = 100.0 * runTrace(dm, *trace).missRate();
-        const double w2_pct = 100.0 * runTrace(w2, *trace).missRate();
-        const double w4_pct = 100.0 * runTrace(w4, *trace).missRate();
-        const double de_pct = 100.0 * runTrace(de, *trace).missRate();
+        const double dm_pct = 100.0 * runTrace(dm, trace).missRate();
+        const double w2_pct = 100.0 * runTrace(w2, trace).missRate();
+        const double w4_pct = 100.0 * runTrace(w4, trace).missRate();
+        const double de_pct = 100.0 * runTrace(de, trace).missRate();
 
         report.table().addRow({name, Table::fmt(dm_pct, 3),
                                Table::fmt(w2_pct, 3),

@@ -35,13 +35,13 @@ main()
     double steady_gain_sum = 0.0, total_gain_sum = 0.0;
     bool kernels_clean = true;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache dm(geo);
-        const WarmSplit dm_split = runTraceSplit(dm, *trace, 0.25);
+        const WarmSplit dm_split = runTraceSplit(dm, trace, 0.25);
 
         DynamicExclusionCache de(geo);
-        const WarmSplit de_split = runTraceSplit(de, *trace, 0.25);
+        const WarmSplit de_split = runTraceSplit(de, trace, 0.25);
 
         const double steady_gain = percentReduction(
             dm_split.steady.missRate(), de_split.steady.missRate());

@@ -28,37 +28,49 @@ main()
                               "L2 global % (on)", "reduction %",
                               "L1 delta pp"});
 
-    bool never_hurts = true;
-    bool l1_unharmed = true;
-    for (const std::uint64_t ratio : {2ull, 4ull, 8ull, 16ull}) {
-        double off_sum = 0, on_sum = 0, l1_off = 0, l1_on = 0;
-        for (const auto &name : suiteNames()) {
-            const auto trace = Workloads::instructions(name, refs());
+    // Each benchmark is generated once and replayed at every ratio;
+    // each ratio still sums its benchmarks in suite order.
+    const std::vector<std::uint64_t> ratios = {2, 4, 8, 16};
+    struct Sums
+    {
+        double off = 0, on = 0, l1Off = 0, l1On = 0;
+    };
+    std::vector<Sums> sums(ratios.size());
+    const auto names = suiteNames();
+    for (const auto &name : names) {
+        const Trace trace = Workloads::instructions(name, refs());
+        for (std::size_t r = 0; r < ratios.size(); ++r) {
             HierarchyConfig config;
             config.l1 = CacheGeometry::directMapped(kCacheBytes,
                                                     kWordLine);
-            config.l2 = CacheGeometry::directMapped(kCacheBytes * ratio,
-                                                    kWordLine);
+            config.l2 = CacheGeometry::directMapped(
+                kCacheBytes * ratios[r], kWordLine);
             config.policy = HitLastPolicy::Hashed;
 
             TwoLevelCache off(config);
-            const auto off_stats = runTrace(off, *trace);
+            const auto off_stats = runTrace(off, trace);
             config.l2DynamicExclusion = true;
             TwoLevelCache on(config);
-            const auto on_stats = runTrace(on, *trace);
+            const auto on_stats = runTrace(on, trace);
 
-            off_sum += 100.0 * off_stats.l2GlobalMissRate();
-            on_sum += 100.0 * on_stats.l2GlobalMissRate();
-            l1_off += 100.0 * off_stats.l1.missRate();
-            l1_on += 100.0 * on_stats.l1.missRate();
+            sums[r].off += 100.0 * off_stats.l2GlobalMissRate();
+            sums[r].on += 100.0 * on_stats.l2GlobalMissRate();
+            sums[r].l1Off += 100.0 * off_stats.l1.missRate();
+            sums[r].l1On += 100.0 * on_stats.l1.missRate();
         }
-        off_sum /= 10;
-        on_sum /= 10;
-        l1_off /= 10;
-        l1_on /= 10;
+    }
+
+    bool never_hurts = true;
+    bool l1_unharmed = true;
+    const auto n = static_cast<double>(names.size());
+    for (std::size_t r = 0; r < ratios.size(); ++r) {
+        const double off_sum = sums[r].off / n;
+        const double on_sum = sums[r].on / n;
+        const double l1_off = sums[r].l1Off / n;
+        const double l1_on = sums[r].l1On / n;
 
         report.table().addRow(
-            {formatSize(kCacheBytes * ratio), Table::fmt(off_sum, 3),
+            {formatSize(kCacheBytes * ratios[r]), Table::fmt(off_sum, 3),
              Table::fmt(on_sum, 3),
              Table::fmt(percentReduction(off_sum, on_sum), 1),
              Table::fmt(l1_on - l1_off, 3)});

@@ -30,30 +30,30 @@ main()
     double with_buffer_total = 0.0, naive_total = 0.0, dm_total = 0.0,
            stream_total = 0.0;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache dm(
             CacheGeometry::directMapped(kCacheBytes, kLine16));
-        const double dm_pct = 100.0 * runTrace(dm, *trace).missRate();
+        const double dm_pct = 100.0 * runTrace(dm, trace).missRate();
 
         DynamicExclusionConfig buffered;
         buffered.useLastLine = true;
         DynamicExclusionCache with_buffer(
             CacheGeometry::directMapped(kCacheBytes, kLine16), buffered);
         const double buf_pct =
-            100.0 * runTrace(with_buffer, *trace).missRate();
+            100.0 * runTrace(with_buffer, trace).missRate();
 
         DynamicExclusionConfig raw;
         raw.useLastLine = false;
         DynamicExclusionCache naive(
             CacheGeometry::directMapped(kCacheBytes, kLine16), raw);
         const double naive_pct =
-            100.0 * runTrace(naive, *trace).missRate();
+            100.0 * runTrace(naive, trace).missRate();
 
         ExclusionStreamCache scheme3(
             CacheGeometry::directMapped(kCacheBytes, kLine16), 4);
         const double stream_pct =
-            100.0 * runTrace(scheme3, *trace).missRate();
+            100.0 * runTrace(scheme3, trace).missRate();
 
         report.table().addRow({name, Table::fmt(dm_pct, 3),
                                Table::fmt(naive_pct, 3),

@@ -35,19 +35,19 @@ main()
 
     double dm_sum = 0, st_sum = 0, de_sum = 0;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache dm(geo);
-        const double dm_pct = 100.0 * runTrace(dm, *trace).missRate();
+        const double dm_pct = 100.0 * runTrace(dm, trace).missRate();
 
         const ExclusionProfile profile =
-            ExclusionProfile::fromOptimalBypasses(*trace, geo);
+            ExclusionProfile::fromOptimalBypasses(trace, geo);
         StaticExclusionCache fixed(geo, profile);
         const double st_pct =
-            100.0 * runTrace(fixed, *trace).missRate();
+            100.0 * runTrace(fixed, trace).missRate();
 
         DynamicExclusionCache de(geo);
-        const double de_pct = 100.0 * runTrace(de, *trace).missRate();
+        const double de_pct = 100.0 * runTrace(de, trace).missRate();
 
         report.table().addRow({name, Table::fmt(dm_pct, 3),
                                Table::fmt(st_pct, 3),

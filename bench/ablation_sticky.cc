@@ -74,7 +74,7 @@ main()
     // Suite-average miss rates at the canonical configuration.
     std::vector<double> suite_miss(4, 0.0);
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
         for (std::uint8_t depth = 1; depth <= 4; ++depth) {
             DynamicExclusionConfig config;
             config.stickyMax = depth;
@@ -82,7 +82,7 @@ main()
                 CacheGeometry::directMapped(kCacheBytes, kWordLine),
                 config);
             suite_miss[depth - 1] +=
-                100.0 * runTrace(cache, *trace).missRate();
+                100.0 * runTrace(cache, trace).missRate();
         }
     }
     std::vector<std::string> row{"suite avg miss % (32KB/4B)"};

@@ -52,7 +52,7 @@ main()
     double d_dm = 0, d_victim = 0, d_de = 0, d_stream = 0;
     for (const auto &name : suiteNames()) {
         for (const bool data_stream : {false, true}) {
-            const auto trace =
+            const Trace trace =
                 data_stream ? Workloads::data(name, refs() / 2)
                             : Workloads::instructions(name, refs());
 
@@ -63,10 +63,10 @@ main()
                 std::make_unique<DynamicExclusionCache>(geo, de_config),
                 4);
 
-            const double dm_pct = missPct(dm, *trace);
-            const double victim_pct = missPct(victim, *trace);
-            const double de_pct = missPct(de, *trace);
-            const double stream_pct = missPct(de_stream, *trace);
+            const double dm_pct = missPct(dm, trace);
+            const double victim_pct = missPct(victim, trace);
+            const double de_pct = missPct(de, trace);
+            const double stream_pct = missPct(de_stream, trace);
             if (data_stream) {
                 d_dm += dm_pct;
                 d_victim += victim_pct;

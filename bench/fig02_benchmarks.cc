@@ -26,8 +26,8 @@ main()
     for (const auto &info : specSuite()) {
         auto program = makeSpecProgram(info.name);
         const Count pass = measurePassLength(*program, 1);
-        const auto trace = Workloads::mixed(info.name, 200000);
-        const TraceSummary summary = trace->summarize();
+        const Trace trace = Workloads::mixed(info.name, 200000);
+        const TraceSummary summary = trace.summarize();
         report.table().addRow(
             {info.name, info.description,
              formatSize(program->codeFootprint()), std::to_string(pass),

@@ -33,11 +33,11 @@ main()
     bool kernels_unharmed = true;
 
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
-        const NextUseIndex index(*trace, kWordLine,
+        const Trace trace = Workloads::instructions(name, refs());
+        const NextUseIndex index(trace, kWordLine,
                                  NextUseMode::RunStart);
         const TriadResult triad =
-            runTriad(*trace, index, kCacheBytes, kWordLine);
+            runTriad(trace, index, kCacheBytes, kWordLine);
 
         report.table().addRow({name, Table::fmt(triad.dmMissPct(), 3),
                                Table::fmt(triad.deMissPct(), 3),

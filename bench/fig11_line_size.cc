@@ -27,17 +27,25 @@ main()
                               "dynamic-exclusion %", "optimal %",
                               "de gain %"});
 
+    // Lines of one instruction run without the last-line register and
+    // longer lines with it, so the suite is swept once per setting.
+    std::vector<std::uint32_t> word_lines, long_lines;
+    for (const std::uint32_t line : paperLineSizes())
+        (line > kWordLine ? long_lines : word_lines).push_back(line);
     DynamicExclusionConfig config;
+    auto points = sweepSuiteLineSizes(suiteNames(), refs(), kCacheBytes,
+                                      word_lines, config);
+    config.useLastLine = true;
+    const auto longer = sweepSuiteLineSizes(suiteNames(), refs(),
+                                            kCacheBytes, long_lines, config);
+    points.insert(points.end(), longer.begin(), longer.end());
+
     std::vector<double> gains;
     bool rates_fall = true;
     double prev_dm = 1e9;
-    for (const std::uint32_t line : paperLineSizes()) {
-        config.useLastLine = line > kWordLine;
-        const auto points = sweepSuiteLineSizes(
-            suiteNames(), refs(), kCacheBytes, {line}, config);
-        const auto &p = points.front();
+    for (const auto &p : points) {
         gains.push_back(p.deImprovementPct());
-        report.table().addRow({formatSize(line),
+        report.table().addRow({formatSize(p.lineBytes),
                                Table::fmt(p.dmMissPct, 3),
                                Table::fmt(p.deMissPct, 3),
                                Table::fmt(p.optMissPct, 3),

@@ -32,10 +32,10 @@ main()
 
     double dm8 = 0.0, de8 = 0.0, dm16 = 0.0;
     for (const auto &name : suiteNames()) {
-        const auto trace = Workloads::instructions(name, refs());
+        const Trace trace = Workloads::instructions(name, refs());
 
         DirectMappedCache base(CacheGeometry::directMapped(kBase, kLine));
-        dm8 += 100.0 * runTrace(base, *trace).missRate();
+        dm8 += 100.0 * runTrace(base, trace).missRate();
 
         DynamicExclusionConfig config;
         config.useLastLine = true;
@@ -43,11 +43,11 @@ main()
             CacheGeometry::directMapped(kBase, kLine), config,
             std::make_unique<HashedHitLastStore>(4 * kBase / kLine,
                                                  false));
-        de8 += 100.0 * runTrace(dynex_cache, *trace).missRate();
+        de8 += 100.0 * runTrace(dynex_cache, trace).missRate();
 
         DirectMappedCache doubled(
             CacheGeometry::directMapped(2 * kBase, kLine));
-        dm16 += 100.0 * runTrace(doubled, *trace).missRate();
+        dm16 += 100.0 * runTrace(doubled, trace).missRate();
     }
     dm8 /= 10.0;
     de8 /= 10.0;

@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
+#include "sim/workloads.h"
 #include "trace/next_use.h"
 #include "trace/packed_view.h"
 #include "trace/trace_io.h"
@@ -214,32 +216,40 @@ void
 runSuiteSweepBenchmark(benchmark::State &state, ReplayEngine engine,
                        bool with_metrics = false)
 {
-    // The suite-average sweep fanned out over state.range(0) workers;
-    // results are bit-identical across the axis and across engines,
+    // Size sweeps of two suite traces fanned out over state.range(0)
+    // workers: each iteration builds both replay artifacts and replays
+    // them; the traces are generated once, before the timed loop.
+    // Results are bit-identical across the axis and across engines,
     // only wall-clock changes. Small fixed budget keeps smoke fast.
     ThreadPool::setConfiguredWorkers(
         static_cast<unsigned>(state.range(0)));
-    const std::vector<std::string> names = {"mat300", "tomcatv"};
     constexpr Count kRefs = 100000;
+    const Trace traces[] = {Workloads::instructions("mat300", kRefs),
+                            Workloads::instructions("tomcatv", kRefs)};
     std::unique_ptr<obs::MetricsCollector> collector;
     std::optional<obs::ScopedMetrics> install;
     if (with_metrics) {
         collector = std::make_unique<obs::MetricsCollector>();
-        for (const std::string &name : names)
+        for (const Trace &trace : traces)
             for (const std::uint64_t size : paperCacheSizes())
-                collector->addLeg(name, size);
+                collector->addLeg(trace.name(), size);
         install.emplace(collector.get());
     }
     for (auto _ : state) {
-        const auto sweep =
-            sweepSuiteAverage(names, kRefs, paperCacheSizes(), 4, {},
-                              StreamKind::Instructions, engine);
-        throwIfFailed(sweep.failures);
-        benchmark::DoNotOptimize(sweep.points.back().deMissPct);
+        SizeSweepOutcome sweeps[std::size(traces)];
+        ThreadPool::global().parallelFor(
+            std::size(traces), [&](std::size_t t) {
+                sweeps[t] = sweepSizes(traces[t], paperCacheSizes(), 4,
+                                       {}, engine);
+            });
+        for (const SizeSweepOutcome &sweep : sweeps) {
+            throwIfFailed(sweep.failures);
+            benchmark::DoNotOptimize(sweep.points.back().deMissPct);
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * names.size() * paperCacheSizes().size() *
-        3 * kRefs));
+        state.iterations() * std::size(traces) *
+        paperCacheSizes().size() * 3 * kRefs));
     ThreadPool::setConfiguredWorkers(0);
 }
 

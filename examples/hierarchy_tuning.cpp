@@ -41,7 +41,7 @@ main(int argc, char **argv)
 
     constexpr std::uint64_t kL1 = 32 * 1024;
     constexpr std::uint32_t kLine = 4;
-    const auto trace = Workloads::instructions(benchmark, refs);
+    const Trace trace = Workloads::instructions(benchmark, refs);
 
     std::printf("two-level hierarchy tuning for '%s' (L1 = 32KB/4B, "
                 "%llu refs)\n\n",
@@ -72,7 +72,7 @@ main(int argc, char **argv)
             config.policy = policy;
             config.hashedEntriesPerLine = 4;
             TwoLevelCache hierarchy(config);
-            const HierarchyStats stats = runTrace(hierarchy, *trace);
+            const HierarchyStats stats = runTrace(hierarchy, trace);
 
             const std::uint64_t state_bits =
                 policy == HitLastPolicy::Hashed

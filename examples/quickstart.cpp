@@ -39,11 +39,11 @@ main(int argc, char **argv)
                      "dynex gain%", "opt gain%"});
 
     for (const auto &info : specSuite()) {
-        const auto trace = Workloads::instructions(info.name, refs);
-        const NextUseIndex index(*trace, kLineBytes,
+        const Trace trace = Workloads::instructions(info.name, refs);
+        const NextUseIndex index(trace, kLineBytes,
                                  NextUseMode::RunStart);
         const TriadResult triad =
-            runTriad(*trace, index, kCacheBytes, kLineBytes);
+            runTriad(trace, index, kCacheBytes, kLineBytes);
         table.addRow({info.name, Table::fmt(triad.dmMissPct(), 3),
                       Table::fmt(triad.deMissPct(), 3),
                       Table::fmt(triad.optMissPct(), 3),

@@ -41,19 +41,19 @@ main(int argc, char **argv)
         auto program = makeSpecProgram(info.name);
         const Count pass = measurePassLength(*program, 1);
 
-        const auto mixed = Workloads::mixed(info.name, refs);
-        const TraceSummary summary = mixed->summarize();
+        const Trace mixed = Workloads::mixed(info.name, refs);
+        const TraceSummary summary = mixed.summarize();
         const double data_pct =
             100.0 * static_cast<double>(summary.loads + summary.stores) /
             static_cast<double>(summary.total);
 
-        const auto itrace = Workloads::instructions(info.name, refs);
-        const NextUseIndex index(*itrace, kLineBytes,
+        const Trace itrace = Workloads::instructions(info.name, refs);
+        const NextUseIndex index(itrace, kLineBytes,
                                  NextUseMode::RunStart);
         const TriadResult triad =
-            runTriad(*itrace, index, kCacheBytes, kLineBytes);
+            runTriad(itrace, index, kCacheBytes, kLineBytes);
         const ConflictCensus census = conflictCensus(
-            *itrace,
+            itrace,
             CacheGeometry::directMapped(kCacheBytes, kLineBytes));
 
         table.addRow({info.name, formatSize(program->codeFootprint()),

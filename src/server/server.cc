@@ -152,16 +152,13 @@ Server::Server(ServerConfig server_config)
                                               "'");
               if (served->path.empty())
               {
-                  // Not memoized: the store keeps the artifact, and a
-                  // memoized Trace would stay resident outside its
-                  // budget.
                   const Count refs = config.refs
                                          ? config.refs
                                          : Workloads::defaultRefs();
                   return TraceSource{"", nullptr, [name, refs] {
-                                         return Workloads::
-                                             generateInstructions(name,
-                                                                  refs);
+                                         return std::make_shared<const Trace>(
+                                             Workloads::instructions(name,
+                                                                     refs));
                                      }};
               }
               // A din text file has no block decoder to pack from.
@@ -512,7 +509,7 @@ std::uint64_t Server::estimateRefs(const std::string &trace_name) const
     // for din text). Only the magnitude matters — the EWMA absorbs
     // the rest.
     const std::string &path = served->path;
-    if (path.size() >= 5 && iequals(path.substr(path.size() - 5), ".dxt3"))
+    if (isDxt3Path(path))
         return served->fileBytes / 2;
     if (isDinPath(path))
         return served->fileBytes / 12;

@@ -11,7 +11,7 @@
 namespace dynex
 {
 
-std::shared_ptr<const Trace>
+Trace
 loadStream(const std::string &name, Count refs, StreamKind stream)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
@@ -19,7 +19,7 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
     const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
     const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
 
-    std::shared_ptr<const Trace> trace;
+    Trace trace;
     switch (stream) {
       case StreamKind::Data:
         trace = Workloads::data(name, refs);
@@ -35,7 +35,7 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
     if (metrics) {
         metrics->add(obs::Counter::TraceLoadNs,
                      obs::monotonicNs() - metrics_t0);
-        metrics->add(obs::Counter::TraceLoadRefs, trace->size());
+        metrics->add(obs::Counter::TraceLoadRefs, trace.size());
     }
     if (tracer)
         tracer->complete("load " + name, "load", tracer_t0,
@@ -111,13 +111,13 @@ sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
             std::optional<obs::ScopedSpan> bench_span;
             if (obs::Tracer::active())
                 bench_span.emplace("bench", "bench " + bench);
-            std::shared_ptr<const Trace> trace;
+            Trace trace;
             std::shared_ptr<const ReplayArtifact> artifact;
             try {
                 if (const auto &hook = sweepFaultHook())
                     hook(bench, 0);
                 trace = loadStream(bench, refs, stream);
-                artifact = buildReplayArtifact(*trace, line_bytes, bench);
+                artifact = buildReplayArtifact(trace, line_bytes, bench);
             } catch (...) {
                 per_bench[b].push_back(
                     {bench, 0, "triad",
@@ -167,7 +167,7 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             row.resize(lines.size());
             for (std::size_t l = 0; l < lines.size(); ++l) {
                 const TriadBatchOutcome pass = replayTriads(
-                    engine, *buildReplayArtifact(*trace, lines[l], bench),
+                    engine, *buildReplayArtifact(trace, lines[l], bench),
                     {size_bytes}, config, bench);
                 throwIfFailed(pass.failures);
                 row[l] = pass.triads[0];

@@ -50,9 +50,8 @@ enum class StreamKind
     Mixed,
 };
 
-/** Load the requested stream of @p name via Workloads. */
-std::shared_ptr<const Trace> loadStream(const std::string &name,
-                                        Count refs, StreamKind stream);
+/** Generate the requested stream of @p name via Workloads. */
+Trace loadStream(const std::string &name, Count refs, StreamKind stream);
 
 /**
  * Replay every size leg of @p artifact's source with @p engine: the

@@ -137,6 +137,13 @@ isDinPath(const std::string &path)
            iequals(path.substr(path.size() - 4), ".din");
 }
 
+bool
+isDxt3Path(const std::string &path)
+{
+    return path.size() >= 5 &&
+           iequals(path.substr(path.size() - 5), ".dxt3");
+}
+
 Result<Trace>
 readAnyTraceFile(const std::string &path)
 {

@@ -49,6 +49,10 @@ Result<Trace> readDinTraceFile(const std::string &path);
  * reader a trace file path selects. */
 bool isDinPath(const std::string &path);
 
+/** True when @p path ends in ".dxt3" (any case): the extension that
+ * selects the compressed binary format for a written trace. */
+bool isDxt3Path(const std::string &path);
+
 /** Load the trace file at @p path: din text when isDinPath(path),
  * else a binary DXT1/DXT2/DXT3 file (readTraceFile). */
 Result<Trace> readAnyTraceFile(const std::string &path);

@@ -6,37 +6,40 @@ namespace dynex
 {
 
 ExecContext::ExecContext(Trace &output, Count budget, std::uint64_t seed,
-                         std::uint32_t max_call_depth)
-    : out(&output), budgetRefs(budget), randomStream(seed),
+                         RefKinds keep, std::uint32_t max_call_depth)
+    : out(&output), budgetRefs(budget), kept(keep), randomStream(seed),
       maxCallDepth(max_call_depth)
 {
 }
 
 void
-ExecContext::emitInstr(Addr addr)
+ExecContext::emit(const MemRef &ref)
 {
     if (done())
         return;
-    out->append(ifetch(addr));
+    if (kept != RefKinds::All &&
+        isData(ref.type) != (kept == RefKinds::Data))
+        return;
+    out->append(ref);
     ++emitted;
+}
+
+void
+ExecContext::emitInstr(Addr addr)
+{
+    emit(ifetch(addr));
 }
 
 void
 ExecContext::emitLoad(Addr addr)
 {
-    if (done())
-        return;
-    out->append(load(addr));
-    ++emitted;
+    emit(load(addr));
 }
 
 void
 ExecContext::emitStore(Addr addr)
 {
-    if (done())
-        return;
-    out->append(store(addr));
-    ++emitted;
+    emit(store(addr));
 }
 
 bool
@@ -68,7 +71,8 @@ measurePassLength(Program &program, std::uint64_t seed, Count cap)
 }
 
 Trace
-generateTrace(Program &program, Count num_refs, std::uint64_t seed)
+generateTrace(Program &program, Count num_refs, std::uint64_t seed,
+              RefKinds keep)
 {
     DYNEX_ASSERT(program.entryFunction() != nullptr,
                  "program '", program.name(), "' has no entry function");
@@ -78,13 +82,13 @@ generateTrace(Program &program, Count num_refs, std::uint64_t seed)
     program.resetPatterns();
     Trace trace(program.name());
     trace.reserve(num_refs);
-    ExecContext ctx(trace, num_refs, seed);
+    ExecContext ctx(trace, num_refs, seed, keep);
     while (!ctx.done()) {
         const Count before = ctx.emittedCount();
         program.entryFunction()->bodyNode()->execute(ctx);
         DYNEX_ASSERT(ctx.emittedCount() > before,
                      "program '", program.name(),
-                     "' emitted nothing in a whole pass");
+                     "' emitted nothing to keep in a whole pass");
     }
     return trace;
 }

@@ -17,6 +17,18 @@ namespace dynex
 {
 
 /**
+ * Which references a walk keeps. The walk itself, and so every
+ * random draw, is the same whatever is kept: a kept stream is exactly
+ * the references of its kind in the All stream, in order.
+ */
+enum class RefKinds : std::uint8_t
+{
+    All,
+    Instructions,
+    Data,
+};
+
+/**
  * Mutable state threaded through a program walk: the output trace, the
  * reference budget, the random stream, and the call depth (to bound
  * recursion).
@@ -28,9 +40,12 @@ class ExecContext
      * @param output sink trace.
      * @param budget maximum references to emit.
      * @param seed random stream seed.
+     * @param keep which references reach @p output and count against
+     *        @p budget; the others are walked and dropped.
      * @param max_call_depth recursion bound for Call nodes.
      */
     ExecContext(Trace &output, Count budget, std::uint64_t seed,
+                RefKinds keep = RefKinds::All,
                 std::uint32_t max_call_depth = 48);
 
     /** @return true once the budget is exhausted (callers unwind). */
@@ -52,8 +67,11 @@ class ExecContext
     Count emittedCount() const { return emitted; }
 
   private:
+    void emit(const MemRef &ref);
+
     Trace *out;
     Count budgetRefs;
+    RefKinds kept;
     Count emitted = 0;
     Rng randomStream;
     std::uint32_t callDepth = 0;
@@ -62,12 +80,15 @@ class ExecContext
 
 /**
  * Execute @p program repeatedly from its entry function until exactly
- * @p num_refs references have been emitted.
+ * @p num_refs references of the @p keep kinds have been emitted.
  *
  * The program's data patterns are reset first, so generation is a pure
- * function of (program construction, num_refs, seed).
+ * function of (program construction, num_refs, seed, keep), and a
+ * longer trace only extends a shorter one. A pass that keeps nothing
+ * panics: the program never emits that kind.
  */
-Trace generateTrace(Program &program, Count num_refs, std::uint64_t seed);
+Trace generateTrace(Program &program, Count num_refs, std::uint64_t seed,
+                    RefKinds keep = RefKinds::All);
 
 /**
  * References emitted by one complete pass of the entry function —

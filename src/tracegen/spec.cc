@@ -554,10 +554,11 @@ makeSpecProgram(const std::string &name)
 }
 
 Trace
-makeSpecTrace(const std::string &name, Count num_refs)
+makeSpecTrace(const std::string &name, Count num_refs, RefKinds keep)
 {
     auto program = makeSpecProgram(name);
-    return generateTrace(*program, num_refs, nameSeed(name + ".exec"));
+    return generateTrace(*program, num_refs, nameSeed(name + ".exec"),
+                         keep);
 }
 
 } // namespace dynex

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "trace/trace.h"
+#include "tracegen/executor.h"
 #include "tracegen/program.h"
 
 namespace dynex
@@ -42,11 +43,12 @@ bool isSpecBenchmark(const std::string &name);
 std::unique_ptr<Program> makeSpecProgram(const std::string &name);
 
 /**
- * Generate @p num_refs references of @p name's mixed
- * instruction+data reference stream with the benchmark's canonical
- * seed.
+ * Generate the first @p num_refs references of @p name's reference
+ * stream with the benchmark's canonical seed: the mixed
+ * instruction+data stream, or only the @p keep kind of it.
  */
-Trace makeSpecTrace(const std::string &name, Count num_refs);
+Trace makeSpecTrace(const std::string &name, Count num_refs,
+                    RefKinds keep = RefKinds::All);
 
 } // namespace dynex
 

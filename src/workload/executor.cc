@@ -207,7 +207,7 @@ resolveSource(const TraceSource &source, Count refs)
                                         source.spec + "'");
         const Count budget =
             refs != 0 ? refs : Workloads::defaultRefs();
-        Trace trace(*Workloads::instructions(source.spec, budget));
+        Trace trace = Workloads::instructions(source.spec, budget);
         trace.setName(source.label);
         return trace;
       }

@@ -125,5 +125,15 @@ TEST(EdgeCases, GeneratorBudgetOfOneWorks)
     EXPECT_EQ(generateTrace(program, 1, 1).size(), 1u);
 }
 
+TEST(EdgeCasesDeathTest, KeepingAKindTheProgramNeverEmitsPanics)
+{
+    Program program("p");
+    Function *entry = program.addFunction("main");
+    entry->setBody(codeBlock(program, 100));
+    program.setEntry(entry);
+    EXPECT_DEATH(generateTrace(program, 1, 1, RefKinds::Data),
+                 "emitted nothing to keep");
+}
+
 } // namespace
 } // namespace dynex

@@ -27,9 +27,9 @@ TEST(EndToEnd, DynamicExclusionImprovesConflictHeavyBenchmarks)
 {
     // gcc is the conflict-heaviest benchmark in the suite; dynamic
     // exclusion must deliver a clear improvement at 32KB/4B.
-    const auto trace = Workloads::instructions("gcc", kRefs);
-    const NextUseIndex index(*trace, 4, NextUseMode::RunStart);
-    const TriadResult triad = runTriad(*trace, index, 32 * 1024, 4);
+    const Trace trace = Workloads::instructions("gcc", kRefs);
+    const NextUseIndex index(trace, 4, NextUseMode::RunStart);
+    const TriadResult triad = runTriad(trace, index, 32 * 1024, 4);
     EXPECT_GT(triad.dmMissPct(), 1.0) << "gcc must have conflicts";
     EXPECT_GT(triad.deImprovementPct(), 10.0);
     EXPECT_LE(triad.deMissPct() , triad.dmMissPct());
@@ -41,9 +41,9 @@ TEST(EndToEnd, TightKernelsSeeNoHarmBeyondColdStart)
     // tomcatv/mat300 fit the cache; the paper reports only a slight
     // cold-start increase for dynamic exclusion.
     for (const char *name : {"tomcatv", "mat300"}) {
-        const auto trace = Workloads::instructions(name, kRefs);
-        const NextUseIndex index(*trace, 4, NextUseMode::RunStart);
-        const TriadResult triad = runTriad(*trace, index, 32 * 1024, 4);
+        const Trace trace = Workloads::instructions(name, kRefs);
+        const NextUseIndex index(trace, 4, NextUseMode::RunStart);
+        const TriadResult triad = runTriad(trace, index, 32 * 1024, 4);
         EXPECT_LT(triad.dmMissPct(), 0.5) << name;
         EXPECT_LT(triad.deMissPct() - triad.dmMissPct(), 0.1)
             << name << ": cold-start penalty must be small";
@@ -56,9 +56,9 @@ TEST(EndToEnd, SuiteMissRatesSpreadAcrossBenchmarks)
     // rates at 32KB.
     double lo = 100.0, hi = 0.0;
     for (const char *name : {"gcc", "li", "tomcatv"}) {
-        const auto trace = Workloads::instructions(name, kRefs);
-        const NextUseIndex index(*trace, 4, NextUseMode::RunStart);
-        const TriadResult triad = runTriad(*trace, index, 32 * 1024, 4);
+        const Trace trace = Workloads::instructions(name, kRefs);
+        const NextUseIndex index(trace, 4, NextUseMode::RunStart);
+        const TriadResult triad = runTriad(trace, index, 32 * 1024, 4);
         lo = std::min(lo, triad.dmMissPct());
         hi = std::max(hi, triad.dmMissPct());
     }
@@ -68,14 +68,14 @@ TEST(EndToEnd, SuiteMissRatesSpreadAcrossBenchmarks)
 
 TEST(EndToEnd, LongerLinesReduceAbsoluteMissRates)
 {
-    const auto trace = Workloads::instructions("espresso", kRefs);
+    const Trace trace = Workloads::instructions("espresso", kRefs);
     double prev = 1000.0;
     for (const std::uint32_t line : {4u, 16u, 64u}) {
-        const NextUseIndex index(*trace, line, NextUseMode::RunStart);
+        const NextUseIndex index(trace, line, NextUseMode::RunStart);
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
         const TriadResult triad =
-            runTriad(*trace, index, 32 * 1024, line, config);
+            runTriad(trace, index, 32 * 1024, line, config);
         EXPECT_LT(triad.dmMissPct(), prev)
             << "spatial locality must pay off at line " << line;
         prev = triad.dmMissPct();
@@ -88,7 +88,7 @@ TEST(EndToEnd, LongLineSchemesOrderAsInSection6)
     // no better than direct-mapped; the last-line buffer beats both;
     // stream-buffer residence (scheme 3) adds prefetch coverage on
     // top.
-    const auto trace = Workloads::instructions("gcc", kRefs);
+    const Trace trace = Workloads::instructions("gcc", kRefs);
     const auto geo = CacheGeometry::directMapped(32 * 1024, 16);
 
     DirectMappedCache dm(geo);
@@ -100,11 +100,11 @@ TEST(EndToEnd, LongLineSchemesOrderAsInSection6)
     DynamicExclusionCache buffered(geo, buffered_config);
     ExclusionStreamCache stream(geo, 4);
 
-    for (std::size_t i = 0; i < trace->size(); ++i) {
-        dm.access((*trace)[i], i);
-        naive.access((*trace)[i], i);
-        buffered.access((*trace)[i], i);
-        stream.access((*trace)[i], i);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        dm.access(trace[i], i);
+        naive.access(trace[i], i);
+        buffered.access(trace[i], i);
+        stream.access(trace[i], i);
     }
     EXPECT_LT(buffered.stats().misses, dm.stats().misses);
     EXPECT_LT(buffered.stats().misses, naive.stats().misses);
@@ -119,9 +119,9 @@ TEST(EndToEnd, SuiteAverageReductionIsSubstantialAt32K)
     // ~30%; at this budget: ~13%).
     double dm_sum = 0.0, de_sum = 0.0;
     for (const auto &info : specSuite()) {
-        const auto trace = Workloads::instructions(info.name, kRefs);
-        const NextUseIndex index(*trace, 4, NextUseMode::RunStart);
-        const TriadResult triad = runTriad(*trace, index, 32 * 1024, 4);
+        const Trace trace = Workloads::instructions(info.name, kRefs);
+        const NextUseIndex index(trace, 4, NextUseMode::RunStart);
+        const TriadResult triad = runTriad(trace, index, 32 * 1024, 4);
         dm_sum += triad.dmMissPct();
         de_sum += triad.deMissPct();
     }
@@ -130,7 +130,7 @@ TEST(EndToEnd, SuiteAverageReductionIsSubstantialAt32K)
 
 TEST(EndToEnd, HierarchyPoliciesOrderAsInFigures7And8)
 {
-    const auto trace = Workloads::instructions("doduc", kRefs);
+    const Trace trace = Workloads::instructions("doduc", kRefs);
 
     auto run = [&](HitLastPolicy policy, std::uint64_t l2_bytes) {
         HierarchyConfig config;
@@ -138,7 +138,7 @@ TEST(EndToEnd, HierarchyPoliciesOrderAsInFigures7And8)
         config.l2 = CacheGeometry::directMapped(l2_bytes, 4);
         config.policy = policy;
         TwoLevelCache hierarchy(config);
-        return runTrace(hierarchy, *trace);
+        return runTrace(hierarchy, trace);
     };
 
     const auto hit = run(HitLastPolicy::AssumeHit, 128 * 1024);
@@ -156,7 +156,7 @@ TEST(EndToEnd, HierarchyPoliciesOrderAsInFigures7And8)
     dm_config.l2 = CacheGeometry::directMapped(128 * 1024, 4);
     dm_config.l1DynamicExclusion = false;
     TwoLevelCache dm(dm_config);
-    const auto base = runTrace(dm, *trace);
+    const auto base = runTrace(dm, trace);
     EXPECT_LT(hit.l1.missRate(), base.l1.missRate());
     EXPECT_LT(miss.l1.missRate(), base.l1.missRate());
     EXPECT_LT(hashed.l1.missRate(), base.l1.missRate());

@@ -196,7 +196,7 @@ TEST(ChaosEndToEnd, InjectedLoadFailureAlsoFailsFileArtifactBuilds)
     // load; the injected failure must reach that build too.
     const std::string path =
         ::testing::TempDir() + "/dynex_chaos_served.dxt2";
-    ASSERT_TRUE(writeTraceFile(*Workloads::instructions("li", 5000), path,
+    ASSERT_TRUE(writeTraceFile(Workloads::instructions("li", 5000), path,
                                TraceFormat::Dxt2)
                     .ok());
     ChaosSpec spec;

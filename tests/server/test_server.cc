@@ -136,7 +136,7 @@ TEST(ServerEndToEnd, ReplayMatchesALocalSimulationExactly)
     const auto remote = client.replay(request);
     ASSERT_TRUE(remote.ok()) << remote.status().toString();
 
-    const Trace local(*Workloads::instructions("li", kRefs));
+    const Trace local = Workloads::instructions("li", kRefs);
     DynamicExclusionConfig config;
     config.stickyMax = 2;
     config.useLastLine = true;
@@ -164,7 +164,7 @@ TEST(ServerEndToEnd, SweepsAreBitIdenticalToLocalAtAnyWorkerCount)
     // The local truth, computed serially with the same trace, index
     // granularity, and sweep configuration the server uses.
     ThreadPool::setConfiguredWorkers(1);
-    const Trace local(*Workloads::instructions("espresso", kRefs));
+    const Trace local = Workloads::instructions("espresso", kRefs);
     DynamicExclusionConfig config;
     config.useLastLine = kLine > 4;
 
@@ -255,7 +255,7 @@ struct ServedFile
                ".dxt2")
     {
         const Status status = writeTraceFile(
-            *Workloads::instructions(bench, kRefs), path, TraceFormat::Dxt2);
+            Workloads::instructions(bench, kRefs), path, TraceFormat::Dxt2);
         EXPECT_TRUE(status.ok()) << status.toString();
         served = {served_name, path, std::filesystem::file_size(path)};
     }
@@ -290,7 +290,7 @@ TEST(ServerEndToEnd, FileBackedKernelSweepNeverDecodesTheTrace)
     ASSERT_TRUE(server.start().ok());
     Client client = mustConnect(server);
 
-    const Trace local(*Workloads::instructions("espresso", kRefs));
+    const Trace local = Workloads::instructions("espresso", kRefs);
     DynamicExclusionConfig sweepConfig;
     sweepConfig.useLastLine = true;
     const SizeSweepOutcome expected = sweepSizes(
@@ -437,7 +437,7 @@ TEST(ServerEndToEnd, UploadedSweepFailuresNameTheTraceNotTheStoreKey)
     Client client = mustConnect(server);
 
     Trace uploaded("upl");
-    for (const MemRef &ref : *Workloads::instructions("li", 5000))
+    for (const MemRef &ref : Workloads::instructions("li", 5000))
         uploaded.append(ref);
     PutTraceRequest put;
     put.name = "upl";

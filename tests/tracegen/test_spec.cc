@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/filter.h"
 #include "tracegen/executor.h"
 #include "tracegen/spec.h"
 
@@ -56,6 +57,21 @@ TEST_P(SpecBenchmarkTest, GeneratesMixedStreamWithPlausibleComposition)
         << "every benchmark touches data";
     EXPECT_GE(summary.loads, summary.stores)
         << "loads at least as common as stores";
+}
+
+TEST_P(SpecBenchmarkTest, KeptKindIsTheMixedStreamFiltered)
+{
+    // Keeping one kind walks the same program: the kept trace is the
+    // mixed stream's references of that kind, in order.
+    const Trace mixed = makeSpecTrace(GetParam(), 40000);
+    for (const RefKinds keep : {RefKinds::Instructions, RefKinds::Data}) {
+        const Trace expected = keep == RefKinds::Data
+                                   ? dataRefs(mixed)
+                                   : instructionRefs(mixed);
+        const Trace kept =
+            makeSpecTrace(GetParam(), expected.size(), keep);
+        EXPECT_EQ(kept.records(), expected.records());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -233,7 +233,7 @@ struct SourceFiles
     {
         const auto write = [](const std::string &bench,
                               const auto &writer) {
-            const Trace trace(*Workloads::instructions(bench, 15000));
+            const Trace trace = Workloads::instructions(bench, 15000);
             const Status status = writer(trace);
             EXPECT_TRUE(status.ok()) << status.toString();
         };

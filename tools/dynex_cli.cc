@@ -271,14 +271,6 @@ looksLikeFile(const std::string &name)
            name.find('/') != std::string::npos;
 }
 
-/** A .dxt3 extension selects the compressed binary format. */
-bool
-isDxt3Path(const std::string &path)
-{
-    return path.size() >= 5 &&
-           iequals(path.substr(path.size() - 5), ".dxt3");
-}
-
 /** Print why the trace file at @p path could not be read.
  * @return its exit code (3 for I/O, 4 for corrupt/oversized data). */
 int
@@ -335,10 +327,10 @@ resolveTrace(const std::string &arg, const Options &options,
     const Count refs =
         options.refs ? options.refs : Workloads::defaultRefs();
     if (options.stream == "mixed")
-        return *Workloads::mixed(arg, refs);
+        return Workloads::mixed(arg, refs);
     if (options.stream == "data")
-        return *Workloads::data(arg, refs);
-    return *Workloads::instructions(arg, refs);
+        return Workloads::data(arg, refs);
+    return Workloads::instructions(arg, refs);
 }
 
 bool
