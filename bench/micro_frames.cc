@@ -29,13 +29,18 @@ sweepPayload()
     SweepResult result;
     result.trace = "espresso.ifetch";
     result.refs = 1000000;
-    for (int p = 0; p < 8; ++p)
-        result.points.push_back({1024ull << p, 1, 21.5 / (p + 1),
-                                 17.25 / (p + 1), 12.125 / (p + 1)});
-    result.failures.push_back({"espresso", 4096, "triad", 4,
-                               "injected fault for shape"});
-    result.failures.push_back({"espresso", 8192, "dm", 3,
-                               "short read at byte 12345"});
+    for (int p = 0; p < 8; ++p) {
+        result.outcome.points.push_back({1024ull << p, 21.5 / (p + 1),
+                                         17.25 / (p + 1),
+                                         12.125 / (p + 1)});
+        result.outcome.ok.push_back(1);
+    }
+    result.outcome.failures.push_back(
+        {"espresso", 4096, "triad",
+         Status::internal("injected fault for shape")});
+    result.outcome.failures.push_back(
+        {"espresso", 8192, "dm",
+         Status::resourceLimit("short read at byte 12345")});
     return encodeSweepResponse(result);
 }
 
@@ -103,9 +108,12 @@ BM_SweepResponseRoundTrip(benchmark::State &state)
     SweepResult result;
     result.trace = "espresso.ifetch";
     result.refs = 1000000;
-    for (int p = 0; p < 8; ++p)
-        result.points.push_back({1024ull << p, 1, 21.5 / (p + 1),
-                                 17.25 / (p + 1), 12.125 / (p + 1)});
+    for (int p = 0; p < 8; ++p) {
+        result.outcome.points.push_back({1024ull << p, 21.5 / (p + 1),
+                                         17.25 / (p + 1),
+                                         12.125 / (p + 1)});
+        result.outcome.ok.push_back(1);
+    }
     for (auto _ : state) {
         const std::string wire = encodeFrame(
             MsgType::SweepResponse, encodeSweepResponse(result));
@@ -116,7 +124,7 @@ BM_SweepResponseRoundTrip(benchmark::State &state)
             parseSweepResponse(frame.value().payload);
         if (!parsed.ok())
             DYNEX_FATAL("sweep body parse failed in bench");
-        benchmark::DoNotOptimize(parsed.value().points);
+        benchmark::DoNotOptimize(parsed.value().outcome.points);
     }
 }
 BENCHMARK(BM_SweepResponseRoundTrip);

@@ -39,24 +39,10 @@ struct DynamicExclusionConfig
     bool initialHitLast = false;
 };
 
-/**
- * Compile-time switch for the FSM event counters: 1 (the default)
- * counts every transition, 0 compiles note() to nothing so the replay
- * loop carries no counter increment at all. Configure with
- * -DDYNEX_OBS_FSM_EVENTS=OFF at the CMake level; the obs-layer metrics
- * and event tests require the default.
- */
-#ifndef DYNEX_OBS_FSM_EVENTS
-#define DYNEX_OBS_FSM_EVENTS 1
-#endif
-
 /** Per-transition occurrence counts, for analysis and tests. */
 struct FsmEventCounts
 {
     std::array<Count, 5> byEvent{};
-
-    /** True when the build counts transitions (see above). */
-    static constexpr bool enabled = DYNEX_OBS_FSM_EVENTS != 0;
 
     Count
     of(FsmEvent event) const
@@ -64,14 +50,7 @@ struct FsmEventCounts
         return byEvent[static_cast<std::size_t>(event)];
     }
 
-    void
-    note(FsmEvent event)
-    {
-        if constexpr (enabled)
-            ++byEvent[static_cast<std::size_t>(event)];
-        else
-            (void)event;
-    }
+    void note(FsmEvent event) { ++byEvent[static_cast<std::size_t>(event)]; }
 
     void reset() { byEvent = {}; }
 };

@@ -571,21 +571,23 @@ encodeSweepResponse(const SweepResult &result)
     WireWriter w;
     w.str(result.trace);
     w.u64(result.refs);
-    w.u32(static_cast<std::uint32_t>(result.points.size()));
-    for (const SweepPointWire &point : result.points) {
+    const SizeSweepOutcome &outcome = result.outcome;
+    w.u32(static_cast<std::uint32_t>(outcome.points.size()));
+    for (std::size_t s = 0; s < outcome.points.size(); ++s) {
+        const SizeSweepPoint &point = outcome.points[s];
         w.u64(point.sizeBytes);
-        w.u8(point.ok);
+        w.u8(outcome.ok[s]);
         w.f64(point.dmMissPct);
         w.f64(point.deMissPct);
         w.f64(point.optMissPct);
     }
-    w.u32(static_cast<std::uint32_t>(result.failures.size()));
-    for (const SweepFailureWire &failure : result.failures) {
+    w.u32(static_cast<std::uint32_t>(outcome.failures.size()));
+    for (const FailedLeg &failure : outcome.failures) {
         w.str(failure.bench);
         w.u64(failure.sizeBytes);
         w.str(failure.model);
-        w.u8(failure.code);
-        w.str(failure.message);
+        w.u8(static_cast<std::uint8_t>(failure.status.code()));
+        w.str(failure.status.message());
     }
     return w.take();
 }
@@ -604,11 +606,14 @@ parseSweepResponse(std::string_view payload)
         return s;
     if (points > payload.size() / 33 + 1) // 33 bytes per point
         return Status::corruptInput("DXP1: implausible point count");
-    result.points.resize(points);
-    for (SweepPointWire &point : result.points) {
+    SizeSweepOutcome &outcome = result.outcome;
+    outcome.points.resize(points);
+    outcome.ok.resize(points);
+    for (std::size_t p = 0; p < points; ++p) {
+        SizeSweepPoint &point = outcome.points[p];
         if (Status s = r.u64(point.sizeBytes); !s.ok())
             return s;
-        if (Status s = r.u8(point.ok); !s.ok())
+        if (Status s = r.u8(outcome.ok[p]); !s.ok())
             return s;
         if (Status s = r.f64(point.dmMissPct); !s.ok())
             return s;
@@ -622,18 +627,20 @@ parseSweepResponse(std::string_view payload)
         return s;
     if (failures > payload.size() / 21 + 1) // >= 21 bytes per failure
         return Status::corruptInput("DXP1: implausible failure count");
-    result.failures.resize(failures);
-    for (SweepFailureWire &failure : result.failures) {
+    outcome.failures.resize(failures);
+    for (FailedLeg &failure : outcome.failures) {
+        ErrorInfo error;
         if (Status s = r.str(failure.bench); !s.ok())
             return s;
         if (Status s = r.u64(failure.sizeBytes); !s.ok())
             return s;
         if (Status s = r.str(failure.model); !s.ok())
             return s;
-        if (Status s = r.u8(failure.code); !s.ok())
+        if (Status s = r.u8(error.code); !s.ok())
             return s;
-        if (Status s = r.str(failure.message); !s.ok())
+        if (Status s = r.str(error.message); !s.ok())
             return s;
+        failure.status = statusFromWire(error);
     }
     if (Status s = r.done(); !s.ok())
         return s;

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "cache/stats.h"
+#include "sim/sweep.h"
 #include "trace/record.h"
 #include "util/status.h"
 
@@ -257,33 +258,17 @@ struct SweepRequest
     std::vector<std::uint64_t> sizes;
 };
 
-/** One sweep point on the wire; doubles travel bit-exactly. */
-struct SweepPointWire
-{
-    std::uint64_t sizeBytes = 0;
-    std::uint8_t ok = 0;
-    double dmMissPct = 0.0;
-    double deMissPct = 0.0;
-    double optMissPct = 0.0;
-};
-
-/** One failed leg on the wire. */
-struct SweepFailureWire
-{
-    std::string bench;
-    std::uint64_t sizeBytes = 0;
-    std::string model;
-    std::uint8_t code = 0; ///< StatusCode numeric
-    std::string message;
-};
-
-/** SweepResponse: the whole outcome. */
+/**
+ * SweepResponse: the whole outcome. Each point travels as (sizeBytes
+ * u64, ok u8, dm/de/opt miss percentages as bit-exact f64), each
+ * failure as (bench, sizeBytes u64, model, StatusCode u8, message);
+ * a failure parses back through statusFromWire.
+ */
 struct SweepResult
 {
     std::string trace;      ///< the trace's stored name
     std::uint64_t refs = 0; ///< references per replay
-    std::vector<SweepPointWire> points;
-    std::vector<SweepFailureWire> failures;
+    SizeSweepOutcome outcome;
 };
 
 /**

@@ -892,7 +892,8 @@ std::string Server::handleSweep(const SweepRequest &request,
     DynamicExclusionConfig sweepConfig;
     sweepConfig.stickyMax = request.stickyMax;
     sweepConfig.useLastLine = request.lineBytes > 4;
-    const SizeSweepOutcome outcome = [&] {
+    SweepResult result;
+    result.outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
         // Engine byte 0, the retired batched engine, runs the kernel.
@@ -906,30 +907,8 @@ std::string Server::handleSweep(const SweepRequest &request,
     }();
 
     // The trace's own name, as a local sweep of it reports.
-    SweepResult result;
     result.trace = perLeg ? trace->name() : artifact->name();
     result.refs = perLeg ? trace->size() : artifact->refs();
-    result.points.reserve(outcome.points.size());
-    for (std::size_t s = 0; s < outcome.points.size(); ++s)
-    {
-        SweepPointWire point;
-        point.sizeBytes = outcome.points[s].sizeBytes;
-        point.ok = outcome.ok[s];
-        point.dmMissPct = outcome.points[s].dmMissPct;
-        point.deMissPct = outcome.points[s].deMissPct;
-        point.optMissPct = outcome.points[s].optMissPct;
-        result.points.push_back(point);
-    }
-    for (const FailedLeg &failure : outcome.failures)
-    {
-        SweepFailureWire wire;
-        wire.bench = failure.bench;
-        wire.sizeBytes = failure.sizeBytes;
-        wire.model = failure.model;
-        wire.code = static_cast<std::uint8_t>(failure.status.code());
-        wire.message = failure.status.message();
-        result.failures.push_back(std::move(wire));
-    }
     admission.recordServiced(kind, result.refs, legs,
                              obs::monotonicNs() - startNs);
     const std::uint64_t encodeStartNs = obs::monotonicNs();

@@ -670,13 +670,8 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     r.opt.fills = leg.optCold + leg.optEvict;
     r.opt.bypasses = leg.optBypass;
     r.opt.evictions = leg.optEvict;
-
-    // The model counts events through FsmEventCounts::note, which
-    // compiles to nothing when the build disables it; mirror that so
-    // reports stay identical either way.
-    if constexpr (FsmEventCounts::enabled)
-        for (std::size_t e = 0; e < 5; ++e)
-            r.deEvents.byEvent[e] = leg.deCnt[e];
+    for (std::size_t e = 0; e < 5; ++e)
+        r.deEvents.byEvent[e] = leg.deCnt[e];
     return r;
 }
 
@@ -1043,19 +1038,16 @@ checkLegIdentities(const TriadResult &triad, Count de_last_line_hits)
                                   stats->evictions, stats->coldMisses,
                                   stats->fills);
     }
-    if constexpr (FsmEventCounts::enabled) {
-        Count arcs = 0;
-        bool bounded = true;
-        for (const Count arc : triad.deEvents.byEvent) {
-            bounded = bounded && arc <= triad.de.accesses;
-            arcs += arc;
-        }
-        if (!bounded ||
-            !sumsTo(arcs, de_last_line_hits, triad.de.accesses))
-            return brokenIdentity(
-                "de", "Figure-1 arcs = accesses - last-line hits", arcs,
-                de_last_line_hits, triad.de.accesses);
+    Count arcs = 0;
+    bool bounded = true;
+    for (const Count arc : triad.deEvents.byEvent) {
+        bounded = bounded && arc <= triad.de.accesses;
+        arcs += arc;
     }
+    if (!bounded || !sumsTo(arcs, de_last_line_hits, triad.de.accesses))
+        return brokenIdentity("de",
+                              "Figure-1 arcs = accesses - last-line hits",
+                              arcs, de_last_line_hits, triad.de.accesses);
     if (triad.dm.coldMisses != triad.de.coldMisses ||
         triad.dm.coldMisses != triad.opt.coldMisses)
         return Status::internal(

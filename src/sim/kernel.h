@@ -275,7 +275,7 @@ TriadBatchOutcome replayTriadKernel(
  *  - fills + bypasses = misses, per model;
  *  - evictions = fills - cold misses, per model;
  *  - the five Figure-1 arc counts sum to accesses - @p
- *    de_last_line_hits (only when the build counts arcs);
+ *    de_last_line_hits;
  *  - cold misses are equal across DM, DE and optimal (a set's first
  *    reference is always a run start, so every model sees it).
  * Each sum is checked with no part above its total, so a counter that

@@ -24,9 +24,10 @@ namespace dynex
 /**
  * Fault-injection point for the sweep engines (tests and the CLI's
  * --inject-fault flag). When set, both engines invoke it before each
- * (benchmark, cache size) leg of every sweep, and suite sweeps also
- * invoke it once per benchmark with size_bytes == 0 ("setup") before
- * loading the trace; single-trace sweeps make no setup call. It may
+ * (benchmark, cache size) leg of every sweep, and the suite sweeps,
+ * on the size and the line-size axis alike, also invoke it once per
+ * benchmark with size_bytes == 0 ("setup") before loading the trace;
+ * single-trace sweeps make no setup call. It may
  * throw (typically StatusError) to make that leg fail. Set it before a
  * sweep starts; it is read concurrently while one runs.
  */
@@ -80,8 +81,7 @@ struct TriadResult
     CacheStats dm;   ///< conventional direct-mapped
     CacheStats de;   ///< dynamic exclusion
     CacheStats opt;  ///< optimal direct-mapped with bypass
-    /** Dynamic exclusion's FSM transition counts (all zero when the
-     * build disables DYNEX_OBS_FSM_EVENTS). */
+    /** Dynamic exclusion's FSM transition counts. */
     FsmEventCounts deEvents;
 
     double dmMissPct() const { return dm.missPercent(); }

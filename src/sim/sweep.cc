@@ -1,18 +1,192 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "sim/kernel.h"
 #include "sim/obs_hooks.h"
-#include "sim/parallel.h"
+#include "sim/workloads.h"
 #include "util/bitops.h"
 #include "util/stats.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace dynex
 {
+
+namespace
+{
+
+/**
+ * Replay every size leg of @p artifact's source with @p engine: the
+ * one place a sweep's engine choice is made. The kernel streams the
+ * artifact once for all legs; PerLeg runs one observed runTriad per
+ * size across the pool over the artifact's trace() and index. Either
+ * engine calls the sweep fault hook as hook(label, size) per leg and
+ * records a leg that throws as a FailedLeg without perturbing the
+ * others. PerLeg on an artifact packed from a file (no trace()) fails
+ * every leg with InvalidArgument.
+ */
+TriadBatchOutcome
+replayTriads(ReplayEngine engine, const ReplayArtifact &artifact,
+             const std::vector<std::uint64_t> &sizes,
+             const DynamicExclusionConfig &config,
+             const std::string &label)
+{
+    if (engine == ReplayEngine::Kernel)
+        return replayTriadKernel(artifact, sizes, config, label);
+
+    TriadBatchOutcome outcome;
+    outcome.triads.resize(sizes.size());
+    outcome.ok.assign(sizes.size(), 0);
+    const Trace *const trace = artifact.trace();
+    if (!trace) {
+        for (const std::uint64_t size : sizes)
+            outcome.failures.push_back(
+                {label, size, "triad",
+                 Status::invalidArgument(
+                     "the per-leg engine replays a decoded trace; '" +
+                     artifact.name() + "' was packed without one")});
+        return outcome;
+    }
+    std::vector<Status> leg_status(sizes.size());
+    ThreadPool::global().parallelFor(sizes.size(), [&](std::size_t s) {
+        try {
+            if (const auto &hook = sweepFaultHook())
+                hook(label, sizes[s]);
+            outcome.triads[s] = simobs::runTriadLeg(
+                *trace, artifact.index(), label, sizes[s],
+                artifact.lineBytes(), config);
+            outcome.ok[s] = 1;
+        } catch (...) {
+            leg_status[s] =
+                statusFromException(std::current_exception());
+        }
+    });
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        if (!outcome.ok[s])
+            outcome.failures.push_back(
+                {label, sizes[s], "triad", std::move(leg_status[s])});
+    return outcome;
+}
+
+/**
+ * The suite average of sweepSizes over @p sizes at each of @p lines:
+ * points[l * |sizes| + s] averages the benchmarks whose leg at
+ * (lines[l], sizes[s]) passed. One pool job per benchmark fills its
+ * row with the concatenated outcomes; the rows are then reduced
+ * serially in benchmark order.
+ */
+SuiteAverageOutcome
+averageSuite(const std::vector<std::string> &benchmark_names, Count refs,
+             StreamKind stream, const std::vector<std::uint32_t> &lines,
+             const std::vector<std::uint64_t> &sizes,
+             const DynamicExclusionConfig &config, ReplayEngine engine)
+{
+    const std::size_t width = lines.size() * sizes.size();
+    std::vector<SizeSweepOutcome> rows(benchmark_names.size());
+    const auto escaped = ThreadPool::global().parallelForCollect(
+        benchmark_names.size(), [&](std::size_t b) {
+            const std::string &bench = benchmark_names[b];
+            std::optional<obs::ScopedSpan> bench_span;
+            if (obs::Tracer::active())
+                bench_span.emplace("bench", "bench " + bench);
+            if (const auto &hook = sweepFaultHook())
+                hook(bench, 0);
+            Trace trace = loadStream(bench, refs, stream);
+            trace.setName(bench);
+            SizeSweepOutcome &row = rows[b];
+            for (const std::uint32_t line : lines) {
+                SizeSweepOutcome swept =
+                    sweepSizes(*buildReplayArtifact(trace, line, bench),
+                               sizes, config, engine);
+                row.points.insert(row.points.end(), swept.points.begin(),
+                                  swept.points.end());
+                row.ok.insert(row.ok.end(), swept.ok.begin(),
+                              swept.ok.end());
+                std::move(swept.failures.begin(), swept.failures.end(),
+                          std::back_inserter(row.failures));
+            }
+        });
+
+    // A throw outside sweepSizes -- the setup probe, the load, an
+    // artifact build, or an allocation failure while recording a leg
+    // -- voids only its own benchmark.
+    for (const auto &e : escaped)
+        rows[e.index] = {std::vector<SizeSweepPoint>(width),
+                         std::vector<std::uint8_t>(width, 0),
+                         {{benchmark_names[e.index], 0, "triad",
+                           statusFromException(e.error)}}};
+
+    SuiteAverageOutcome average;
+    average.points.resize(width);
+    average.ok.assign(width, 0);
+    average.contributors.assign(width, 0);
+    for (std::size_t i = 0; i < width; ++i)
+        average.points[i].sizeBytes = sizes[i % sizes.size()];
+    // Serial reduction in benchmark order: the same floating-point
+    // accumulation order at any thread count, so results are
+    // bit-identical. A failed leg simply contributes nothing.
+    for (SizeSweepOutcome &row : rows) {
+        for (std::size_t i = 0; i < width; ++i) {
+            if (!row.ok[i])
+                continue;
+            average.points[i].dmMissPct += row.points[i].dmMissPct;
+            average.points[i].deMissPct += row.points[i].deMissPct;
+            average.points[i].optMissPct += row.points[i].optMissPct;
+            ++average.contributors[i];
+        }
+        std::move(row.failures.begin(), row.failures.end(),
+                  std::back_inserter(average.failures));
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+        if (average.contributors[i] == 0)
+            continue;
+        const auto n = static_cast<double>(average.contributors[i]);
+        average.points[i].dmMissPct /= n;
+        average.points[i].deMissPct /= n;
+        average.points[i].optMissPct /= n;
+        average.ok[i] = 1;
+    }
+    return average;
+}
+
+} // namespace
+
+Trace
+loadStream(const std::string &name, Count refs, StreamKind stream)
+{
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    obs::Tracer *const tracer = obs::Tracer::active();
+    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
+    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
+
+    Trace trace;
+    switch (stream) {
+      case StreamKind::Data:
+        trace = Workloads::data(name, refs);
+        break;
+      case StreamKind::Mixed:
+        trace = Workloads::mixed(name, refs);
+        break;
+      case StreamKind::Instructions:
+        trace = Workloads::instructions(name, refs);
+        break;
+    }
+
+    if (metrics) {
+        metrics->add(obs::Counter::TraceLoadNs,
+                     obs::monotonicNs() - metrics_t0);
+        metrics->add(obs::Counter::TraceLoadRefs, trace.size());
+    }
+    if (tracer)
+        tracer->complete("load " + name, "load", tracer_t0,
+                         tracer->nowNs() - tracer_t0);
+    return trace;
+}
 
 const std::vector<std::uint64_t> &
 paperCacheSizes()
@@ -215,42 +389,8 @@ sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
                   const DynamicExclusionConfig &config, StreamKind stream,
                   ReplayEngine engine)
 {
-    SuiteAverageOutcome outcome;
-    outcome.points.resize(sizes.size());
-    outcome.ok.assign(sizes.size(), 0);
-    outcome.contributors.assign(sizes.size(), 0);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        outcome.points[s].sizeBytes = sizes[s];
-
-    auto suite = sweepSuiteTriads(benchmark_names, refs, sizes,
-                                  line_bytes, config, stream, engine);
-    outcome.failures = std::move(suite.failures);
-
-    // Serial reduction in benchmark order: the same floating-point
-    // accumulation order at any thread count, so results are
-    // bit-identical. A failed leg simply contributes nothing to its
-    // size.
-    for (std::size_t b = 0; b < suite.grid.size(); ++b) {
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            if (!suite.ok[b][s])
-                continue;
-            outcome.points[s].dmMissPct += suite.grid[b][s].dmMissPct();
-            outcome.points[s].deMissPct += suite.grid[b][s].deMissPct();
-            outcome.points[s].optMissPct +=
-                suite.grid[b][s].optMissPct();
-            ++outcome.contributors[s];
-        }
-    }
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        if (outcome.contributors[s] == 0)
-            continue;
-        const auto n = static_cast<double>(outcome.contributors[s]);
-        outcome.points[s].dmMissPct /= n;
-        outcome.points[s].deMissPct /= n;
-        outcome.points[s].optMissPct /= n;
-        outcome.ok[s] = 1;
-    }
-    return outcome;
+    return averageSuite(benchmark_names, refs, stream, {line_bytes},
+                        sizes, config, engine);
 }
 
 std::vector<LineSweepPoint>
@@ -260,27 +400,16 @@ sweepSuiteLineSizes(const std::vector<std::string> &benchmark_names,
                     const DynamicExclusionConfig &config,
                     ReplayEngine engine)
 {
-    std::vector<LineSweepPoint> average(lines.size());
+    const SuiteAverageOutcome average =
+        averageSuite(benchmark_names, refs, StreamKind::Instructions,
+                     lines, {size_bytes}, config, engine);
+    throwIfFailed(average.failures);
+    std::vector<LineSweepPoint> points(lines.size());
     for (std::size_t l = 0; l < lines.size(); ++l)
-        average[l].lineBytes = lines[l];
-
-    const auto grid = sweepSuiteLineTriads(benchmark_names, refs,
-                                           size_bytes, lines, config,
-                                           engine);
-    for (const auto &row : grid) {
-        for (std::size_t l = 0; l < lines.size(); ++l) {
-            average[l].dmMissPct += row[l].dmMissPct();
-            average[l].deMissPct += row[l].deMissPct();
-            average[l].optMissPct += row[l].optMissPct();
-        }
-    }
-    const auto n = static_cast<double>(benchmark_names.size());
-    for (auto &point : average) {
-        point.dmMissPct /= n;
-        point.deMissPct /= n;
-        point.optMissPct /= n;
-    }
-    return average;
+        points[l] = {lines[l], average.points[l].dmMissPct,
+                     average.points[l].deMissPct,
+                     average.points[l].optMissPct};
+    return points;
 }
 
 } // namespace dynex

@@ -1,7 +1,16 @@
 /**
  * @file
- * Parameter sweeps shared by the figure benches: cache-size sweeps,
- * line-size sweeps, and suite-averaged results.
+ * Parameter sweeps shared by the figure benches, the CLI, campaigns
+ * and the server: cache-size sweeps of one trace, and suite-averaged
+ * size and line-size sweeps built from them. Every sweep ends in a
+ * SizeSweepOutcome from sweepSizes.
+ *
+ * Determinism contract: every sweep writes each simulation's result
+ * into a slot pre-sized from the input axes, and every reduction over
+ * those slots happens serially in input order after the fan-out
+ * completes. Thread count (DYNEX_THREADS, --threads, or the hardware
+ * default) therefore affects wall-clock time only, never a single
+ * output bit.
  */
 
 #ifndef DYNEX_SIM_SWEEP_H
@@ -12,7 +21,6 @@
 
 #include "cache/dynamic_exclusion.h"
 #include "sim/kernel.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "trace/trace.h"
 #include "util/status.h"
@@ -83,6 +91,18 @@ void checkSweepOrderings(const std::vector<std::uint64_t> &sizes,
                          TriadBatchOutcome &outcome,
                          const std::string &label);
 
+/** Which reference stream of a suite benchmark to replay. */
+enum class StreamKind
+{
+    Instructions,
+    Data,
+    Mixed,
+};
+
+/** Generate the requested stream of @p name via Workloads, charged as
+ * a trace load (TraceLoadNs, TraceLoadRefs and a "load" span). */
+Trace loadStream(const std::string &name, Count refs, StreamKind stream);
+
 /**
  * Run the three-way comparison over @p sizes on @p artifact's source,
  * at the artifact's line size, labelled with its name(). With the
@@ -132,7 +152,17 @@ struct SuiteAverageOutcome
 /**
  * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
  * percentages at each size (the paper's "average ... across the SPEC
- * benchmarks"), over sweepSuiteTriads.
+ * benchmarks"). Benchmarks fan out across the pool, one job each: the
+ * setup probe hook(bench, 0) (runner.h), loadStream, the benchmark's
+ * replay artifact, and sweepSizes over it, so every leg passes
+ * checkSweepOrderings and peak memory scales with the worker count,
+ * not the suite size. The stream is renamed to its benchmark before
+ * it is packed, so failures, metrics slots, spans and fault-hook calls
+ * carry the plain benchmark name. A job that throws outside
+ * sweepSizes (the probe, the load, the artifact build) voids only its
+ * own benchmark, as one FailedLeg with sizeBytes 0; every unaffected
+ * leg completes bit-identical to an unfaulted run at any worker count.
+ * failures lists each benchmark's in benchmark order.
  *
  * @param benchmark_names suite member names.
  * @param refs per-benchmark reference budget.
@@ -158,8 +188,12 @@ struct LineSweepPoint
     double optImprovementPct() const;
 };
 
-/** Suite-averaged line-size sweep at fixed @p size_bytes; the first
- * failed leg is thrown as a StatusError. */
+/**
+ * Suite-averaged line-size sweep of the instruction streams at fixed
+ * @p size_bytes: the jobs of sweepSuiteAverage, packing one artifact
+ * per line size in turn and sweeping the one size over it. The first
+ * failure, in benchmark order, is thrown as a StatusError.
+ */
 std::vector<LineSweepPoint> sweepSuiteLineSizes(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,

@@ -13,8 +13,8 @@ namespace
 
 constexpr Count kBuiltinDefaultRefs = 2'000'000;
 
-/** The first @p refs references of one kind, named as the filters in
- * trace/filter.h name them. */
+/** The first @p refs references of one kind, named after the
+ * benchmark plus @p suffix (".ifetch" or ".data"). */
 Trace
 oneKind(const std::string &name, Count refs, RefKinds keep,
         const char *suffix)

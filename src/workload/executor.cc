@@ -164,32 +164,8 @@ runRemote(const CampaignSpec &spec, const CampaignOptions &options,
             if (!swept.ok())
                 return swept.status().withContext(
                     "sweep '" + source.label + "'");
-
-            // Rebuild the exact SizeSweepOutcome shape the local path
-            // feeds appendOutcome, so merging is one code path.
-            SizeSweepOutcome outcome;
-            for (const server::SweepPointWire &point :
-                 swept.value().points) {
-                SizeSweepPoint local;
-                local.sizeBytes = point.sizeBytes;
-                local.dmMissPct = point.dmMissPct;
-                local.deMissPct = point.deMissPct;
-                local.optMissPct = point.optMissPct;
-                outcome.points.push_back(local);
-                outcome.ok.push_back(point.ok);
-            }
-            for (const server::SweepFailureWire &wire :
-                 swept.value().failures) {
-                FailedLeg failed;
-                failed.bench = wire.bench;
-                failed.sizeBytes = wire.sizeBytes;
-                failed.model = wire.model;
-                failed.status = server::statusFromWire(
-                    {wire.code, wire.message});
-                outcome.failures.push_back(std::move(failed));
-            }
             appendOutcome(report, source.label, line, spec.sizes,
-                          outcome);
+                          swept.value().outcome);
         }
     }
     return Status();

@@ -121,8 +121,6 @@ const char *const kPatterns[] = {
 
 TEST(FsmEventCounts, MatchTheFigure1ReferenceOnPaperPatterns)
 {
-    if (!FsmEventCounts::enabled)
-        GTEST_SKIP() << "built with DYNEX_OBS_FSM_EVENTS=0";
     for (const char *pattern : kPatterns) {
         for (const std::uint8_t sticky_max : {1, 2, 3}) {
             const Trace trace = Trace::fromPattern(pattern);
@@ -145,8 +143,6 @@ TEST(FsmEventCounts, MatchTheFigure1ReferenceOnPaperPatterns)
 
 TEST(FsmEventCounts, KnownTalliesForTheMotivatingPattern)
 {
-    if (!FsmEventCounts::enabled)
-        GTEST_SKIP() << "built with DYNEX_OBS_FSM_EVENTS=0";
     // (a^3 b)^3 with one sticky bit, stepped by hand:
     //   a cold-fills; a,a hit.
     //   b: miss, s=1, h[b]=0 -> bypass (s->0).
@@ -165,8 +161,6 @@ TEST(FsmEventCounts, KnownTalliesForTheMotivatingPattern)
 
 TEST(FsmEventCounts, EventsReconcileWithCacheStats)
 {
-    if (!FsmEventCounts::enabled)
-        GTEST_SKIP() << "built with DYNEX_OBS_FSM_EVENTS=0";
     for (const char *pattern : kPatterns) {
         const Trace trace = Trace::fromPattern(pattern);
         CacheStats stats;
@@ -192,8 +186,6 @@ TEST(FsmEventCounts, EventsReconcileWithCacheStats)
 
 TEST(FsmEventCounts, TriadResultCarriesTheCounts)
 {
-    if (!FsmEventCounts::enabled)
-        GTEST_SKIP() << "built with DYNEX_OBS_FSM_EVENTS=0";
     const Trace trace = Trace::fromPattern("abababababababababab");
     const NextUseIndex index(trace, 32, NextUseMode::RunStart);
     const TriadResult triad = runTriad(trace, index, 32, 32);

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/text_io.h"
@@ -184,42 +185,40 @@ corpusCampaign()
            "}\n";
 }
 
-inline std::vector<Subject>
+/** The seed images, or the Status of the first write that failed: a
+ * corpus missing an image would fuzz nothing of that format. */
+inline Result<std::vector<Subject>>
 buildCorpus()
 {
+    using Write = Status (*)(const Trace &, std::ostream &);
+    const std::pair<Subject, Write> images[] = {
+        {{"dxt1", "trace", {}, &parseBinary},
+         [](const Trace &t, std::ostream &out) {
+             return writeTrace(t, out, TraceFormat::Dxt1);
+         }},
+        {{"dxt2", "trace", {}, &parseBinary},
+         [](const Trace &t, std::ostream &out) {
+             return writeTrace(t, out, TraceFormat::Dxt2);
+         }},
+        {{"dxt3", "trace", {}, &parseBinary},
+         [](const Trace &t, std::ostream &out) {
+             return writeTrace(t, out, TraceFormat::Dxt3);
+         }},
+        {{"din", "trace", {}, &parseDin}, &writeDinTrace},
+        {{"text", "import", {}, &parseImportText},
+         &workload::writeTextTrace},
+        {{"lackey", "import", {}, &parseImportLackey},
+         &workload::writeLackeyTrace},
+    };
     const Trace trace = corpusTrace();
     std::vector<Subject> corpus;
-    {
+    for (const auto &[subject, write] : images) {
         std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt1);
-        corpus.push_back({"dxt1", "trace", out.str(), &parseBinary});
-    }
-    {
-        std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt2);
-        corpus.push_back({"dxt2", "trace", out.str(), &parseBinary});
-    }
-    {
-        std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt3);
-        corpus.push_back({"dxt3", "trace", out.str(), &parseBinary});
-    }
-    {
-        std::ostringstream out;
-        writeDinTrace(trace, out);
-        corpus.push_back({"din", "trace", out.str(), &parseDin});
-    }
-    {
-        std::ostringstream out;
-        workload::writeTextTrace(trace, out);
-        corpus.push_back(
-            {"text", "import", out.str(), &parseImportText});
-    }
-    {
-        std::ostringstream out;
-        workload::writeLackeyTrace(trace, out);
-        corpus.push_back(
-            {"lackey", "import", out.str(), &parseImportLackey});
+        if (Status status = write(trace, out); !status.ok())
+            return status.withContext(std::string("corpus image ") +
+                                      subject.format);
+        corpus.push_back(subject);
+        corpus.back().image = out.str();
     }
     corpus.push_back(
         {"campaign", "import", corpusCampaign(), &parseCampaignSpec});
@@ -263,7 +262,14 @@ inline FuzzReport
 runCorruptionFuzzer(std::uint64_t seed, std::uint64_t iterations,
                     const std::string &format = {})
 {
-    auto corpus = fuzz_detail::buildCorpus();
+    Result<std::vector<fuzz_detail::Subject>> built =
+        fuzz_detail::buildCorpus();
+    if (!built.ok()) {
+        FuzzReport report;
+        report.violations.push_back(built.status().toString());
+        return report;
+    }
+    auto corpus = std::move(built.value());
     if (!format.empty()) {
         std::erase_if(corpus, [&](const fuzz_detail::Subject &s) {
             return format != s.format && format != s.group;

@@ -106,11 +106,13 @@ buildFrameCorpus()
     SweepResult result;
     result.trace = "mat300";
     result.refs = 30000;
-    for (int p = 0; p < 8; ++p)
-        result.points.push_back({1024ull << p, 1, 21.5 + p, 17.25 - p,
-                                 12.125 + p});
-    result.failures.push_back({"mat300", 4096, "triad", 4,
-                               "injected fault"});
+    for (int p = 0; p < 8; ++p) {
+        result.outcome.points.push_back(
+            {1024ull << p, 21.5 + p, 17.25 - p, 12.125 + p});
+        result.outcome.ok.push_back(1);
+    }
+    result.outcome.failures.push_back(
+        {"mat300", 4096, "triad", Status::internal("injected fault")});
     corpus.push_back(encodeFrame(MsgType::SweepResponse,
                                  encodeSweepResponse(result)));
 

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -138,6 +137,27 @@ TEST(SweepFaults, CheckedSweepWithoutFaultsMatchesUnchecked)
     }
 }
 
+/** The suite average of @p names with no fault injected. */
+SuiteAverageOutcome
+cleanAverage(const std::vector<std::string> &names, Count refs,
+             const std::vector<std::uint64_t> &sizes)
+{
+    setSweepFaultHook({});
+    auto outcome = sweepSuiteAverage(names, refs, sizes, 4);
+    EXPECT_TRUE(outcome.allOk());
+    return outcome;
+}
+
+/** Expect @p got's point to be @p want's, bit for bit. */
+void
+expectSamePoint(const SizeSweepPoint &got, const SizeSweepPoint &want)
+{
+    EXPECT_EQ(got.sizeBytes, want.sizeBytes);
+    EXPECT_EQ(got.dmMissPct, want.dmMissPct);
+    EXPECT_EQ(got.deMissPct, want.deMissPct);
+    EXPECT_EQ(got.optMissPct, want.optMissPct);
+}
+
 TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
 {
     ThreadCountGuard threads;
@@ -146,43 +166,34 @@ TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
     const std::vector<std::uint64_t> sizes = {1024, 8 * 1024,
                                               32 * 1024};
 
-    setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(1);
-    const auto unfaulted = sweepSuiteTriads(names, 30000, sizes, 4, {},
-                                            StreamKind::Instructions);
-    ASSERT_TRUE(unfaulted.allOk());
-    const auto &clean = unfaulted.grid;
+    const auto clean = cleanAverage(names, 30000, sizes);
+    const auto tomcatv = cleanAverage({"tomcatv"}, 30000, sizes);
 
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         for (const unsigned workers : {1u, 2u, 8u}) {
-            SCOPED_TRACE("workers=" + std::to_string(workers));
+            SCOPED_TRACE(std::string(replayEngineName(engine)) +
+                         " workers=" + std::to_string(workers));
             ThreadPool::setConfiguredWorkers(workers);
             injectLegFault("mat300", 8 * 1024);
-            const auto faulted = sweepSuiteTriads(
+            const auto faulted = sweepSuiteAverage(
                 names, 30000, sizes, 4, {}, StreamKind::Instructions,
                 engine);
 
-            ASSERT_EQ(faulted.grid.size(), names.size());
+            ASSERT_EQ(faulted.points.size(), sizes.size());
             ASSERT_EQ(faulted.failures.size(), 1u);
             EXPECT_EQ(faulted.failures[0].bench, "mat300");
             EXPECT_EQ(faulted.failures[0].sizeBytes, 8u * 1024);
-
-            for (std::size_t b = 0; b < names.size(); ++b) {
-                for (std::size_t s = 0; s < sizes.size(); ++s) {
-                    const bool hit_leg = b == 0 && s == 1;
-                    EXPECT_EQ(static_cast<bool>(faulted.ok[b][s]),
-                              !hit_leg)
-                        << names[b] << " @ " << sizes[s];
-                    if (hit_leg)
-                        continue;
-                    EXPECT_EQ(faulted.grid[b][s].dm.misses,
-                              clean[b][s].dm.misses);
-                    EXPECT_EQ(faulted.grid[b][s].de.misses,
-                              clean[b][s].de.misses);
-                    EXPECT_EQ(faulted.grid[b][s].opt.misses,
-                              clean[b][s].opt.misses);
-                }
+            EXPECT_EQ(faulted.contributors,
+                      (std::vector<Count>{2, 1, 2}));
+            for (std::size_t s = 0; s < sizes.size(); ++s) {
+                ASSERT_TRUE(faulted.ok[s]) << sizes[s];
+                // Only tomcatv's leg survives at the faulted size;
+                // elsewhere both legs match the unfaulted sweep.
+                expectSamePoint(faulted.points[s], s == 1
+                                                       ? tomcatv.points[s]
+                                                       : clean.points[s]);
             }
         }
     }
@@ -195,26 +206,21 @@ TEST(SweepFaults, WholeBenchmarkFailureVoidsOnlyThatRow)
     const std::vector<std::string> names = {"mat300", "tomcatv"};
     const std::vector<std::uint64_t> sizes = {1024, 32 * 1024};
 
-    setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(2);
-    const auto unfaulted = sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                            StreamKind::Instructions);
-    ASSERT_TRUE(unfaulted.allOk());
-    const auto &clean = unfaulted.grid;
+    const auto mat300 = cleanAverage({"mat300"}, 20000, sizes);
 
     // size_bytes == 0 is the per-benchmark setup probe.
     injectLegFault("tomcatv", 0);
-    const auto faulted = sweepSuiteTriads(
-        names, 20000, sizes, 4, {}, StreamKind::Instructions);
+    const auto faulted = sweepSuiteAverage(names, 20000, sizes, 4);
 
     ASSERT_EQ(faulted.failures.size(), 1u);
     EXPECT_EQ(faulted.failures[0].bench, "tomcatv");
     EXPECT_EQ(faulted.failures[0].sizeBytes, 0u)
         << "0 marks a whole-benchmark failure";
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-        EXPECT_TRUE(faulted.ok[0][s]);
-        EXPECT_FALSE(faulted.ok[1][s]);
-        EXPECT_EQ(faulted.grid[0][s].dm.misses, clean[0][s].dm.misses);
+        EXPECT_TRUE(faulted.ok[s]);
+        EXPECT_EQ(faulted.contributors[s], 1u);
+        expectSamePoint(faulted.points[s], mat300.points[s]);
     }
 }
 
@@ -238,13 +244,9 @@ TEST(SweepFaults, SuiteAverageSkipsFailedContributors)
 
     // The surviving-benchmark average at the faulted size must equal
     // tomcatv's own miss rates.
-    setSweepFaultHook({});
-    const auto alone = sweepSuiteTriads({"tomcatv"}, 20000, sizes, 4, {},
-                                        StreamKind::Instructions);
-    ASSERT_TRUE(alone.allOk());
-    const auto &grid = alone.grid;
-    EXPECT_EQ(outcome.points[0].dmMissPct, grid[0][0].dmMissPct());
-    EXPECT_EQ(outcome.points[0].deMissPct, grid[0][0].deMissPct());
+    const auto alone = cleanAverage({"tomcatv"}, 20000, sizes);
+    EXPECT_EQ(outcome.points[0].dmMissPct, alone.points[0].dmMissPct);
+    EXPECT_EQ(outcome.points[0].deMissPct, alone.points[0].deMissPct);
 }
 
 /** Runs @p sweep and expects it to throw the injected fault. */
@@ -276,12 +278,6 @@ TEST(SweepFaults, UncheckedSuiteSweepsThrowAnInjectedLegFault)
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
         SCOPED_TRACE(replayEngineName(engine));
-        expectInjectedFaultThrown("sweepSuiteTriads", [&] {
-            throwIfFailed(sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                           StreamKind::Instructions,
-                                           engine)
-                              .failures);
-        });
         expectInjectedFaultThrown("sweepSuiteAverage", [&] {
             throwIfFailed(sweepSuiteAverage(names, 20000, sizes, 4, {},
                                             StreamKind::Instructions,
@@ -293,6 +289,11 @@ TEST(SweepFaults, UncheckedSuiteSweepsThrowAnInjectedLegFault)
                                       {}, engine);
         });
     }
+    // The line axis makes the per-benchmark setup probe too.
+    injectLegFault("tomcatv", 0);
+    expectInjectedFaultThrown("sweepSuiteLineSizes setup", [&] {
+        (void)sweepSuiteLineSizes(names, 20000, 8 * 1024, {4, 16});
+    });
 }
 
 TEST(FailedLegFormatting, ToStringNamesBenchSizeAndStatus)

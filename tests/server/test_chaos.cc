@@ -298,12 +298,13 @@ TEST(ChaosEndToEnd, RetryingSweepUnderMixedChaosIsBitIdentical)
     // loop must have absorbed it.
     EXPECT_GE(client.retryStats().retries, 1u);
 
-    ASSERT_EQ(survived.value().points.size(),
-              golden.value().points.size());
-    for (std::size_t i = 0; i < golden.value().points.size(); ++i)
+    const auto &wantPoints = golden.value().outcome.points;
+    const auto &gotPoints = survived.value().outcome.points;
+    ASSERT_EQ(gotPoints.size(), wantPoints.size());
+    for (std::size_t i = 0; i < wantPoints.size(); ++i)
     {
-        const auto &want = golden.value().points[i];
-        const auto &got = survived.value().points[i];
+        const auto &want = wantPoints[i];
+        const auto &got = gotPoints[i];
         EXPECT_EQ(got.sizeBytes, want.sizeBytes);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
                   std::bit_cast<std::uint64_t>(want.dmMissPct));

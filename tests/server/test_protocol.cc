@@ -440,34 +440,76 @@ TEST(Dxp1Bodies, SweepResponseDoublesAreBitExact)
     result.refs = 3'000'000;
     // Values chosen to have non-terminating binary expansions: a
     // text-formatting round-trip would lose bits, the wire must not.
-    result.points.push_back(
-        {2048, 1, 100.0 / 3.0, 10.0 / 7.0, 1.0 / 9.0});
-    result.points.push_back({1u << 20, 0, 0.0, -0.0, 5e-324});
-    result.failures.push_back({"tomcatv", 4096, "dm", 4, "injected"});
+    SizeSweepOutcome &sent = result.outcome;
+    sent.points.push_back({2048, 100.0 / 3.0, 10.0 / 7.0, 1.0 / 9.0});
+    sent.ok.push_back(1);
+    sent.points.push_back({1u << 20, 0.0, -0.0, 5e-324});
+    sent.ok.push_back(0);
+    sent.failures.push_back(
+        {"tomcatv", 4096, "dm", Status::internal("injected")});
 
     const auto parsed =
         parseSweepResponse(encodeSweepResponse(result));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
-    ASSERT_EQ(parsed.value().points.size(), result.points.size());
-    for (std::size_t i = 0; i < result.points.size(); ++i)
+    const SizeSweepOutcome &got = parsed.value().outcome;
+    ASSERT_EQ(got.points.size(), sent.points.size());
+    ASSERT_EQ(got.ok.size(), sent.ok.size());
+    for (std::size_t i = 0; i < sent.points.size(); ++i)
     {
-        const auto &sent = result.points[i];
-        const auto &got = parsed.value().points[i];
-        EXPECT_EQ(got.sizeBytes, sent.sizeBytes);
-        EXPECT_EQ(got.ok, sent.ok);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
-                  std::bit_cast<std::uint64_t>(sent.dmMissPct));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.deMissPct),
-                  std::bit_cast<std::uint64_t>(sent.deMissPct));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.optMissPct),
-                  std::bit_cast<std::uint64_t>(sent.optMissPct));
+        EXPECT_EQ(got.points[i].sizeBytes, sent.points[i].sizeBytes);
+        EXPECT_EQ(got.ok[i], sent.ok[i]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.points[i].dmMissPct),
+                  std::bit_cast<std::uint64_t>(sent.points[i].dmMissPct));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.points[i].deMissPct),
+                  std::bit_cast<std::uint64_t>(sent.points[i].deMissPct));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.points[i].optMissPct),
+                  std::bit_cast<std::uint64_t>(sent.points[i].optMissPct));
     }
-    ASSERT_EQ(parsed.value().failures.size(), 1u);
-    EXPECT_EQ(parsed.value().failures[0].bench, "tomcatv");
-    EXPECT_EQ(parsed.value().failures[0].sizeBytes, 4096u);
-    EXPECT_EQ(parsed.value().failures[0].model, "dm");
-    EXPECT_EQ(parsed.value().failures[0].code, 4);
-    EXPECT_EQ(parsed.value().failures[0].message, "injected");
+    ASSERT_EQ(got.failures.size(), 1u);
+    EXPECT_EQ(got.failures[0].bench, "tomcatv");
+    EXPECT_EQ(got.failures[0].sizeBytes, 4096u);
+    EXPECT_EQ(got.failures[0].model, "dm");
+    EXPECT_EQ(got.failures[0].status.code(), StatusCode::Internal);
+    EXPECT_EQ(got.failures[0].status.message(), "injected");
+}
+
+TEST(Dxp1Bodies, SweepResponseBytesArePinned)
+{
+    SweepResult result;
+    result.trace = "li";
+    result.refs = 30000;
+    result.outcome.points.push_back({1024, 12.5, 0.25, 1.0 / 3.0});
+    result.outcome.ok.push_back(1);
+    result.outcome.points.push_back({2048});
+    result.outcome.ok.push_back(0);
+    result.outcome.failures.push_back(
+        {"li", 2048, "triad", Status::internal("injected fault")});
+
+    // The layout deployed clients parse, field by field.
+    static constexpr char kPinned[] =
+        "\x02\x00\x00\x00li"                        // trace
+        "\x30\x75\x00\x00\x00\x00\x00\x00"           // refs 30000
+        "\x02\x00\x00\x00"                          // 2 points
+        "\x00\x04\x00\x00\x00\x00\x00\x00\x01"       // 1KB, ok
+        "\x00\x00\x00\x00\x00\x00\x29\x40"           // dm 12.5
+        "\x00\x00\x00\x00\x00\x00\xd0\x3f"           // de 0.25
+        "\x55\x55\x55\x55\x55\x55\xd5\x3f"           // opt 1/3
+        "\x00\x08\x00\x00\x00\x00\x00\x00\x00"       // 2KB, failed
+        "\x00\x00\x00\x00\x00\x00\x00\x00"           // dm 0
+        "\x00\x00\x00\x00\x00\x00\x00\x00"           // de 0
+        "\x00\x00\x00\x00\x00\x00\x00\x00"           // opt 0
+        "\x01\x00\x00\x00"                          // 1 failure
+        "\x02\x00\x00\x00li"                        // bench
+        "\x00\x08\x00\x00\x00\x00\x00\x00"           // 2KB
+        "\x05\x00\x00\x00triad"                     // model
+        "\x04"                                      // Internal
+        "\x0e\x00\x00\x00injected fault";           // message
+    const std::string pinned(kPinned, sizeof(kPinned) - 1);
+    EXPECT_EQ(encodeSweepResponse(result), pinned);
+
+    const auto parsed = parseSweepResponse(pinned);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(encodeSweepResponse(parsed.value()), pinned);
 }
 
 TEST(Dxp1Bodies, StatsRoundTrips)

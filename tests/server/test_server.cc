@@ -191,15 +191,15 @@ TEST(ServerEndToEnd, SweepsAreBitIdenticalToLocalAtAnyWorkerCount)
 
             EXPECT_EQ(remote.value().trace, local.name());
             EXPECT_EQ(remote.value().refs, local.size());
-            EXPECT_TRUE(remote.value().failures.empty());
-            ASSERT_EQ(remote.value().points.size(),
-                      expected.points.size());
+            const SizeSweepOutcome &outcome = remote.value().outcome;
+            EXPECT_TRUE(outcome.failures.empty());
+            ASSERT_EQ(outcome.points.size(), expected.points.size());
             for (std::size_t s = 0; s < expected.points.size(); ++s)
             {
-                const auto &got = remote.value().points[s];
+                const auto &got = outcome.points[s];
                 const auto &want = expected.points[s];
                 EXPECT_EQ(got.sizeBytes, want.sizeBytes);
-                EXPECT_EQ(got.ok, 1);
+                EXPECT_EQ(outcome.ok[s], 1);
                 // Bit-identical, not approximately equal: the wire
                 // carries the exact doubles the engine produced.
                 EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
@@ -266,11 +266,11 @@ struct ServedFile
 void
 expectSameTable(const SweepResult &remote, const SizeSweepOutcome &want)
 {
-    EXPECT_TRUE(remote.failures.empty());
-    ASSERT_EQ(remote.points.size(), want.points.size());
+    EXPECT_TRUE(remote.outcome.failures.empty());
+    ASSERT_EQ(remote.outcome.points.size(), want.points.size());
     for (std::size_t s = 0; s < want.points.size(); ++s)
     {
-        const auto &got = remote.points[s];
+        const auto &got = remote.outcome.points[s];
         EXPECT_EQ(got.sizeBytes, want.points[s].sizeBytes);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dmMissPct),
                   std::bit_cast<std::uint64_t>(want.points[s].dmMissPct));
@@ -401,12 +401,12 @@ TEST(ServerEndToEnd, ReplayAfterItsArtifactWasEvictedReloads)
     sweep.engine = 2;
     const auto kernel = client.sweep(sweep);
     ASSERT_TRUE(kernel.ok()) << kernel.status().toString();
-    ASSERT_EQ(perLeg.value().points.size(), kernel.value().points.size());
-    for (std::size_t s = 0; s < kernel.value().points.size(); ++s)
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      perLeg.value().points[s].optMissPct),
-                  std::bit_cast<std::uint64_t>(
-                      kernel.value().points[s].optMissPct));
+    const auto &perLegPoints = perLeg.value().outcome.points;
+    const auto &kernelPoints = kernel.value().outcome.points;
+    ASSERT_EQ(perLegPoints.size(), kernelPoints.size());
+    for (std::size_t s = 0; s < kernelPoints.size(); ++s)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(perLegPoints[s].optMissPct),
+                  std::bit_cast<std::uint64_t>(kernelPoints[s].optMissPct));
 
     // "first" was decoded once per residency; the sweeps after the
     // second replay found its Trace and artifact warm.
@@ -457,10 +457,11 @@ TEST(ServerEndToEnd, UploadedSweepFailuresNameTheTraceNotTheStoreKey)
         const auto remote = client.sweep(request);
         ASSERT_TRUE(remote.ok()) << remote.status().toString();
         EXPECT_EQ(remote.value().trace, "upl");
-        ASSERT_EQ(remote.value().failures.size(), 1u);
-        EXPECT_EQ(remote.value().failures[0].bench, local.failures[0].bench);
-        EXPECT_EQ(remote.value().failures[0].bench, "upl");
-        EXPECT_EQ(remote.value().failures[0].sizeBytes, 4096u);
+        const auto &failures = remote.value().outcome.failures;
+        ASSERT_EQ(failures.size(), 1u);
+        EXPECT_EQ(failures[0].bench, local.failures[0].bench);
+        EXPECT_EQ(failures[0].bench, "upl");
+        EXPECT_EQ(failures[0].sizeBytes, 4096u);
     }
     std::lock_guard<std::mutex> lock(labelsMutex);
     EXPECT_EQ(labels, std::set<std::string>{"upl"});

@@ -611,7 +611,7 @@ TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
         const char *identity;
         void (*breakIt)(TriadResult &);
     };
-    std::vector<Case> cases = {
+    const std::vector<Case> cases = {
         {"dm hits + misses = accesses",
          [](TriadResult &r) { ++r.dm.hits; }},
         {"de fills + bypasses = misses",
@@ -628,10 +628,9 @@ TEST(KernelReplay, LegIdentityCheckNamesTheBrokenIdentity)
              ++r.dm.coldMisses;
              --r.dm.evictions;
          }},
+        {"de Figure-1 arcs = accesses - last-line hits",
+         [](TriadResult &r) { ++r.deEvents.byEvent[4]; }},
     };
-    if constexpr (FsmEventCounts::enabled)
-        cases.push_back({"de Figure-1 arcs = accesses - last-line hits",
-                         [](TriadResult &r) { ++r.deEvents.byEvent[4]; }});
     for (const Case &c : cases) {
         TriadResult broken = good;
         c.breakIt(broken);

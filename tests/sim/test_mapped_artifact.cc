@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
 #include "sim/kernel.h"
-#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "trace/trace_io.h"
 #include "util/crc32.h"

@@ -10,7 +10,6 @@
 
 #include "cache/direct_mapped.h"
 #include "cache/optimal.h"
-#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "util/thread_pool.h"
 
@@ -132,22 +131,39 @@ TEST(ParallelSweep, TriadMatchesIndividualReplays)
 
 TEST(ParallelSweep, SuiteTriadGridHasInputShapeAndOrder)
 {
+    // The suite average is each benchmark's own sweepSizes, summed in
+    // input order: one point per size, every benchmark contributing.
     ThreadCountGuard guard;
     ThreadPool::setConfiguredWorkers(8);
     const std::vector<std::string> names = {"mat300", "tomcatv"};
     const std::vector<std::uint64_t> sizes = {1024, 32 * 1024};
-    const auto suite = sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                        StreamKind::Instructions);
+    const auto suite = sweepSuiteAverage(names, 20000, sizes, 4);
     ASSERT_TRUE(suite.allOk());
-    const auto &grid = suite.grid;
-    ASSERT_EQ(grid.size(), names.size());
-    for (const auto &row : grid) {
-        ASSERT_EQ(row.size(), sizes.size());
-        for (const auto &triad : row)
-            EXPECT_EQ(triad.dm.accesses, 20000u);
+    ASSERT_EQ(suite.points.size(), sizes.size());
+
+    std::vector<SizeSweepOutcome> rows;
+    for (const std::string &name : names) {
+        Trace trace = loadStream(name, 20000, StreamKind::Instructions);
+        ASSERT_EQ(trace.size(), 20000u);
+        trace.setName(name);
+        rows.push_back(sweepSizes(trace, sizes, 4));
+        ASSERT_TRUE(rows.back().allOk());
+    }
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        EXPECT_EQ(suite.points[s].sizeBytes, sizes[s]);
+        EXPECT_EQ(suite.contributors[s], names.size());
+        EXPECT_EQ(suite.points[s].dmMissPct,
+                  (rows[0].points[s].dmMissPct +
+                   rows[1].points[s].dmMissPct) / 2);
+        EXPECT_EQ(suite.points[s].deMissPct,
+                  (rows[0].points[s].deMissPct +
+                   rows[1].points[s].deMissPct) / 2);
+        EXPECT_EQ(suite.points[s].optMissPct,
+                  (rows[0].points[s].optMissPct +
+                   rows[1].points[s].optMissPct) / 2);
     }
     // Larger caches cannot miss more in these kernels.
-    EXPECT_GE(grid[0][0].dmMissPct(), grid[0][1].dmMissPct());
+    EXPECT_GE(rows[0].points[0].dmMissPct, rows[0].points[1].dmMissPct);
 }
 
 } // namespace

@@ -1299,16 +1299,7 @@ cmdRemoteSweep(const std::string &target, const Options &options)
 
     // Miss rates travel bit-exactly, so the rendered rows are
     // byte-identical to a local sweep of the same trace.
-    SizeSweepOutcome outcome;
-    for (const auto &point : result.points) {
-        outcome.points.push_back({point.sizeBytes, point.dmMissPct,
-                                  point.deMissPct, point.optMissPct});
-        outcome.ok.push_back(point.ok);
-    }
-    for (const auto &failure : result.failures)
-        outcome.failures.push_back(
-            {failure.bench, failure.sizeBytes, failure.model,
-             server::statusFromWire({failure.code, failure.message})});
+    const SizeSweepOutcome &outcome = result.outcome;
     std::printf("trace: %s (%llu refs), %s lines, served by %s:%u\n\n",
                 result.trace.c_str(),
                 static_cast<unsigned long long>(result.refs),
