@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 
@@ -25,32 +26,6 @@ wallMs()
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
-}
-
-void
-appendJsonString(std::string &out, std::string_view text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 } // namespace

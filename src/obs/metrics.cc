@@ -55,36 +55,6 @@ counterName(Counter counter)
         return "replay-chunks";
       case Counter::KernelClosedFormRefs:
         return "kernel-closed-form-refs";
-      case Counter::SrvRequests:
-        return "srv-requests";
-      case Counter::SrvErrors:
-        return "srv-errors";
-      case Counter::SrvBusy:
-        return "srv-busy";
-      case Counter::SrvBytesIn:
-        return "srv-bytes-in";
-      case Counter::SrvBytesOut:
-        return "srv-bytes-out";
-      case Counter::StoreHits:
-        return "store-hits";
-      case Counter::StoreMisses:
-        return "store-misses";
-      case Counter::StoreEvictions:
-        return "store-evictions";
-      case Counter::SrvAdmitted:
-        return "srv-admitted";
-      case Counter::SrvShed:
-        return "srv-shed";
-      case Counter::SrvRetryAfterMs:
-        return "srv-retry-after-ms";
-      case Counter::ChaosBusy:
-        return "chaos-busy";
-      case Counter::ChaosTrunc:
-        return "chaos-truncations";
-      case Counter::ChaosDelay:
-        return "chaos-delays";
-      case Counter::ChaosLoadFail:
-        return "chaos-load-failures";
     }
     return "unknown";
 }

@@ -44,11 +44,8 @@ namespace obs
 std::uint64_t monotonicNs();
 
 /** Process-wide integer totals a sweep accumulates off the leg grid.
- * The Srv/Store groups are written by the serving subsystem
- * (src/server): requests handled, wire bytes moved, and the
- * TraceStore's hit/miss/eviction tallies all flow through the same
- * sharded counters as the sweep engines' totals, so one collector
- * covers a whole server lifetime. */
+ * A server tallies its own traffic in its STATS rows instead
+ * (Server::statsRows). */
 enum class Counter : std::uint8_t
 {
     TraceLoadNs,   ///< wall time spent loading/generating traces
@@ -57,24 +54,9 @@ enum class Counter : std::uint8_t
     IndexBuilds,   ///< next-use indexes built
     ReplayChunks,  ///< kernel replay chunks processed
     KernelClosedFormRefs, ///< kernel leg-references resolved without a lane
-    SrvRequests,   ///< server requests answered (any outcome)
-    SrvErrors,     ///< server requests answered with an ERROR frame
-    SrvBusy,       ///< connections rejected with a BUSY frame
-    SrvBytesIn,    ///< request bytes read off the wire
-    SrvBytesOut,   ///< response bytes written to the wire
-    StoreHits,     ///< TraceStore lookups served from memory
-    StoreMisses,   ///< TraceStore lookups that triggered a load
-    StoreEvictions,///< TraceStore entries evicted for the byte budget
-    SrvAdmitted,      ///< cost-bearing requests past admission control
-    SrvShed,          ///< requests shed with a BUSY + retry-after hint
-    SrvRetryAfterMs,  ///< summed retry-after hints handed to clients
-    ChaosBusy,        ///< chaos: forced BUSY answers
-    ChaosTrunc,       ///< chaos: truncated response frames
-    ChaosDelay,       ///< chaos: injected pre-handling delays
-    ChaosLoadFail,    ///< chaos: injected TraceStore load/build failures
 };
 
-inline constexpr std::size_t kCounterCount = 21;
+inline constexpr std::size_t kCounterCount = 6;
 
 /** Stable lowercase name for @p counter (JSON keys, tables). */
 const char *counterName(Counter counter);

@@ -1,12 +1,9 @@
 #include "obs/run_report.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "cache/exclusion_fsm.h"
+#include "obs/json.h"
 #include "util/csv.h"
 #include "util/stats.h"
 
@@ -18,72 +15,18 @@ namespace obs
 namespace
 {
 
-/** JSON string escaping (names come from traces and status text). */
-std::string
-jsonString(const std::string &text)
-{
-    std::string out = "\"";
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-/** Shortest round-trippable decimal: the same double always renders
- * the same bytes, which the byte-stability guarantee rests on. */
-std::string
-jsonDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-jsonU64(std::uint64_t value)
-{
-    return std::to_string(value);
-}
-
 void
 appendStats(std::string &out, const char *key, const CacheStats &stats)
 {
     out += '"';
     out += key;
-    out += "\":{\"accesses\":" + jsonU64(stats.accesses) +
-           ",\"hits\":" + jsonU64(stats.hits) +
-           ",\"misses\":" + jsonU64(stats.misses) +
-           ",\"coldMisses\":" + jsonU64(stats.coldMisses) +
-           ",\"fills\":" + jsonU64(stats.fills) +
-           ",\"bypasses\":" + jsonU64(stats.bypasses) +
-           ",\"evictions\":" + jsonU64(stats.evictions) +
+    out += "\":{\"accesses\":" + std::to_string(stats.accesses) +
+           ",\"hits\":" + std::to_string(stats.hits) +
+           ",\"misses\":" + std::to_string(stats.misses) +
+           ",\"coldMisses\":" + std::to_string(stats.coldMisses) +
+           ",\"fills\":" + std::to_string(stats.fills) +
+           ",\"bypasses\":" + std::to_string(stats.bypasses) +
+           ",\"evictions\":" + std::to_string(stats.evictions) +
            ",\"missPct\":" + jsonDouble(stats.missPercent()) + "}";
 }
 
@@ -94,15 +37,7 @@ const std::array<FsmEvent, 5> kAllFsmEvents = {
 const std::array<Counter, kCounterCount> kAllCounters = {
     Counter::TraceLoadNs,  Counter::TraceLoadRefs,
     Counter::IndexBuildNs, Counter::IndexBuilds,
-    Counter::ReplayChunks, Counter::KernelClosedFormRefs,
-    Counter::SrvRequests,  Counter::SrvErrors,
-    Counter::SrvBusy,      Counter::SrvBytesIn,
-    Counter::SrvBytesOut,  Counter::StoreHits,
-    Counter::StoreMisses,  Counter::StoreEvictions,
-    Counter::SrvAdmitted,  Counter::SrvShed,
-    Counter::SrvRetryAfterMs, Counter::ChaosBusy,
-    Counter::ChaosTrunc,   Counter::ChaosDelay,
-    Counter::ChaosLoadFail};
+    Counter::ReplayChunks, Counter::KernelClosedFormRefs};
 
 /** Wall-clock counters are excluded at Deterministic detail. */
 bool
@@ -148,12 +83,14 @@ RunReport::toJson(ReportDetail detail) const
     const bool full = detail == ReportDetail::Full;
     std::string out = "{\n\"schema\":\"dynex-metrics-v1\",\n";
 
-    out += "\"run\":{\"trace\":" + jsonString(run.trace) +
-           ",\"refs\":" + jsonU64(run.refs) +
-           ",\"lineBytes\":" + jsonU64(run.lineBytes) +
-           ",\"engine\":" + jsonString(run.engine);
+    out += "\"run\":{\"trace\":";
+    appendJsonString(out, run.trace);
+    out += ",\"refs\":" + std::to_string(run.refs) +
+           ",\"lineBytes\":" + std::to_string(run.lineBytes) +
+           ",\"engine\":";
+    appendJsonString(out, run.engine);
     if (full)
-        out += ",\"workers\":" + jsonU64(run.workers);
+        out += ",\"workers\":" + std::to_string(run.workers);
     out += "},\n";
 
     out += "\"counters\":{";
@@ -164,11 +101,9 @@ RunReport::toJson(ReportDetail detail) const
         if (!first)
             out += ',';
         first = false;
-        out += '"';
-        out += counterName(counter);
-        out += "\":";
-        out +=
-            jsonU64(counters[static_cast<std::size_t>(counter)]);
+        appendJsonString(out, counterName(counter));
+        out += ':' +
+               std::to_string(counters[static_cast<std::size_t>(counter)]);
     }
     out += "},\n";
 
@@ -177,9 +112,8 @@ RunReport::toJson(ReportDetail detail) const
         for (std::size_t e = 0; e < extra.size(); ++e) {
             if (e)
                 out += ',';
-            out += '"';
-            out += extra[e].first;
-            out += "\":" + jsonU64(extra[e].second);
+            appendJsonString(out, extra[e].first);
+            out += ':' + std::to_string(extra[e].second);
         }
         out += "},\n";
     }
@@ -188,11 +122,12 @@ RunReport::toJson(ReportDetail detail) const
     for (std::size_t i = 0; i < legs.size(); ++i) {
         const LegMetrics &leg = legs[i];
         out += i ? ",\n" : "\n";
-        out += "{\"bench\":" + jsonString(leg.bench) +
-               ",\"sizeBytes\":" + jsonU64(leg.sizeBytes) +
+        out += "{\"bench\":";
+        appendJsonString(out, leg.bench);
+        out += ",\"sizeBytes\":" + std::to_string(leg.sizeBytes) +
                ",\"ok\":" +
                (leg.done && !leg.failed ? "true" : "false") +
-               ",\"refs\":" + jsonU64(leg.refs) + ",";
+               ",\"refs\":" + std::to_string(leg.refs) + ",";
         appendStats(out, "dm", leg.dm);
         out += ',';
         appendStats(out, "de", leg.de);
@@ -202,22 +137,24 @@ RunReport::toJson(ReportDetail detail) const
         for (std::size_t e = 0; e < kAllFsmEvents.size(); ++e) {
             if (e)
                 out += ',';
-            out += '"';
-            out += fsmEventName(kAllFsmEvents[e]);
-            out += "\":" + jsonU64(leg.deEvents.of(kAllFsmEvents[e]));
+            appendJsonString(out, fsmEventName(kAllFsmEvents[e]));
+            out += ':' +
+                   std::to_string(leg.deEvents.of(kAllFsmEvents[e]));
         }
         out += "},\"deGainPct\":" +
                jsonDouble(percentReduction(leg.dm.missPercent(),
                                            leg.de.missPercent()));
         if (full)
             out += ",\"timing\":{\"replayNs\":" +
-                   jsonU64(leg.replayNs) +
-                   ",\"dmReplayNs\":" + jsonU64(leg.dmReplayNs) +
-                   ",\"deReplayNs\":" + jsonU64(leg.deReplayNs) +
-                   ",\"optReplayNs\":" + jsonU64(leg.optReplayNs) +
-                   "}";
-        if (leg.failed)
-            out += ",\"failure\":" + jsonString(leg.failure);
+                   std::to_string(leg.replayNs) +
+                   ",\"dmReplayNs\":" + std::to_string(leg.dmReplayNs) +
+                   ",\"deReplayNs\":" + std::to_string(leg.deReplayNs) +
+                   ",\"optReplayNs\":" +
+                   std::to_string(leg.optReplayNs) + "}";
+        if (leg.failed) {
+            out += ",\"failure\":";
+            appendJsonString(out, leg.failure);
+        }
         out += '}';
     }
     out += "\n],\n";
@@ -226,10 +163,14 @@ RunReport::toJson(ReportDetail detail) const
     for (std::size_t i = 0; i < failures.size(); ++i) {
         const ReportFailure &failure = failures[i];
         out += i ? ",\n" : "\n";
-        out += "{\"bench\":" + jsonString(failure.bench) +
-               ",\"sizeBytes\":" + jsonU64(failure.sizeBytes) +
-               ",\"model\":" + jsonString(failure.model) +
-               ",\"status\":" + jsonString(failure.status) + '}';
+        out += "{\"bench\":";
+        appendJsonString(out, failure.bench);
+        out += ",\"sizeBytes\":" + std::to_string(failure.sizeBytes) +
+               ",\"model\":";
+        appendJsonString(out, failure.model);
+        out += ",\"status\":";
+        appendJsonString(out, failure.status);
+        out += '}';
     }
     out += "\n]\n}\n";
     return out;
@@ -275,22 +216,6 @@ RunReport::toCsv(ReportDetail detail) const
         csv.writeRow(row);
     }
     return out.str();
-}
-
-Status
-writeTextFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return Status::ioError("cannot open " + path + ": " +
-                               std::strerror(errno));
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out)
-        return Status::ioError("cannot write " + path + ": " +
-                               std::strerror(errno));
-    return Status();
 }
 
 } // namespace obs

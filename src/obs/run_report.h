@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/status.h"
 
 namespace dynex
 {
@@ -91,10 +90,6 @@ class RunReport
      * counts, and (Full detail) replay timings. */
     std::string toCsv(ReportDetail detail = ReportDetail::Full) const;
 };
-
-/** Write @p content to @p path, replacing any existing file. */
-Status writeTextFile(const std::string &path,
-                     const std::string &content);
 
 } // namespace obs
 } // namespace dynex

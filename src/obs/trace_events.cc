@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
+#include "obs/json.h"
 #include "util/thread_pool.h"
 
 namespace dynex
@@ -19,44 +17,6 @@ namespace
 
 std::atomic<Tracer *> activeTracer{nullptr};
 std::atomic<std::uint64_t> nextTracerId{1};
-
-/** JSON string escaping for span names (RFC 8259 minimal set). */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 poolJobObserver(std::size_t index,
@@ -170,9 +130,11 @@ Tracer::toJson() const
         if (!first)
             out += ',';
         first = false;
-        out += "\n{\"name\":\"" + escapeJson(event.name) +
-               "\",\"cat\":\"" + escapeJson(event.category) +
-               "\",\"ph\":\"X\",\"pid\":1";
+        out += "\n{\"name\":";
+        appendJsonString(out, event.name);
+        out += ",\"cat\":";
+        appendJsonString(out, event.category);
+        out += ",\"ph\":\"X\",\"pid\":1";
         // Microsecond timestamps with ns precision kept as decimals,
         // the unit chrome://tracing expects.
         std::snprintf(buf, sizeof(buf),
@@ -203,18 +165,7 @@ Tracer::toJson() const
 Status
 Tracer::writeJson(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return Status::ioError("cannot open " + path + ": " +
-                               std::strerror(errno));
-    const std::string json = toJson();
-    out.write(json.data(),
-              static_cast<std::streamsize>(json.size()));
-    out.flush();
-    if (!out)
-        return Status::ioError("cannot write " + path + ": " +
-                               std::strerror(errno));
-    return Status();
+    return writeTextFile(path, toJson());
 }
 
 void

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <map>
 
+#include "obs/json.h"
+
 namespace dynex
 {
 namespace obs
@@ -231,33 +233,6 @@ parseEventObject(JsonCursor &cur, MergeEvent &event)
     return isComplete && !cur.failedParse();
 }
 
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Per-trace-id midpoint (us) of all spans carrying the id. */
 std::map<std::uint64_t, double>
 idMidpoints(const std::vector<MergeEvent> &events)
@@ -406,17 +381,20 @@ mergeChromeTraces(const std::vector<MergeInput> &inputs)
             out += ',';
         first = false;
         out += "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-               std::to_string(i + 1) + ",\"args\":{\"name\":\"" +
-               escapeJson(inputs[i].label) + "\"}}";
+               std::to_string(i + 1) + ",\"args\":{\"name\":";
+        appendJsonString(out, inputs[i].label);
+        out += "}}";
     }
     char buf[64];
     for (const Placed &p : placed) {
         if (!first)
             out += ',';
         first = false;
-        out += "\n{\"name\":\"" + escapeJson(p.event->name) +
-               "\",\"cat\":\"" + escapeJson(p.event->category) +
-               "\",\"ph\":\"X\",\"pid\":" + std::to_string(p.pid);
+        out += "\n{\"name\":";
+        appendJsonString(out, p.event->name);
+        out += ",\"cat\":";
+        appendJsonString(out, p.event->category);
+        out += ",\"ph\":\"X\",\"pid\":" + std::to_string(p.pid);
         std::snprintf(buf, sizeof(buf), ",\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f",
                       p.event->tid, p.tsUs, p.event->durUs);
         out += buf;

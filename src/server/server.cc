@@ -77,12 +77,6 @@ Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes)
     return Status();
 }
 
-void chargeActive(obs::Counter counter, std::uint64_t delta)
-{
-    if (obs::MetricsCollector *metrics = obs::activeMetrics())
-        metrics->add(counter, delta);
-}
-
 /** Returns an admitted request's estimated cost to the budget on
  * every exit path of a handler. */
 struct AdmissionRelease
@@ -132,7 +126,6 @@ Server::Server(ServerConfig server_config)
               {
                   // Failed loads are never cached, so a retrying
                   // client's next attempt reloads for real.
-                  chargeActive(obs::Counter::ChaosLoadFail, 1);
                   return Status::ioError(
                       "chaos: injected load failure for '" + name +
                       "'");
@@ -284,8 +277,6 @@ void Server::listenerMain()
             closeSocket(client);
             std::lock_guard<std::mutex> tally(countersMutex);
             ++tallies.busy;
-            chargeActive(obs::Counter::SrvBusy, 1);
-            chargeActive(obs::Counter::SrvRetryAfterMs, retryMs);
             continue;
         }
         pending.push_back({client, obs::monotonicNs()});
@@ -348,7 +339,6 @@ void Server::serveConnection(int fd, std::uint64_t queue_wait_ns)
             (void)writeAll(fd, error.data(), error.size());
             std::lock_guard<std::mutex> tally(countersMutex);
             tallies.bytesOut += error.size();
-            chargeActive(obs::Counter::SrvBytesOut, error.size());
             return;
         }
 
@@ -380,15 +370,10 @@ void Server::serveConnection(int fd, std::uint64_t queue_wait_ns)
             tallies.bytesIn += frameBytes;
             ++tallies.requests;
         }
-        chargeActive(obs::Counter::SrvBytesIn, frameBytes);
-        chargeActive(obs::Counter::SrvRequests, 1);
 
         if (const std::uint32_t delayMs = chaos.delayBeforeHandleMs())
-        {
-            chargeActive(obs::Counter::ChaosDelay, 1);
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delayMs));
-        }
 
         const std::string response =
             handleRequest(frame.value(), ctx, clientId);
@@ -397,12 +382,10 @@ void Server::serveConnection(int fd, std::uint64_t queue_wait_ns)
             std::lock_guard<std::mutex> tally(countersMutex);
             tallies.bytesOut += response.size();
         }
-        chargeActive(obs::Counter::SrvBytesOut, response.size());
         if (chaos.shouldTruncateResponse())
         {
             // Network fault: the peer sees a frame cut mid-payload
             // and must recover via its transport-retry path.
-            chargeActive(obs::Counter::ChaosTrunc, 1);
             (void)writeAll(fd, response.data(), response.size() / 2);
             return;
         }
@@ -461,7 +444,6 @@ std::string Server::errorFrame(const Status &status)
         if (status.code() == StatusCode::DeadlineExceeded)
             ++tallies.deadlineExpirations;
     }
-    chargeActive(obs::Counter::SrvErrors, 1);
     return encodeFrame(MsgType::ErrorResponse,
                        encodeErrorResponse(status));
 }
@@ -472,9 +454,6 @@ std::string Server::busyFrame(std::uint32_t retry_after_ms)
         std::lock_guard<std::mutex> tally(countersMutex);
         ++tallies.busy;
     }
-    chargeActive(obs::Counter::SrvBusy, 1);
-    chargeActive(obs::Counter::SrvShed, 1);
-    chargeActive(obs::Counter::SrvRetryAfterMs, retry_after_ms);
     return encodeFrame(MsgType::BusyResponse,
                        encodeBusyResponse({retry_after_ms}));
 }
@@ -525,13 +504,10 @@ std::string Server::handleRequest(const Frame &request,
             std::string("frame type '") + msgTypeName(request.type) +
             "' is not a request"));
 
+    // Injected overload: answer exactly like an admission shed so the
+    // client's retry path is exercised end to end.
     if (chaos.shouldForceBusy())
-    {
-        // Injected overload: answer exactly like an admission shed so
-        // the client's retry path is exercised end to end.
-        chargeActive(obs::Counter::ChaosBusy, 1);
         return busyFrame(config.admission.minRetryAfterMs);
-    }
 
     if (config.testDelayBeforeExecuteMs > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(
@@ -735,7 +711,6 @@ std::string Server::handleReplay(const ReplayRequest &request,
                   obs::monotonicNs() - admitStartNs);
     if (!ticket.admitted)
         return busyFrame(ticket.retryAfterMs);
-    chargeActive(obs::Counter::SrvAdmitted, 1);
     const AdmissionRelease released{admission, ticket.costNs};
     const std::uint64_t startNs = obs::monotonicNs();
 
@@ -847,7 +822,6 @@ std::string Server::handleSweep(const SweepRequest &request,
                   obs::monotonicNs() - admitStartNs);
     if (!ticket.admitted)
         return busyFrame(ticket.retryAfterMs);
-    chargeActive(obs::Counter::SrvAdmitted, 1);
     const AdmissionRelease released{admission, ticket.costNs};
     const std::uint64_t startNs = obs::monotonicNs();
 

@@ -21,12 +21,6 @@ std::uint64_t traceBytes(const Trace &trace)
            trace.name().size();
 }
 
-void chargeActive(obs::Counter counter, std::uint64_t delta)
-{
-    if (obs::MetricsCollector *metrics = obs::activeMetrics())
-        metrics->add(counter, delta);
-}
-
 } // namespace
 
 /** One single-flight load: an entry's Trace or one of its artifacts.
@@ -106,10 +100,7 @@ TraceStore::fetch(const std::string &name, std::uint32_t key)
     entry->lastUse = ++useClock;
     const bool warm = entry->warm();
     if (warm)
-    {
         ++tallies.traceHits;
-        chargeActive(obs::Counter::StoreHits, 1);
-    }
 
     if (auto it = entry->slots.find(key); it != entry->slots.end())
     {
@@ -117,10 +108,7 @@ TraceStore::fetch(const std::string &name, std::uint32_t key)
         if (slot->ready)
         {
             if (key != kTraceSlot)
-            {
                 ++tallies.indexHits;
-                chargeActive(obs::Counter::StoreHits, 1);
-            }
             return std::shared_ptr<const Slot>(slot);
         }
         // Joined the in-flight load: a wait, not a hit.
@@ -133,7 +121,6 @@ TraceStore::fetch(const std::string &name, std::uint32_t key)
 
     if (!warm)
         ++tallies.traceMisses;
-    chargeActive(obs::Counter::StoreMisses, 1);
     const auto slot = std::make_shared<Slot>();
     entry->slots.emplace(key, slot);
     // An artifact of an entry whose Trace is warm is packed from it,
@@ -227,8 +214,12 @@ bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key,
             trace = std::make_shared<const Trace>(std::move(decoded.value()));
         }
         loadedTrace = true;
-        chargeActive(obs::Counter::TraceLoadNs, obs::monotonicNs() - startNs);
-        chargeActive(obs::Counter::TraceLoadRefs, trace->size());
+        if (obs::MetricsCollector *metrics = obs::activeMetrics())
+        {
+            metrics->add(obs::Counter::TraceLoadNs,
+                         obs::monotonicNs() - startNs);
+            metrics->add(obs::Counter::TraceLoadRefs, trace->size());
+        }
         if (key == kTraceSlot)
         {
             slot.bytes = traceBytes(*trace);
@@ -273,7 +264,6 @@ void TraceStore::evictIfNeededLocked(const Entry *keep)
         tallies.residentBytes -= victim->bytes;
         tallies.artifactBytes -= victim->artifactBytes;
         ++tallies.evictions;
-        chargeActive(obs::Counter::StoreEvictions, 1);
         entries.erase(victimName);
     }
 }

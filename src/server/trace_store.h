@@ -36,11 +36,10 @@
  *     failing flight receives the same Status, and the next request
  *     retries.
  *
- * Counters flow two ways: the store's own snapshot (counters()) for
- * the STATS response, and — when an obs::MetricsCollector is
- * installed — the shared Counter shards (TraceLoad*,
- * StoreHits/StoreMisses/StoreEvictions; buildReplayArtifact charges
- * IndexBuild*) for the server's run report.
+ * The store tallies its traffic once, in its own snapshot (counters())
+ * for the STATS response. Under an installed obs::MetricsCollector it
+ * also charges the engine's TraceLoad* counters for the loads it runs
+ * (buildReplayArtifact charges IndexBuild*).
  */
 
 #ifndef DYNEX_SERVER_TRACE_STORE_H

@@ -2,8 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <sstream>
 
+#include "obs/json.h"
 #include "util/csv.h"
 #include "util/logging.h"
 
@@ -52,15 +53,14 @@ FigureReport::finish()
     if (const char *out_dir = std::getenv("DYNEX_OUT")) {
         const std::string path =
             std::string(out_dir) + "/" + figureId + ".csv";
-        std::ofstream out(path);
-        if (!out) {
-            DYNEX_WARN("cannot write ", path);
-            return;
-        }
+        std::ostringstream out;
         CsvWriter csv(out);
         csv.writeRow(dataTable.headerRow());
         for (const auto &row : dataTable.dataRows())
             csv.writeRow(row);
+        if (const Status wrote = obs::writeTextFile(path, out.str());
+            !wrote.ok())
+            DYNEX_WARN(wrote.message());
     }
 }
 

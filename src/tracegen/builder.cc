@@ -228,8 +228,10 @@ makeCallTreeProgram(Program &program, const CallTreeSpec &spec,
         std::uint32_t index = 0;
         for (std::uint32_t l = 0; l < spec.layers; ++l) {
             for (std::uint32_t k = 0; k < sizes[l]; ++k) {
-                layer_functions[l].push_back(program.addFunction(
-                    "f" + std::to_string(index++)));
+                std::string name = "f";
+                name += std::to_string(index++);
+                layer_functions[l].push_back(
+                    program.addFunction(name));
             }
         }
     }

@@ -120,8 +120,7 @@ class [[nodiscard]] Result
     const Status &
     status() const
     {
-        static const Status ok_status;
-        return ok() ? ok_status : std::get<Status>(contents);
+        return ok() ? okStatus : std::get<Status>(contents);
     }
 
     T &value() & { return std::get<T>(contents); }
@@ -134,6 +133,8 @@ class [[nodiscard]] Result
     const T *operator->() const { return &value(); }
 
   private:
+    /** Constant-initialized, so reading it needs no guard. */
+    static constinit inline const Status okStatus{};
     std::variant<Status, T> contents;
 };
 

@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/run_report.h"
 #include "obs/trace_events.h"
 #include "server/client.h"

@@ -1,9 +1,9 @@
 #include "workload/report.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/csv.h"
 
 namespace dynex
@@ -11,62 +11,11 @@ namespace dynex
 namespace workload
 {
 
+using obs::appendJsonString;
+using obs::jsonDouble;
+
 namespace
 {
-
-/** JSON string escaping (labels and status text). */
-std::string
-jsonString(const std::string &text)
-{
-    std::string out = "\"";
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-/** Shortest round-trippable decimal: the same double always renders
- * the same bytes, the basis of the byte-identity guarantee. */
-std::string
-jsonDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-jsonU64(std::uint64_t value)
-{
-    return std::to_string(value);
-}
 
 bool
 wantsModel(const std::vector<std::string> &models, const char *model)
@@ -85,12 +34,15 @@ CampaignReport::toJson() const
     const bool opt = wantsModel(models, "opt");
 
     std::string out = "{\n\"schema\":\"dynex-metrics-v1\",\n";
-    out += "\"campaign\":{\"name\":" + jsonString(name) +
-           ",\"engine\":" + jsonString(engine) + ",\"models\":[";
+    out += "\"campaign\":{\"name\":";
+    appendJsonString(out, name);
+    out += ",\"engine\":";
+    appendJsonString(out, engine);
+    out += ",\"models\":[";
     for (std::size_t i = 0; i < models.size(); ++i) {
         if (i)
             out += ',';
-        out += jsonString(models[i]);
+        appendJsonString(out, models[i]);
     }
     out += "]},\n";
 
@@ -98,9 +50,10 @@ CampaignReport::toJson() const
     for (std::size_t i = 0; i < legs.size(); ++i) {
         const CampaignLeg &leg = legs[i];
         out += i ? ",\n" : "\n";
-        out += "{\"trace\":" + jsonString(leg.trace) +
-               ",\"lineBytes\":" + jsonU64(leg.lineBytes) +
-               ",\"sizeBytes\":" + jsonU64(leg.sizeBytes) +
+        out += "{\"trace\":";
+        appendJsonString(out, leg.trace);
+        out += ",\"lineBytes\":" + std::to_string(leg.lineBytes) +
+               ",\"sizeBytes\":" + std::to_string(leg.sizeBytes) +
                ",\"ok\":" + (leg.ok ? "true" : "false");
         if (dm)
             out += ",\"dmMissPct\":" + jsonDouble(leg.dmMissPct);
@@ -116,11 +69,15 @@ CampaignReport::toJson() const
     for (std::size_t i = 0; i < failures.size(); ++i) {
         const CampaignFailure &failure = failures[i];
         out += i ? ",\n" : "\n";
-        out += "{\"trace\":" + jsonString(failure.trace) +
-               ",\"lineBytes\":" + jsonU64(failure.lineBytes) +
-               ",\"sizeBytes\":" + jsonU64(failure.sizeBytes) +
-               ",\"model\":" + jsonString(failure.model) +
-               ",\"status\":" + jsonString(failure.status) + '}';
+        out += "{\"trace\":";
+        appendJsonString(out, failure.trace);
+        out += ",\"lineBytes\":" + std::to_string(failure.lineBytes) +
+               ",\"sizeBytes\":" + std::to_string(failure.sizeBytes) +
+               ",\"model\":";
+        appendJsonString(out, failure.model);
+        out += ",\"status\":";
+        appendJsonString(out, failure.status);
+        out += '}';
     }
     out += "\n]\n}\n";
     return out;

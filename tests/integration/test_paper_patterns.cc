@@ -18,6 +18,7 @@
 #include "cache/dynamic_exclusion.h"
 #include "cache/optimal.h"
 #include "trace/next_use.h"
+#include "util/rng.h"
 #include "../test_helpers.h"
 
 namespace dynex
@@ -172,6 +173,46 @@ TEST(PaperPatterns, WithinLoopDynamicExclusionHalvesMisses)
 TEST(PaperPatterns, WithinLoopDynamicExclusionExactWithColdHitLast)
 {
     EXPECT_EQ(dynexMisses(withinLoop(), false), 11);
+}
+
+// ---- Randomized trip counts ----------------------------------------
+
+TEST(PaperPatterns, RandomTripCountsMatchClosedFormMisses)
+{
+    // The three patterns at seeded (m, n) against their closed forms.
+    // Direct-mapped misses both letters every outer iteration (2n).
+    // Optimal matches it on (a^m b^m)^n when m >= 2; on the other
+    // patterns, and on (ab)^n spelt as m = 1, it keeps a and bypasses
+    // b, missing a once and b every time (n + 1). Dynamic exclusion
+    // stays within two misses of optimal.
+    Rng rng(0x5ec3);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int m = static_cast<int>(rng.nextRange(1, 12));
+        const int n = static_cast<int>(rng.nextRange(1, 15));
+        const struct
+        {
+            const char *name;
+            std::string pattern;
+            int optimal;
+        } cases[] = {
+            {"(a^m b^m)^n",
+             repeat(repeat("a", m) + repeat("b", m), n),
+             m >= 2 ? 2 * n : n + 1},
+            {"(a^m b)^n", repeat(repeat("a", m) + "b", n), n + 1},
+            {"(ab)^n", repeat("ab", n), n + 1},
+        };
+        for (const auto &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " m=" + std::to_string(m) +
+                         " n=" + std::to_string(n));
+            EXPECT_EQ(dmMisses(c.pattern), 2 * n);
+            EXPECT_EQ(optimalMisses(c.pattern), c.optimal);
+            for (const bool initial : {false, true}) {
+                const int de = dynexMisses(c.pattern, initial);
+                EXPECT_GE(de, c.optimal) << "initial h = " << initial;
+                EXPECT_LE(de, c.optimal + 2) << "initial h = " << initial;
+            }
+        }
+    }
 }
 
 // ---- The hard pattern: (abc)^10 ------------------------------------

@@ -692,9 +692,10 @@ TEST(ServerEndToEnd, CorruptCrcDrawsAnErrorFrame)
 
     const auto fd = connectTcp(kHost, server.port());
     ASSERT_TRUE(fd.ok()) << fd.status().toString();
+    SweepRequest request;
+    request.trace = "doduc";
     std::string wire =
-        encodeFrame(MsgType::SweepRequest,
-                    encodeSweepRequest(SweepRequest{"doduc"}));
+        encodeFrame(MsgType::SweepRequest, encodeSweepRequest(request));
     wire[kFrameHeaderBytes] ^= 0x10; // corrupt the payload
     ASSERT_TRUE(writeAll(fd.value(), wire.data(), wire.size()).ok());
 

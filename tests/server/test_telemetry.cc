@@ -5,7 +5,8 @@
  * (untraced) clients keep working against a telemetry-on server, the
  * `lat-*` histogram rows ride the existing STATS response, and a
  * telemetry-off server emits flat counters only — the A/B the overhead
- * gate measures.
+ * gate measures. A served run report keeps the engine counters and the
+ * server's STATS tallies apart.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "../obs/json_checker.h"
+#include "obs/metrics.h"
+#include "obs/run_report.h"
 #include "obs/trace_events.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -190,6 +194,57 @@ TEST(ServerTelemetry, TelemetryOffLeavesOnlyFlatCounters)
     for (const auto &[name, value] : statsMap(client))
         EXPECT_NE(name.rfind("lat-", 0), 0u)
             << name << " leaked from a telemetry-off server";
+}
+
+TEST(ServerTelemetry, ServedReportKeepsEngineCountersAndStatsApart)
+{
+    // Built the way dynex_serve --metrics-out builds it: the engine
+    // counters from the collector, the server tallies from STATS rows.
+    obs::MetricsCollector collector;
+    obs::RunReport report;
+    {
+        const obs::ScopedMetrics installed(&collector);
+        Server server(benchServer("li"));
+        ASSERT_TRUE(server.start().ok());
+        Client client = mustConnect(server);
+        ASSERT_TRUE(client.ping().ok());
+        SweepRequest sweep;
+        sweep.trace = "li";
+        ASSERT_TRUE(client.sweep(sweep).ok());
+        server.stop();
+        obs::RunInfo info;
+        info.trace = "server";
+        info.engine = "server";
+        report = obs::RunReport::build(info, collector, {});
+        report.extra = server.statsRows();
+    }
+
+    const std::string json = report.toJson();
+    const auto doc = testjson::JsonParser::parse(json);
+    ASSERT_TRUE(doc.has_value()) << json;
+    const auto *counters = doc->find("counters");
+    ASSERT_NE(counters, nullptr);
+    std::vector<std::string> keys;
+    for (const auto &member : counters->members)
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "trace-load-ns", "trace-load-refs",
+                        "index-build-ns", "index-builds", "replay-chunks",
+                        "kernel-closed-form-refs"}));
+    EXPECT_GT(counters->find("trace-load-refs")->number, 0.0);
+
+    const auto *served = doc->find("server");
+    ASSERT_NE(served, nullptr);
+    for (const char *key :
+         {"requests", "errors", "busy", "bytes-in", "bytes-out",
+          "admitted", "shed", "retry-after-ms", "chaos-busy",
+          "chaos-truncations", "chaos-delays", "chaos-load-failures",
+          "store-trace-hits", "store-trace-misses", "store-trace-loads",
+          "store-load-failures", "store-index-hits",
+          "store-index-builds", "store-evictions"})
+        EXPECT_NE(served->find(key), nullptr) << key;
+    EXPECT_EQ(served->find("requests")->number, 2.0);
+    EXPECT_EQ(served->find("admitted")->number, 1.0);
 }
 
 } // namespace

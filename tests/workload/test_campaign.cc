@@ -31,11 +31,12 @@ expectLineError(const std::string &text, int line,
     const auto spec = parse(text);
     ASSERT_FALSE(spec.ok()) << "parsed: " << text;
     EXPECT_EQ(spec.status().code(), code) << spec.status().toString();
-    if (code == StatusCode::CorruptInput)
+    if (code == StatusCode::CorruptInput) {
         EXPECT_NE(spec.status().message().find(
                       "line " + std::to_string(line)),
                   std::string::npos)
             << spec.status().toString();
+    }
 }
 
 TEST(CampaignParse, FullGrammarRoundTrips)

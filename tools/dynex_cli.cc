@@ -47,6 +47,7 @@
 #include "cache/optimal.h"
 #include "cache/victim.h"
 #include "server/client.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/prom.h"

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "server/client.h"

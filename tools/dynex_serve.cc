@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
