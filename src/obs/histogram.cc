@@ -11,8 +11,6 @@ namespace obs
 namespace
 {
 
-std::atomic<HistogramSet *> activeSet{nullptr};
-
 std::atomic<std::uint64_t> nextSetId{1};
 
 } // namespace
@@ -168,18 +166,6 @@ HistogramSet::appendStatsRows(
             continue;
         appendSnapshotRows(latencyName(series), snap, rows);
     }
-}
-
-HistogramSet *
-activeHistograms()
-{
-    return activeSet.load(std::memory_order_relaxed);
-}
-
-void
-setActiveHistograms(HistogramSet *set)
-{
-    activeSet.store(set, std::memory_order_relaxed);
 }
 
 } // namespace obs

@@ -14,9 +14,9 @@
  *
  * HistogramSet bundles one histogram per Latency series (end-to-end
  * latency per request type, queue wait, admission decision, store
- * load, replay, serialize) behind the same active-pointer install
- * pattern as MetricsCollector, and exports snapshots as the `lat-*`
- * STATS rows the CLI dashboard and Prometheus exposition render.
+ * load, replay, serialize), which its owner hands to each obs::Phase
+ * that charges one, and exports snapshots as the `lat-*` STATS rows
+ * the CLI dashboard and Prometheus exposition render.
  */
 
 #ifndef DYNEX_OBS_HISTOGRAM_H
@@ -138,12 +138,6 @@ class HistogramSet
     mutable std::mutex shardMutex;
     std::vector<std::unique_ptr<Shard>> shards;
 };
-
-/** The installed set, or nullptr: one relaxed atomic load. */
-HistogramSet *activeHistograms();
-
-/** Install @p set (nullptr disables). Caller owns the lifetime. */
-void setActiveHistograms(HistogramSet *set);
 
 /**
  * Append one snapshot's rows under @p name using the export naming

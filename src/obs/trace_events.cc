@@ -52,12 +52,6 @@ Tracer::setActive(Tracer *tracer)
 }
 
 std::uint64_t
-Tracer::nowNs() const
-{
-    return toNs(std::chrono::steady_clock::now());
-}
-
-std::uint64_t
 Tracer::toNs(std::chrono::steady_clock::time_point when) const
 {
     if (when <= epoch)
@@ -166,6 +160,41 @@ Status
 Tracer::writeJson(const std::string &path) const
 {
     return writeTextFile(path, toJson());
+}
+
+void
+Phase::begin(const char *category, std::optional<Clock::time_point> start)
+{
+    cat = category;
+    if (sink.ns || sink.count)
+        metrics = activeMetrics();
+    running = tracer || metrics || sink.latencies || sink.timed;
+    if (running)
+        startedAt = start ? *start : Clock::now();
+}
+
+std::uint64_t
+Phase::stop()
+{
+    if (!running)
+        return 0;
+    running = false;
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - startedAt)
+            .count());
+    if (metrics) {
+        if (sink.ns)
+            metrics->add(*sink.ns, ns);
+        if (sink.count)
+            metrics->add(*sink.count, produced);
+    }
+    if (sink.latencies)
+        sink.latencies->record(sink.series, ns);
+    if (tracer)
+        tracer->complete(label(), cat, tracer->toNs(startedAt), ns,
+                         sink.traceId);
+    return ns;
 }
 
 void

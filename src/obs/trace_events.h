@@ -14,6 +14,10 @@
  * Like the collector, the tracer is consulted through one global
  * pointer: a null check per span site, never per reference, so tracing
  * is free when off.
+ *
+ * Spans are recorded through obs::Phase, the one timer of a phase of
+ * work: it charges the span, the collector's counters and a latency
+ * series from the same two clock reads.
  */
 
 #ifndef DYNEX_OBS_TRACE_EVENTS_H
@@ -21,11 +25,16 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace dynex
@@ -59,9 +68,6 @@ class Tracer
     /** Install @p tracer (nullptr disables). Caller owns it and must
      * uninstall before destroying it. */
     static void setActive(Tracer *tracer);
-
-    /** Nanoseconds since this tracer was constructed. */
-    std::uint64_t nowNs() const;
 
     /** Convert an absolute steady_clock time to tracer-relative ns
      * (clamped at 0 for pre-epoch times). */
@@ -100,40 +106,83 @@ class Tracer
 };
 
 /**
- * RAII complete-span recorder. Constructing one when no tracer is
- * installed costs the name-string construction at the call site; hot
- * paths should guard with `if (Tracer::active())` before building
- * dynamic labels.
+ * One timed phase of work. It reads steady_clock once when it starts
+ * and once when it ends, and charges every sink it was given from
+ * those two reads, so its span, its counter and its latency sample are
+ * one measurement: spans sum exactly to the counters they charge.
+ *
+ * The sinks: a span under the tracer installed at the start; the
+ * collector's Sinks::ns (elapsed ns) and Sinks::count (count()'s
+ * amount); a HistogramSet series. With none live and Sinks::timed
+ * unset it reads no clock and never builds its name, so call sites
+ * need no guard. The name, a string or a callable returning one, is
+ * read when the phase ends. A phase charges however it ends, early
+ * return and unwinding included; only count() says what it produced.
  */
-class ScopedSpan
+class Phase
 {
   public:
-    ScopedSpan(const char *category, std::string name,
-               std::uint64_t trace_id = 0)
-        : tracer(Tracer::active()), cat(category), traceId(trace_id)
+    using Clock = std::chrono::steady_clock;
+
+    /** Where a phase charges besides its span; each is optional. */
+    struct Sinks
+    {
+        std::optional<Counter> ns = {};    ///< the elapsed ns
+        std::optional<Counter> count = {}; ///< count()'s amount
+        HistogramSet *latencies = nullptr; ///< the elapsed ns, into...
+        Latency series = Latency::E2ePing; ///< ...this series
+        std::uint64_t traceId = 0;         ///< the span's request
+        bool timed = false; ///< time with no sink live, for stop()
+    };
+
+    /** A phase with no span. */
+    explicit Phase(Sinks sinks) : sink(sinks) { begin(nullptr, {}); }
+
+    /** A phase with a @p category span named @p name, started at
+     * @p start when given (a wait that began before any code could
+     * construct the phase), else now. */
+    template <class Name>
+    Phase(const char *category, Name &&name, Sinks sinks = {},
+          std::optional<Clock::time_point> start = {})
+        : sink(sinks), tracer(Tracer::active())
     {
         if (tracer) {
-            label = std::move(name);
-            startNs = tracer->nowNs();
+            if constexpr (std::is_invocable_v<Name &>)
+                label = std::forward<Name>(name);
+            else
+                label = [text = std::string(name)] { return text; };
         }
+        begin(category, start);
     }
 
-    ~ScopedSpan()
-    {
-        if (tracer)
-            tracer->complete(std::move(label), cat, startNs,
-                             tracer->nowNs() - startNs, traceId);
-    }
+    ~Phase() { stop(); }
 
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
+    Phase(const Phase &) = delete;
+    Phase &operator=(const Phase &) = delete;
+
+    /** Charge @p amount to Sinks::count when the phase ends. */
+    void count(std::uint64_t amount) { produced = amount; }
+
+    /** Record no span; the other sinks still charge. */
+    void dropSpan() { tracer = nullptr; }
+
+    /** End the phase now and charge every sink. @return the elapsed
+     * ns, or 0 when the phase was not timed or already stopped. */
+    std::uint64_t stop();
 
   private:
-    Tracer *tracer;
-    const char *cat;
-    std::uint64_t traceId;
-    std::string label;
-    std::uint64_t startNs = 0;
+    /** Take the live sinks and start the clock if any is live. */
+    void begin(const char *category,
+               std::optional<Clock::time_point> start);
+
+    Sinks sink;
+    Tracer *tracer = nullptr;
+    MetricsCollector *metrics = nullptr;
+    const char *cat = nullptr;
+    std::function<std::string()> label;
+    std::uint64_t produced = 0;
+    Clock::time_point startedAt;
+    bool running = false;
 };
 
 /**

@@ -174,7 +174,8 @@ Result<std::string> Client::call(MsgType type, std::string_view payload,
         {
             ++retryTally.attempts;
             bool transport = false;
-            obs::ScopedSpan span("rpc", msgTypeName(type), traceId);
+            const obs::Phase attempt("rpc", msgTypeName(type),
+                                     {.traceId = traceId});
             Result<std::string> result =
                 callOnce(type, payload, expected, traceId, transport);
             if (result.ok())

@@ -279,7 +279,7 @@ void Server::listenerMain()
             ++tallies.busy;
             continue;
         }
-        pending.push_back({client, obs::monotonicNs()});
+        pending.push_back({client, obs::Phase::Clock::now()});
         const std::uint64_t depth = pending.size();
         lock.unlock();
         queueCv.notify_one();
@@ -307,23 +307,28 @@ void Server::workerMain()
             conn = pending.front();
             pending.pop_front();
         }
-        const std::uint64_t waitNs = obs::monotonicNs() - conn.enqueueNs;
-        recordLatency(obs::Latency::QueueWait, waitNs);
-        serveConnection(conn.fd, waitNs);
+        if (config.telemetry)
+        {
+            const obs::Phase waited("srv", "queue-wait",
+                                    served(obs::Latency::QueueWait),
+                                    conn.enqueued);
+        }
+        serveConnection(conn.fd);
         closeSocket(conn.fd);
     }
 }
 
-void Server::recordLatency(obs::Latency series, std::uint64_t ns)
+obs::Phase::Sinks Server::served(obs::Latency series,
+                                 std::uint64_t trace_id)
 {
-    if (config.telemetry)
-        latencies.record(series, ns);
+    return {.latencies = config.telemetry ? &latencies : nullptr,
+            .series = series,
+            .traceId = trace_id};
 }
 
-void Server::serveConnection(int fd, std::uint64_t queue_wait_ns)
+void Server::serveConnection(int fd)
 {
     std::string clientId = "anon";
-    bool firstRequest = true;
     while (!stopping.load(std::memory_order_relaxed))
     {
         bool cleanEof = false;
@@ -343,25 +348,8 @@ void Server::serveConnection(int fd, std::uint64_t queue_wait_ns)
         }
 
         RequestContext ctx;
-        ctx.arrivalNs = obs::monotonicNs();
+        ctx.arrival = obs::Phase::Clock::now();
         ctx.traceId = frame.value().traceId;
-        if (firstRequest)
-        {
-            firstRequest = false;
-            // The accept-queue wait happened before any request bytes
-            // existed; attribute its span to the connection's first
-            // request so the merged timeline shows it upstream of the
-            // handling spans.
-            if (config.telemetry && obs::Tracer::active())
-            {
-                obs::Tracer *tracer = obs::Tracer::active();
-                const std::uint64_t endNs = tracer->nowNs();
-                const std::uint64_t startNs =
-                    endNs > queue_wait_ns ? endNs - queue_wait_ns : 0;
-                tracer->complete("queue-wait", "srv", startNs,
-                                 endNs - startNs, ctx.traceId);
-            }
-        }
         const std::uint64_t frameBytes = kFrameHeaderBytes +
                                          frame.value().payload.size() +
                                          kFrameTrailerBytes;
@@ -401,17 +389,10 @@ void Server::finishRequest(const Frame &request,
 {
     if (!config.telemetry || !isRequestType(request.type))
         return;
-    const std::uint64_t e2eNs = obs::monotonicNs() - ctx.arrivalNs;
-    recordLatency(e2eSeries(request.type), e2eNs);
-
-    if (obs::Tracer *tracer = obs::Tracer::active())
-    {
-        const std::uint64_t endNs = tracer->nowNs();
-        const std::uint64_t startNs =
-            endNs > e2eNs ? endNs - e2eNs : 0;
-        tracer->complete(msgTypeName(request.type), "srv", startNs,
-                         endNs - startNs, ctx.traceId);
-    }
+    obs::Phase handled("srv", msgTypeName(request.type),
+                       served(e2eSeries(request.type), ctx.traceId),
+                       ctx.arrival);
+    const std::uint64_t e2eNs = handled.stop();
 
     obs::Logger *logger = obs::Logger::active();
     if (!logger)
@@ -458,13 +439,15 @@ std::string Server::busyFrame(std::uint32_t retry_after_ms)
                        encodeBusyResponse({retry_after_ms}));
 }
 
-Status Server::checkDeadline(std::uint64_t arrival_ns,
+Status Server::checkDeadline(obs::Phase::Clock::time_point arrival,
                              std::uint32_t deadline_ms)
 {
     if (deadline_ms == 0)
         return Status();
-    const std::uint64_t elapsedMs =
-        (obs::monotonicNs() - arrival_ns) / 1000000;
+    const auto elapsedMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            obs::Phase::Clock::now() - arrival)
+            .count();
     if (elapsedMs <= deadline_ms)
         return Status();
     return Status::deadlineExceeded("deadline of " +
@@ -699,28 +682,27 @@ std::string Server::handleReplay(const ReplayRequest &request,
         validGeometry(request.sizeBytes, request.lineBytes);
     if (!geometry.ok())
         return errorFrame(geometry);
-    Status deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
+    Status deadline = checkDeadline(ctx.arrival, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
 
-    const std::uint64_t admitStartNs = obs::monotonicNs();
+    obs::Phase admitting(served(obs::Latency::Admission));
     const AdmissionDecision ticket =
         admission.admit(client_id, WorkKind::Replay,
-                        estimateRefs(request.trace), 1, admitStartNs);
-    recordLatency(obs::Latency::Admission,
-                  obs::monotonicNs() - admitStartNs);
+                        estimateRefs(request.trace), 1, obs::monotonicNs());
+    admitting.stop();
     if (!ticket.admitted)
         return busyFrame(ticket.retryAfterMs);
     const AdmissionRelease released{admission, ticket.costNs};
-    const std::uint64_t startNs = obs::monotonicNs();
+    obs::Phase serviced({.timed = true});
 
     const bool wantsOptimal = iequals(request.model, "opt");
     const std::string key = storeKeyFor(request.trace);
     std::shared_ptr<const Trace> trace;
     std::shared_ptr<const ReplayArtifact> artifact;
     {
-        obs::ScopedSpan span("srv", "store-load", ctx.traceId);
-        const std::uint64_t loadStartNs = obs::monotonicNs();
+        const obs::Phase loading("srv", "store-load",
+                                 served(obs::Latency::StoreLoad, ctx.traceId));
         Result<std::shared_ptr<const Trace>> loaded = traceStore.trace(key);
         if (!loaded.ok())
             return errorFrame(loaded.status());
@@ -733,13 +715,11 @@ std::string Server::handleReplay(const ReplayRequest &request,
                 return errorFrame(warm.status());
             artifact = std::move(warm.value());
         }
-        recordLatency(obs::Latency::StoreLoad,
-                      obs::monotonicNs() - loadStartNs);
     }
 
     // The load may have been the slow part; a replay that starts is
     // never aborted, so this is the last checkpoint.
-    deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
+    deadline = checkDeadline(ctx.arrival, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
 
@@ -766,23 +746,18 @@ std::string Server::handleReplay(const ReplayRequest &request,
 
     ReplayResult result;
     {
-        obs::ScopedSpan span("srv", "replay", ctx.traceId);
-        const std::uint64_t replayStartNs = obs::monotonicNs();
+        const obs::Phase replaying("srv", "replay",
+                                   served(obs::Latency::Replay, ctx.traceId));
         result.stats = runTrace(*cache, *trace);
-        recordLatency(obs::Latency::Replay,
-                      obs::monotonicNs() - replayStartNs);
     }
     result.model = cache->name();
     result.refs = trace->size();
     admission.recordServiced(WorkKind::Replay, trace->size(), 1,
-                             obs::monotonicNs() - startNs);
-    const std::uint64_t encodeStartNs = obs::monotonicNs();
-    obs::ScopedSpan span("srv", "serialize", ctx.traceId);
-    std::string frame = encodeFrame(MsgType::ReplayResponse,
-                                    encodeReplayResponse(result));
-    recordLatency(obs::Latency::Serialize,
-                  obs::monotonicNs() - encodeStartNs);
-    return frame;
+                             serviced.stop());
+    const obs::Phase serializing("srv", "serialize",
+                                 served(obs::Latency::Serialize, ctx.traceId));
+    return encodeFrame(MsgType::ReplayResponse,
+                       encodeReplayResponse(result));
 }
 
 std::string Server::handleSweep(const SweepRequest &request,
@@ -807,23 +782,22 @@ std::string Server::handleSweep(const SweepRequest &request,
     if (request.engine > 2)
         return errorFrame(
             Status::corruptInput("unknown replay engine"));
-    Status deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
+    Status deadline = checkDeadline(ctx.arrival, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
 
     // A sweep replays three models at every axis size.
     const WorkKind kind = sweepWorkKind(request.engine);
     const std::uint64_t legs = 3 * axis.size();
-    const std::uint64_t admitStartNs = obs::monotonicNs();
+    obs::Phase admitting(served(obs::Latency::Admission));
     const AdmissionDecision ticket =
         admission.admit(client_id, kind, estimateRefs(request.trace),
-                        legs, admitStartNs);
-    recordLatency(obs::Latency::Admission,
-                  obs::monotonicNs() - admitStartNs);
+                        legs, obs::monotonicNs());
+    admitting.stop();
     if (!ticket.admitted)
         return busyFrame(ticket.retryAfterMs);
     const AdmissionRelease released{admission, ticket.costNs};
-    const std::uint64_t startNs = obs::monotonicNs();
+    obs::Phase serviced({.timed = true});
 
     // A kernel sweep needs only the store's artifact; the per-leg
     // engine replays the object models over the Trace, so it takes the
@@ -833,65 +807,50 @@ std::string Server::handleSweep(const SweepRequest &request,
     std::shared_ptr<const Trace> trace;
     std::shared_ptr<const ReplayArtifact> artifact;
     {
-        obs::ScopedSpan span("srv", "store-load", ctx.traceId);
-        const std::uint64_t loadStartNs = obs::monotonicNs();
-        Status loaded;
+        const obs::Phase loading("srv", "store-load",
+                                 served(obs::Latency::StoreLoad, ctx.traceId));
         if (perLeg)
         {
             Result<std::shared_ptr<const Trace>> warm = traceStore.trace(key);
-            loaded = warm.status();
-            if (warm.ok())
-                trace = std::move(warm.value());
+            if (!warm.ok())
+                return errorFrame(warm.status());
+            trace = std::move(warm.value());
         }
         else
         {
             Result<std::shared_ptr<const ReplayArtifact>> warm =
                 traceStore.artifact(key, request.lineBytes);
-            loaded = warm.status();
-            if (warm.ok())
-                artifact = std::move(warm.value());
+            if (!warm.ok())
+                return errorFrame(warm.status());
+            artifact = std::move(warm.value());
         }
-        recordLatency(obs::Latency::StoreLoad,
-                      obs::monotonicNs() - loadStartNs);
-        if (!loaded.ok())
-            return errorFrame(loaded);
     }
 
-    deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
+    deadline = checkDeadline(ctx.arrival, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
 
     // Mirror the CLI's sweep configuration exactly: responses must be
     // byte-identical to a local `dynex sweep` of the same trace.
-    DynamicExclusionConfig sweepConfig;
-    sweepConfig.stickyMax = request.stickyMax;
-    sweepConfig.useLastLine = request.lineBytes > 4;
+    const DynamicExclusionConfig config =
+        sweepConfig(request.lineBytes, request.stickyMax);
     SweepResult result;
     result.outcome = [&] {
-        obs::ScopedSpan span("srv", "replay", ctx.traceId);
-        const std::uint64_t replayStartNs = obs::monotonicNs();
+        const obs::Phase replaying("srv", "replay",
+                                   served(obs::Latency::Replay, ctx.traceId));
         // Engine byte 0, the retired batched engine, runs the kernel.
-        SizeSweepOutcome swept =
-            perLeg ? sweepSizes(*trace, axis, request.lineBytes,
-                                sweepConfig, ReplayEngine::PerLeg)
-                   : sweepSizes(*artifact, axis, sweepConfig);
-        recordLatency(obs::Latency::Replay,
-                      obs::monotonicNs() - replayStartNs);
-        return swept;
+        return perLeg ? sweepSizes(*trace, axis, request.lineBytes, config,
+                                   ReplayEngine::PerLeg)
+                      : sweepSizes(*artifact, axis, config);
     }();
 
     // The trace's own name, as a local sweep of it reports.
     result.trace = perLeg ? trace->name() : artifact->name();
     result.refs = perLeg ? trace->size() : artifact->refs();
-    admission.recordServiced(kind, result.refs, legs,
-                             obs::monotonicNs() - startNs);
-    const std::uint64_t encodeStartNs = obs::monotonicNs();
-    obs::ScopedSpan span("srv", "serialize", ctx.traceId);
-    std::string frame = encodeFrame(MsgType::SweepResponse,
-                                    encodeSweepResponse(result));
-    recordLatency(obs::Latency::Serialize,
-                  obs::monotonicNs() - encodeStartNs);
-    return frame;
+    admission.recordServiced(kind, result.refs, legs, serviced.stop());
+    const obs::Phase serializing("srv", "serialize",
+                                 served(obs::Latency::Serialize, ctx.traceId));
+    return encodeFrame(MsgType::SweepResponse, encodeSweepResponse(result));
 }
 
 ServerCounters Server::counters() const

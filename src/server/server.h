@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "obs/histogram.h"
+#include "obs/trace_events.h"
 #include "server/admission.h"
 #include "server/chaos.h"
 #include "server/protocol.h"
@@ -165,13 +166,13 @@ class Server
      * through the handlers so spans and histograms can tag/time. */
     struct RequestContext
     {
-        std::uint64_t arrivalNs = 0;
+        obs::Phase::Clock::time_point arrival;
         std::uint64_t traceId = 0;
     };
 
     void listenerMain();
     void workerMain();
-    void serveConnection(int fd, std::uint64_t queue_wait_ns);
+    void serveConnection(int fd);
 
     /** Handle one well-framed request; @return the response frame
      * bytes (already encoded). @p client_id is the connection's
@@ -191,8 +192,10 @@ class Server
     std::string handleStats();
     std::string handlePut(const PutTraceRequest &request);
 
-    /** Record @p ns into @p series when telemetry is on. */
-    void recordLatency(obs::Latency series, std::uint64_t ns);
+    /** A served phase's sinks: @p series of the latency histograms
+     * when telemetry is on, and @p trace_id on its span. */
+    obs::Phase::Sinks served(obs::Latency series,
+                             std::uint64_t trace_id = 0);
 
     /** Per-request bookkeeping after the response is built: E2E
      * histogram, request log line, slow log. */
@@ -201,7 +204,7 @@ class Server
                        const std::string &response);
 
     /** Ok, or DeadlineExceeded once @p deadline_ms has passed. */
-    Status checkDeadline(std::uint64_t arrival_ns,
+    Status checkDeadline(obs::Phase::Clock::time_point arrival,
                          std::uint32_t deadline_ms);
 
     /** A BUSY frame carrying @p retry_after_ms, tallied as a shed. */
@@ -250,11 +253,11 @@ class Server
     std::vector<std::thread> workers;
 
     /** An accepted connection awaiting a worker, stamped at enqueue
-     * so the pop can charge the queue-wait histogram. */
+     * so the pop can charge the queue-wait phase. */
     struct PendingConn
     {
         int fd = -1;
-        std::uint64_t enqueueNs = 0;
+        obs::Phase::Clock::time_point enqueued;
     };
 
     mutable std::mutex queueMutex;

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
+#include "obs/trace_events.h"
 #include "trace/text_io.h"
 #include "util/logging.h"
 
@@ -166,7 +166,6 @@ TraceStore::fetch(const std::string &name, std::uint32_t key)
 bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key,
                       std::shared_ptr<const Trace> warm)
 {
-    const std::uint64_t startNs = obs::monotonicNs();
     bool loadedTrace = false;
     try
     {
@@ -187,9 +186,7 @@ bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key,
             return false;
         }
         std::shared_ptr<const Trace> trace = source.value().trace;
-        if (!trace && source.value().make)
-            trace = source.value().make();
-        if (!trace && key != kTraceSlot)
+        if (!trace && !source.value().make && key != kTraceSlot)
         {
             // A binary trace file packs block by block: no Trace.
             Result<std::shared_ptr<const ReplayArtifact>> built =
@@ -202,6 +199,10 @@ bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key,
             slot.bytes = slot.artifact ? slot.artifact->bytes() : 0;
             return false;
         }
+        obs::Phase loading({.ns = obs::Counter::TraceLoadNs,
+                            .count = obs::Counter::TraceLoadRefs});
+        if (!trace && source.value().make)
+            trace = source.value().make();
         if (!trace)
         {
             Result<Trace> decoded = readAnyTraceFile(source.value().path);
@@ -213,13 +214,9 @@ bool TraceStore::fill(Slot &slot, const std::string &name, std::uint32_t key,
             }
             trace = std::make_shared<const Trace>(std::move(decoded.value()));
         }
+        loading.count(trace->size());
+        loading.stop();
         loadedTrace = true;
-        if (obs::MetricsCollector *metrics = obs::activeMetrics())
-        {
-            metrics->add(obs::Counter::TraceLoadNs,
-                         obs::monotonicNs() - startNs);
-            metrics->add(obs::Counter::TraceLoadRefs, trace->size());
-        }
         if (key == kTraceSlot)
         {
             slot.bytes = traceBytes(*trace);

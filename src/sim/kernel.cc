@@ -695,7 +695,6 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
               std::uint8_t sticky_max)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
     obs::ProgressBar *const progress = obs::ProgressBar::active();
 
     std::vector<KernelLeg *> ascending;
@@ -714,7 +713,8 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
             ? kernelDispatchIsa()
             : KernelIsa::Scalar;
 
-    const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
+    const obs::Phase pass("replay",
+                          [&] { return "kernel-replay " + label; });
     const std::uint32_t *block_sets = view.blockSetWords();
     const std::uint8_t *block_shared = artifact.sharing().sharedLowBits();
     const std::uint32_t *ids = view.ids();
@@ -730,7 +730,8 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
                             block_sets, block_shared, list);
         prev_id = ids[end - 1];
 
-        const std::uint64_t chunk_start = tracer ? tracer->nowNs() : 0;
+        const obs::Phase phase(
+            "kernel", [&] { return "chunk@" + std::to_string(base); });
         for (KernelLeg *const leg : ascending) {
             keepSharedAt<LastLine>(isa, list, leg->setBits);
             const std::uint32_t *const sets = list.sets.data();
@@ -761,10 +762,6 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
             metrics->add(obs::Counter::ReplayChunks, 1);
         if (progress)
             progress->add(len);
-        if (tracer)
-            tracer->complete("chunk@" + std::to_string(base), "kernel",
-                             chunk_start,
-                             tracer->nowNs() - chunk_start);
     }
 
     Count closed_form = 0;
@@ -772,9 +769,6 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
         closed_form += addClosedForm(*leg, artifact.sharing(), n, LastLine);
     if (metrics)
         metrics->add(obs::Counter::KernelClosedFormRefs, closed_form);
-    if (tracer)
-        tracer->complete("kernel-replay " + label, "replay",
-                         pass_start, tracer->nowNs() - pass_start);
 }
 
 /** Record every completed leg into its registered metrics slot (legs
@@ -867,55 +861,40 @@ std::shared_ptr<const ReplayArtifact>
 buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
                     const std::string &label, TraceLink link)
 {
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
-    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
-    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
-
+    obs::Phase phase("index", [&] { return "index " + label; },
+                     {.ns = obs::Counter::IndexBuildNs,
+                      .count = obs::Counter::IndexBuilds});
     std::shared_ptr<const ReplayArtifact> artifact(new ReplayArtifact(
         trace.name(), link == TraceLink::Keep ? &trace : nullptr,
         PackedTraceView(trace, line_bytes)));
-
-    if (metrics) {
-        metrics->add(obs::Counter::IndexBuildNs,
-                     obs::monotonicNs() - metrics_t0);
-        metrics->add(obs::Counter::IndexBuilds, 1);
-    }
-    if (tracer)
-        tracer->complete("index " + label, "index", tracer_t0,
-                         tracer->nowNs() - tracer_t0);
+    phase.count(1);
     return artifact;
 }
 
 Result<std::shared_ptr<const ReplayArtifact>>
 buildReplayArtifact(const std::string &path, std::uint32_t line_bytes)
 {
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
-    // One clock for every delta: the tracer's when it is installed,
-    // so the decode spans and the charged time agree.
-    const auto now = [tracer] {
-        return tracer ? tracer->nowNs() : obs::monotonicNs();
-    };
-    const bool timed = metrics || tracer;
-    const std::uint64_t t0 = timed ? now() : 0;
-
     TraceDecoder decoder(path);
+    // The build's span is the whole; its decode is charged to
+    // trace-load-*, one phase per block, and the rest to index-build.
+    obs::Phase build("index", [&] { return "index " + decoder.name(); },
+                     {.count = obs::Counter::IndexBuilds});
+    obs::Phase opening({.ns = obs::Counter::TraceLoadNs});
     if (Status status = decoder.open(); !status.ok())
         return status;
-    std::uint64_t decode_ns = timed ? now() - t0 : 0;
+    std::uint64_t decode_ns = opening.stop();
     PackedTraceView view(line_bytes, decoder.reserveRecords());
     for (std::span<const MemRef> block;;) {
-        const std::uint64_t block_t0 = timed ? now() : 0;
+        obs::Phase decoding(
+            "load", [&] { return "decode@" + std::to_string(view.size()); },
+            {.ns = obs::Counter::TraceLoadNs,
+             .count = obs::Counter::TraceLoadRefs});
         if (Status status = decoder.next(block); !status.ok())
             return status;
-        if (timed) {
-            const std::uint64_t block_ns = now() - block_t0;
-            decode_ns += block_ns;
-            if (tracer && !block.empty())
-                tracer->complete("decode@" + std::to_string(view.size()),
-                                 "load", block_t0, block_ns);
-        }
+        if (block.empty())
+            decoding.dropSpan();
+        decoding.count(block.size());
+        decode_ns += decoding.stop();
         if (block.empty())
             break;
         if (view.size() + block.size() >= (std::uint64_t{1} << 32))
@@ -929,19 +908,10 @@ buildReplayArtifact(const std::string &path, std::uint32_t line_bytes)
 
     std::shared_ptr<const ReplayArtifact> artifact(
         new ReplayArtifact(decoder.name(), nullptr, std::move(view)));
-
-    if (timed) {
-        const std::uint64_t total_ns = now() - t0;
-        if (metrics) {
-            metrics->add(obs::Counter::TraceLoadNs, decode_ns);
-            metrics->add(obs::Counter::TraceLoadRefs, artifact->refs());
-            metrics->add(obs::Counter::IndexBuildNs, total_ns - decode_ns);
-            metrics->add(obs::Counter::IndexBuilds, 1);
-        }
-        if (tracer)
-            tracer->complete("index " + artifact->name(), "index", t0,
-                             total_ns);
-    }
+    build.count(1);
+    const std::uint64_t total_ns = build.stop();
+    if (obs::MetricsCollector *const metrics = obs::activeMetrics())
+        metrics->add(obs::Counter::IndexBuildNs, total_ns - decode_ns);
     return artifact;
 }
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "sim/kernel.h"
-#include "sim/obs_hooks.h"
+#include "obs/progress.h"
+#include "obs/trace_events.h"
 #include "sim/workloads.h"
 #include "util/bitops.h"
 #include "util/stats.h"
@@ -52,14 +52,35 @@ replayTriads(ReplayEngine engine, const ReplayArtifact &artifact,
                      artifact.name() + "' was packed without one")});
         return outcome;
     }
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    obs::ProgressBar *const progress = obs::ProgressBar::active();
     std::vector<Status> leg_status(sizes.size());
     ThreadPool::global().parallelFor(sizes.size(), [&](std::size_t s) {
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
-            outcome.triads[s] = simobs::runTriadLeg(
-                *trace, artifact.index(), label, sizes[s],
-                artifact.lineBytes(), config);
+            obs::LegMetrics *const slot =
+                metrics ? metrics->leg(label, sizes[s]) : nullptr;
+            obs::Phase phase("leg",
+                             [&] {
+                                 return "leg " + label + " @ " +
+                                        std::to_string(sizes[s]);
+                             },
+                             {.timed = slot != nullptr});
+            const TriadResult &triad = outcome.triads[s] =
+                runTriad(*trace, artifact.index(), sizes[s],
+                         artifact.lineBytes(), config);
+            if (slot) {
+                slot->refs = trace->size();
+                slot->dm = triad.dm;
+                slot->de = triad.de;
+                slot->opt = triad.opt;
+                slot->deEvents = triad.deEvents;
+                slot->replayNs = phase.stop();
+                slot->done = true;
+            }
+            if (progress)
+                progress->add(trace->size());
             outcome.ok[s] = 1;
         } catch (...) {
             leg_status[s] =
@@ -91,9 +112,8 @@ averageSuite(const std::vector<std::string> &benchmark_names, Count refs,
     const auto escaped = ThreadPool::global().parallelForCollect(
         benchmark_names.size(), [&](std::size_t b) {
             const std::string &bench = benchmark_names[b];
-            std::optional<obs::ScopedSpan> bench_span;
-            if (obs::Tracer::active())
-                bench_span.emplace("bench", "bench " + bench);
+            const obs::Phase phase("bench",
+                                   [&] { return "bench " + bench; });
             if (const auto &hook = sweepFaultHook())
                 hook(bench, 0);
             Trace trace = loadStream(bench, refs, stream);
@@ -159,11 +179,9 @@ averageSuite(const std::vector<std::string> &benchmark_names, Count refs,
 Trace
 loadStream(const std::string &name, Count refs, StreamKind stream)
 {
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
-    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
-    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
-
+    obs::Phase phase("load", [&] { return "load " + name; },
+                     {.ns = obs::Counter::TraceLoadNs,
+                      .count = obs::Counter::TraceLoadRefs});
     Trace trace;
     switch (stream) {
       case StreamKind::Data:
@@ -176,15 +194,7 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
         trace = Workloads::instructions(name, refs);
         break;
     }
-
-    if (metrics) {
-        metrics->add(obs::Counter::TraceLoadNs,
-                     obs::monotonicNs() - metrics_t0);
-        metrics->add(obs::Counter::TraceLoadRefs, trace.size());
-    }
-    if (tracer)
-        tracer->complete("load " + name, "load", tracer_t0,
-                         tracer->nowNs() - tracer_t0);
+    phase.count(trace.size());
     return trace;
 }
 
@@ -203,6 +213,15 @@ paperLineSizes()
 {
     static const std::vector<std::uint32_t> lines = {4, 8, 16, 32, 64};
     return lines;
+}
+
+DynamicExclusionConfig
+sweepConfig(std::uint32_t line_bytes, std::uint8_t sticky_max)
+{
+    DynamicExclusionConfig config;
+    config.stickyMax = sticky_max;
+    config.useLastLine = line_bytes > 4;
+    return config;
 }
 
 Status
@@ -357,10 +376,8 @@ sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            std::uint32_t line_bytes, const DynamicExclusionConfig &config,
            ReplayEngine engine)
 {
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-
+    const obs::Phase phase("sweep",
+                           [&] { return "sweep " + trace.name(); });
     std::shared_ptr<const ReplayArtifact> artifact;
     try {
         artifact = buildReplayArtifact(trace, line_bytes, trace.name());

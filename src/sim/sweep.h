@@ -47,6 +47,15 @@ Status validateSweepAxis(const std::vector<std::uint64_t> &sizes,
 /** The paper's line-size axis (4B to 64B). */
 const std::vector<std::uint32_t> &paperLineSizes();
 
+/**
+ * The DE configuration a size sweep at @p line_bytes runs under:
+ * @p sticky_max from the request, and the last-line register iff the
+ * line is wider than 4 B. The CLI, a campaign and the server all take
+ * it from here, so their tables stay byte-identical.
+ */
+DynamicExclusionConfig sweepConfig(std::uint32_t line_bytes,
+                                   std::uint8_t sticky_max);
+
 /** One (cache size, triad) point. */
 struct SizeSweepPoint
 {

@@ -1,6 +1,5 @@
 #include "workload/executor.h"
 
-#include <optional>
 #include <utility>
 
 #include "obs/json.h"
@@ -21,18 +20,6 @@ namespace workload
 
 namespace
 {
-
-/** The sweep configuration a (campaign, line) leg runs under — the
- * same derivation the CLI and server use, so all three execution
- * paths produce bit-identical legs. */
-DynamicExclusionConfig
-legConfig(const CampaignSpec &spec, std::uint32_t line_bytes)
-{
-    DynamicExclusionConfig config;
-    config.stickyMax = spec.stickyMax;
-    config.useLastLine = line_bytes > 4;
-    return config;
-}
 
 void
 appendOutcome(CampaignReport &report, const std::string &label,
@@ -86,14 +73,12 @@ runLocal(const CampaignSpec &spec, CampaignReport &report)
     const std::vector<IndexedError> escaped = pool.parallelForCollect(
         spec.traces.size(), [&](std::size_t t) {
             const TraceSource &source = spec.traces[t];
-            std::optional<obs::ScopedSpan> source_span;
-            std::optional<obs::ScopedSpan> load_span;
-            if (obs::Tracer::active()) {
-                source_span.emplace("campaign", "source " + source.label);
-                load_span.emplace("load", "load " + source.label);
-            }
+            const obs::Phase phase(
+                "campaign", [&] { return "source " + source.label; });
+            obs::Phase loading("load",
+                               [&] { return "load " + source.label; });
             const Result<Trace> trace = resolveSource(source, spec.refs);
-            load_span.reset();
+            loading.stop();
             if (!trace.ok()) {
                 resolved[t] = trace.status();
                 return;
@@ -102,7 +87,8 @@ runLocal(const CampaignSpec &spec, CampaignReport &report)
                 const std::uint32_t line = spec.lines[l];
                 outcomes[t * lines + l] =
                     sweepSizes(trace.value(), spec.sizes, line,
-                               legConfig(spec, line), spec.engine);
+                               sweepConfig(line, spec.stickyMax),
+                               spec.engine);
             });
         });
     for (const IndexedError &error : escaped)

@@ -179,15 +179,5 @@ TEST(HistogramRows, FollowTheExportNamingConvention)
     EXPECT_EQ(rows.back().second, 2u);
 }
 
-TEST(HistogramSet, ActiveInstallFollowsTheCollectorPattern)
-{
-    EXPECT_EQ(activeHistograms(), nullptr);
-    HistogramSet set;
-    setActiveHistograms(&set);
-    EXPECT_EQ(activeHistograms(), &set);
-    setActiveHistograms(nullptr);
-    EXPECT_EQ(activeHistograms(), nullptr);
-}
-
 } // namespace
 } // namespace dynex::obs

@@ -199,7 +199,7 @@ TEST(Tracer, InactiveTracerCostsNothingAndRecordsNothing)
     {
         // A span built while no tracer is installed must not crash or
         // attach to a tracer installed later.
-        obs::ScopedSpan span("test", "orphan");
+        obs::Phase span("test", "orphan");
         obs::Tracer tracer;
         obs::Tracer::setActive(&tracer);
         obs::Tracer::setActive(nullptr);

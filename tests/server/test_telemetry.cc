@@ -109,6 +109,30 @@ TEST(ServerTelemetry, ClientAndServerSpansShareOneTraceId)
               serverSpanNames.end());
 }
 
+TEST(ServerTelemetry, StoreLoadSpanLandsInTheBucketItsSeriesCounted)
+{
+    TracerGuard traced;
+    Server server(benchServer("li"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+    SweepRequest request;
+    request.trace = "li";
+    ASSERT_TRUE(client.sweep(request).ok());
+    server.stop();
+
+    std::vector<std::uint64_t> loads;
+    for (const obs::TraceEvent &event : traced.tracer.sortedEvents())
+        if (std::string(event.category) == "srv" &&
+            event.name == "store-load")
+            loads.push_back(event.durNs);
+    ASSERT_EQ(loads.size(), 1u);
+    const obs::HistogramSnapshot counted =
+        server.latencyHistograms().snapshot(obs::Latency::StoreLoad);
+    EXPECT_EQ(counted.count, 1u);
+    EXPECT_EQ(counted.sumNs, loads[0]);
+    EXPECT_EQ(counted.buckets[obs::histogramBucket(loads[0])], 1u);
+}
+
 TEST(ServerTelemetry, EachTracedCallMintsAFreshNonZeroId)
 {
     Server server(benchServer("li"));

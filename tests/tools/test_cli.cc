@@ -14,8 +14,9 @@
 #include <string>
 #include <utility>
 
-#ifndef DYNEX_CLI_PATH
-#error "DYNEX_CLI_PATH must be defined by the build system"
+#if !defined(DYNEX_CLI_PATH) || !defined(DYNEX_SERVE_PATH) || \
+    !defined(DYNEX_LOADGEN_PATH)
+#error "the build system must define the dynex tools' *_PATH macros"
 #endif
 
 namespace
@@ -27,11 +28,14 @@ struct CommandResult
     std::string output;
 };
 
+/** Run @p binary with @p args; the output is its stdout, and its
+ * stderr too unless @p stderr_to says where else it goes. */
 CommandResult
-runCli(const std::string &args)
+runTool(const char *binary, const std::string &args,
+        const char *stderr_to = "&1")
 {
     const std::string command =
-        std::string(DYNEX_CLI_PATH) + " " + args + " 2>&1";
+        std::string(binary) + " " + args + " 2>" + stderr_to;
     FILE *pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string output;
@@ -40,6 +44,12 @@ runCli(const std::string &args)
         output += buffer.data();
     const int status = pclose(pipe);
     return {WEXITSTATUS(status), output};
+}
+
+CommandResult
+runCli(const std::string &args)
+{
+    return runTool(DYNEX_CLI_PATH, args);
 }
 
 TEST(CliTool, ListShowsTheSuite)
@@ -55,6 +65,48 @@ TEST(CliTool, NoArgumentsPrintsUsage)
     const auto result = runCli("");
     EXPECT_EQ(result.exitCode, 2);
     EXPECT_NE(result.output.find("usage:"), std::string::npos);
+}
+
+TEST(DaemonTools, HelpPrintsUsageToStdout)
+{
+    for (const char *binary : {DYNEX_SERVE_PATH, DYNEX_LOADGEN_PATH}) {
+        for (const char *flag : {"--help", "-h"}) {
+            SCOPED_TRACE(std::string(binary) + " " + flag);
+            const auto result = runTool(binary, flag, "/dev/null");
+            EXPECT_EQ(result.exitCode, 0);
+            EXPECT_EQ(result.output.rfind("usage:", 0), 0u)
+                << result.output;
+        }
+    }
+}
+
+TEST(DaemonTools, UnknownFlagIsReportedWithOrWithoutAValue)
+{
+    for (const char *binary : {DYNEX_SERVE_PATH, DYNEX_LOADGEN_PATH}) {
+        for (const char *args :
+             {"--bogus", "--bogus 7", "--port 1 --bogus"}) {
+            SCOPED_TRACE(std::string(binary) + " " + args);
+            const auto result = runTool(binary, args);
+            EXPECT_EQ(result.exitCode, 2);
+            EXPECT_NE(result.output.find("unknown option '--bogus'"),
+                      std::string::npos)
+                << result.output;
+            EXPECT_EQ(result.output.find("needs a value"),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(DaemonTools, AKnownFlagStillNeedsItsValue)
+{
+    for (const char *binary : {DYNEX_SERVE_PATH, DYNEX_LOADGEN_PATH}) {
+        SCOPED_TRACE(binary);
+        const auto result = runTool(binary, "--port");
+        EXPECT_EQ(result.exitCode, 2);
+        EXPECT_NE(result.output.find("--port needs a value"),
+                  std::string::npos)
+            << result.output;
+    }
 }
 
 TEST(CliTool, UnknownCommandFails)

@@ -146,6 +146,17 @@ exitCodeFor(const Status &status)
     return kExitInternal;
 }
 
+/** @return exitCodeFor(@p status), saying on stderr why @p path could
+ * not be written when it failed. */
+int
+writeOrComplain(const std::string &path, const Status &status)
+{
+    if (!status.ok())
+        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
+                     path.c_str(), status.toString().c_str());
+    return exitCodeFor(status);
+}
+
 /** The full usage text: every subcommand, every flag, the exit-code
  * contract. `dynex help` prints it to stdout (exit 0); error paths
  * print it to stderr (exit 2). */
@@ -304,10 +315,7 @@ storeTraceFile(const Trace &trace, const std::string &path)
         : isDxt3Path(path)
             ? writeTraceFile(trace, path, TraceFormat::Dxt3)
             : writeTraceFile(trace, path);
-    if (!status.ok())
-        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                     path.c_str(), status.toString().c_str());
-    return exitCodeFor(status);
+    return writeOrComplain(path, status);
 }
 
 /** Resolve a positional trace argument: a file path or a benchmark.
@@ -610,10 +618,7 @@ writeTraceAs(const Trace &trace, const std::string &path,
         status = workload::writeTextTraceFile(trace, path);
     else
         status = workload::writeLackeyTraceFile(trace, path);
-    if (!status.ok())
-        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                     path.c_str(), status.toString().c_str());
-    return exitCodeFor(status);
+    return writeOrComplain(path, status);
 }
 
 int
@@ -784,13 +789,8 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     if (tracer) {
         obs::setPoolJobSpans(false);
         obs::Tracer::setActive(nullptr);
-        if (const Status wrote = tracer->writeJson(options.traceOut);
-            !wrote.ok()) {
-            std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                         options.traceOut.c_str(),
-                         wrote.toString().c_str());
-            rc = exitCodeFor(wrote);
-        }
+        rc = writeOrComplain(options.traceOut,
+                             tracer->writeJson(options.traceOut));
     }
     if (!ran.ok()) {
         std::fprintf(stderr, "dynex: %s\n",
@@ -879,11 +879,9 @@ cmdTriad(const std::string &target, const Options &options)
 
     const NextUseIndex index(*trace, options.lineBytes,
                              NextUseMode::RunStart);
-    DynamicExclusionConfig config;
-    config.stickyMax = options.stickyMax;
-    config.useLastLine = options.lineBytes > 4;
-    const TriadResult triad = runTriad(
-        *trace, index, options.sizeBytes, options.lineBytes, config);
+    const TriadResult triad =
+        runTriad(*trace, index, options.sizeBytes, options.lineBytes,
+                 sweepConfig(options.lineBytes, options.stickyMax));
 
     Table table;
     table.setHeader({"model", "miss %", "misses", "bypasses"});
@@ -1012,16 +1010,6 @@ class SweepObservation
     }
 
   private:
-    static int
-    writeOrComplain(const std::string &path, const Status &status)
-    {
-        if (status.ok())
-            return kExitOk;
-        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                     path.c_str(), status.toString().c_str());
-        return exitCodeFor(status);
-    }
-
     const Options &opts;
     std::string traceName;
     std::unique_ptr<obs::MetricsCollector> collector;
@@ -1073,30 +1061,6 @@ printSweepTable(const SizeSweepOutcome &outcome)
     return worst;
 }
 
-/** resolveTrace, charged as trace acquisition: TraceLoadNs,
- * TraceLoadRefs and a "load" span. */
-std::optional<Trace>
-acquireTrace(const std::string &target, const Options &options,
-             int &exit_code)
-{
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    obs::Tracer *const tracer = obs::Tracer::active();
-    const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
-    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
-    std::optional<Trace> trace = resolveTrace(target, options, exit_code);
-    if (!trace)
-        return trace;
-    if (metrics) {
-        metrics->add(obs::Counter::TraceLoadNs,
-                     obs::monotonicNs() - metrics_t0);
-        metrics->add(obs::Counter::TraceLoadRefs, trace->size());
-    }
-    if (tracer)
-        tracer->complete("load " + trace->name(), "load", tracer_t0,
-                         tracer->nowNs() - tracer_t0);
-    return trace;
-}
-
 int
 cmdSweep(const std::string &target, const Options &options)
 {
@@ -1110,22 +1074,20 @@ cmdSweep(const std::string &target, const Options &options)
         });
     }
 
-    DynamicExclusionConfig config;
-    config.stickyMax = options.stickyMax;
-    config.useLastLine = options.lineBytes > 4;
+    const DynamicExclusionConfig config =
+        sweepConfig(options.lineBytes, options.stickyMax);
     SweepObservation observation(options);
 
     // A kernel sweep of a binary trace file never builds the Trace:
     // the decoder's blocks are packed straight into the artifact, and
     // a bad file fails with the decoder's Status. Every other sweep (the
     // per-leg engine, a benchmark name, a din file) reads a Trace.
-    obs::Tracer *const tracer = obs::Tracer::active();
-    const std::uint64_t sweep_t0 = tracer ? tracer->nowNs() : 0;
     std::string name;
     std::size_t refs = 0;
     SizeSweepOutcome outcome;
     if (options.replay == ReplayEngine::Kernel && looksLikeFile(target) &&
         !isDinPath(target)) {
+        const obs::Phase phase("sweep", [&] { return "sweep " + name; });
         const auto built = buildReplayArtifact(target, options.lineBytes);
         if (!built.ok())
             return reportReadFailure(target, built.status());
@@ -1135,16 +1097,18 @@ cmdSweep(const std::string &target, const Options &options)
         observation.begin(name, refs);
         outcome = sweepSizes(artifact, paperCacheSizes(), config,
                              options.replay);
-        if (tracer)
-            tracer->complete("sweep " + name, "sweep", sweep_t0,
-                             tracer->nowNs() - sweep_t0);
     } else {
+        obs::Phase phase("load", [&] { return "load " + name; },
+                         {.ns = obs::Counter::TraceLoadNs,
+                          .count = obs::Counter::TraceLoadRefs});
         int rc = kExitInternal;
-        const auto trace = acquireTrace(target, options, rc);
+        const auto trace = resolveTrace(target, options, rc);
         if (!trace)
             return rc;
         name = trace->name();
         refs = trace->size();
+        phase.count(refs);
+        phase.stop();
         observation.begin(name, refs);
         outcome = sweepSizes(*trace, paperCacheSizes(), options.lineBytes,
                              config, options.replay);
@@ -1283,13 +1247,8 @@ cmdRemoteSweep(const std::string &target, const Options &options)
     int traceRc = kExitOk;
     if (tracer) {
         obs::Tracer::setActive(nullptr);
-        const Status wrote = tracer->writeJson(options.traceOut);
-        if (!wrote.ok()) {
-            std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                         options.traceOut.c_str(),
-                         wrote.toString().c_str());
-            traceRc = exitCodeFor(wrote);
-        }
+        traceRc = writeOrComplain(options.traceOut,
+                                  tracer->writeJson(options.traceOut));
     }
     if (!swept.ok()) {
         std::fprintf(stderr, "dynex: remote sweep failed: %s\n",
@@ -1455,12 +1414,10 @@ cmdTraceMerge(const std::string &out_path,
         inputs.push_back({path, std::move(events).value()});
     }
     const std::string merged = obs::mergeChromeTraces(inputs);
-    const Status wrote = obs::writeTextFile(out_path, merged);
-    if (!wrote.ok()) {
-        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                     out_path.c_str(), wrote.toString().c_str());
-        return exitCodeFor(wrote);
-    }
+    if (const int rc =
+            writeOrComplain(out_path, obs::writeTextFile(out_path, merged));
+        rc != kExitOk)
+        return rc;
     std::size_t spans = 0;
     for (const auto &input : inputs)
         spans += input.events.size();

@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -86,11 +87,12 @@ struct Options
     std::string reportOut;
 };
 
+/** The usage text, to stdout for --help (exit 0), else stderr (2). */
 int
-usage()
+usage(std::FILE *out)
 {
     std::fprintf(
-        stderr,
+        out,
         "usage: dynex_loadgen --port P [options]\n"
         "  --host H           server address (default 127.0.0.1)\n"
         "  --mode open|closed open: Poisson arrivals at --rps;\n"
@@ -114,9 +116,11 @@ usage()
         "  --deadline-ms N    per-request deadline + retry budget\n"
         "  --latency-budget-ms B  exit 1 when p95 latency exceeds B\n"
         "  --report F         write a dynex-metrics-v1 JSON report\n"
+        "  --version          print the version and exit\n"
+        "  --help, -h         print this text to stdout and exit\n"
         "exit codes: 0 ok, 1 budget exceeded or no progress,\n"
         "            2 usage, 3 i/o error\n");
-    return 2;
+    return out == stdout ? 0 : 2;
 }
 
 bool
@@ -342,31 +346,33 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
     {
         const std::string flag = argv[i];
+        if (flag == "--help" || flag == "-h")
+            return usage(stdout);
         if (flag == "--version")
         {
             std::printf("dynex_loadgen %s\n", versionString());
             return 0;
         }
+        // Taken only by a flag that wants one, so an unknown flag is
+        // reported as unknown whether or not a value follows it.
         auto value = [&]() -> const char * {
             if (i + 1 >= argc)
             {
                 std::fprintf(stderr,
                              "dynex_loadgen: %s needs a value\n",
                              flag.c_str());
-                return nullptr;
+                std::exit(2);
             }
             return argv[++i];
         };
-        const char *v = value();
-        if (!v)
-            return 2;
         if (flag == "--host")
-            options.host = v;
+            options.host = value();
         else if (flag == "--port")
             options.port = static_cast<std::uint16_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--mode")
         {
+            const char *const v = value();
             if (iequals(v, "open"))
                 options.openLoop = true;
             else if (iequals(v, "closed"))
@@ -380,7 +386,7 @@ main(int argc, char **argv)
         }
         else if (flag == "--rps")
         {
-            options.rps = std::strtod(v, nullptr);
+            options.rps = std::strtod(value(), nullptr);
             if (options.rps <= 0)
             {
                 std::fprintf(stderr,
@@ -391,12 +397,13 @@ main(int argc, char **argv)
         else if (flag == "--clients")
             options.clients = std::max(
                 1u,
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10)));
+                static_cast<unsigned>(std::strtoul(value(), nullptr, 10)));
         else if (flag == "--duration-ms")
             options.durationMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--mix")
         {
+            const char *const v = value();
             if (!parseMix(v, options.mix))
             {
                 std::fprintf(stderr,
@@ -407,12 +414,13 @@ main(int argc, char **argv)
             }
         }
         else if (flag == "--trace")
-            options.trace = v;
+            options.trace = value();
         else if (flag == "--line")
             options.lineBytes = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--replay")
         {
+            const char *const v = value();
             const std::optional<ReplayEngine> engine =
                 parseReplayEngine(v);
             if (!engine)
@@ -424,33 +432,33 @@ main(int argc, char **argv)
             options.engine = static_cast<std::uint8_t>(*engine);
         }
         else if (flag == "--seed")
-            options.seed = std::strtoull(v, nullptr, 10);
+            options.seed = std::strtoull(value(), nullptr, 10);
         else if (flag == "--retries")
             options.retries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
         else if (flag == "--backoff-ms")
             options.backoffMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--deadline-ms")
             options.deadlineMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--latency-budget-ms")
             options.latencyBudgetMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+                std::strtoul(value(), nullptr, 10));
         else if (flag == "--report")
-            options.reportOut = v;
+            options.reportOut = value();
         else
         {
             std::fprintf(stderr,
                          "dynex_loadgen: unknown option '%s'\n",
                          flag.c_str());
-            return usage();
+            return usage(stderr);
         }
     }
     if (options.port == 0)
     {
         std::fprintf(stderr, "dynex_loadgen: --port is required\n");
-        return usage();
+        return usage(stderr);
     }
 
     // Server-side view of the run, for --report: counters before the

@@ -26,10 +26,12 @@
  * Exit codes: 0 ok, 2 usage error, 3 I/O error (bind/write failures).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -61,10 +63,11 @@ void onSignal(int)
     gStopRequested.store(true, std::memory_order_relaxed);
 }
 
-int usage()
+/** The usage text, to stdout for --help (exit 0), else stderr (2). */
+int usage(std::FILE *out)
 {
     std::fprintf(
-        stderr,
+        out,
         "usage: dynex_serve [options]\n"
         "\n"
         "  --port P          listen port (default: ephemeral)\n"
@@ -110,9 +113,21 @@ int usage()
         "  --test-delay-ms N (testing) stall each request N ms before\n"
         "                    executing, to exercise deadlines\n"
         "  --version         print the server version and exit\n"
+        "  --help, -h        print this text to stdout and exit\n"
         "\n"
         "exit codes: 0 ok, 2 usage, 3 io error\n");
-    return 2;
+    return out == stdout ? 0 : 2;
+}
+
+/** @return 0, or 3 after saying on stderr why @p path could not be
+ * written. */
+int writeOrComplain(const std::string &path, const Status &status)
+{
+    if (status.ok())
+        return 0;
+    std::fprintf(stderr, "dynex_serve: cannot write %s: %s\n",
+                 path.c_str(), status.toString().c_str());
+    return 3;
 }
 
 std::string stemOf(const std::string &path)
@@ -141,15 +156,19 @@ int main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
     {
         const std::string flag = argv[i];
+        // Taken only by a flag that wants one, so an unknown flag is
+        // reported as unknown whether or not a value follows it.
         auto value = [&]() -> const char * {
             if (i + 1 >= argc)
             {
                 std::fprintf(stderr, "dynex_serve: %s needs a value\n",
                              flag.c_str());
-                return nullptr;
+                std::exit(2);
             }
             return argv[++i];
         };
+        if (flag == "--help" || flag == "-h")
+            return usage(stdout);
         if (flag == "--version")
         {
             std::printf("dynex_serve %s\n", versionString());
@@ -176,29 +195,27 @@ int main(int argc, char **argv)
             config.telemetry = false;
             continue;
         }
-        const char *v = value();
-        if (!v)
-            return 2;
         if (flag == "--port")
         {
-            config.port =
-                static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+            config.port = static_cast<std::uint16_t>(
+                std::strtoul(value(), nullptr, 10));
         }
         else if (flag == "--port-file")
         {
-            portFile = v;
+            portFile = value();
         }
         else if (flag == "--workers")
         {
-            config.workers =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            config.workers = static_cast<unsigned>(
+                std::strtoul(value(), nullptr, 10));
         }
         else if (flag == "--queue")
         {
-            config.queueCapacity = std::strtoul(v, nullptr, 10);
+            config.queueCapacity = std::strtoul(value(), nullptr, 10);
         }
         else if (flag == "--store-budget")
         {
+            const char *const v = value();
             const auto parsed = parseSize(v);
             if (!parsed)
             {
@@ -209,10 +226,11 @@ int main(int argc, char **argv)
         }
         else if (flag == "--refs")
         {
-            config.refs = std::strtoull(v, nullptr, 10);
+            config.refs = std::strtoull(value(), nullptr, 10);
         }
         else if (flag == "--bench")
         {
+            const char *const v = value();
             if (!isSpecBenchmark(v))
             {
                 std::fprintf(stderr,
@@ -224,6 +242,7 @@ int main(int argc, char **argv)
         }
         else if (flag == "--trace")
         {
+            const char *const v = value();
             std::error_code ec;
             const auto size = std::filesystem::file_size(v, ec);
             if (ec)
@@ -238,28 +257,29 @@ int main(int argc, char **argv)
         }
         else if (flag == "--metrics-out")
         {
-            metricsOut = v;
+            metricsOut = value();
         }
         else if (flag == "--trace-out")
         {
-            traceOut = v;
+            traceOut = value();
         }
         else if (flag == "--admission-budget-ms")
         {
             config.admission.costBudgetNs =
-                std::strtoull(v, nullptr, 10) * 1'000'000ull;
+                std::strtoull(value(), nullptr, 10) * 1'000'000ull;
         }
         else if (flag == "--client-burst-ms")
         {
             config.admission.clientBurstNs =
-                std::strtoull(v, nullptr, 10) * 1'000'000ull;
+                std::strtoull(value(), nullptr, 10) * 1'000'000ull;
         }
         else if (flag == "--chaos-seed")
         {
-            config.chaosSeed = std::strtoull(v, nullptr, 10);
+            config.chaosSeed = std::strtoull(value(), nullptr, 10);
         }
         else if (flag == "--chaos-spec")
         {
+            const char *const v = value();
             Result<server::ChaosSpec> spec = server::parseChaosSpec(v);
             if (!spec.ok())
             {
@@ -271,6 +291,7 @@ int main(int argc, char **argv)
         }
         else if (flag == "--log-level")
         {
+            const char *const v = value();
             if (!obs::parseLogLevel(v, logOptions.minLevel))
             {
                 std::fprintf(stderr,
@@ -281,26 +302,26 @@ int main(int argc, char **argv)
         }
         else if (flag == "--log-rate")
         {
-            logOptions.ratePerSec =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            logOptions.ratePerSec = static_cast<std::uint32_t>(
+                std::strtoul(value(), nullptr, 10));
             logOptions.burst = logOptions.ratePerSec * 2;
         }
         else if (flag == "--slow-request-ms")
         {
-            config.slowRequestMs =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            config.slowRequestMs = static_cast<std::uint32_t>(
+                std::strtoul(value(), nullptr, 10));
             logJson = true;
         }
         else if (flag == "--test-delay-ms")
         {
-            config.testDelayBeforeExecuteMs =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            config.testDelayBeforeExecuteMs = static_cast<std::uint32_t>(
+                std::strtoul(value(), nullptr, 10));
         }
         else
         {
             std::fprintf(stderr, "dynex_serve: unknown option '%s'\n",
                          flag.c_str());
-            return usage();
+            return usage(stderr);
         }
     }
     if (!explicitTraces)
@@ -337,17 +358,12 @@ int main(int argc, char **argv)
         return 3;
     }
 
-    if (!portFile.empty())
+    const std::string portLine = std::to_string(server.port()) + "\n";
+    if (!portFile.empty() &&
+        writeOrComplain(portFile, obs::writeTextFile(portFile, portLine)))
     {
-        const Status wrote = obs::writeTextFile(
-            portFile, std::to_string(server.port()) + "\n");
-        if (!wrote.ok())
-        {
-            std::fprintf(stderr, "dynex_serve: cannot write %s: %s\n",
-                         portFile.c_str(), wrote.toString().c_str());
-            server.stop();
-            return 3;
-        }
+        server.stop();
+        return 3;
     }
 
     std::signal(SIGINT, onSignal);
@@ -379,15 +395,7 @@ int main(int argc, char **argv)
     obs::Tracer::setActive(nullptr);
     obs::setActiveMetrics(nullptr);
     if (tracer)
-    {
-        const Status wrote = tracer->writeJson(traceOut);
-        if (!wrote.ok())
-        {
-            std::fprintf(stderr, "dynex_serve: cannot write %s: %s\n",
-                         traceOut.c_str(), wrote.toString().c_str());
-            rc = 3;
-        }
-    }
+        rc = writeOrComplain(traceOut, tracer->writeJson(traceOut));
     if (collector)
     {
         obs::RunInfo info;
@@ -399,14 +407,9 @@ int main(int argc, char **argv)
         obs::RunReport report =
             obs::RunReport::build(info, *collector, {});
         report.extra = server.statsRows();
-        const Status wrote =
-            obs::writeTextFile(metricsOut, report.toJson());
-        if (!wrote.ok())
-        {
-            std::fprintf(stderr, "dynex_serve: cannot write %s: %s\n",
-                         metricsOut.c_str(), wrote.toString().c_str());
-            rc = 3;
-        }
+        rc = std::max(rc, writeOrComplain(metricsOut,
+                                          obs::writeTextFile(
+                                              metricsOut, report.toJson())));
     }
     const server::ServerCounters totals = server.counters();
     if (logger)
