@@ -4,9 +4,10 @@
 # the file-backed path: `li` (100K references) stored as DXT2 and as
 # DXT3, where a kernel sweep packs its artifact straight from the
 # mapped file and a per-leg sweep decodes the Trace, must give
-# byte-identical tables at threads 1/2/8 and lines 4/16/64, whose bodies
-# match the synthetic `li` sweep's. At 64-byte lines runs are long, so
-# the kernel's within-run skip carries most of each leg.
+# byte-identical tables at threads 1/2/3/8 and lines 4/16/64, whose
+# bodies match the synthetic `li` sweep's. At 64-byte lines runs are
+# long, so the kernel's within-run skip carries most of each leg. Three
+# threads split a sweep's 8 legs into leg groups of 3, 3 and 2.
 #
 # Usage: cmake -DDYNEX_CLI=<path-to-dynex> -DWORK_DIR=<scratch dir>
 #        -P sweep_determinism.cmake
@@ -42,7 +43,7 @@ endfunction()
 
 set(common sweep li --line 4 --refs 100000)
 
-foreach(threads 1 2 8)
+foreach(threads 1 2 3 8)
     execute_process(
         COMMAND ${DYNEX_CLI} ${common} --threads ${threads}
                 --replay per-leg
@@ -95,7 +96,7 @@ endif()
 foreach(line 4 16 64)
     run_sweep(synthetic li --line ${line} --refs 100000 --replay per-leg)
     table_body("${synthetic}" synthetic_body)
-    foreach(threads 1 2 8)
+    foreach(threads 1 2 3 8)
         foreach(format dxt2 dxt3)
             set(file ${WORK_DIR}/li.${format})
             run_sweep(per_leg ${file} --line ${line} --threads ${threads}

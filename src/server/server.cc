@@ -224,7 +224,13 @@ void Server::stop()
 {
     if (!started)
         return;
-    stopping.store(true, std::memory_order_relaxed);
+    {
+        // Under the queue lock: a worker that has just found its wait
+        // predicate false still holds the lock, so the flag cannot flip
+        // and the notify cannot fire before it sleeps.
+        std::lock_guard<std::mutex> lock(queueMutex);
+        stopping.store(true, std::memory_order_relaxed);
+    }
     queueCv.notify_all();
     if (listener.joinable())
         listener.join();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <memory>
+#include <span>
 #include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -20,6 +21,7 @@
 #include "trace/trace_io.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 // The chunk loop runs hot enough that inlining it into the (large)
 // pass driver costs real speed: the merged frame spills its loop
@@ -54,6 +56,14 @@ cpuHasAvx2()
  * count of an empty list. */
 constexpr std::uint8_t kNoShared = 0xff;
 
+/** One uninitialized lane-list array of a chunk's capacity. */
+template <typename T>
+std::unique_ptr<T[]>
+chunkArray()
+{
+    return std::make_unique_for_overwrite<T[]>(detail::kBatchChunkRefs);
+}
+
 /**
  * The references of one chunk that a leg replays in its lanes, as
  * parallel arrays: dense id, set word, next-use tick, the block's
@@ -71,17 +81,21 @@ constexpr std::uint8_t kNoShared = 0xff;
  */
 struct LaneList
 {
-    std::vector<std::uint32_t> ids, sets, next;
-    /** same is empty with the last-line register: nothing reads it. */
-    std::vector<std::uint8_t> shared, same;
+    /** Left uninitialized: every entry below size is written before it
+     * is read, and no store reaches past kBatchChunkRefs. */
+    std::unique_ptr<std::uint32_t[]> ids, sets, next;
+    /** same is null with the last-line register: nothing reads it. */
+    std::unique_ptr<std::uint8_t[]> shared, same;
     std::size_t size = 0;
     /** The smallest shared count in the list; kNoShared when empty. */
     std::uint8_t minShared = kNoShared;
 
     explicit LaneList(bool last_line)
-        : ids(detail::kBatchChunkRefs), sets(detail::kBatchChunkRefs),
-          next(detail::kBatchChunkRefs), shared(detail::kBatchChunkRefs),
-          same(last_line ? 0 : detail::kBatchChunkRefs)
+        : ids(chunkArray<std::uint32_t>()),
+          sets(chunkArray<std::uint32_t>()),
+          next(chunkArray<std::uint32_t>()),
+          shared(chunkArray<std::uint8_t>()),
+          same(last_line ? nullptr : chunkArray<std::uint8_t>())
     {
     }
 };
@@ -105,11 +119,11 @@ startListScalar(const std::uint32_t *__restrict ids,
                 std::size_t i = 0, std::size_t m = 0,
                 std::uint8_t low = kNoShared)
 {
-    std::uint32_t *const __restrict out_ids = list.ids.data();
-    std::uint32_t *const __restrict out_sets = list.sets.data();
-    std::uint32_t *const __restrict out_next = list.next.data();
-    std::uint8_t *const __restrict out_shared = list.shared.data();
-    std::uint8_t *const __restrict out_same = list.same.data();
+    std::uint32_t *const __restrict out_ids = list.ids.get();
+    std::uint32_t *const __restrict out_sets = list.sets.get();
+    std::uint32_t *const __restrict out_next = list.next.get();
+    std::uint8_t *const __restrict out_shared = list.shared.get();
+    std::uint8_t *const __restrict out_same = list.same.get();
     for (; i < n; ++i) {
         // Written unconditionally and kept by advancing m: a within-run
         // entry is overwritten by the next run start.
@@ -139,11 +153,11 @@ void
 keepSharedAtScalar(LaneList &list, unsigned k, std::size_t j = 0,
                    std::size_t m = 0, std::uint8_t low = kNoShared)
 {
-    std::uint32_t *const __restrict ids = list.ids.data();
-    std::uint32_t *const __restrict sets = list.sets.data();
-    std::uint32_t *const __restrict next = list.next.data();
-    std::uint8_t *const __restrict shared = list.shared.data();
-    std::uint8_t *const __restrict same = list.same.data();
+    std::uint32_t *const __restrict ids = list.ids.get();
+    std::uint32_t *const __restrict sets = list.sets.get();
+    std::uint32_t *const __restrict next = list.next.get();
+    std::uint8_t *const __restrict shared = list.shared.get();
+    std::uint8_t *const __restrict same = list.same.get();
     for (; j < list.size; ++j) {
         // m <= j: each entry moves down or stays.
         const std::uint8_t bits = shared[j];
@@ -266,16 +280,16 @@ startListAvx2(const std::uint32_t *ids, const std::uint32_t *next_use,
             kept = static_cast<unsigned>(std::popcount(starts));
         } else {
             low = _mm256_min_epu32(low, shared);
-            storeBytes(list.same.data() + m,
+            storeBytes(list.same.get() + m,
                        _mm256_and_si256(same, _mm256_set1_epi32(1)));
         }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.ids.data() + m),
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.ids.get() + m),
                             ids_out);
         _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(list.sets.data() + m), sets);
+            reinterpret_cast<__m256i *>(list.sets.get() + m), sets);
         _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(list.next.data() + m), next);
-        storeBytes(list.shared.data() + m, shared);
+            reinterpret_cast<__m256i *>(list.next.get() + m), next);
+        storeBytes(list.shared.get() + m, shared);
         m += kept;
     }
     startListScalar<LastLine>(ids, next_use, n, ids[i - 1], block_sets,
@@ -294,7 +308,7 @@ keepSharedAtAvx2(LaneList &list, unsigned k)
     std::size_t m = 0, j = 0;
     for (; j + 8 <= list.size; j += 8) {
         const __m256i shared = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(list.shared.data() + j)));
+            reinterpret_cast<const __m128i *>(list.shared.get() + j)));
         const __m256i keep = _mm256_cmpgt_epi32(shared, floor);
         const unsigned kept = static_cast<unsigned>(
             _mm256_movemask_ps(_mm256_castsi256_ps(keep)));
@@ -302,28 +316,28 @@ keepSharedAtAvx2(LaneList &list, unsigned k)
         // Eight loads before any store: m <= j, so the stores only
         // cover entries already read.
         const __m256i ids = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(list.ids.data() + j));
+            reinterpret_cast<const __m256i *>(list.ids.get() + j));
         const __m256i sets = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(list.sets.data() + j));
+            reinterpret_cast<const __m256i *>(list.sets.get() + j));
         const __m256i next = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(list.next.data() + j));
+            reinterpret_cast<const __m256i *>(list.next.get() + j));
         __m256i same;
         if constexpr (!LastLine)
             same = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(list.same.data() + j)));
+                reinterpret_cast<const __m128i *>(list.same.get() + j)));
         low = _mm256_min_epu32(low, _mm256_blendv_epi8(none, shared, keep));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.ids.data() + m),
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.ids.get() + m),
                             _mm256_permutevar8x32_epi32(ids, perm));
         _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(list.sets.data() + m),
+            reinterpret_cast<__m256i *>(list.sets.get() + m),
             _mm256_permutevar8x32_epi32(sets, perm));
         _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(list.next.data() + m),
+            reinterpret_cast<__m256i *>(list.next.get() + m),
             _mm256_permutevar8x32_epi32(next, perm));
-        storeBytes(list.shared.data() + m,
+        storeBytes(list.shared.get() + m,
                    _mm256_permutevar8x32_epi32(shared, perm));
         if constexpr (!LastLine)
-            storeBytes(list.same.data() + m,
+            storeBytes(list.same.get() + m,
                        _mm256_permutevar8x32_epi32(same, perm));
         m += static_cast<unsigned>(std::popcount(kept));
     }
@@ -676,35 +690,25 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
 }
 
 /**
- * Stream @p artifact through every non-null leg once, in chunks. Each
- * chunk's LaneList starts once (run starts only with the last-line
- * register) and is refined in place leg by leg in ascending set count,
- * so each leg's lanes see only the references that are not closed
- * form at its size.
+ * Stream @p artifact through one leg group, @p group, in ascending set
+ * count, once, in chunks. Each chunk's LaneList starts once (run starts
+ * only with the last-line register) and is refined in place leg by leg,
+ * so each leg's lanes see only the references that are not closed form
+ * at its size.
  *
  * Observability: per-chunk-per-model timing under a metrics collector
- * (never per reference), chunk and pass spans under a tracer,
- * trace-unit progress (the chunk serves every leg), and one
- * ReplayChunks count per chunk. With none installed the cost is three
- * null checks per chunk.
+ * (never per reference), chunk spans under a tracer, and progress of
+ * the chunk's references times the group's legs. With none installed
+ * the cost is three null checks per chunk.
  */
 template <bool LastLine>
 void
-runKernelPass(const ReplayArtifact &artifact, const std::string &label,
-              std::vector<std::unique_ptr<KernelLeg>> &legs,
-              std::uint8_t sticky_max)
+runKernelPass(const ReplayArtifact &artifact,
+              std::span<KernelLeg *const> group, std::uint8_t sticky_max)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
     obs::ProgressBar *const progress = obs::ProgressBar::active();
 
-    std::vector<KernelLeg *> ascending;
-    for (const auto &leg : legs)
-        if (leg)
-            ascending.push_back(leg.get());
-    std::stable_sort(ascending.begin(), ascending.end(),
-                     [](const KernelLeg *a, const KernelLeg *b) {
-                         return a->setBits < b->setBits;
-                     });
     LaneList list(LastLine);
     const PackedTraceView &view = artifact.view();
     // The AVX2 gathers index with signed 32-bit lanes.
@@ -713,8 +717,6 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
             ? kernelDispatchIsa()
             : KernelIsa::Scalar;
 
-    const obs::Phase pass("replay",
-                          [&] { return "kernel-replay " + label; });
     const std::uint32_t *block_sets = view.blockSetWords();
     const std::uint8_t *block_shared = artifact.sharing().sharedLowBits();
     const std::uint32_t *ids = view.ids();
@@ -732,12 +734,12 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
 
         const obs::Phase phase(
             "kernel", [&] { return "chunk@" + std::to_string(base); });
-        for (KernelLeg *const leg : ascending) {
+        for (KernelLeg *const leg : group) {
             keepSharedAt<LastLine>(isa, list, leg->setBits);
-            const std::uint32_t *const sets = list.sets.data();
-            const std::uint32_t *const lids = list.ids.data();
-            const std::uint32_t *const next = list.next.data();
-            const std::uint8_t *const same = list.same.data();
+            const std::uint32_t *const sets = list.sets.get();
+            const std::uint32_t *const lids = list.ids.get();
+            const std::uint32_t *const next = list.next.get();
+            const std::uint8_t *const same = list.same.get();
             if (!metrics) {
                 chunk<kAll, LastLine>(*leg, sets, lids, next, same,
                                       list.size, sticky_max);
@@ -758,14 +760,12 @@ runKernelPass(const ReplayArtifact &artifact, const std::string &label,
             leg->deNs += t2 - t1;
             leg->optNs += obs::monotonicNs() - t2;
         }
-        if (metrics)
-            metrics->add(obs::Counter::ReplayChunks, 1);
         if (progress)
-            progress->add(len);
+            progress->add(len * group.size());
     }
 
     Count closed_form = 0;
-    for (KernelLeg *const leg : ascending)
+    for (KernelLeg *const leg : group)
         closed_form += addClosedForm(*leg, artifact.sharing(), n, LastLine);
     if (metrics)
         metrics->add(obs::Counter::KernelClosedFormRefs, closed_form);
@@ -947,10 +947,41 @@ replayTriadKernel(const ReplayArtifact &artifact,
         }
     }
 
-    if (de_config.useLastLine)
-        runKernelPass<true>(artifact, label, legs, de_config.stickyMax);
-    else
-        runKernelPass<false>(artifact, label, legs, de_config.stickyMax);
+    // Leg groups: the live legs in ascending set count, dealt
+    // round-robin to P = min(workers, live legs) groups. Each group is
+    // still ascending, so runKernelPass refines one lane list through
+    // it, and holds a mix of the costly small sizes and the cheap large
+    // ones. Groups share only the read-only artifact; with one worker
+    // the one group is the whole sweep.
+    std::vector<KernelLeg *> ascending;
+    for (const auto &leg : legs)
+        if (leg)
+            ascending.push_back(leg.get());
+    std::stable_sort(ascending.begin(), ascending.end(),
+                     [](const KernelLeg *a, const KernelLeg *b) {
+                         return a->setBits < b->setBits;
+                     });
+    ThreadPool &pool = ThreadPool::global();
+    std::vector<std::vector<KernelLeg *>> groups(
+        std::min<std::size_t>(pool.workers(), ascending.size()));
+    for (std::size_t i = 0; i < ascending.size(); ++i)
+        groups[i % groups.size()].push_back(ascending[i]);
+    {
+        const obs::Phase pass("replay",
+                              [&] { return "kernel-replay " + label; });
+        pool.parallelFor(groups.size(), [&](std::size_t g) {
+            if (de_config.useLastLine)
+                runKernelPass<true>(artifact, groups[g],
+                                    de_config.stickyMax);
+            else
+                runKernelPass<false>(artifact, groups[g],
+                                     de_config.stickyMax);
+        });
+        if (obs::MetricsCollector *const metrics = obs::activeMetrics())
+            metrics->add(obs::Counter::ReplayChunks,
+                         (view.size() + detail::kBatchChunkRefs - 1) /
+                             detail::kBatchChunkRefs);
+    }
 
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         if (legs[s]) {

@@ -1,7 +1,9 @@
 /**
  * @file
- * The SoA replay kernel: the sweep engine. One pass over a packed
- * trace replays every (size, model) leg of a sweep.
+ * The SoA replay kernel: the sweep engine. A sweep's size legs are
+ * dealt to leg groups, one per pool worker at most, and one pass per
+ * leg group over the packed trace replays all three models of each of
+ * its legs; the groups run in parallel on the thread pool.
  *
  * A per-leg sweep re-streams the trace once per (size, model) leg and
  * walks a per-model object for every reference. The kernel instead
@@ -85,7 +87,8 @@ namespace detail
 /** References per kernel chunk: its lane list is 4096 x 12 bytes
  * (dense id, set word and next-use tick) = 48KB plus 8KB of shared bit
  * counts and within-run flags, sized to stay resident in L1/L2 while
- * every leg replays and refines it. */
+ * every leg of its leg group replays and refines it. Each group has
+ * its own list. */
 inline constexpr std::size_t kBatchChunkRefs = 4096;
 
 } // namespace detail
@@ -247,11 +250,14 @@ struct TriadBatchOutcome
 
 /**
  * Replay all |sizes| x {conventional, dynamic-exclusion, optimal}
- * legs of @p artifact in one pass through the SoA lanes, at the
- * artifact's line size. triads[s] is bit-identical to runTriad(trace,
- * artifact.index(), sizes[s], artifact.lineBytes(), de_config) for the
- * trace the artifact was built from, whether it was packed from that
- * Trace or from its file.
+ * legs of @p artifact through the SoA lanes, at the artifact's line
+ * size: the legs, in ascending set count, are dealt round-robin to
+ * min(ThreadPool::global().workers(), legs) leg groups, and each group
+ * is one pass over the trace, run as one pool job. triads[s] is
+ * bit-identical to runTriad(trace, artifact.index(), sizes[s],
+ * artifact.lineBytes(), de_config) for the trace the artifact was
+ * built from, whether it was packed from that Trace or from its file,
+ * at any worker count.
  *
  * A leg whose setup throws (a bad geometry, a set count beyond 32
  * bits, or an injected fault via the sweep fault hook) is recorded as

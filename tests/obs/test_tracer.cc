@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -143,25 +144,36 @@ TEST(Tracer, LegSpansNestInsideTheSweepSpan)
 
 TEST(Tracer, ChunkSpansNestInsideTheBatchPass)
 {
+    // The sweep's 3 legs replay in min(workers, 3) leg groups, each
+    // with one chunk span per 4096-reference chunk, on whichever thread
+    // runs the group: all of them inside the one kernel-replay span.
     ThreadCountGuard guard;
-    const auto spans = runTracedSweep(ReplayEngine::Kernel, 2);
-    const Span *sweep = nullptr;
-    const Span *pass = nullptr;
-    std::vector<const Span *> chunks;
-    for (const auto &span : spans) {
-        if (span.cat == "sweep")
-            sweep = &span;
-        else if (span.cat == "replay")
-            pass = &span;
-        else if (span.cat == "kernel")
-            chunks.push_back(&span);
+    const std::size_t chunks_per_group =
+        (conflictTrace().size() + 4095) / 4096;
+    for (const unsigned threads : {2u, 4u}) {
+        const auto spans = runTracedSweep(ReplayEngine::Kernel, threads);
+        const Span *sweep = nullptr;
+        std::vector<const Span *> passes;
+        std::vector<const Span *> chunks;
+        for (const auto &span : spans) {
+            if (span.cat == "sweep")
+                sweep = &span;
+            else if (span.cat == "replay")
+                passes.push_back(&span);
+            else if (span.cat == "kernel")
+                chunks.push_back(&span);
+        }
+        ASSERT_NE(sweep, nullptr);
+        ASSERT_EQ(passes.size(), 1u) << threads << " workers";
+        const Span &pass = *passes.front();
+        EXPECT_EQ(chunks.size(),
+                  chunks_per_group * std::min(threads, 3u))
+            << threads << " workers";
+        EXPECT_TRUE(nestedIn(pass, *sweep));
+        for (const Span *chunk : chunks)
+            EXPECT_TRUE(nestedIn(*chunk, pass))
+                << chunk->name << ", " << threads << " workers";
     }
-    ASSERT_NE(sweep, nullptr);
-    ASSERT_NE(pass, nullptr);
-    ASSERT_FALSE(chunks.empty());
-    EXPECT_TRUE(nestedIn(*pass, *sweep));
-    for (const Span *chunk : chunks)
-        EXPECT_TRUE(nestedIn(*chunk, *pass)) << chunk->name;
 }
 
 TEST(Tracer, SortedEventsOpenEnclosingSpansFirst)

@@ -573,6 +573,63 @@ TEST(KernelReplay, CheckedKernelIsolatesInjectedFaults)
     expectTriadEq(checked.triads[2], clean[2], "surviving leg 2");
 }
 
+TEST(KernelReplay, LegGroupsGiveOneOutcomeAtEveryWorkerCount)
+{
+    // The kernel deals its legs round-robin to min(workers, legs)
+    // groups, so 2, 3, 4 and 8 workers split 3, 5 and 8 legs into
+    // groups of equal and unequal size. The outcome, a failed leg's
+    // place among the failures included, must be the one-group pass's.
+    ThreadCountGuard guard;
+    struct HookGuard
+    {
+        ~HookGuard() { setSweepFaultHook({}); }
+    } hook_guard;
+    setSweepFaultHook([](const std::string &, std::uint64_t size) {
+        if (size == 1024)
+            throw StatusError(Status::internal("injected"));
+    });
+    const Trace trace = kernelTrace(30000);
+    // Not in size order: each result must land in its own size's slot.
+    const std::vector<std::vector<std::uint64_t>> axes = {
+        {4096, 256, 1024},
+        {256, 16 * 1024, 1024, 512, 4096},
+        {32 * 1024, 256, 2048, 512, 8192, 1024, 16 * 1024, 4096}};
+    for (const bool last_line : {false, true}) {
+        const std::uint32_t line = last_line ? 16 : 4;
+        const auto artifact = buildReplayArtifact(trace, line, "groups");
+        DynamicExclusionConfig config;
+        config.useLastLine = last_line;
+        for (const auto &sizes : axes) {
+            ThreadPool::setConfiguredWorkers(1);
+            const TriadBatchOutcome reference =
+                replayTriadKernel(*artifact, sizes, config, "groups");
+            ASSERT_EQ(reference.failures.size(), 1u);
+            for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+                ThreadPool::setConfiguredWorkers(threads);
+                const TriadBatchOutcome outcome =
+                    replayTriadKernel(*artifact, sizes, config, "groups");
+                const std::string where =
+                    "lastline " + std::to_string(last_line) + ", " +
+                    std::to_string(sizes.size()) + " sizes, " +
+                    std::to_string(threads) + " workers";
+                EXPECT_EQ(outcome.ok, reference.ok) << where;
+                ASSERT_EQ(outcome.triads.size(), sizes.size()) << where;
+                for (std::size_t s = 0; s < sizes.size(); ++s)
+                    expectTriadEq(outcome.triads[s], reference.triads[s],
+                                  where + ", size " +
+                                      std::to_string(sizes[s]));
+                ASSERT_EQ(outcome.failures.size(),
+                          reference.failures.size())
+                    << where;
+                for (std::size_t f = 0; f < outcome.failures.size(); ++f)
+                    EXPECT_EQ(outcome.failures[f].toString(),
+                              reference.failures[f].toString())
+                        << where;
+            }
+        }
+    }
+}
+
 TEST(KernelReplay, RejectsSetCountsBeyondThirtyTwoBits)
 {
     // 8GB at 1-byte lines is 2^33 sets: more than the view's 32-bit set

@@ -939,14 +939,10 @@ class SweepObservation
                 collector->addLeg(traceName, size);
         }
         if (opts.progress) {
-            // Work units are references replayed: the kernel streams
-            // the trace once for all legs, the per-leg engine once per
-            // leg.
-            const std::uint64_t total =
-                refs * (opts.replay == ReplayEngine::PerLeg
-                            ? paperCacheSizes().size()
-                            : 1);
-            bar = std::make_unique<obs::ProgressBar>(traceName, total);
+            // Work units are references replayed per leg, under either
+            // engine.
+            bar = std::make_unique<obs::ProgressBar>(
+                traceName, refs * paperCacheSizes().size());
             obs::ProgressBar::setActive(bar.get());
         }
     }

@@ -349,6 +349,11 @@ int main(int argc, char **argv)
         obs::setPoolJobSpans(true);
     }
 
+    // Build the process-wide pool here, on the main thread. Built by
+    // the first kernel sweep instead, its long-lived allocations land in
+    // that connection worker's malloc arena above the sweep's scratch,
+    // which then stays resident after it is freed.
+    ThreadPool::global();
     server::Server server(config);
     const Status started = server.start();
     if (!started.ok())
