@@ -20,6 +20,7 @@
 #include "obs/trace_events.h"
 #include "trace/trace_io.h"
 #include "util/logging.h"
+#include "util/mapped_pages.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 
@@ -402,6 +403,16 @@ optLane(std::uint32_t id, std::uint32_t next)
     return std::uint64_t{next} << 32 | id;
 }
 
+/** The @p n-element lane at @p at; @p at moves past it. */
+template <typename T>
+std::span<T>
+carveLane(std::byte *&at, std::size_t n)
+{
+    const std::span<T> lane(reinterpret_cast<T *>(at), n);
+    at += n * sizeof(T);
+    return lane;
+}
+
 /** All SoA lanes and event tallies of one (cache size) leg. */
 struct KernelLeg
 {
@@ -411,23 +422,27 @@ struct KernelLeg
      * in their set. */
     unsigned setBits = 0;
 
+    // The five lanes are views into the mapping mapLanes returns to
+    // the leg's pool job, which reads them only while it holds that
+    // mapping and unmaps it when it ends; the tallies outlive it.
+
     // Conventional direct-mapped: tags are dense block ids, and the
     // kNoBlock sentinel doubles as validity.
-    std::vector<std::uint32_t> dmTags;
+    std::span<std::uint32_t> dmTags;
     std::uint64_t dmHits = 0, dmCold = 0;
 
     // Dynamic exclusion: tag + sticky lanes, one hit-last byte per
     // distinct block of the trace (indexed by the view's dense ids),
     // and one tally per Figure-1 arc (ColdFill, Hit, ReplaceUnsticky,
     // ReplaceHitLast, Bypass — the FsmEvent order).
-    std::vector<std::uint32_t> deTags;
-    std::vector<std::uint8_t> deSticky;
-    std::vector<std::uint8_t> deHitLast;
+    std::span<std::uint32_t> deTags;
+    std::span<std::uint8_t> deSticky;
+    std::span<std::uint8_t> deHitLast;
     std::uint64_t deCnt[5] = {};
     std::uint64_t deLlHits = 0;
 
     // Optimal with bypass: interleaved tag + resident-next-use lanes.
-    std::vector<OptLane> optLanes;
+    std::span<OptLane> optLanes;
     std::uint64_t optHits = 0, optCold = 0, optEvict = 0,
                   optBypass = 0, optLlHits = 0;
 
@@ -435,9 +450,7 @@ struct KernelLeg
     // collector.
     std::uint64_t dmNs = 0, deNs = 0, optNs = 0;
 
-    KernelLeg(std::uint64_t size_bytes, std::uint32_t line_bytes,
-              std::size_t distinct_blocks,
-              const DynamicExclusionConfig &config)
+    KernelLeg(std::uint64_t size_bytes, std::uint32_t line_bytes)
         : sizeBytes(size_bytes)
     {
         // Same construction-time validation as the model-based legs,
@@ -454,11 +467,37 @@ struct KernelLeg
                 " sets; set indices are limited to 32 bits"));
         setMask = static_cast<std::uint32_t>(sets - 1);
         setBits = floorLog2(sets);
-        dmTags.assign(sets, kNoBlock);
-        deTags.assign(sets, kNoBlock);
-        deSticky.assign(sets, 0);
-        deHitLast.assign(distinct_blocks, config.initialHitLast);
-        optLanes.assign(sets, optLane(kNoBlock, 0));
+    }
+
+    /**
+     * Map the leg's lanes and fill them with their cold values. The
+     * pages arrive zero-filled, so sticky bits, and hit-last bits
+     * unless @p initial_hit_last, need no fill; the wider lanes' words
+     * begin their lifetime in the uninitialized_fill.
+     * @return the mapping the lanes view; they are valid while it is.
+     * @throws std::bad_alloc when the mapping fails.
+     */
+    MappedPages
+    mapLanes(std::size_t distinct_blocks, bool initial_hit_last)
+    {
+        const std::size_t sets = std::size_t{setMask} + 1;
+        MappedPages pages(sets * (sizeof(OptLane) +
+                                  2 * sizeof(std::uint32_t) + 1) +
+                          distinct_blocks);
+        // Widest lanes first, so each starts aligned.
+        std::byte *at = pages.data();
+        optLanes = carveLane<OptLane>(at, sets);
+        dmTags = carveLane<std::uint32_t>(at, sets);
+        deTags = carveLane<std::uint32_t>(at, sets);
+        deSticky = carveLane<std::uint8_t>(at, sets);
+        deHitLast = carveLane<std::uint8_t>(at, distinct_blocks);
+        std::uninitialized_fill(optLanes.begin(), optLanes.end(),
+                                optLane(kNoBlock, 0));
+        std::uninitialized_fill(dmTags.begin(), dmTags.end(), kNoBlock);
+        std::uninitialized_fill(deTags.begin(), deTags.end(), kNoBlock);
+        if (initial_hit_last)
+            std::fill(deHitLast.begin(), deHitLast.end(), 1);
+        return pages;
     }
 };
 
@@ -851,10 +890,30 @@ throwIfFailed(const std::vector<FailedLeg> &failures)
 }
 
 ReplayArtifact::ReplayArtifact(std::string name, const Trace *trace,
-                               PackedTraceView view)
+                               PackedTraceView view, SetSharing sharing,
+                               NextUseIndex index)
     : sourceName(std::move(name)), source(trace), packed(std::move(view)),
-      setSharing(packed), nextUse(packed, NextUseMode::RunStart)
+      setSharing(std::move(sharing)), nextUse(std::move(index))
 {
+}
+
+std::shared_ptr<const ReplayArtifact>
+ReplayArtifact::finish(std::string name, const Trace *trace,
+                       PackedTraceView view)
+{
+    std::optional<SetSharing> sharing;
+    std::optional<NextUseIndex> index;
+    // The calling thread takes job 0, so it is the longer one: a helper
+    // that is slow to wake then delays only the shorter SetSharing.
+    ThreadPool::global().parallelFor(2, [&](std::size_t job) {
+        if (job == 0)
+            index.emplace(view, NextUseMode::RunStart);
+        else
+            sharing.emplace(view);
+    });
+    return std::shared_ptr<const ReplayArtifact>(
+        new ReplayArtifact(std::move(name), trace, std::move(view),
+                           std::move(*sharing), std::move(*index)));
 }
 
 std::shared_ptr<const ReplayArtifact>
@@ -864,9 +923,10 @@ buildReplayArtifact(const Trace &trace, std::uint32_t line_bytes,
     obs::Phase phase("index", [&] { return "index " + label; },
                      {.ns = obs::Counter::IndexBuildNs,
                       .count = obs::Counter::IndexBuilds});
-    std::shared_ptr<const ReplayArtifact> artifact(new ReplayArtifact(
-        trace.name(), link == TraceLink::Keep ? &trace : nullptr,
-        PackedTraceView(trace, line_bytes)));
+    std::shared_ptr<const ReplayArtifact> artifact =
+        ReplayArtifact::finish(trace.name(),
+                               link == TraceLink::Keep ? &trace : nullptr,
+                               PackedTraceView(trace, line_bytes));
     phase.count(1);
     return artifact;
 }
@@ -906,8 +966,8 @@ buildReplayArtifact(const std::string &path, std::uint32_t line_bytes)
     }
     view.finish();
 
-    std::shared_ptr<const ReplayArtifact> artifact(
-        new ReplayArtifact(decoder.name(), nullptr, std::move(view)));
+    std::shared_ptr<const ReplayArtifact> artifact =
+        ReplayArtifact::finish(decoder.name(), nullptr, std::move(view));
     build.count(1);
     const std::uint64_t total_ns = build.stop();
     if (obs::MetricsCollector *const metrics = obs::activeMetrics())
@@ -938,31 +998,30 @@ replayTriadKernel(const ReplayArtifact &artifact,
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
-            legs[s] = std::make_unique<KernelLeg>(
-                sizes[s], artifact.lineBytes(), view.distinctBlocks(),
-                de_config);
+            legs[s] =
+                std::make_unique<KernelLeg>(sizes[s], artifact.lineBytes());
         } catch (...) {
             legs[s].reset();
             leg_status[s] = statusFromException(std::current_exception());
         }
     }
 
-    // Leg groups: the live legs in ascending set count, dealt
+    // Leg groups: the live legs' slots in ascending set count, dealt
     // round-robin to P = min(workers, live legs) groups. Each group is
     // still ascending, so runKernelPass refines one lane list through
     // it, and holds a mix of the costly small sizes and the cheap large
     // ones. Groups share only the read-only artifact; with one worker
     // the one group is the whole sweep.
-    std::vector<KernelLeg *> ascending;
-    for (const auto &leg : legs)
-        if (leg)
-            ascending.push_back(leg.get());
+    std::vector<std::size_t> ascending;
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        if (legs[s])
+            ascending.push_back(s);
     std::stable_sort(ascending.begin(), ascending.end(),
-                     [](const KernelLeg *a, const KernelLeg *b) {
-                         return a->setBits < b->setBits;
+                     [&](std::size_t a, std::size_t b) {
+                         return legs[a]->setBits < legs[b]->setBits;
                      });
     ThreadPool &pool = ThreadPool::global();
-    std::vector<std::vector<KernelLeg *>> groups(
+    std::vector<std::vector<std::size_t>> groups(
         std::min<std::size_t>(pool.workers(), ascending.size()));
     for (std::size_t i = 0; i < ascending.size(); ++i)
         groups[i % groups.size()].push_back(ascending[i]);
@@ -970,12 +1029,28 @@ replayTriadKernel(const ReplayArtifact &artifact,
         const obs::Phase pass("replay",
                               [&] { return "kernel-replay " + label; });
         pool.parallelFor(groups.size(), [&](std::size_t g) {
+            // The job maps and fills its legs' lanes, so that work runs
+            // in parallel too, and unmaps them when it ends: the pages
+            // go back to the kernel, not to a worker's malloc arena. A
+            // leg whose mapping fails fails alone; only this job
+            // touches its slots.
+            std::vector<MappedPages> lanes;
+            std::vector<KernelLeg *> group;
+            for (const std::size_t s : groups[g]) {
+                try {
+                    lanes.push_back(legs[s]->mapLanes(
+                        view.distinctBlocks(), de_config.initialHitLast));
+                    group.push_back(legs[s].get());
+                } catch (...) {
+                    legs[s].reset();
+                    leg_status[s] =
+                        statusFromException(std::current_exception());
+                }
+            }
             if (de_config.useLastLine)
-                runKernelPass<true>(artifact, groups[g],
-                                    de_config.stickyMax);
+                runKernelPass<true>(artifact, group, de_config.stickyMax);
             else
-                runKernelPass<false>(artifact, groups[g],
-                                     de_config.stickyMax);
+                runKernelPass<false>(artifact, group, de_config.stickyMax);
         });
         if (obs::MetricsCollector *const metrics = obs::activeMetrics())
             metrics->add(obs::Counter::ReplayChunks,

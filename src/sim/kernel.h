@@ -186,14 +186,23 @@ class ReplayArtifact
     friend Result<std::shared_ptr<const ReplayArtifact>>
     buildReplayArtifact(const std::string &, std::uint32_t);
 
+    /** The artifact of the packed @p view: its RunStart index and its
+     * SetSharing only read the view, so they are built as two
+     * ThreadPool::global() jobs (with one worker, inline and in that
+     * order). */
+    static std::shared_ptr<const ReplayArtifact>
+    finish(std::string name, const Trace *trace, PackedTraceView view);
+
     ReplayArtifact(std::string name, const Trace *trace,
-                   PackedTraceView view);
+                   PackedTraceView view, SetSharing sharing,
+                   NextUseIndex index);
 
     std::string sourceName;
     const Trace *source;
     PackedTraceView packed;
-    // Built before the index: its scratch is freed before the index's
-    // ticks are allocated, so it does not raise the build's peak.
+    // Built beside the index (after it, with one worker), so the
+    // build's peak holds both: that adds at most SetSharing's scratch,
+    // 16 B per distinct block.
     SetSharing setSharing;
     NextUseIndex nextUse;
 };
@@ -253,17 +262,18 @@ struct TriadBatchOutcome
  * legs of @p artifact through the SoA lanes, at the artifact's line
  * size: the legs, in ascending set count, are dealt round-robin to
  * min(ThreadPool::global().workers(), legs) leg groups, and each group
- * is one pass over the trace, run as one pool job. triads[s] is
- * bit-identical to runTriad(trace, artifact.index(), sizes[s],
- * artifact.lineBytes(), de_config) for the trace the artifact was
- * built from, whether it was packed from that Trace or from its file,
- * at any worker count.
+ * is one pass over the trace, run as one pool job that maps its legs'
+ * lanes and unmaps them when it ends. triads[s] is bit-identical to
+ * runTriad(trace, artifact.index(), sizes[s], artifact.lineBytes(),
+ * de_config) for the trace the artifact was built from, whether it was
+ * packed from that Trace or from its file, at any worker count.
  *
  * A leg whose setup throws (a bad geometry, a set count beyond 32
- * bits, or an injected fault via the sweep fault hook) is recorded as
- * a FailedLeg{label, sizes[s], "triad", status} and skipped; the
- * surviving legs never interact with it, so they complete with results
- * bit-identical to an unfaulted run. A completed leg whose counts
+ * bits, or an injected fault via the sweep fault hook, all checked on
+ * the calling thread in size order, or lanes its group's job cannot
+ * map) is recorded as a FailedLeg{label, sizes[s], "triad", status}
+ * and skipped; the surviving legs never interact with it, so they
+ * complete with results bit-identical to an unfaulted run. A completed leg whose counts
  * break checkLegIdentities is recorded as a failure too, never
  * returned as a table.
  *

@@ -5,7 +5,7 @@
  * per-block set words, distinct count, next-use ticks and kernel
  * triads must match exactly at every line size, including a run that
  * straddles a decode block, the 2^64-1 sentinel block at 1-byte lines
- * and an empty trace. Also covers what a file-built artifact charges,
+ * and an empty trace, and at every worker count. Also covers what a file-built artifact charges,
  * that a file it cannot decode fails with readTraceFile's exact
  * Status, and the per-leg engine's InvalidArgument legs.
  */
@@ -23,6 +23,7 @@
 #include "trace/trace_io.h"
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dynex
 {
@@ -123,6 +124,37 @@ expectStatsEq(const CacheStats &got, const CacheStats &want,
     EXPECT_EQ(got.evictions, want.evictions) << label;
 }
 
+/** @p got holds @p want's ids, per-block set words, next-use ticks,
+ * shared bit counts (the 3-byte tail included) and SetSharing tallies. */
+void
+expectSameArtifact(const ReplayArtifact &got, const ReplayArtifact &want)
+{
+    const PackedTraceView &gv = got.view();
+    const PackedTraceView &wv = want.view();
+    ASSERT_EQ(got.refs(), want.refs());
+    ASSERT_EQ(gv.distinctBlocks(), wv.distinctBlocks());
+    for (std::size_t i = 0; i < want.refs(); ++i) {
+        ASSERT_EQ(gv.ids()[i], wv.ids()[i]) << "ref " << i;
+        ASSERT_EQ(got.index().ticks()[i], want.index().ticks()[i])
+            << "ref " << i;
+    }
+    for (std::size_t id = 0; id < wv.distinctBlocks(); ++id)
+        ASSERT_EQ(gv.blockSetWords()[id], wv.blockSetWords()[id])
+            << "id " << id;
+    for (std::size_t id = 0; id < wv.distinctBlocks() + 3; ++id)
+        ASSERT_EQ(got.sharing().sharedLowBits()[id],
+                  want.sharing().sharedLowBits()[id])
+            << "id " << id;
+    for (unsigned k = 0; k <= 32; ++k) {
+        const SetSharing::Tally &g = got.sharing().privateAt(k);
+        const SetSharing::Tally &w = want.sharing().privateAt(k);
+        EXPECT_EQ(g.blocks, w.blocks) << "k " << k;
+        EXPECT_EQ(g.refs, w.refs) << "k " << k;
+        EXPECT_EQ(g.runStarts, w.runStarts) << "k " << k;
+    }
+    EXPECT_EQ(got.sharing().runStarts(), want.sharing().runStarts());
+}
+
 /** The file-built artifact of @p trace equals its Trace-built one in
  * every array and every kernel triad, in every format and at lines
  * 1, 4, 16 and 64. */
@@ -150,33 +182,13 @@ expectMappedMatchesTrace(const Trace &trace)
             EXPECT_EQ(want->trace(), &trace);
             EXPECT_EQ(got->lineBytes(), line);
             ASSERT_EQ(got->refs(), trace.size());
-            const PackedTraceView &gv = got->view();
-            const PackedTraceView &wv = want->view();
-            ASSERT_EQ(gv.distinctBlocks(), wv.distinctBlocks());
-            for (std::size_t i = 0; i < trace.size(); ++i) {
-                ASSERT_EQ(gv.ids()[i], wv.ids()[i]) << "ref " << i;
-                ASSERT_EQ(got->index().ticks()[i], want->index().ticks()[i])
-                    << "ref " << i;
-            }
-            for (std::size_t id = 0; id < wv.distinctBlocks(); ++id) {
-                ASSERT_EQ(gv.blockSetWords()[id], wv.blockSetWords()[id])
-                    << "id " << id;
-                ASSERT_EQ(got->sharing().sharedLowBits()[id],
-                          want->sharing().sharedLowBits()[id])
-                    << "id " << id;
-            }
-            for (unsigned k = 0; k <= 32; ++k) {
-                const SetSharing::Tally &g = got->sharing().privateAt(k);
-                const SetSharing::Tally &w = want->sharing().privateAt(k);
-                EXPECT_EQ(g.blocks, w.blocks) << "k " << k;
-                EXPECT_EQ(g.refs, w.refs) << "k " << k;
-                EXPECT_EQ(g.runStarts, w.runStarts) << "k " << k;
-            }
+            expectSameArtifact(*got, *want);
             // 8 bytes per reference, 5 per distinct block (set word and
             // shared bit count), the shared counts' 3-byte tail and the
             // sharing histograms.
             EXPECT_EQ(got->bytes(),
-                      8 * trace.size() + 5 * gv.distinctBlocks() + 3 +
+                      8 * trace.size() + 5 * got->view().distinctBlocks() +
+                          3 +
                           (SetSharing::kBuckets + 1) *
                               sizeof(SetSharing::Tally));
             EXPECT_EQ(got->bytes(), want->bytes());
@@ -217,6 +229,33 @@ TEST(MappedArtifact, SentinelBlockMatchesAtByteLines)
 TEST(MappedArtifact, EmptyTraceMatches)
 {
     expectMappedMatchesTrace(Trace("empty"));
+}
+
+TEST(MappedArtifact, IdenticalAtEveryWorkerCount)
+{
+    // An artifact's SetSharing and next-use index are built as two pool
+    // jobs. At any worker count, from a Trace or from its DXT3 file,
+    // the artifact must be the one-worker build of the Trace.
+    struct ThreadCountGuard
+    {
+        ~ThreadCountGuard() { ThreadPool::setConfiguredWorkers(0); }
+    } guard;
+    const Trace trace = mixedTrace(3 * 4096 + 1000);
+    const TraceFile file(trace, TraceFormat::Dxt3, "dynex_artifact_workers");
+    for (const std::uint32_t line : {4u, 16u}) {
+        ThreadPool::setConfiguredWorkers(1);
+        const auto want = buildReplayArtifact(trace, line, "want");
+        for (const unsigned workers : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::to_string(line) + "B lines, " +
+                         std::to_string(workers) + " workers");
+            ThreadPool::setConfiguredWorkers(workers);
+            expectSameArtifact(*buildReplayArtifact(trace, line, "got"),
+                               *want);
+            const auto built = buildReplayArtifact(file.path, line);
+            ASSERT_TRUE(built.ok()) << built.status().toString();
+            expectSameArtifact(**built, *want);
+        }
+    }
 }
 
 /** The artifact builder fails on @p path with exactly the Status
