@@ -41,7 +41,7 @@ sweepPayload()
     result.outcome.failures.push_back(
         {"espresso", 8192, "dm",
          Status::resourceLimit("short read at byte 12345")});
-    return encodeSweepResponse(result);
+    return encodeBody(result);
 }
 
 void
@@ -116,12 +116,12 @@ BM_SweepResponseRoundTrip(benchmark::State &state)
     }
     for (auto _ : state) {
         const std::string wire = encodeFrame(
-            MsgType::SweepResponse, encodeSweepResponse(result));
+            MsgType::SweepResponse, encodeBody(result));
         Result<Frame> frame = decodeFrame(wire);
         if (!frame.ok())
             DYNEX_FATAL("sweep frame decode failed in bench");
         Result<SweepResult> parsed =
-            parseSweepResponse(frame.value().payload);
+            parseBody<SweepResult>(frame.value().payload);
         if (!parsed.ok())
             DYNEX_FATAL("sweep body parse failed in bench");
         benchmark::DoNotOptimize(parsed.value().outcome.points);

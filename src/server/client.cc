@@ -52,8 +52,8 @@ Status Client::reconnect()
     // the connection itself is fine.
     bool transport = false;
     Result<std::string> hello =
-        callOnce(MsgType::HelloRequest, encodeHelloRequest({clientId}),
-                 MsgType::HelloResponse, 0, transport);
+        callOnce(MsgType::HelloRequest, encodeBody(HelloInfo{clientId}), 0,
+                 transport);
     if (!hello.ok() && transport)
     {
         const Status status = hello.status();
@@ -89,7 +89,6 @@ void Client::close()
 
 Result<std::string> Client::callOnce(MsgType type,
                                      std::string_view payload,
-                                     MsgType expected,
                                      std::uint64_t trace_id,
                                      bool &transport_failure)
 {
@@ -124,7 +123,7 @@ Result<std::string> Client::callOnce(MsgType type,
     const Frame &response = frame.value();
     if (response.type == MsgType::BusyResponse)
     {
-        Result<BusyInfo> busy = parseBusyResponse(response.payload);
+        Result<BusyInfo> busy = parseBody<BusyInfo>(response.payload);
         if (!busy.ok())
             return busy.status().withContext("undecodable busy frame");
         return Status::busy("server busy; retry later",
@@ -132,11 +131,12 @@ Result<std::string> Client::callOnce(MsgType type,
     }
     if (response.type == MsgType::ErrorResponse)
     {
-        Result<ErrorInfo> error = parseErrorResponse(response.payload);
+        Result<ErrorInfo> error = parseBody<ErrorInfo>(response.payload);
         if (!error.ok())
             return error.status().withContext("undecodable error frame");
         return statusFromWire(error.value());
     }
+    const MsgType expected = responseTo(type);
     if (response.type != expected)
         return Status::corruptInput(
             std::string("expected ") + msgTypeName(expected) +
@@ -144,8 +144,8 @@ Result<std::string> Client::callOnce(MsgType type,
     return response.payload;
 }
 
-Result<std::string> Client::call(MsgType type, std::string_view payload,
-                                 MsgType expected)
+Result<std::string> Client::exchange(MsgType type,
+                                     std::string_view payload)
 {
     if (fd < 0 && host.empty())
         return Status::ioError("not connected");
@@ -177,7 +177,7 @@ Result<std::string> Client::call(MsgType type, std::string_view payload,
             const obs::Phase attempt("rpc", msgTypeName(type),
                                      {.traceId = traceId});
             Result<std::string> result =
-                callOnce(type, payload, expected, traceId, transport);
+                callOnce(type, payload, traceId, transport);
             if (result.ok())
                 return result;
             last = result.status();
@@ -224,44 +224,6 @@ Result<std::string> Client::call(MsgType type, std::string_view payload,
     }
 }
 
-Result<PingInfo> Client::ping()
-{
-    Result<std::string> payload =
-        call(MsgType::PingRequest, {}, MsgType::PingResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parsePingResponse(payload.value());
-}
-
-Result<std::vector<TraceListEntry>> Client::list()
-{
-    Result<std::string> payload =
-        call(MsgType::ListRequest, {}, MsgType::ListResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parseListResponse(payload.value());
-}
-
-Result<ReplayResult> Client::replay(const ReplayRequest &request)
-{
-    Result<std::string> payload =
-        call(MsgType::ReplayRequest, encodeReplayRequest(request),
-             MsgType::ReplayResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parseReplayResponse(payload.value());
-}
-
-Result<SweepResult> Client::sweep(const SweepRequest &request)
-{
-    Result<std::string> payload =
-        call(MsgType::SweepRequest, encodeSweepRequest(request),
-             MsgType::SweepResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parseSweepResponse(payload.value());
-}
-
 Result<PutTraceResult> Client::put(const PutTraceRequest &request)
 {
     // Reject an over-cap upload client-side; the frame would be
@@ -271,21 +233,7 @@ Result<PutTraceResult> Client::put(const PutTraceRequest &request)
             "put of " + std::to_string(request.refs.size()) +
             " refs exceeds the wire cap of " +
             std::to_string(kMaxPutRefs));
-    Result<std::string> payload =
-        call(MsgType::PutRequest, encodePutRequest(request),
-             MsgType::PutResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parsePutResponse(payload.value());
-}
-
-Result<StatsResult> Client::stats()
-{
-    Result<std::string> payload =
-        call(MsgType::StatsRequest, {}, MsgType::StatsResponse);
-    if (!payload.ok())
-        return payload.status();
-    return parseStatsResponse(payload.value());
+    return call<PutTraceResult>(MsgType::PutRequest, encodeBody(request));
 }
 
 } // namespace server

@@ -124,26 +124,51 @@ class Client
     bool connected() const { return fd >= 0; }
     void close();
 
-    Result<PingInfo> ping();
-    Result<std::vector<TraceListEntry>> list();
-    Result<ReplayResult> replay(const ReplayRequest &request);
-    Result<SweepResult> sweep(const SweepRequest &request);
-    Result<StatsResult> stats();
+    Result<PingInfo> ping() { return call<PingInfo>(MsgType::PingRequest); }
+    Result<std::vector<TraceListEntry>> list()
+    {
+        return call<std::vector<TraceListEntry>>(MsgType::ListRequest);
+    }
+    Result<ReplayResult> replay(const ReplayRequest &request)
+    {
+        return call<ReplayResult>(MsgType::ReplayRequest,
+                                  encodeBody(request));
+    }
+    Result<SweepResult> sweep(const SweepRequest &request)
+    {
+        return call<SweepResult>(MsgType::SweepRequest,
+                                 encodeBody(request));
+    }
+    Result<StatsResult> stats()
+    {
+        return call<StatsResult>(MsgType::StatsRequest);
+    }
     /** Upload a trace by value for subsequent replay/sweep requests.
      * Uploads beyond kMaxPutRefs are rejected client-side. */
     Result<PutTraceResult> put(const PutTraceRequest &request);
 
   private:
+    /** One request through the retry loop, its response parsed as an
+     * M body. */
+    template <class M>
+    Result<M> call(MsgType request_type, std::string_view payload = {})
+    {
+        Result<std::string> response = exchange(request_type, payload);
+        if (!response.ok())
+            return response.status();
+        return parseBody<M>(response.value());
+    }
+
     /** One attempt: send, read one frame, unwrap ERROR / BUSY.
      * @p transport_failure flags faults that poison the connection
      * (the retry loop must reconnect before the next attempt). */
     Result<std::string> callOnce(MsgType type, std::string_view payload,
-                                 MsgType expected, std::uint64_t trace_id,
+                                 std::uint64_t trace_id,
                                  bool &transport_failure);
 
-    /** The retry loop around callOnce(), per the armed policy. */
-    Result<std::string> call(MsgType type, std::string_view payload,
-                             MsgType expected);
+    /** The retry loop around callOnce(), per the armed policy: the
+     * payload of the response to a @p type request. */
+    Result<std::string> exchange(MsgType type, std::string_view payload);
 
     /** (Re)establish the socket and send the hello. */
     Status reconnect();

@@ -29,18 +29,23 @@
  * parsers never see it. Legacy flags=0 frames parse exactly as
  * before, and any other flag bit is still CorruptInput.
  *
- * Message bodies are encoded with WireWriter/WireReader: fixed-width
- * little-endian integers, IEEE-754 doubles bit-cast to u64 (so
- * simulation results survive the wire bit-exactly), and u32
- * length-prefixed strings.
+ * Message bodies: each body's layout is written once, as a field list
+ * `template <class Wire> void wire(Wire &, Fields<Wire, Body> &)`.
+ * WireWriter runs the list to encode a body (encodeBody) and
+ * WireReader runs the same list to parse one (parseBody), so the two
+ * sides cannot drift apart. Fields are fixed-width little-endian
+ * integers, IEEE-754 doubles bit-cast to u64 (so simulation results
+ * survive the wire bit-exactly), and u32 length-prefixed strings.
  */
 
 #ifndef DYNEX_SERVER_PROTOCOL_H
 #define DYNEX_SERVER_PROTOCOL_H
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,7 +78,14 @@ inline constexpr std::uint16_t kFrameFlagTraceId = 0x0001;
 /** Byte count of the optional trace-id payload prefix. */
 inline constexpr std::size_t kTraceIdBytes = 8;
 
-/** DXP1 message types. Requests have the top bit clear, responses set. */
+/** The type bit that marks a response. */
+inline constexpr std::uint16_t kResponseBit = 0x8000;
+
+/**
+ * DXP1 message types. Requests have the top bit clear; the response
+ * to a request is its type with kResponseBit set. visitMsgType() below
+ * is the one list of them, with the body each carries.
+ */
 enum class MsgType : std::uint16_t
 {
     PingRequest = 0x0001,   ///< liveness + server version (DXVER)
@@ -95,10 +107,18 @@ enum class MsgType : std::uint16_t
     BusyResponse = 0x80ff,  ///< backpressure: shed, retry later
 };
 
+/** The response type that answers @p request. */
+constexpr MsgType
+responseTo(MsgType request)
+{
+    return static_cast<MsgType>(static_cast<std::uint16_t>(request) |
+                                kResponseBit);
+}
+
 /** Stable lowercase name ("ping", "sweep", "error", ...). */
 const char *msgTypeName(MsgType type);
 
-/** @return true when @p type is one of the five request types. */
+/** @return true when @p type is a listed type with the top bit clear. */
 bool isRequestType(MsgType type);
 
 /**
@@ -150,58 +170,177 @@ Status verifyFramePayload(std::string_view payload,
  */
 Result<Frame> decodeFrame(std::string_view bytes);
 
-/** Little-endian body serializer. */
+// ---------------------------------------------------------------------
+// The two runners of a field list.
+
+/** A sequence count with no cap beyond what the payload can hold. */
+inline constexpr std::uint64_t kUncapped = 0;
+
+/** Little-endian body writer: appends each field a list names. */
 class WireWriter
 {
   public:
-    void u8(std::uint8_t v);
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    static constexpr bool kReads = false;
+
+    void u8(std::uint8_t v) { put(v, 1); }
+    void u16(std::uint16_t v) { put(v, 2); }
+    void u32(std::uint32_t v) { put(v, 4); }
+    void u64(std::uint64_t v) { put(v, 8); }
+    /** A one-byte enum (a reference kind). */
+    template <class E>
+        requires(std::is_enum_v<E> && sizeof(E) == 1)
+    void u8(E v)
+    {
+        put(static_cast<std::uint8_t>(v), 1);
+    }
     /** Bit-exact: the double's IEEE-754 image as a u64. */
-    void f64(double v);
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
     /** u32 length prefix + bytes. */
     void str(std::string_view v);
+
+    /** A sequence's count, as an N-wide integer; the bounds are the
+     * reader's. */
+    template <class N>
+    void count(N n, std::size_t, std::uint64_t, const char *)
+    {
+        put(n, sizeof(N));
+    }
+    /** The writer's sequences already have their size. */
+    template <class V>
+    void resize(const V &, std::size_t)
+    {
+    }
+    /** An optional trailing block is written when @p present. */
+    bool more(bool present) const { return present; }
+    /** Checks guard the reader; the writer's message is never built. */
+    template <class F>
+    void check(bool, F &&)
+    {
+    }
 
     const std::string &bytes() const { return out; }
     std::string take() { return std::move(out); }
 
   private:
+    void put(std::uint64_t v, std::size_t bytes);
+
     std::string out;
 };
 
 /**
  * Little-endian body parser over a borrowed buffer. Every read is
- * bounds-checked: reading past the end yields CorruptInput, a string
- * length over kMaxWireStringBytes yields ResourceLimit. done() checks
- * the body was consumed exactly.
+ * bounds-checked: reading past the end is CorruptInput, a string
+ * length over kMaxWireStringBytes is ResourceLimit. The first failure
+ * sticks and every later read leaves its field untouched, so a field
+ * list runs straight through; finish() reports that failure, or
+ * CorruptInput when bytes are left over.
  */
 class WireReader
 {
   public:
+    static constexpr bool kReads = true;
+
     explicit WireReader(std::string_view bytes) : data(bytes) {}
 
-    Status u8(std::uint8_t &v);
-    Status u16(std::uint16_t &v);
-    Status u32(std::uint32_t &v);
-    Status u64(std::uint64_t &v);
-    Status f64(double &v);
-    Status str(std::string &v);
+    void u8(std::uint8_t &v) { take(v, "u8"); }
+    void u16(std::uint16_t &v) { take(v, "u16"); }
+    void u32(std::uint32_t &v) { take(v, "u32"); }
+    void u64(std::uint64_t &v) { take(v, "u64"); }
+    template <class E>
+        requires(std::is_enum_v<E> && sizeof(E) == 1)
+    void u8(E &v)
+    {
+        take(v, "u8");
+    }
+    void f64(double &v)
+    {
+        std::uint64_t image = std::bit_cast<std::uint64_t>(v);
+        u64(image);
+        v = std::bit_cast<double>(image);
+    }
+    void str(std::string &v);
 
-    /** Ok iff the whole body has been consumed. */
-    Status done() const;
+    /**
+     * Read a sequence's count into @p n (an N-wide integer). A count
+     * over @p cap (unless kUncapped) is ResourceLimit; a count the
+     * payload cannot hold at @p min_bytes_each bytes an element is
+     * CorruptInput, caught before anything is sized by it. @p n is 0
+     * once the reader has failed.
+     */
+    template <class N>
+    void count(N &n, std::size_t min_bytes_each, std::uint64_t cap,
+               const char *what)
+    {
+        take(n, sizeof(N) == 4 ? "u32" : "u64");
+        if (!admitCount(n, min_bytes_each, cap, what))
+            n = 0;
+    }
+    template <class V>
+    void resize(V &items, std::size_t n)
+    {
+        items.resize(n);
+    }
+    /** An optional trailing block is present when bytes remain. */
+    bool more(bool) const { return remaining() > 0; }
+    /** Fail with CorruptInput("DXP1: " + @p message()) unless @p ok. */
+    template <class F>
+    void check(bool ok, F &&message)
+    {
+        if (!ok && failure.ok())
+            fail(Status::corruptInput("DXP1: " + message()));
+    }
+
+    /** The first failure, else CorruptInput for unconsumed bytes. */
+    Status finish() const;
 
     std::size_t remaining() const { return data.size() - at; }
 
   private:
-    Status take(void *into, std::size_t n, const char *what);
+    /** Read sizeof(T) little-endian bytes into @p v. */
+    template <class T>
+    void take(T &v, const char *what)
+    {
+        if (remaining() < sizeof(T)) {
+            truncated(what);
+            return;
+        }
+        std::uint64_t got = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            got |= static_cast<std::uint64_t>(
+                       static_cast<unsigned char>(data[at + i]))
+                   << (8 * i);
+        at += sizeof(T);
+        v = static_cast<T>(got);
+    }
+    void truncated(const char *what);
+    bool admitCount(std::uint64_t n, std::size_t min_bytes_each,
+                    std::uint64_t cap, const char *what);
+    /** Keep @p status if it is the first failure; read no further. */
+    void fail(Status status);
 
     std::string_view data;
     std::size_t at = 0;
+    Status failure;
 };
 
+/** A body as a field list sees it: read-only to the writer, filled in
+ * by the reader. */
+template <class Wire, class M>
+using Fields = std::conditional_t<Wire::kReads, M, const M>;
+
 // ---------------------------------------------------------------------
-// Message bodies.
+// Message bodies, each followed by its field list.
+
+/** The body of ping, list and stats requests and hello responses. */
+struct NoBody
+{
+};
+
+template <class Wire>
+void
+wire(Wire &, Fields<Wire, NoBody> &)
+{
+}
 
 /** PingResponse: the server's identity. */
 struct PingInfo
@@ -210,6 +349,14 @@ struct PingInfo
     std::uint64_t traces = 0; ///< number of served traces
 };
 
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, PingInfo> &info)
+{
+    w.str(info.version);
+    w.u64(info.traces);
+}
+
 /** One served trace in a ListResponse. */
 struct TraceListEntry
 {
@@ -217,6 +364,21 @@ struct TraceListEntry
     std::uint64_t fileBytes = 0;
     std::uint8_t resident = 0; ///< 1 when warm in the TraceStore
 };
+
+/** ListResponse: every served trace. */
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, std::vector<TraceListEntry>> &traces)
+{
+    auto n = static_cast<std::uint32_t>(traces.size());
+    w.count(n, 13, kUncapped, "list");
+    w.resize(traces, n);
+    for (auto &entry : traces) {
+        w.str(entry.name);
+        w.u64(entry.fileBytes);
+        w.u8(entry.resident);
+    }
+}
 
 /** ReplayRequest: one model over one served trace. */
 struct ReplayRequest
@@ -231,6 +393,33 @@ struct ReplayRequest
     std::uint32_t deadlineMs = 0;   ///< 0 = no deadline
 };
 
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, ReplayRequest> &request)
+{
+    w.str(request.trace);
+    w.str(request.model);
+    w.u64(request.sizeBytes);
+    w.u32(request.lineBytes);
+    w.u8(request.stickyMax);
+    w.u8(request.lastLine);
+    w.u32(request.victimEntries);
+    w.u32(request.deadlineMs);
+}
+
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, CacheStats> &stats)
+{
+    w.u64(stats.accesses);
+    w.u64(stats.hits);
+    w.u64(stats.misses);
+    w.u64(stats.coldMisses);
+    w.u64(stats.fills);
+    w.u64(stats.bypasses);
+    w.u64(stats.evictions);
+}
+
 /** ReplayResponse: the model's stats. */
 struct ReplayResult
 {
@@ -238,6 +427,15 @@ struct ReplayResult
     std::uint64_t refs = 0;
     CacheStats stats;
 };
+
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, ReplayResult> &result)
+{
+    w.str(result.model);
+    w.u64(result.refs);
+    wire(w, result.stats);
+}
 
 /** SweepRequest: a size axis over one served trace. */
 struct SweepRequest
@@ -258,6 +456,58 @@ struct SweepRequest
     std::vector<std::uint64_t> sizes;
 };
 
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, SweepRequest> &request)
+{
+    w.str(request.trace);
+    w.u32(request.lineBytes);
+    w.u8(request.engine);
+    w.u8(request.stickyMax);
+    w.u32(request.deadlineMs);
+    // A default-axis request sends no axis block: old peers' layout.
+    if (w.more(!request.sizes.empty())) {
+        auto n = static_cast<std::uint32_t>(request.sizes.size());
+        w.count(n, 8, kMaxSweepAxisSizes, "sweep axis");
+        w.resize(request.sizes, n);
+        for (auto &size : request.sizes)
+            w.u64(size);
+    }
+    w.check(request.engine <= 2, [&] {
+        return "bad replay engine " + std::to_string(request.engine);
+    });
+}
+
+/** ErrorResponse: a Status on the wire. */
+struct ErrorInfo
+{
+    std::uint8_t code = 0; ///< StatusCode numeric
+    std::string message;
+};
+
+/** Rebuild a Status from a wire error (unknown codes map to Internal). */
+Status statusFromWire(const ErrorInfo &error);
+
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, ErrorInfo> &error)
+{
+    w.u8(error.code);
+    w.str(error.message);
+}
+
+/** A Status travels as its ErrorInfo. */
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, Status> &status)
+{
+    ErrorInfo error{static_cast<std::uint8_t>(status.code()),
+                    status.message()};
+    wire(w, error);
+    if constexpr (Wire::kReads)
+        status = statusFromWire(error);
+}
+
 /**
  * SweepResponse: the whole outcome. Each point travels as (sizeBytes
  * u64, ok u8, dm/de/opt miss percentages as bit-exact f64), each
@@ -270,6 +520,36 @@ struct SweepResult
     std::uint64_t refs = 0; ///< references per replay
     SizeSweepOutcome outcome;
 };
+
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, SweepResult> &result)
+{
+    w.str(result.trace);
+    w.u64(result.refs);
+    auto &outcome = result.outcome;
+    auto points = static_cast<std::uint32_t>(outcome.points.size());
+    w.count(points, 33, kUncapped, "point");
+    w.resize(outcome.points, points);
+    w.resize(outcome.ok, points);
+    for (std::uint32_t p = 0; p < points; ++p) {
+        auto &point = outcome.points[p];
+        w.u64(point.sizeBytes);
+        w.u8(outcome.ok[p]);
+        w.f64(point.dmMissPct);
+        w.f64(point.deMissPct);
+        w.f64(point.optMissPct);
+    }
+    auto failures = static_cast<std::uint32_t>(outcome.failures.size());
+    w.count(failures, 21, kUncapped, "failure");
+    w.resize(outcome.failures, failures);
+    for (auto &failure : outcome.failures) {
+        w.str(failure.bench);
+        w.u64(failure.sizeBytes);
+        w.str(failure.model);
+        wire(w, failure.status);
+    }
+}
 
 /**
  * Wire cap on uploaded references: 10 bytes each keeps the largest
@@ -288,6 +568,33 @@ struct PutTraceRequest
     std::vector<MemRef> refs;
 };
 
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, PutTraceRequest> &request)
+{
+    w.str(request.name);
+    w.check(!request.name.empty(),
+            [] { return std::string("empty put trace name"); });
+    auto n = static_cast<std::uint64_t>(request.refs.size());
+    w.count(n, 10, kMaxPutRefs, "put");
+    w.resize(request.refs, n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        auto &ref = request.refs[i];
+        w.u64(ref.addr);
+        w.u8(ref.type);
+        w.u8(ref.size);
+        const auto kind = static_cast<unsigned>(ref.type);
+        w.check(kind <= 2, [&] {
+            return "put record " + std::to_string(i) +
+                   ": unknown reference kind " + std::to_string(kind);
+        });
+        w.check(ref.size != 0, [&] {
+            return "put record " + std::to_string(i) +
+                   ": zero access size";
+        });
+    }
+}
+
 /** PutResponse: the stored identity (name echoed, count accepted). */
 struct PutTraceResult
 {
@@ -295,24 +602,45 @@ struct PutTraceResult
     std::uint64_t refs = 0;
 };
 
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, PutTraceResult> &result)
+{
+    w.str(result.name);
+    w.u64(result.refs);
+}
+
 /** StatsResponse: ordered (name, value) counters. */
 struct StatsResult
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
-/** ErrorResponse: a Status on the wire. */
-struct ErrorInfo
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, StatsResult> &stats)
 {
-    std::uint8_t code = 0; ///< StatusCode numeric
-    std::string message;
-};
+    auto n = static_cast<std::uint32_t>(stats.counters.size());
+    w.count(n, 12, kUncapped, "counter");
+    w.resize(stats.counters, n);
+    for (auto &[name, value] : stats.counters) {
+        w.str(name);
+        w.u64(value);
+    }
+}
 
 /** HelloRequest: the client's identity for per-client fairness. */
 struct HelloInfo
 {
     std::string clientId;
 };
+
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, HelloInfo> &hello)
+{
+    w.str(hello.clientId);
+}
 
 /**
  * BusyResponse: the shed hint. `retryAfterMs` of 0 means "no hint".
@@ -325,45 +653,87 @@ struct BusyInfo
     std::uint32_t retryAfterMs = 0;
 };
 
-std::string encodePingResponse(const PingInfo &info);
-Result<PingInfo> parsePingResponse(std::string_view payload);
+template <class Wire>
+void
+wire(Wire &w, Fields<Wire, BusyInfo> &busy)
+{
+    // A pre-hint peer's empty BUSY payload parses as "no hint".
+    if (w.more(true))
+        w.u32(busy.retryAfterMs);
+}
 
-std::string encodeListResponse(const std::vector<TraceListEntry> &traces);
-Result<std::vector<TraceListEntry>>
-parseListResponse(std::string_view payload);
+/** @p body's wire bytes. */
+template <class M>
+std::string
+encodeBody(const M &body)
+{
+    WireWriter w;
+    wire(w, body);
+    return w.take();
+}
 
-std::string encodeReplayRequest(const ReplayRequest &request);
-Result<ReplayRequest> parseReplayRequest(std::string_view payload);
+/** @p payload parsed whole as an M body: its first failed read or
+ * check, or CorruptInput when bytes are left over. */
+template <class M>
+Result<M>
+parseBody(std::string_view payload)
+{
+    WireReader r(payload);
+    M body;
+    wire(r, body);
+    if (Status s = r.finish(); !s.ok())
+        return s;
+    return body;
+}
 
-std::string encodeReplayResponse(const ReplayResult &result);
-Result<ReplayResult> parseReplayResponse(std::string_view payload);
+/** Names a body type for visitMsgType's callback. */
+template <class M>
+struct BodyTag
+{
+    using type = M;
+};
 
-std::string encodeSweepRequest(const SweepRequest &request);
-Result<SweepRequest> parseSweepRequest(std::string_view payload);
-
-std::string encodeSweepResponse(const SweepResult &result);
-Result<SweepResult> parseSweepResponse(std::string_view payload);
-
-std::string encodePutRequest(const PutTraceRequest &request);
-Result<PutTraceRequest> parsePutRequest(std::string_view payload);
-
-std::string encodePutResponse(const PutTraceResult &result);
-Result<PutTraceResult> parsePutResponse(std::string_view payload);
-
-std::string encodeStatsResponse(const StatsResult &stats);
-Result<StatsResult> parseStatsResponse(std::string_view payload);
-
-std::string encodeErrorResponse(const Status &status);
-Result<ErrorInfo> parseErrorResponse(std::string_view payload);
-
-std::string encodeHelloRequest(const HelloInfo &hello);
-Result<HelloInfo> parseHelloRequest(std::string_view payload);
-
-std::string encodeBusyResponse(const BusyInfo &busy);
-Result<BusyInfo> parseBusyResponse(std::string_view payload);
-
-/** Rebuild a Status from a wire error (unknown codes map to Internal). */
-Status statusFromWire(const ErrorInfo &error);
+/**
+ * The one list of DXP1 message types: calls @p f(name, BodyTag<M>{})
+ * with @p type's stable lowercase name and the body M it carries, or
+ * f("unknown", BodyTag<void>{}) for a type not listed.
+ */
+template <class F>
+auto
+visitMsgType(MsgType type, F &&f)
+{
+    switch (type) {
+      case MsgType::PingRequest: return f("ping", BodyTag<NoBody>{});
+      case MsgType::ListRequest: return f("list", BodyTag<NoBody>{});
+      case MsgType::ReplayRequest:
+        return f("replay", BodyTag<ReplayRequest>{});
+      case MsgType::SweepRequest:
+        return f("sweep", BodyTag<SweepRequest>{});
+      case MsgType::StatsRequest: return f("stats", BodyTag<NoBody>{});
+      case MsgType::HelloRequest:
+        return f("hello", BodyTag<HelloInfo>{});
+      case MsgType::PutRequest:
+        return f("put", BodyTag<PutTraceRequest>{});
+      case MsgType::PingResponse:
+        return f("ping-ok", BodyTag<PingInfo>{});
+      case MsgType::ListResponse:
+        return f("list-ok", BodyTag<std::vector<TraceListEntry>>{});
+      case MsgType::ReplayResponse:
+        return f("replay-ok", BodyTag<ReplayResult>{});
+      case MsgType::SweepResponse:
+        return f("sweep-ok", BodyTag<SweepResult>{});
+      case MsgType::StatsResponse:
+        return f("stats-ok", BodyTag<StatsResult>{});
+      case MsgType::HelloResponse:
+        return f("hello-ok", BodyTag<NoBody>{});
+      case MsgType::PutResponse:
+        return f("put-ok", BodyTag<PutTraceResult>{});
+      case MsgType::ErrorResponse:
+        return f("error", BodyTag<ErrorInfo>{});
+      case MsgType::BusyResponse: return f("busy", BodyTag<BusyInfo>{});
+    }
+    return f("unknown", BodyTag<void>{});
+}
 
 } // namespace server
 } // namespace dynex

@@ -66,7 +66,10 @@ bool validModel(const std::string &model)
            iequals(model, "opt");
 }
 
-Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes)
+/** The checks a cache model's constructor would otherwise assert:
+ * @p ways 0 is fully associative. */
+Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes,
+                     std::uint8_t sticky_max, std::uint32_t ways = 1)
 {
     if (size_bytes == 0 || !isPowerOfTwo(size_bytes))
         return Status::corruptInput("cache size must be a power of two");
@@ -74,7 +77,21 @@ Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes)
         return Status::corruptInput("line size must be a power of two");
     if (line_bytes > size_bytes)
         return Status::corruptInput("line larger than cache");
+    if (ways > size_bytes / line_bytes)
+        return Status::corruptInput("more ways than lines");
+    if (sticky_max == 0)
+        return Status::corruptInput("sticky must be 1..255");
     return Status();
+}
+
+/** The ways of a valid replay model: "4way" has 4, "fa" (fully
+ * associative) 0, and the direct-mapped ones 1. */
+std::uint32_t modelWays(const std::string &model)
+{
+    for (const std::uint32_t ways : {2u, 4u, 8u})
+        if (iequals(model, std::to_string(ways) + "way"))
+            return ways;
+    return iequals(model, "fa") ? 0 : 1;
 }
 
 /** Returns an admitted request's estimated cost to the budget on
@@ -279,7 +296,7 @@ void Server::listenerMain()
             // pick it up), so this is the one BUSY that still closes.
             const std::uint32_t retryMs = admission.queueRetryAfterMs();
             (void)writeFrame(client, MsgType::BusyResponse,
-                             encodeBusyResponse({retryMs}));
+                             encodeBody(BusyInfo{retryMs}));
             closeSocket(client);
             std::lock_guard<std::mutex> tally(countersMutex);
             ++tallies.busy;
@@ -431,8 +448,7 @@ std::string Server::errorFrame(const Status &status)
         if (status.code() == StatusCode::DeadlineExceeded)
             ++tallies.deadlineExpirations;
     }
-    return encodeFrame(MsgType::ErrorResponse,
-                       encodeErrorResponse(status));
+    return encodeFrame(MsgType::ErrorResponse, encodeBody(status));
 }
 
 std::string Server::busyFrame(std::uint32_t retry_after_ms)
@@ -442,7 +458,7 @@ std::string Server::busyFrame(std::uint32_t retry_after_ms)
         ++tallies.busy;
     }
     return encodeFrame(MsgType::BusyResponse,
-                       encodeBusyResponse({retry_after_ms}));
+                       encodeBody(BusyInfo{retry_after_ms}));
 }
 
 Status Server::checkDeadline(obs::Phase::Clock::time_point arrival,
@@ -502,98 +518,62 @@ std::string Server::handleRequest(const Frame &request,
         std::this_thread::sleep_for(std::chrono::milliseconds(
             config.testDelayBeforeExecuteMs));
 
+    // One step per request type: parse its body, tally it, handle it.
+    // Whatever escapes a handler (an allocation the geometry asks for
+    // failing, say) is answered like any failed request.
+    const auto serve = [&](auto tag, std::uint64_t ServerCounters::*tally,
+                           auto handle) -> std::string {
+        using Body = typename decltype(tag)::type;
+        Result<Body> parsed = parseBody<Body>(request.payload);
+        if (!parsed.ok())
+            return errorFrame(parsed.status().withContext(
+                std::string(msgTypeName(request.type)) + " request"));
+        {
+            std::lock_guard<std::mutex> lock(countersMutex);
+            ++(tallies.*tally);
+        }
+        try
+        {
+            return handle(parsed.value());
+        }
+        catch (...)
+        {
+            return errorFrame(statusFromException(std::current_exception()));
+        }
+    };
     switch (request.type)
     {
     case MsgType::PingRequest:
-    {
-        if (!request.payload.empty())
-            return errorFrame(
-                Status::corruptInput("ping carries no payload"));
-        std::lock_guard<std::mutex> tally(countersMutex);
-        ++tallies.pings;
-        break;
-    }
+        return serve(BodyTag<NoBody>{}, &ServerCounters::pings,
+                     [&](const NoBody &) { return handlePing(); });
     case MsgType::ListRequest:
-    {
-        if (!request.payload.empty())
-            return errorFrame(
-                Status::corruptInput("list carries no payload"));
-        std::lock_guard<std::mutex> tally(countersMutex);
-        ++tallies.lists;
-        break;
-    }
+        return serve(BodyTag<NoBody>{}, &ServerCounters::lists,
+                     [&](const NoBody &) { return handleList(); });
     case MsgType::StatsRequest:
-    {
-        if (!request.payload.empty())
-            return errorFrame(
-                Status::corruptInput("stats carries no payload"));
-        std::lock_guard<std::mutex> tally(countersMutex);
-        ++tallies.stats;
-        break;
-    }
-    default:
-        break;
-    }
-
-    switch (request.type)
-    {
-    case MsgType::PingRequest:
-        return handlePing();
-    case MsgType::ListRequest:
-        return handleList();
-    case MsgType::StatsRequest:
-        return handleStats();
+        return serve(BodyTag<NoBody>{}, &ServerCounters::stats,
+                     [&](const NoBody &) { return handleStats(); });
     case MsgType::HelloRequest:
-    {
-        Result<HelloInfo> parsed = parseHelloRequest(request.payload);
-        if (!parsed.ok())
-            return errorFrame(
-                parsed.status().withContext("hello request"));
-        if (!parsed.value().clientId.empty())
-            client_id = parsed.value().clientId;
-        {
-            std::lock_guard<std::mutex> tally(countersMutex);
-            ++tallies.helloes;
-        }
-        return encodeFrame(MsgType::HelloResponse, {});
-    }
+        return serve(BodyTag<HelloInfo>{}, &ServerCounters::helloes,
+                     [&](const HelloInfo &hello) {
+                         if (!hello.clientId.empty())
+                             client_id = hello.clientId;
+                         return encodeFrame(MsgType::HelloResponse, {});
+                     });
     case MsgType::ReplayRequest:
-    {
-        Result<ReplayRequest> parsed =
-            parseReplayRequest(request.payload);
-        if (!parsed.ok())
-            return errorFrame(
-                parsed.status().withContext("replay request"));
-        {
-            std::lock_guard<std::mutex> tally(countersMutex);
-            ++tallies.replays;
-        }
-        return handleReplay(parsed.value(), ctx, client_id);
-    }
+        return serve(BodyTag<ReplayRequest>{}, &ServerCounters::replays,
+                     [&](const ReplayRequest &replay) {
+                         return handleReplay(replay, ctx, client_id);
+                     });
     case MsgType::SweepRequest:
-    {
-        Result<SweepRequest> parsed = parseSweepRequest(request.payload);
-        if (!parsed.ok())
-            return errorFrame(
-                parsed.status().withContext("sweep request"));
-        {
-            std::lock_guard<std::mutex> tally(countersMutex);
-            ++tallies.sweeps;
-        }
-        return handleSweep(parsed.value(), ctx, client_id);
-    }
+        return serve(BodyTag<SweepRequest>{}, &ServerCounters::sweeps,
+                     [&](const SweepRequest &sweep) {
+                         return handleSweep(sweep, ctx, client_id);
+                     });
     case MsgType::PutRequest:
-    {
-        Result<PutTraceRequest> parsed = parsePutRequest(request.payload);
-        if (!parsed.ok())
-            return errorFrame(
-                parsed.status().withContext("put request"));
-        {
-            std::lock_guard<std::mutex> tally(countersMutex);
-            ++tallies.puts;
-        }
-        return handlePut(parsed.value());
-    }
+        return serve(BodyTag<PutTraceRequest>{}, &ServerCounters::puts,
+                     [&](const PutTraceRequest &put) {
+                         return handlePut(put);
+                     });
     default:
         return errorFrame(Status::internal("unhandled request type"));
     }
@@ -607,7 +587,7 @@ std::string Server::handlePing()
         std::lock_guard<std::mutex> lock(uploadsMutex);
         info.traces = config.traces.size() + uploads.size();
     }
-    return encodeFrame(MsgType::PingResponse, encodePingResponse(info));
+    return encodeFrame(MsgType::PingResponse, encodeBody(info));
 }
 
 std::string Server::handleList()
@@ -641,8 +621,7 @@ std::string Server::handleList()
         entry.resident = traceStore.resident(key) ? 1 : 0;
         entries.push_back(std::move(entry));
     }
-    return encodeFrame(MsgType::ListResponse,
-                       encodeListResponse(entries));
+    return encodeFrame(MsgType::ListResponse, encodeBody(entries));
 }
 
 std::string Server::handlePut(const PutTraceRequest &request)
@@ -667,14 +646,13 @@ std::string Server::handlePut(const PutTraceRequest &request)
     PutTraceResult result;
     result.name = request.name;
     result.refs = request.refs.size();
-    return encodeFrame(MsgType::PutResponse,
-                       encodePutResponse(result));
+    return encodeFrame(MsgType::PutResponse, encodeBody(result));
 }
 
 std::string Server::handleStats()
 {
     return encodeFrame(MsgType::StatsResponse,
-                       encodeStatsResponse(StatsResult{statsRows()}));
+                       encodeBody(StatsResult{statsRows()}));
 }
 
 std::string Server::handleReplay(const ReplayRequest &request,
@@ -685,7 +663,8 @@ std::string Server::handleReplay(const ReplayRequest &request,
         return errorFrame(Status::corruptInput("unknown model '" +
                                                request.model + "'"));
     const Status geometry =
-        validGeometry(request.sizeBytes, request.lineBytes);
+        validGeometry(request.sizeBytes, request.lineBytes,
+                      request.stickyMax, modelWays(request.model));
     if (!geometry.ok())
         return errorFrame(geometry);
     Status deadline = checkDeadline(ctx.arrival, request.deadlineMs);
@@ -762,8 +741,7 @@ std::string Server::handleReplay(const ReplayRequest &request,
                              serviced.stop());
     const obs::Phase serializing("srv", "serialize",
                                  served(obs::Latency::Serialize, ctx.traceId));
-    return encodeFrame(MsgType::ReplayResponse,
-                       encodeReplayResponse(result));
+    return encodeFrame(MsgType::ReplayResponse, encodeBody(result));
 }
 
 std::string Server::handleSweep(const SweepRequest &request,
@@ -782,12 +760,9 @@ std::string Server::handleSweep(const SweepRequest &request,
             return errorFrame(valid);
     }
     const Status geometry =
-        validGeometry(axis.back(), request.lineBytes);
+        validGeometry(axis.back(), request.lineBytes, request.stickyMax);
     if (!geometry.ok())
         return errorFrame(geometry);
-    if (request.engine > 2)
-        return errorFrame(
-            Status::corruptInput("unknown replay engine"));
     Status deadline = checkDeadline(ctx.arrival, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
@@ -856,7 +831,7 @@ std::string Server::handleSweep(const SweepRequest &request,
     admission.recordServiced(kind, result.refs, legs, serviced.stop());
     const obs::Phase serializing("srv", "serialize",
                                  served(obs::Latency::Serialize, ctx.traceId));
-    return encodeFrame(MsgType::SweepResponse, encodeSweepResponse(result));
+    return encodeFrame(MsgType::SweepResponse, encodeBody(result));
 }
 
 ServerCounters Server::counters() const

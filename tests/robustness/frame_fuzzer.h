@@ -1,14 +1,22 @@
 /**
  * @file
- * Deterministic corruption fuzzer over the DXP1 frame decoder. It
- * reuses the trace fuzzer's mutation engine (byte-flip bursts,
- * truncations, garbage extensions) on a corpus of valid frames — one
- * per message type, with representative bodies — and feeds every
- * mutant to decodeFrame plus the matching body parser. The contract
- * matches the trace readers': every mutation yields a clean success
- * or a structured, non-Internal error; never a crash, hang, or
- * unbounded allocation. Shared between the gtest smoke test and the
- * standalone dynex_fuzz_frames binary.
+ * Deterministic corruption fuzzer over the DXP1 frame decoder and the
+ * message-body parsers. It reuses the trace fuzzer's mutation engine
+ * (byte-flip bursts, truncations, garbage extensions) on a corpus of
+ * valid bodies — one or more per message type — in one of two modes:
+ *
+ *  - Frames: mutate the whole encoded frame and feed it to decodeFrame
+ *    plus the matching body parser. Every payload byte sits under the
+ *    trailer CRC, so almost every mutant stops at the frame layer.
+ *  - Bodies: mutate the body, frame it again with valid CRCs, and feed
+ *    that, so each mutant reaches its body parser.
+ *
+ * The body parser is picked through visitMsgType, the one list of
+ * message types, so no body can be skipped. The contract matches the
+ * trace readers': every mutation yields a clean success or a
+ * structured error — CorruptInput or ResourceLimit — never a crash,
+ * hang, or unbounded allocation. Shared between the gtest smoke test
+ * and the standalone dynex_fuzz_frames binary.
  */
 
 #ifndef DYNEX_TESTS_ROBUSTNESS_FRAME_FUZZER_H
@@ -16,6 +24,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "server/protocol.h"
@@ -26,66 +36,55 @@
 namespace dynex::test
 {
 
+/** What the frame fuzzer mutates. */
+enum class FrameFuzzMode
+{
+    Frames, ///< the encoded frame: header, payload and CRCs
+    Bodies, ///< the body, framed again with valid CRCs
+};
+
+/** A FuzzReport that also counts the errors body parsers returned. */
+struct FrameFuzzReport : FuzzReport
+{
+    std::uint64_t bodyErrors = 0; ///< framed fine, body parser failed
+};
+
 namespace frame_fuzz_detail
 {
 
 using namespace dynex::server;
 
-/** Decode a frame and, when framing survives, its body too: a flipped
- * payload bit that still passes CRC (vanishingly rare) must still
- * parse structurally. */
+/** Parse @p payload as the body a @p type frame carries. */
 inline Status
-parseFrameAndBody(const std::string &bytes)
+parseBodyOf(MsgType type, std::string_view payload)
 {
-    Result<Frame> frame = decodeFrame(bytes);
-    if (!frame.ok())
-        return frame.status();
-    switch (frame.value().type) {
-    case MsgType::PingResponse:
-        return parsePingResponse(frame.value().payload).status();
-    case MsgType::ListResponse:
-        return parseListResponse(frame.value().payload).status();
-    case MsgType::ReplayRequest:
-        return parseReplayRequest(frame.value().payload).status();
-    case MsgType::ReplayResponse:
-        return parseReplayResponse(frame.value().payload).status();
-    case MsgType::SweepRequest:
-        return parseSweepRequest(frame.value().payload).status();
-    case MsgType::SweepResponse:
-        return parseSweepResponse(frame.value().payload).status();
-    case MsgType::StatsResponse:
-        return parseStatsResponse(frame.value().payload).status();
-    case MsgType::ErrorResponse:
-        return parseErrorResponse(frame.value().payload).status();
-    case MsgType::HelloRequest:
-        return parseHelloRequest(frame.value().payload).status();
-    case MsgType::BusyResponse:
-        return parseBusyResponse(frame.value().payload).status();
-    default:
-        return Status();
-    }
+    return visitMsgType(type, [&](const char *, auto tag) -> Status {
+        using Body = typename decltype(tag)::type;
+        if constexpr (std::is_void_v<Body>)
+            return Status::corruptInput("unlisted message type");
+        else
+            return parseBody<Body>(payload).status();
+    });
 }
 
-/** One valid frame per message type, with non-trivial bodies. */
-inline std::vector<std::string>
-buildFrameCorpus()
+/** One valid body per message type (two for BUSY and SWEEP), as
+ * (type, body bytes). */
+inline std::vector<std::pair<MsgType, std::string>>
+buildBodyCorpus()
 {
-    std::vector<std::string> corpus;
-    corpus.push_back(encodeFrame(MsgType::PingRequest, {}));
-    corpus.push_back(encodeFrame(MsgType::ListRequest, {}));
-    corpus.push_back(encodeFrame(MsgType::StatsRequest, {}));
+    std::vector<std::pair<MsgType, std::string>> corpus;
+    const auto add = [&](MsgType type, const auto &body) {
+        corpus.emplace_back(type, encodeBody(body));
+    };
+    add(MsgType::PingRequest, NoBody{});
+    add(MsgType::ListRequest, NoBody{});
+    add(MsgType::StatsRequest, NoBody{});
+    add(MsgType::HelloResponse, NoBody{});
 
-    PingInfo ping;
-    ping.version = "1.0.0 (fuzz)";
-    ping.traces = 10;
-    corpus.push_back(
-        encodeFrame(MsgType::PingResponse, encodePingResponse(ping)));
-
-    std::vector<TraceListEntry> listing;
-    listing.push_back({"espresso", 0, 1});
-    listing.push_back({"mat300.dxt", 123456, 0});
-    corpus.push_back(
-        encodeFrame(MsgType::ListResponse, encodeListResponse(listing)));
+    add(MsgType::PingResponse, PingInfo{"1.0.0 (fuzz)", 10});
+    add(MsgType::ListResponse,
+        std::vector<TraceListEntry>{{"espresso", 0, 1},
+                                    {"mat300.dxt", 123456, 0}});
 
     ReplayRequest replay;
     replay.trace = "espresso";
@@ -93,15 +92,23 @@ buildFrameCorpus()
     replay.sizeBytes = 32 * 1024;
     replay.lineBytes = 16;
     replay.deadlineMs = 250;
-    corpus.push_back(encodeFrame(MsgType::ReplayRequest,
-                                 encodeReplayRequest(replay)));
+    add(MsgType::ReplayRequest, replay);
+
+    ReplayResult replayed;
+    replayed.model = "dynex";
+    replayed.refs = 30000;
+    replayed.stats.accesses = 30000;
+    replayed.stats.hits = 27000;
+    replayed.stats.misses = 3000;
+    add(MsgType::ReplayResponse, replayed);
 
     SweepRequest sweep;
     sweep.trace = "mat300";
     sweep.lineBytes = 4;
     sweep.engine = 1;
-    corpus.push_back(
-        encodeFrame(MsgType::SweepRequest, encodeSweepRequest(sweep)));
+    add(MsgType::SweepRequest, sweep);
+    sweep.sizes = {1024, 2048, 4096};
+    add(MsgType::SweepRequest, sweep);
 
     SweepResult result;
     result.trace = "mat300";
@@ -113,52 +120,64 @@ buildFrameCorpus()
     }
     result.outcome.failures.push_back(
         {"mat300", 4096, "triad", Status::internal("injected fault")});
-    corpus.push_back(encodeFrame(MsgType::SweepResponse,
-                                 encodeSweepResponse(result)));
+    add(MsgType::SweepResponse, result);
 
-    StatsResult stats;
-    stats.counters.push_back({"requests", 42});
-    stats.counters.push_back({"store-hits", 7});
-    corpus.push_back(encodeFrame(MsgType::StatsResponse,
-                                 encodeStatsResponse(stats)));
+    PutTraceRequest put;
+    put.name = "campaign:gcc";
+    put.refs = {ifetch(0x1000), load(0x2000, 8), store(0xffff'0000, 1)};
+    add(MsgType::PutRequest, put);
+    add(MsgType::PutResponse, PutTraceResult{"campaign:gcc", 3});
 
-    corpus.push_back(encodeFrame(
-        MsgType::ErrorResponse,
-        encodeErrorResponse(Status::corruptInput("bad frame"))));
-    corpus.push_back(encodeFrame(MsgType::BusyResponse, {}));
-    corpus.push_back(encodeFrame(MsgType::BusyResponse,
-                                 encodeBusyResponse({750})));
-
-    HelloInfo hello;
-    hello.clientId = "loadgen-3";
-    corpus.push_back(
-        encodeFrame(MsgType::HelloRequest, encodeHelloRequest(hello)));
+    add(MsgType::StatsResponse,
+        StatsResult{{{"requests", 42}, {"store-hits", 7}}});
+    add(MsgType::ErrorResponse, Status::corruptInput("bad frame"));
+    corpus.emplace_back(MsgType::BusyResponse, std::string());
+    add(MsgType::BusyResponse, BusyInfo{750});
+    add(MsgType::HelloRequest, HelloInfo{"loadgen-3"});
     return corpus;
 }
 
 } // namespace frame_fuzz_detail
 
 /**
- * Run @p iterations seeded mutations across the DXP1 frame corpus,
- * round-robin over the message types. Reuses FuzzReport and the
- * mutation engine from the trace corruption fuzzer.
+ * Run @p iterations seeded mutations across the DXP1 body corpus,
+ * round-robin over its entries, in @p mode. Reuses the mutation
+ * engine from the trace corruption fuzzer.
  */
-inline FuzzReport
-runFrameFuzzer(std::uint64_t seed, std::uint64_t iterations)
+inline FrameFuzzReport
+runFrameFuzzer(std::uint64_t seed, std::uint64_t iterations,
+               FrameFuzzMode mode = FrameFuzzMode::Frames)
 {
-    const auto corpus = frame_fuzz_detail::buildFrameCorpus();
-    FuzzReport report;
+    using namespace dynex::server;
+    const auto corpus = frame_fuzz_detail::buildBodyCorpus();
+    FrameFuzzReport report;
     Rng rng(seed);
     for (std::uint64_t i = 0; i < iterations; ++i) {
-        std::string mutant = corpus[i % corpus.size()];
-        fuzz_detail::mutate(mutant, rng);
-        const Status status =
-            frame_fuzz_detail::parseFrameAndBody(mutant);
+        const auto &[type, body] = corpus[i % corpus.size()];
+        std::string mutant;
+        if (mode == FrameFuzzMode::Frames) {
+            mutant = encodeFrame(type, body);
+            fuzz_detail::mutate(mutant, rng);
+        } else {
+            std::string mutated = body;
+            fuzz_detail::mutate(mutated, rng);
+            mutant = encodeFrame(type, mutated);
+        }
         ++report.iterations;
+        Result<Frame> frame = decodeFrame(mutant);
+        Status status = frame.status();
+        bool bodyFailed = false;
+        if (frame.ok()) {
+            status = frame_fuzz_detail::parseBodyOf(frame.value().type,
+                                                    frame.value().payload);
+            bodyFailed = !status.ok();
+        }
         if (status.ok()) {
             ++report.cleanSuccesses;
-        } else if (status.code() != StatusCode::Internal) {
+        } else if (status.code() == StatusCode::CorruptInput ||
+                   status.code() == StatusCode::ResourceLimit) {
             ++report.structuredErrors;
+            report.bodyErrors += bodyFailed ? 1 : 0;
         } else {
             report.violations.push_back(
                 "dxp1 seed=" + std::to_string(seed) +

@@ -4,7 +4,8 @@
  * (doubles bit-exact), rejection of every framing violation (bad
  * magic, nonzero flags, corrupt header CRC, corrupt payload CRC,
  * truncation, trailing garbage, over-cap payload lengths), wire-body
- * bounds checks, and a short deterministic run of the frame fuzzer.
+ * bounds checks, every body's bytes pinned, and a short deterministic
+ * run of the frame fuzzer over frames and over bodies.
  */
 
 #include <gtest/gtest.h>
@@ -211,7 +212,8 @@ TEST(Dxp1Wire, StringOverCapIsResourceLimit)
     writer.u64(0);
     WireReader reader(writer.bytes());
     std::string out;
-    const Status status = reader.str(out);
+    reader.str(out);
+    const Status status = reader.finish();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::ResourceLimit);
 }
@@ -222,9 +224,30 @@ TEST(Dxp1Wire, ReadPastEndIsCorruptInput)
     writer.u16(7);
     WireReader reader(writer.bytes());
     std::uint64_t wide = 0;
-    const Status status = reader.u64(wide);
+    reader.u64(wide);
+    const Status status = reader.finish();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::CorruptInput);
+}
+
+TEST(Dxp1Wire, TheFirstFailureSticks)
+{
+    // A truncated read fails; the reads after it leave their fields
+    // untouched, and finish() reports the first failure, not a later
+    // one or the unconsumed bytes.
+    WireWriter writer;
+    writer.u16(7);
+    WireReader reader(writer.bytes());
+    std::uint64_t wide = 42;
+    std::uint8_t narrow = 9;
+    reader.u64(wide);
+    reader.u8(narrow);
+    reader.check(false, [] { return std::string("later check"); });
+    EXPECT_EQ(wide, 42u);
+    EXPECT_EQ(narrow, 9u);
+    const Status status = reader.finish();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(), "DXP1: truncated u64");
 }
 
 TEST(Dxp1Bodies, PingRoundTrips)
@@ -232,7 +255,7 @@ TEST(Dxp1Bodies, PingRoundTrips)
     PingInfo info;
     info.version = "9.9.9-test";
     info.traces = 17;
-    const auto parsed = parsePingResponse(encodePingResponse(info));
+    const auto parsed = parseBody<PingInfo>(encodeBody(info));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().version, info.version);
     EXPECT_EQ(parsed.value().traces, info.traces);
@@ -243,7 +266,8 @@ TEST(Dxp1Bodies, ListRoundTrips)
     std::vector<TraceListEntry> listing;
     listing.push_back({"espresso", 0, 1});
     listing.push_back({"trace.dxt", 987654321, 0});
-    const auto parsed = parseListResponse(encodeListResponse(listing));
+    const auto parsed =
+        parseBody<std::vector<TraceListEntry>>(encodeBody(listing));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     ASSERT_EQ(parsed.value().size(), listing.size());
     for (std::size_t i = 0; i < listing.size(); ++i)
@@ -266,7 +290,7 @@ TEST(Dxp1Bodies, ReplayRequestRoundTrips)
     request.victimEntries = 8;
     request.deadlineMs = 1500;
     const auto parsed =
-        parseReplayRequest(encodeReplayRequest(request));
+        parseBody<ReplayRequest>(encodeBody(request));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().trace, request.trace);
     EXPECT_EQ(parsed.value().model, request.model);
@@ -289,14 +313,14 @@ TEST(Dxp1Bodies, SweepRequestAcceptsEveryEngineAndRejectsUnknown)
     {
         request.engine = engine;
         const auto parsed =
-            parseSweepRequest(encodeSweepRequest(request));
+            parseBody<SweepRequest>(encodeBody(request));
         ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
         EXPECT_EQ(parsed.value().trace, request.trace);
         EXPECT_EQ(parsed.value().engine, engine);
     }
     request.engine = 3;
     const auto rejected =
-        parseSweepRequest(encodeSweepRequest(request));
+        parseBody<SweepRequest>(encodeBody(request));
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::CorruptInput);
 }
@@ -307,7 +331,7 @@ TEST(Dxp1Bodies, SweepRequestCustomAxisRoundTrips)
     request.trace = "espresso";
     request.lineBytes = 16;
     request.sizes = {1024, 2048, 4096};
-    const auto parsed = parseSweepRequest(encodeSweepRequest(request));
+    const auto parsed = parseBody<SweepRequest>(encodeBody(request));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().sizes, request.sizes);
 }
@@ -319,11 +343,11 @@ TEST(Dxp1Bodies, SweepRequestWithoutAxisKeepsTheLegacyLayout)
     SweepRequest request;
     request.trace = "espresso";
     request.lineBytes = 16;
-    const std::string legacy = encodeSweepRequest(request);
+    const std::string legacy = encodeBody(request);
     request.sizes = {1024};
-    const std::string custom = encodeSweepRequest(request);
+    const std::string custom = encodeBody(request);
     EXPECT_EQ(custom.size(), legacy.size() + 4 + 8);
-    const auto parsed = parseSweepRequest(legacy);
+    const auto parsed = parseBody<SweepRequest>(legacy);
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_TRUE(parsed.value().sizes.empty());
 }
@@ -333,7 +357,7 @@ TEST(Dxp1Bodies, SweepRequestAxisOverCapIsResourceLimit)
     SweepRequest request;
     request.trace = "espresso";
     request.sizes.assign(kMaxSweepAxisSizes + 1, 1024);
-    const auto parsed = parseSweepRequest(encodeSweepRequest(request));
+    const auto parsed = parseBody<SweepRequest>(encodeBody(request));
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::ResourceLimit);
 }
@@ -344,7 +368,7 @@ TEST(Dxp1Bodies, PutRequestRoundTrips)
     request.name = "campaign:gcc";
     request.refs = {ifetch(0x1000), load(0x2000, 8),
                     store(0xffff'ffff'0000ull, 1)};
-    const auto parsed = parsePutRequest(encodePutRequest(request));
+    const auto parsed = parseBody<PutTraceRequest>(encodeBody(request));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().name, request.name);
     ASSERT_EQ(parsed.value().refs.size(), request.refs.size());
@@ -359,7 +383,7 @@ TEST(Dxp1Bodies, PutRequestRejectsAnEmptyName)
 {
     PutTraceRequest request;
     request.refs = {ifetch(0x1000)};
-    const auto parsed = parsePutRequest(encodePutRequest(request));
+    const auto parsed = parseBody<PutTraceRequest>(encodeBody(request));
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::CorruptInput);
 }
@@ -369,13 +393,13 @@ TEST(Dxp1Bodies, PutRequestRejectsAnUnknownReferenceKind)
     PutTraceRequest request;
     request.name = "x";
     request.refs = {ifetch(0x1000)};
-    std::string payload = encodePutRequest(request);
+    std::string payload = encodeBody(request);
     // Layout: str name (u32 + bytes), u64 count, then 10-byte records
     // { addr u64, kind u8, size u8 }; corrupt the first kind byte.
     const std::size_t kindAt = 4 + request.name.size() + 8 + 8;
     ASSERT_LT(kindAt, payload.size());
     payload[kindAt] = 7;
-    const auto parsed = parsePutRequest(payload);
+    const auto parsed = parseBody<PutTraceRequest>(payload);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::CorruptInput);
 }
@@ -385,13 +409,13 @@ TEST(Dxp1Bodies, PutRequestCountOverCapIsResourceLimit)
     PutTraceRequest request;
     request.name = "x";
     request.refs = {ifetch(0x1000)};
-    std::string payload = encodePutRequest(request);
+    std::string payload = encodeBody(request);
     // Rewrite the u64 count (after the name) to an absurd value; the
     // cap check must fire before any allocation.
     const std::size_t countAt = 4 + request.name.size();
     for (std::size_t i = 0; i < 8; ++i)
         payload[countAt + i] = static_cast<char>(0xff);
-    const auto parsed = parsePutRequest(payload);
+    const auto parsed = parseBody<PutTraceRequest>(payload);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::ResourceLimit);
 }
@@ -401,7 +425,7 @@ TEST(Dxp1Bodies, PutResponseRoundTrips)
     PutTraceResult result;
     result.name = "campaign:gcc";
     result.refs = 123456;
-    const auto parsed = parsePutResponse(encodePutResponse(result));
+    const auto parsed = parseBody<PutTraceResult>(encodeBody(result));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().name, result.name);
     EXPECT_EQ(parsed.value().refs, result.refs);
@@ -420,7 +444,7 @@ TEST(Dxp1Bodies, ReplayResponseRoundTrips)
     result.stats.bypasses = 50000;
     result.stats.evictions = 140000;
     const auto parsed =
-        parseReplayResponse(encodeReplayResponse(result));
+        parseBody<ReplayResult>(encodeBody(result));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().model, result.model);
     EXPECT_EQ(parsed.value().refs, result.refs);
@@ -449,7 +473,7 @@ TEST(Dxp1Bodies, SweepResponseDoublesAreBitExact)
         {"tomcatv", 4096, "dm", Status::internal("injected")});
 
     const auto parsed =
-        parseSweepResponse(encodeSweepResponse(result));
+        parseBody<SweepResult>(encodeBody(result));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     const SizeSweepOutcome &got = parsed.value().outcome;
     ASSERT_EQ(got.points.size(), sent.points.size());
@@ -505,11 +529,11 @@ TEST(Dxp1Bodies, SweepResponseBytesArePinned)
         "\x04"                                      // Internal
         "\x0e\x00\x00\x00injected fault";           // message
     const std::string pinned(kPinned, sizeof(kPinned) - 1);
-    EXPECT_EQ(encodeSweepResponse(result), pinned);
+    EXPECT_EQ(encodeBody(result), pinned);
 
-    const auto parsed = parseSweepResponse(pinned);
+    const auto parsed = parseBody<SweepResult>(pinned);
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
-    EXPECT_EQ(encodeSweepResponse(parsed.value()), pinned);
+    EXPECT_EQ(encodeBody(parsed.value()), pinned);
 }
 
 TEST(Dxp1Bodies, StatsRoundTrips)
@@ -517,7 +541,7 @@ TEST(Dxp1Bodies, StatsRoundTrips)
     StatsResult stats;
     stats.counters.push_back({"requests", 12});
     stats.counters.push_back({"store-resident-bytes", 1ull << 33});
-    const auto parsed = parseStatsResponse(encodeStatsResponse(stats));
+    const auto parsed = parseBody<StatsResult>(encodeBody(stats));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     ASSERT_EQ(parsed.value().counters.size(), 2u);
     EXPECT_EQ(parsed.value().counters[0].first, "requests");
@@ -529,7 +553,7 @@ TEST(Dxp1Bodies, HelloRoundTrips)
 {
     HelloInfo hello;
     hello.clientId = "loadgen-3";
-    const auto parsed = parseHelloRequest(encodeHelloRequest(hello));
+    const auto parsed = parseBody<HelloInfo>(encodeBody(hello));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().clientId, hello.clientId);
 }
@@ -538,7 +562,7 @@ TEST(Dxp1Bodies, BusyRoundTripsItsRetryAfterHint)
 {
     BusyInfo busy;
     busy.retryAfterMs = 750;
-    const auto parsed = parseBusyResponse(encodeBusyResponse(busy));
+    const auto parsed = parseBody<BusyInfo>(encodeBody(busy));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().retryAfterMs, 750u);
 }
@@ -547,21 +571,21 @@ TEST(Dxp1Bodies, LegacyEmptyBusyPayloadParsesAsNoHint)
 {
     // Servers that predate the retry-after extension send BUSY with an
     // empty payload; it must keep parsing as "no hint".
-    const auto parsed = parseBusyResponse({});
+    const auto parsed = parseBody<BusyInfo>({});
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed.value().retryAfterMs, 0u);
 }
 
 TEST(Dxp1Bodies, BusyPayloadWithTrailingGarbageIsRejected)
 {
-    std::string payload = encodeBusyResponse({250});
+    std::string payload = encodeBody(BusyInfo{250});
     payload += "junk";
-    const auto parsed = parseBusyResponse(payload);
+    const auto parsed = parseBody<BusyInfo>(payload);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::CorruptInput);
 
     // A short (non-empty, non-u32) payload is equally malformed.
-    const auto tooShort = parseBusyResponse(std::string("\x01", 1));
+    const auto tooShort = parseBody<BusyInfo>(std::string("\x01", 1));
     ASSERT_FALSE(tooShort.ok());
     EXPECT_EQ(tooShort.status().code(), StatusCode::CorruptInput);
 }
@@ -575,7 +599,7 @@ TEST(Dxp1Bodies, NewStatusCodesSurviveTheWire)
                                 ? Status::busy("shed", 40)
                                 : Status::deadlineExceeded("late");
         const auto parsed =
-            parseErrorResponse(encodeErrorResponse(sent));
+            parseBody<ErrorInfo>(encodeBody(sent));
         ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
         EXPECT_EQ(statusFromWire(parsed.value()).code(), code);
     }
@@ -585,7 +609,7 @@ TEST(Dxp1Bodies, ErrorRoundTripsThroughStatusFromWire)
 {
     const Status sent = Status::resourceLimit("deadline expired");
     const auto parsed =
-        parseErrorResponse(encodeErrorResponse(sent));
+        parseBody<ErrorInfo>(encodeBody(sent));
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     const Status rebuilt = statusFromWire(parsed.value());
     EXPECT_EQ(rebuilt.code(), StatusCode::ResourceLimit);
@@ -601,6 +625,186 @@ TEST(Dxp1Bodies, UnknownWireCodeMapsToInternal)
     EXPECT_EQ(statusFromWire(error).code(), StatusCode::Internal);
 }
 
+// ---------------------------------------------------------------------
+// Every body's bytes, pinned. Once one field list drives both the
+// encoder and the parser, a round trip cannot see a layout change;
+// these golden images can. Each is the layout deployed peers speak,
+// one field per group of hex digits.
+
+std::string
+hexOf(std::string_view bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const char c : bytes) {
+        const auto byte = static_cast<unsigned char>(c);
+        hex += kDigits[byte >> 4];
+        hex += kDigits[byte & 0xf];
+    }
+    return hex;
+}
+
+std::string
+bytesOf(std::string_view golden)
+{
+    std::string digits;
+    for (const char c : golden)
+        if (c != ' ')
+            digits += c;
+    std::string bytes;
+    for (std::size_t i = 0; i + 1 < digits.size(); i += 2)
+        bytes += static_cast<char>(
+            std::stoi(digits.substr(i, 2), nullptr, 16));
+    return bytes;
+}
+
+/** @p body encodes to @p golden, and @p golden parses back to a body
+ * that encodes to the same bytes. */
+template <class M>
+void
+expectPinned(const M &body, std::string_view golden)
+{
+    const std::string pinned = bytesOf(golden);
+    EXPECT_EQ(hexOf(encodeBody(body)), hexOf(pinned));
+    const Result<M> parsed = parseBody<M>(pinned);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(hexOf(encodeBody(parsed.value())), hexOf(pinned));
+}
+
+TEST(Dxp1Pinned, PingResponse)
+{
+    expectPinned(PingInfo{"9.9.9", 7},
+                 "05000000 392e392e39"  // version
+                 " 0700000000000000"); // traces
+}
+
+TEST(Dxp1Pinned, ListResponse)
+{
+    expectPinned(std::vector<TraceListEntry>{{"li", 4096, 1},
+                                             {"a.dxt3", 0, 0}},
+                 "02000000"                         // 2 entries
+                 " 02000000 6c69 0010000000000000 01" // li, 4KB, warm
+                 " 06000000 612e64787433"             // a.dxt3
+                 " 0000000000000000 00");             // 0 B, cold
+}
+
+TEST(Dxp1Pinned, StatsResponse)
+{
+    expectPinned(StatsResult{{{"requests", 42}, {"busy", 1ull << 33}}},
+                 "02000000"                                  // 2 rows
+                 " 08000000 7265717565737473 2a00000000000000" // 42
+                 " 04000000 62757379 0000000002000000");       // 2^33
+}
+
+TEST(Dxp1Pinned, PutResponse)
+{
+    expectPinned(PutTraceResult{"campaign:gcc", 123456},
+                 "0c000000 63616d706169676e3a676363" // name
+                 " 40e2010000000000");               // refs
+}
+
+TEST(Dxp1Pinned, ReplayRequest)
+{
+    ReplayRequest request;
+    request.trace = "gcc";
+    request.model = "dynex";
+    request.sizeBytes = 32 * 1024;
+    request.lineBytes = 16;
+    request.stickyMax = 3;
+    request.lastLine = 1;
+    request.victimEntries = 8;
+    request.deadlineMs = 1500;
+    expectPinned(request, "03000000 676363"        // trace
+                          " 05000000 64796e6578"   // model
+                          " 0080000000000000"      // 32KB
+                          " 10000000"              // 16 B lines
+                          " 03 01"                 // sticky, last line
+                          " 08000000"              // victim entries
+                          " dc050000");            // deadline 1500 ms
+}
+
+TEST(Dxp1Pinned, ReplayResponse)
+{
+    ReplayResult result;
+    result.model = "dm";
+    result.refs = 1000;
+    result.stats.accesses = 1000;
+    result.stats.hits = 800;
+    result.stats.misses = 200;
+    result.stats.coldMisses = 16;
+    result.stats.fills = 150;
+    result.stats.bypasses = 50;
+    result.stats.evictions = 140;
+    expectPinned(result, "02000000 646d"      // model
+                         " e803000000000000"  // refs
+                         " e803000000000000"  // accesses
+                         " 2003000000000000"  // hits
+                         " c800000000000000"  // misses
+                         " 1000000000000000"  // cold misses
+                         " 9600000000000000"  // fills
+                         " 3200000000000000"  // bypasses
+                         " 8c00000000000000"); // evictions
+}
+
+TEST(Dxp1Pinned, SweepRequestWithTheDefaultAxis)
+{
+    SweepRequest request;
+    request.trace = "li";
+    request.lineBytes = 4;
+    request.engine = 2;
+    request.stickyMax = 1;
+    request.deadlineMs = 250;
+    expectPinned(request, "02000000 6c69" // trace
+                          " 04000000"     // 4 B lines
+                          " 02 01"        // engine, sticky
+                          " fa000000");   // deadline 250 ms
+}
+
+TEST(Dxp1Pinned, SweepRequestWithAnAxis)
+{
+    SweepRequest request;
+    request.trace = "li";
+    request.lineBytes = 4;
+    request.engine = 2;
+    request.stickyMax = 1;
+    request.deadlineMs = 250;
+    request.sizes = {1024, 4096};
+    expectPinned(request, "02000000 6c69 04000000 02 01 fa000000"
+                          " 02000000"           // 2 axis sizes
+                          " 0004000000000000"   // 1KB
+                          " 0010000000000000"); // 4KB
+}
+
+TEST(Dxp1Pinned, PutRequest)
+{
+    PutTraceRequest request;
+    request.name = "x";
+    request.refs = {ifetch(0x1000), load(0x2000, 8),
+                    store(0xffff'0000ull, 1)};
+    expectPinned(request, "01000000 78"                // name
+                          " 0300000000000000"          // 3 records
+                          " 0010000000000000 00 04"    // ifetch/4
+                          " 0020000000000000 01 08"    // load/8
+                          " 0000ffff00000000 02 01");  // store/1
+}
+
+TEST(Dxp1Pinned, ErrorResponse)
+{
+    expectPinned(ErrorInfo{5, "late"}, "05"                 // code
+                                       " 04000000 6c617465"); // message
+}
+
+TEST(Dxp1Pinned, HelloRequest)
+{
+    expectPinned(HelloInfo{"loadgen-3"},
+                 "09000000 6c6f616467656e2d33"); // client id
+}
+
+TEST(Dxp1Pinned, BusyResponse)
+{
+    expectPinned(BusyInfo{750}, "ee020000"); // retry after 750 ms
+}
+
 TEST(Dxp1Fuzz, ShortDeterministicCampaignFindsNoViolations)
 {
     const auto report = dynex::test::runFrameFuzzer(1992, 2000);
@@ -608,6 +812,15 @@ TEST(Dxp1Fuzz, ShortDeterministicCampaignFindsNoViolations)
     EXPECT_TRUE(report.ok()) << report.violations.front();
     // The corpus mutants must actually exercise the error paths.
     EXPECT_GT(report.structuredErrors, 0u);
+
+    // Bodies framed again with valid CRCs reach their parsers, and
+    // the parsers' own error paths run.
+    const auto bodies = dynex::test::runFrameFuzzer(
+        1992, 2000, dynex::test::FrameFuzzMode::Bodies);
+    EXPECT_EQ(bodies.iterations, 2000u);
+    EXPECT_TRUE(bodies.ok()) << bodies.violations.front();
+    EXPECT_GT(bodies.bodyErrors, 0u);
+    EXPECT_GT(bodies.cleanSuccesses, 0u);
 }
 
 } // namespace

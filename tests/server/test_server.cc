@@ -492,7 +492,7 @@ TEST(ServerEndToEnd, FullQueueAnswersBusyInsteadOfQueueingUnbounded)
     EXPECT_EQ(reply.value().type, MsgType::BusyResponse);
     // The rejection carries a clamped retry-after hint so the client
     // knows to back off instead of hammering the full queue.
-    const auto busy = parseBusyResponse(reply.value().payload);
+    const auto busy = parseBody<BusyInfo>(reply.value().payload);
     ASSERT_TRUE(busy.ok()) << busy.status().toString();
     EXPECT_GE(busy.value().retryAfterMs,
               AdmissionConfig{}.minRetryAfterMs);
@@ -653,7 +653,7 @@ TEST(ServerEndToEnd, MalformedFrameDrawsAnErrorFrameNotACrash)
     const auto reply = readFrame(fd.value(), cleanEof);
     ASSERT_TRUE(reply.ok()) << reply.status().toString();
     EXPECT_EQ(reply.value().type, MsgType::ErrorResponse);
-    const auto error = parseErrorResponse(reply.value().payload);
+    const auto error = parseBody<ErrorInfo>(reply.value().payload);
     ASSERT_TRUE(error.ok());
     EXPECT_EQ(statusFromWire(error.value()).code(),
               StatusCode::CorruptInput);
@@ -695,7 +695,7 @@ TEST(ServerEndToEnd, CorruptCrcDrawsAnErrorFrame)
     SweepRequest request;
     request.trace = "doduc";
     std::string wire =
-        encodeFrame(MsgType::SweepRequest, encodeSweepRequest(request));
+        encodeFrame(MsgType::SweepRequest, encodeBody(request));
     wire[kFrameHeaderBytes] ^= 0x10; // corrupt the payload
     ASSERT_TRUE(writeAll(fd.value(), wire.data(), wire.size()).ok());
 
@@ -703,7 +703,7 @@ TEST(ServerEndToEnd, CorruptCrcDrawsAnErrorFrame)
     const auto reply = readFrame(fd.value(), cleanEof);
     ASSERT_TRUE(reply.ok()) << reply.status().toString();
     EXPECT_EQ(reply.value().type, MsgType::ErrorResponse);
-    const auto error = parseErrorResponse(reply.value().payload);
+    const auto error = parseBody<ErrorInfo>(reply.value().payload);
     ASSERT_TRUE(error.ok());
     EXPECT_EQ(statusFromWire(error.value()).code(),
               StatusCode::CorruptInput);
@@ -737,6 +737,51 @@ TEST(ServerEndToEnd, InvalidRequestsKeepTheConnectionOpen)
     // After three rejected requests the same connection still works.
     EXPECT_TRUE(client.ping().ok());
     EXPECT_EQ(server.counters().errors, 3u);
+}
+
+TEST(ServerEndToEnd, RequestsAModelWouldRefuseDrawErrorFramesNotAnAbort)
+{
+    // Each of these once ended the daemon: a model's constructor
+    // asserted on the first three, and the fourth's allocation threw
+    // past the handler.
+    Server server(benchServer("li"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    SweepRequest sweep;
+    sweep.trace = "li";
+    sweep.stickyMax = 0;
+    EXPECT_EQ(client.sweep(sweep).status().code(),
+              StatusCode::CorruptInput);
+
+    ReplayRequest unsticky;
+    unsticky.trace = "li";
+    unsticky.model = "dynex";
+    unsticky.stickyMax = 0;
+    EXPECT_EQ(client.replay(unsticky).status().code(),
+              StatusCode::CorruptInput);
+
+    ReplayRequest tooManyWays;
+    tooManyWays.trace = "li";
+    tooManyWays.model = "8way";
+    tooManyWays.sizeBytes = 16;
+    tooManyWays.lineBytes = 16;
+    EXPECT_EQ(client.replay(tooManyWays).status().code(),
+              StatusCode::CorruptInput);
+
+    // A sanitizer's allocator reports an impossible allocation as a
+    // fatal error instead of throwing std::bad_alloc, so the fourth
+    // frame runs only in builds without one.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    ReplayRequest huge;
+    huge.trace = "li";
+    huge.sizeBytes = 1ull << 62;
+    EXPECT_EQ(client.replay(huge).status().code(),
+              StatusCode::ResourceLimit);
+#endif
+
+    // The same daemon, on the same connection, still answers.
+    EXPECT_TRUE(client.ping().ok());
 }
 
 TEST(ServerEndToEnd, ResponseTypedFrameIsRejectedAsARequest)

@@ -251,6 +251,24 @@ TEST(CliTool, ThreadsFlagRejectsZero)
     EXPECT_NE(result.output.find("--threads"), std::string::npos);
 }
 
+TEST(CliTool, StickyFlagTakesOnly1To255)
+{
+    for (const char *args : {"sweep li --refs 1000 --sticky 0",
+                             "triad li --refs 1000 --sticky 0",
+                             "sim li --refs 1000 --sticky 0",
+                             "sweep li --refs 1000 --sticky 257",
+                             "sim li --refs 1000 --sticky x"}) {
+        const auto result = runCli(args);
+        EXPECT_EQ(result.exitCode, 2) << args;
+        EXPECT_NE(result.output.find("sticky must be 1..255"),
+                  std::string::npos)
+            << args << ": " << result.output;
+    }
+    const auto widest =
+        runCli("sim li --cache dynex --refs 1000 --sticky 255");
+    EXPECT_EQ(widest.exitCode, 0) << widest.output;
+}
+
 TEST(CliTool, UsageDocumentsThreads)
 {
     const auto result = runCli("");

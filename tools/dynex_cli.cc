@@ -509,6 +509,10 @@ parseOptions(int argc, char **argv, int first, Options &options)
                              "dynex: --threads needs a count >= 1\n");
                 return false;
             }
+            if (flag == "--sticky" && (parsed == 0 || parsed > 255)) {
+                std::fprintf(stderr, "dynex: sticky must be 1..255\n");
+                return false;
+            }
             if (flag == "--sticky")
                 options.stickyMax = static_cast<std::uint8_t>(parsed);
             else if (flag == "--victim")
